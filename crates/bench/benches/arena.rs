@@ -1,24 +1,24 @@
-//! Arena-reuse vs fresh-build cost of one campaign run.
+//! Warm-worker vs fresh-build cost of one campaign run.
 //!
-//! The campaign steady state (PR 3) recycles per-worker [`RunArena`]s —
-//! one `CrSim` per model, one event queue, one trace buffer — instead of
-//! rebuilding them for every Monte-Carlo run. These benchmarks measure
-//! exactly that delta on the same workload (P2 on XGC): `arena_reuse`
-//! resets a warm arena in place per run, `fresh_build` pays the
-//! pre-refactor cost of constructing the trace and simulation from
-//! scratch. Both execute identical event sequences, so the gap is pure
-//! construction/allocation overhead.
+//! The campaign steady state recycles per-worker state — one
+//! `CrSim` per lane, one event queue, one trace buffer per trace group,
+//! all held by a [`GridWorker`] — instead of rebuilding it for every
+//! Monte-Carlo run. These benchmarks measure exactly that delta on the
+//! same workload (P2 on XGC): `arena_reuse` runs a warm one-cell worker
+//! in place per run, `fresh_build` pays the pre-refactor cost of
+//! constructing the trace and simulation from scratch. Both execute
+//! identical event sequences, so the gap is pure construction/allocation
+//! overhead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use pckpt_core::iosim::PfsMode;
-use pckpt_core::{CrSim, ModelKind, RunArena, RunResult, SimParams};
+use pckpt_core::{CrSim, GridCell, GridPlan, GridWorker, ModelKind, SimParams};
 use pckpt_failure::{FailureTrace, LeadTimeModel, TraceConfig};
 use pckpt_simrng::SimRng;
 use pckpt_workloads::Application;
 
-const MODELS: [ModelKind; 1] = [ModelKind::P2];
 const SEED: u64 = 20_220_530;
 /// Cycle over a fixed set of run indices so both benches average over
 /// the same trace mix rather than timing one lucky/unlucky draw.
@@ -50,19 +50,20 @@ fn bench_campaign_run(c: &mut Criterion) {
         let p = params(mode);
         let master = SimRng::seed_from(SEED);
 
-        let mut arena = RunArena::new(&p, &MODELS, &leads);
-        let mut out: Vec<Option<RunResult>> = vec![None; MODELS.len()];
-        // Warm the arena past its high-water mark so the measured loop is
-        // the allocation-free steady state.
+        let cells = [GridCell::new(p.clone(), &[ModelKind::P2])];
+        let plan = GridPlan::new(&cells, &leads);
+        let mut worker = GridWorker::new(&plan);
+        // Warm the worker past its high-water mark so the measured loop
+        // is the allocation-free steady state.
         for run in 0..RUN_CYCLE {
-            arena.run_one(&master, run as usize, &mut out);
+            worker.run_unit(&master, run as usize, 0);
         }
         let mut run = 0u64;
         group.bench_function(format!("arena_reuse_{label}"), |b| {
             b.iter(|| {
-                arena.run_one(&master, (run % RUN_CYCLE) as usize, &mut out);
+                let r = worker.run_unit(&master, (run % RUN_CYCLE) as usize, 0);
                 run += 1;
-                black_box(out[0].as_ref().map(|r| r.wall_secs));
+                black_box(r.wall_secs);
             })
         });
 

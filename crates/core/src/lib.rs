@@ -53,11 +53,10 @@ pub use fingerprint::{
 pub use metrics::{Aggregate, OverheadLedger, RunResult};
 pub use prefilter::{AnalyticVerdict, Prefilter, DEFAULT_MARGIN};
 pub use runner::{
-    fold_cell_results, fold_cell_results_with, parse_runs_spec, parse_vr_spec, record_run,
-    run_grid, run_grid_filtered,
+    parse_runs_spec, parse_vr_spec, record_run, run_grid, run_grid_filtered,
     run_grid_with_cell_sink, run_many, run_models, splice_pruned, AdaptiveConfig, CampaignResult,
-    CellFold, CellResults, GridCell, GridPlan, GridResult, GridWorker, RunArena, RunnerConfig,
-    RunsSpec, ShardMeta, VrConfig,
+    CellFold, CellResults, GridCell, GridPlan, GridResult, GridWorker, RunnerConfig, RunsSpec,
+    ShardMeta, VrConfig,
 };
 pub use shard::{
     decode_frame, encode_frame, run_grid_sharded, run_grid_sharded_opts, run_shard_child,

@@ -46,9 +46,22 @@
 //! order per lane, which keeps every cell's aggregate **bit-identical**
 //! to a standalone [`run_models`] call for any thread count and any
 //! work-stealing interleaving.
+//!
+//! ### One driver, one pool, one fold
+//!
+//! Every sweep runs through one driver that executes runs in sequential
+//! batches. A fixed run count is the one-batch schedule; adaptive
+//! allocation ([`AdaptiveConfig`]) is the multi-batch schedule, deciding
+//! after each batch which cells continue. Each batch, and each shard
+//! child's run range (`crate::shard`), runs through the one pool
+//! function, which borrows its warm [`GridWorker`]s for the batch and
+//! hands them back. Every per-lane accumulation — the driver's, the
+//! shard merge's, and [`CellFold`]'s — goes through one lane fold: an
+//! [`Aggregate`], plus the variance-reduction CI estimator when VR is
+//! on.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use pckpt_desim::{run_with_queue, EventQueue};
@@ -361,10 +374,10 @@ fn trace_config(params: &SimParams) -> TraceConfig {
     .with_lead_error(params.lead_error_cv)
 }
 
-/// Runs one simulator over one trace: the shared per-model execution
-/// step of both the single-cell arena and the grid worker. Resets the
-/// queue and the simulator in place, drives the event loop, and injects
-/// the queue's observability counters before extracting the result.
+/// Runs one simulator over one trace: the grid worker's per-model
+/// execution step. Resets the queue and the simulator in place, drives
+/// the event loop, and injects the queue's observability counters before
+/// extracting the result.
 // simlint: hot
 fn execute_sim(
     sim: &mut CrSim,
@@ -384,90 +397,15 @@ fn execute_sim(
     sim.result()
 }
 
-/// A reusable per-worker simulation arena: one [`CrSim`] per model, one
-/// event queue, and one failure-trace buffer, all built once and recycled
-/// across runs.
-///
-/// Building a `CrSim` is expensive in fluid mode (the PFS capacity table
-/// is memoized per instance) and every fresh build allocates queues, maps
-/// and trace storage. The arena pays those costs once per worker; each
-/// subsequent [`run_one`](RunArena::run_one) resets state in place and —
-/// after the first few runs have grown the buffers — allocates nothing.
-pub struct RunArena<'a> {
-    leads: &'a LeadTimeModel,
-    base: SimParams,
-    tcfg: TraceConfig,
-    sims: Vec<CrSim>,
-    queue: EventQueue<Ev>,
-    trace: FailureTrace,
-}
-
-impl<'a> RunArena<'a> {
-    /// Builds an arena simulating each of `models` with otherwise
-    /// identical parameters (`base_params.model` is ignored).
-    pub fn new(base_params: &SimParams, models: &[ModelKind], leads: &'a LeadTimeModel) -> Self {
-        assert!(!models.is_empty(), "at least one model required");
-        let sims = models
-            .iter()
-            .map(|&model| {
-                let mut p = base_params.clone();
-                p.model = model;
-                CrSim::new(p, FailureTrace::default(), leads)
-            })
-            .collect();
-        Self {
-            leads,
-            base: base_params.clone(),
-            tcfg: trace_config(base_params),
-            sims,
-            queue: EventQueue::new(),
-            trace: FailureTrace::default(),
-        }
-    }
-
-    /// Number of models this arena simulates per run.
-    pub fn models(&self) -> usize {
-        self.sims.len()
-    }
-
-    /// Executes run `run` for every model, writing one result per model
-    /// into `out` (index-aligned with the arena's model list).
-    ///
-    /// Draw-for-draw identical to building everything fresh: the run's
-    /// RNG stream is `master.split(run)`, trace generation consumes it
-    /// first, and every model shares the same background-traffic stream
-    /// `rng.split(0xB6)` (paired comparison).
-    // simlint: hot
-    pub fn run_one(&mut self, master: &SimRng, run: usize, out: &mut [Option<RunResult>]) {
-        assert_eq!(out.len(), self.sims.len(), "one slot per model");
-        let mut rng = master.split(run as u64);
-        self.trace
-            .generate_into(&self.tcfg, self.leads, &self.base.predictor, &mut rng);
-        let bg_rng = rng.split(0xB6);
-        for (sim, slot) in self.sims.iter_mut().zip(out.iter_mut()) {
-            *slot = Some(execute_sim(sim, &mut self.queue, &self.trace, bg_rng.clone()));
-        }
-    }
-
-    /// Installs a structured-event recorder on the event queue and every
-    /// model simulator in this arena. With the `trace` feature disabled
-    /// the recorder is a ZST and this is a no-op.
-    pub fn install_recorder(&mut self, rec: Recorder) {
-        self.queue.set_recorder(rec.clone());
-        for sim in &mut self.sims {
-            sim.set_recorder(rec.clone());
-        }
-    }
-}
-
 /// Executes a single run of one model under a structured-event recorder
 /// and returns both the run's result and the captured [`Recording`].
 ///
-/// The run is draw-for-draw identical to the same `(base_seed, run)` pair
-/// inside a campaign: the run's RNG stream is `master.split(run)` and the
-/// background-traffic stream is `rng.split(0xB6)`. With the `trace`
-/// feature disabled the recorder records nothing and the returned
-/// recording is empty.
+/// The run is a one-cell grid's single unit, so it is draw-for-draw
+/// identical to the same `(base_seed, run)` pair inside a campaign: the
+/// run's RNG stream is `master.split(run)`, trace generation consumes it
+/// first, and the background-traffic stream is `rng.split(0xB6)`. With
+/// the `trace` feature disabled the recorder records nothing and the
+/// returned recording is empty.
 pub fn record_run(
     params: &SimParams,
     leads: &LeadTimeModel,
@@ -476,13 +414,12 @@ pub fn record_run(
     capacity: usize,
 ) -> (RunResult, Recording) {
     let rec = Recorder::enabled(capacity);
-    let mut arena = RunArena::new(params, &[params.model], leads);
-    arena.install_recorder(rec.clone());
-    let master = SimRng::seed_from(base_seed);
-    let mut out = [None];
-    arena.run_one(&master, run, &mut out);
-    // run_one fills every slot. simlint: allow(no-unwrap-in-lib)
-    let result = out[0].take().expect("run produced a result");
+    let cells = [GridCell::new(params.clone(), &[params.model])];
+    let plan = GridPlan::new(&cells, leads);
+    let mut worker = GridWorker::new(&plan);
+    worker.queue.set_recorder(rec.clone());
+    worker.unit_sim(0).set_recorder(rec.clone());
+    let result = worker.run_unit(&SimRng::seed_from(base_seed), run, 0);
     (result, rec.take())
 }
 
@@ -838,7 +775,7 @@ impl<'a, 'p> GridWorker<'a, 'p> {
     /// `(master, run, unit)` and the worker's [`VrConfig`] alone —
     /// worker-local caches never change results, only whether work is
     /// redone. Stratified runs use the static round-robin stratum; the
-    /// adaptive pool supplies its own schedule via
+    /// grid pool supplies each batch's schedule via
     /// [`run_unit_stratum`](Self::run_unit_stratum).
     pub fn run_unit(&mut self, master: &SimRng, run: usize, unit: usize) -> RunResult {
         let stratum = fixed_stratum(run, &self.vr);
@@ -856,15 +793,20 @@ impl<'a, 'p> GridWorker<'a, 'p> {
         unit: usize,
         stratum: u32,
     ) -> RunResult {
-        let u = &self.plan.units[unit];
-        let lane = self.plan.lane(u.cell, u.model_idx);
-        if self.sims[lane].is_none() {
-            let cell = &self.plan.cells[u.cell];
+        self.unit_sim(unit);
+        self.run_unit_warm(master, run, unit, stratum)
+    }
+
+    /// The simulator of `unit`'s representative lane, built on first use.
+    fn unit_sim(&mut self, unit: usize) -> &mut CrSim {
+        let plan = self.plan;
+        let u = &plan.units[unit];
+        self.sims[plan.lane(u.cell, u.model_idx)].get_or_insert_with(|| {
+            let cell = &plan.cells[u.cell];
             let mut p = cell.params.clone();
             p.model = cell.models[u.model_idx];
-            self.sims[lane] = Some(CrSim::new(p, FailureTrace::default(), self.plan.leads));
-        }
-        self.run_unit_warm(master, run, unit, stratum)
+            CrSim::new(p, FailureTrace::default(), plan.leads)
+        })
     }
 
     /// The grid steady state: once each lane's simulator exists and the
@@ -1172,7 +1114,7 @@ pub fn run_grid_filtered(
     };
     let pruned = verdicts.iter().filter(|v| v.is_some()).count();
     if pruned == 0 {
-        let mut grid = run_grid_simulated(cells, leads, config);
+        let mut grid = run_grid_simulated(cells, leads, config, None);
         grid.analytic_verdicts = verdicts;
         return grid;
     }
@@ -1186,7 +1128,7 @@ pub fn run_grid_filtered(
     let simulated = if survivors.is_empty() {
         None
     } else {
-        Some(run_grid_simulated(&survivors, leads, config))
+        Some(run_grid_simulated(&survivors, leads, config, None))
     };
     splice_pruned(cells, leads, config, verdicts, simulated)
 }
@@ -1274,115 +1216,129 @@ pub fn splice_pruned(
     }
 }
 
-/// Folds one cell's raw lane-major per-run results in the canonical
-/// single-process order — per model lane, ascending run — returning the
-/// cell's campaign result and attained relative CI (worst lane).
+/// One lane's running fold: its [`Aggregate`], plus the CI estimator of
+/// the active variance-reduction strategies when VR is on.
 ///
-/// This is the exact fold [`run_grid`] performs and the exact fold the
-/// shard coordinator replays over frames, so feeding it a cell's
-/// decoded frame reproduces the in-process aggregate bit for bit — the
-/// service cache's equivalence argument. `results[m * config.runs + r]`
-/// must hold lane `m`'s run `r` (the [`CellResults`] iteration order).
-/// Fixed run counts only; adaptive campaigns are never frame-addressed
-/// (see [`run_grid_with_cell_sink`]).
-pub fn fold_cell_results(
-    cell: &GridCell,
-    config: &RunnerConfig,
-    results: &[RunResult],
-    threads: usize,
-) -> (CampaignResult, f64) {
-    assert_eq!(
-        results.len(),
-        cell.models.len() * config.runs,
-        "lane-major results: one slot per (model, run)"
-    );
-    let mut it = results.iter();
-    let folded: Result<_, std::convert::Infallible> =
-        fold_cell_results_with(cell, config, threads, || {
-            // simlint: allow(no-unwrap-in-lib) — assert pins results.len() to the polls made
-            Ok(it.next().expect("length checked above"))
-        });
-    // simlint: allow(no-unwrap-in-lib) — E is Infallible; no error value can exist
-    folded.expect("infallible source")
+/// Every per-lane accumulation goes through here — the grid driver's
+/// batch fold, the shard merge's frame replay, and [`CellFold`]'s — so
+/// the three produce bit-identical aggregates and CIs from identical
+/// push sequences by construction.
+pub(crate) struct LaneFold {
+    agg: Aggregate,
+    tracker: Option<CiTracker>,
 }
 
-/// [`fold_cell_results`] over a pull source instead of a slice: the
-/// source is polled `models × runs` times in the canonical lane-major
-/// order, and its first error aborts the fold. This lets a caller fold
-/// a serialized frame straight from its bytes — one decoded result live
-/// at a time — without materializing the whole result vector.
-pub fn fold_cell_results_with<R: std::borrow::Borrow<RunResult>, E>(
-    cell: &GridCell,
-    config: &RunnerConfig,
-    threads: usize,
-    mut next_result: impl FnMut() -> Result<R, E>,
-) -> Result<(CampaignResult, f64), E> {
-    let mut fold = CellFold::new(cell, config, threads);
-    for _ in 0..cell.models.len() * config.runs {
-        fold.push(next_result()?.borrow());
+impl LaneFold {
+    pub(crate) fn new(vr: &VrConfig) -> Self {
+        Self {
+            agg: Aggregate::new(),
+            tracker: vr.is_active().then(|| CiTracker::new(vr)),
+        }
     }
-    Ok(fold.finish())
+
+    /// Folds in the next run of this lane (ascending run order), whose
+    /// first failure time was drawn from stratum `stratum`.
+    pub(crate) fn push(&mut self, stratum: u32, r: &RunResult) {
+        self.agg.push(r);
+        if let Some(t) = self.tracker.as_mut() {
+            t.push(stratum, r.ledger.total_overhead_secs() / 3600.0);
+        }
+    }
+
+    /// Relative CI half-width of the primary metric (total overhead
+    /// hours), 0 when degenerate: the VR estimator's when VR is on, the
+    /// plain aggregate's otherwise.
+    fn rel_ci(&self, confidence: f64) -> f64 {
+        if let Some(t) = &self.tracker {
+            return t.rel_ci(confidence);
+        }
+        let m = self.agg.total_hours.mean().abs();
+        if m > 0.0 {
+            self.agg.total_hours.ci_half_width(confidence) / m
+        } else {
+            0.0
+        }
+    }
+
+    /// Has this lane's CI cleared the adaptive target? Adaptive runs
+    /// always carry a tracker (adaptive allocation is a VR mode).
+    fn converged(&self, rel_target: f64, confidence: f64) -> bool {
+        self.tracker
+            .as_ref()
+            .is_some_and(|t| t.converged(rel_target, confidence))
+    }
 }
 
-/// Incremental (push) form of [`fold_cell_results`]: feed the cell's
-/// results one at a time in the canonical lane-major order, then
-/// [`finish`](Self::finish). Borrowing each result keeps exactly one
-/// `RunResult` live however the caller produces them — a decode loop
-/// can reuse one scratch value for the whole frame.
+/// A cell's campaign result and attained relative CI (worst lane) from
+/// its lane folds, in model order.
+fn finish_cell(
+    cell: &GridCell,
+    lanes: impl Iterator<Item = LaneFold>,
+    threads: usize,
+    confidence: f64,
+) -> (CampaignResult, f64) {
+    let mut ci = 0.0f64;
+    let aggregates = lanes
+        .map(|lane| {
+            ci = ci.max(lane.rel_ci(confidence));
+            lane.agg
+        })
+        .collect();
+    let campaign = CampaignResult {
+        models: cell.models.clone(),
+        aggregates,
+        threads,
+    };
+    (campaign, ci)
+}
+
+/// Folds one cell's raw lane-major per-run results in the canonical
+/// single-process order — per model lane, ascending run — into the
+/// cell's campaign result and attained relative CI (worst lane): feed
+/// the results one at a time with [`push`](Self::push), then
+/// [`finish`](Self::finish).
+///
+/// The lane fold is the one [`run_grid`] and the shard coordinator use,
+/// so feeding it a cell's decoded frame reproduces the in-process
+/// aggregate bit for bit — the service cache's equivalence argument.
+/// Borrowing each result keeps exactly one `RunResult` live however the
+/// caller produces them — a decode loop can reuse one scratch value for
+/// the whole frame. Fixed run counts only; adaptive campaigns are never
+/// frame-addressed (see [`run_grid_with_cell_sink`]).
 pub struct CellFold<'a> {
     cell: &'a GridCell,
     vr: VrConfig,
     runs: usize,
     threads: usize,
-    aggregates: Vec<Aggregate>,
-    agg: Aggregate,
-    tracker: Option<CiTracker>,
-    run_in_lane: usize,
-    ci: f64,
+    lanes: Vec<LaneFold>,
+    lane: usize,
+    run: usize,
 }
 
 impl<'a> CellFold<'a> {
     /// An empty fold for `cell` under `config`. Fixed run counts only.
     pub fn new(cell: &'a GridCell, config: &RunnerConfig, threads: usize) -> Self {
         assert!(config.vr.adaptive.is_none(), "fixed run counts only");
-        let vr = config.vr;
         CellFold {
             cell,
-            vr,
+            vr: config.vr,
             runs: config.runs,
             threads,
-            aggregates: Vec::with_capacity(cell.models.len()),
-            agg: Aggregate::new(),
-            tracker: vr.is_active().then(|| CiTracker::new(&vr)),
-            run_in_lane: 0,
-            ci: 0.0,
+            lanes: cell.models.iter().map(|_| LaneFold::new(&config.vr)).collect(),
+            lane: 0,
+            run: 0,
         }
     }
 
     /// Folds the next result in (lane-major order: lane `m`'s runs
     /// `0..runs`, then lane `m+1`'s). Panics past `models × runs`.
     pub fn push(&mut self, r: &RunResult) {
-        assert!(
-            self.aggregates.len() < self.cell.models.len(),
-            "more results than models × runs"
-        );
-        self.agg.push(r);
-        if let Some(t) = self.tracker.as_mut() {
-            t.push(
-                fixed_stratum(self.run_in_lane, &self.vr),
-                r.ledger.total_overhead_secs() / 3600.0,
-            );
-        }
-        self.run_in_lane += 1;
-        if self.run_in_lane == self.runs {
-            let lane_ci = match &self.tracker {
-                Some(t) => t.rel_ci(0.95),
-                None => rel_ci(&self.agg.total_hours),
-            };
-            self.ci = self.ci.max(lane_ci);
-            self.aggregates.push(std::mem::replace(&mut self.agg, Aggregate::new()));
-            self.tracker = self.vr.is_active().then(|| CiTracker::new(&self.vr));
-            self.run_in_lane = 0;
+        assert!(self.lane < self.lanes.len(), "more results than models × runs");
+        self.lanes[self.lane].push(fixed_stratum(self.run, &self.vr), r);
+        self.run += 1;
+        if self.run == self.runs {
+            self.lane += 1;
+            self.run = 0;
         }
     }
 
@@ -1391,29 +1347,11 @@ impl<'a> CellFold<'a> {
     /// pushed.
     pub fn finish(self) -> (CampaignResult, f64) {
         assert_eq!(
-            (self.aggregates.len(), self.run_in_lane),
-            (self.cell.models.len(), 0),
+            (self.lane, self.run),
+            (self.lanes.len(), 0),
             "fold incomplete: expected models × runs results"
         );
-        (
-            CampaignResult {
-                models: self.cell.models.clone(),
-                aggregates: self.aggregates,
-                threads: self.threads,
-            },
-            self.ci,
-        )
-    }
-}
-
-/// Relative CI half-width of an aggregate's primary metric (total
-/// overhead hours): `ci_half_width(0.95) / |mean|`, 0 when degenerate.
-pub(crate) fn rel_ci(total_hours: &Summary) -> f64 {
-    let m = total_hours.mean().abs();
-    if m > 0.0 {
-        total_hours.ci_half_width(0.95) / m
-    } else {
-        0.0
+        finish_cell(self.cell, self.lanes.into_iter(), self.threads, 0.95)
     }
 }
 
@@ -1475,187 +1413,7 @@ pub fn run_grid_with_cell_sink(
         "per-cell sinks require a fixed run count: adaptive allocation's \
          grid-pooled feedback makes cell results depend on pool composition"
     );
-    assert!(config.runs > 0, "at least one run required");
-    if config.vr.is_active() {
-        run_grid_vr(cells, leads, config, Some(sink))
-    } else {
-        run_grid_fixed(cells, leads, config, Some(sink))
-    }
-}
-
-/// The simulation pool proper: every input cell is executed.
-fn run_grid_simulated(
-    cells: &[GridCell],
-    leads: &LeadTimeModel,
-    config: &RunnerConfig,
-) -> GridResult {
-    assert!(config.runs > 0, "at least one run required");
-    if config.vr.is_active() {
-        run_grid_vr(cells, leads, config, None)
-    } else {
-        run_grid_fixed(cells, leads, config, None)
-    }
-}
-
-/// The fixed-run simulation pool (no VR batching).
-fn run_grid_fixed(
-    cells: &[GridCell],
-    leads: &LeadTimeModel,
-    config: &RunnerConfig,
-    mut sink: Option<&mut CellSink<'_>>,
-) -> GridResult {
-    let plan = GridPlan::new(cells, leads);
-    let runs = config.runs;
-    let pool = run_pool_range(&plan, config, 0, runs);
-    let threads = pool.threads;
-
-    // Deterministic main-thread fold: per lane, ascending run order —
-    // the exact push sequence a standalone run_models performs.
-    let slots = pool.slots;
-    let mut results = Vec::with_capacity(cells.len());
-    for (c, cell) in cells.iter().enumerate() {
-        let mut aggregates: Vec<Aggregate> =
-            cell.models.iter().map(|_| Aggregate::new()).collect();
-        for (m, agg) in aggregates.iter_mut().enumerate() {
-            let lane = plan.lane(c, m);
-            for run in 0..runs {
-                let slot = slots[lane * runs + run].as_ref();
-                // Every (run, unit) item is claimed exactly once. simlint: allow(no-unwrap-in-lib)
-                agg.push(slot.expect("every unit produced a result"));
-            }
-        }
-        if let Some(sink) = sink.as_mut() {
-            let lane0 = plan.lane(c, 0);
-            sink(&CellResults {
-                cell: c,
-                runs,
-                lanes: cell.models.len(),
-                slots: &slots[lane0 * runs..(lane0 + cell.models.len()) * runs],
-            });
-        }
-        results.push(CampaignResult {
-            models: cell.models.clone(),
-            aggregates,
-            threads,
-        });
-    }
-
-    let cell_ci_rel = results
-        .iter()
-        .map(|c| {
-            c.aggregates
-                .iter()
-                .map(|a| rel_ci(&a.total_hours))
-                .fold(0.0, f64::max)
-        })
-        .collect();
-
-    GridResult {
-        cells: results,
-        labels: cells.iter().map(|c| c.label.clone()).collect(),
-        runs_per_cell: runs,
-        cell_runs: vec![runs; cells.len()],
-        cell_ci_rel,
-        threads,
-        trace_groups: plan.trace_groups(),
-        lanes: plan.lanes(),
-        units: plan.units(),
-        trace_generations: pool.trace_generations,
-        trace_reuses: pool.trace_reuses,
-        leads_digest: leads.digest(),
-        analytic_verdicts: vec![None; cells.len()],
-        cells_pruned: 0,
-        shard_meta: None,
-    }
-}
-
-/// Results of one [`run_pool_range`] sweep: `lane * span + (run - r0)`
-/// indexed per-run results plus the pool's execution accounting.
-pub(crate) struct PoolRange {
-    /// One slot per `(lane, run)` pair in the executed range.
-    pub slots: Vec<Option<RunResult>>,
-    /// Trace generations performed across all workers.
-    pub trace_generations: u64,
-    /// Unit executions served from a worker's per-run trace cache.
-    pub trace_reuses: u64,
-    /// Worker threads the pool actually ran on.
-    pub threads: usize,
-}
-
-/// Executes every unit of `plan` for the contiguous global-run range
-/// `[r0, r1)` through one work-stealing pool.
-///
-/// Each `(lane, run)` result is deterministic in `(config.base_seed,
-/// config.vr, run, unit)` alone — worker caches and chunk interleaving
-/// never reach the results — so executing a sub-range reproduces exactly
-/// the slots the same runs would fill inside a full `[0, runs)` sweep.
-/// That sub-range exactness is what makes process-sharding bit-identical
-/// (see `crate::shard`). Workers derive per-run RNG streams under
-/// `config.vr` with the static stratum schedule; adaptive allocation
-/// (which needs sequential feedback) must use [`run_grid`]'s VR pool
-/// instead.
-pub(crate) fn run_pool_range(
-    plan: &GridPlan,
-    config: &RunnerConfig,
-    r0: usize,
-    r1: usize,
-) -> PoolRange {
-    assert!(r0 < r1, "non-empty run range required");
-    let span = r1 - r0;
-    let n_units = plan.units.len();
-    let total = span * n_units;
-    let threads = config.effective_threads_for(total);
-    let master = SimRng::seed_from(config.base_seed);
-    let vr = config.vr;
-
-    let slab = ResultSlab::new(plan.n_lanes * span);
-    let next = AtomicUsize::new(0);
-    let generations = AtomicU64::new(0);
-    let reuses = AtomicU64::new(0);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let master = master.clone();
-            let slab = &slab;
-            let next = &next;
-            let generations = &generations;
-            let reuses = &reuses;
-            let handle = scope.spawn(move || {
-                let mut worker = GridWorker::with_vr(plan, vr);
-                while let Some((start, end)) = claim_chunk(next, total, threads) {
-                    for item in start..end {
-                        // Run-major: consecutive items sweep one run's
-                        // units (group-sorted), maximizing cache hits.
-                        let (off, unit) = (item / n_units, item % n_units);
-                        let result = worker.run_unit(&master, r0 + off, unit);
-                        let lanes = &plan.units[unit].lanes;
-                        for &lane in &lanes[1..] {
-                            // SAFETY(slab-claim-partition): this worker
-                            // owns item (run, unit), and with it every
-                            // member lane's (lane, run) slot.
-                            unsafe { slab.put(lane * span + off, result.clone()) };
-                        }
-                        // SAFETY(slab-claim-partition): as above.
-                        unsafe { slab.put(lanes[0] * span + off, result) };
-                    }
-                }
-                generations.fetch_add(worker.trace_generations, Ordering::Relaxed);
-                reuses.fetch_add(worker.trace_reuses, Ordering::Relaxed);
-            });
-            handles.push(handle);
-        }
-        for handle in handles {
-            // A worker panic is already fatal; re-raise it here. simlint: allow(no-unwrap-in-lib)
-            handle.join().expect("worker panicked");
-        }
-    });
-
-    PoolRange {
-        slots: slab.into_results(),
-        trace_generations: generations.into_inner(),
-        trace_reuses: reuses.into_inner(),
-        threads,
-    }
+    run_grid_simulated(cells, leads, config, Some(sink))
 }
 
 /// One lane's running CI estimator under the active VR mode.
@@ -1766,7 +1524,7 @@ impl CiTracker {
 /// per-stratum spreads. Antithetic pairs always occupy consecutive
 /// (even, odd) offsets with equal strata: batches are pair-aligned and
 /// every allocation block is a multiple of the pair width.
-fn batch_schedule(
+pub(crate) fn batch_schedule(
     start: usize,
     n_batch: usize,
     vr: &VrConfig,
@@ -1794,8 +1552,85 @@ fn batch_schedule(
     }
 }
 
-/// The variance-reduced simulation pool: the same claim/slab/fold
-/// skeleton as [`run_grid_simulated`], executed in sequential batches.
+/// One pool worker per thread for sweeps of `runs` runs of every unit of
+/// `plan` (the thread count follows the `runs × units` item space).
+pub(crate) fn pool_workers<'a, 'p>(
+    plan: &'p GridPlan<'a>,
+    config: &RunnerConfig,
+    runs: usize,
+) -> Vec<GridWorker<'a, 'p>> {
+    let threads = config.effective_threads_for(runs * plan.units.len());
+    (0..threads).map(|_| GridWorker::with_vr(plan, config.vr)).collect()
+}
+
+/// The grid pool: executes the execution units `units` for the global
+/// runs `r0 + off`, `off < strata.len()` — run `r0 + off` drawing its
+/// first failure time from stratum `strata[off]` — on one work-stealing
+/// thread per worker, and returns the per-run results indexed `lane *
+/// strata.len() + off` (`None` for lanes of units not in `units`).
+///
+/// Every `(lane, run)` result is deterministic in `(master, vr, run,
+/// unit, stratum)` alone — worker caches and chunk interleaving never
+/// reach the results — so a sub-range of runs reproduces exactly the
+/// slots the same runs fill inside a full sweep. That is what makes the
+/// driver's batches and the shard children's run ranges
+/// (`crate::shard`) bit-identical to a one-shot sweep. The workers are
+/// borrowed for the batch and handed back warm, so sequential batches
+/// reuse their simulators and trace buffers.
+pub(crate) fn run_pool(
+    plan: &GridPlan,
+    workers: &mut Vec<GridWorker>,
+    master: &SimRng,
+    r0: usize,
+    strata: &[u32],
+    units: &[usize],
+) -> Vec<Option<RunResult>> {
+    let (n_runs, n_units, threads) = (strata.len(), units.len(), workers.len());
+    let total = n_runs * n_units;
+    let slab = ResultSlab::new(plan.n_lanes * n_runs);
+    let next = AtomicUsize::new(0);
+    thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(threads);
+        for mut worker in workers.drain(..) {
+            let (slab, next) = (&slab, &next);
+            handles.push(scope.spawn(move || {
+                while let Some((start, end)) = claim_chunk(next, total, threads) {
+                    for item in start..end {
+                        // Run-major: consecutive items sweep one run's
+                        // units (group-sorted), maximizing cache hits.
+                        let (off, unit) = (item / n_units, units[item % n_units]);
+                        let result = worker.run_unit_stratum(master, r0 + off, unit, strata[off]);
+                        let lanes = &plan.units[unit].lanes;
+                        for &lane in &lanes[1..] {
+                            // SAFETY(slab-claim-partition): this worker
+                            // owns item (run, unit), and with it every
+                            // member lane's (lane, run) slot.
+                            unsafe { slab.put(lane * n_runs + off, result.clone()) };
+                        }
+                        // SAFETY(slab-claim-partition): as above.
+                        unsafe { slab.put(lanes[0] * n_runs + off, result) };
+                    }
+                }
+                worker
+            }));
+        }
+        for handle in handles {
+            // A worker panic is already fatal; re-raise it here. simlint: allow(no-unwrap-in-lib)
+            workers.push(handle.join().expect("worker panicked"));
+        }
+    });
+    slab.into_results()
+}
+
+/// The grid driver: executes every cell × model × run of `cells` in
+/// sequential batches through [`run_pool`], folding each batch on the
+/// main thread.
+///
+/// A fixed run count is the one-batch schedule. Adaptive allocation
+/// (`config.vr.adaptive`) is the multi-batch schedule: after each batch
+/// it stops every cell whose lanes' CIs cleared the target, and it
+/// allocates the next batch's strata from the pooled per-stratum
+/// spreads.
 ///
 /// **Determinism.** Within a batch, every `(run, unit)` item is
 /// deterministic in `(master, run, unit, stratum)` alone, and the batch's
@@ -1811,22 +1646,22 @@ fn batch_schedule(
 ///
 /// A stopped cell's lanes stop folding; its execution units keep running
 /// only while a still-active cell shares them (unit activity is the OR
-/// of its member lanes' cells).
-fn run_grid_vr(
+/// of its member lanes' cells). `sink` sees each cell once its batch is
+/// folded, so it requires the one-batch schedule (see
+/// [`run_grid_with_cell_sink`]).
+fn run_grid_simulated(
     cells: &[GridCell],
     leads: &LeadTimeModel,
     config: &RunnerConfig,
     mut sink: Option<&mut CellSink<'_>>,
 ) -> GridResult {
-    // Sinks are only sound when the whole sweep is one batch (see
-    // run_grid_with_cell_sink); adaptive mode re-batches.
+    assert!(config.runs > 0, "at least one run required");
     debug_assert!(sink.is_none() || config.vr.adaptive.is_none());
     let vr = config.vr;
     let plan = GridPlan::new(cells, leads);
     let n_units = plan.units.len();
-    let n_cells = cells.len();
     // Pair-align the batch geometry so antithetic pairs never straddle a
-    // batch boundary. Fixed-count VR is a single batch of `config.runs`.
+    // batch boundary.
     let align = |n: usize| -> usize {
         if vr.antithetic {
             (n.max(1) + 1) & !1
@@ -1834,15 +1669,14 @@ fn run_grid_vr(
             n.max(1)
         }
     };
-    let (batch, max_runs, confidence) = match vr.adaptive {
+    let (batch, max_runs) = match vr.adaptive {
         Some(a) => {
             let batch = align(a.batch);
-            (batch, align(a.max_runs).max(batch), a.confidence)
+            (batch, align(a.max_runs).max(batch))
         }
-        None => (config.runs, config.runs, 0.95),
+        None => (config.runs, config.runs),
     };
-
-    let threads = config.effective_threads_for(batch.min(max_runs) * n_units);
+    let mut workers = pool_workers(&plan, config, batch.min(max_runs));
     let master = SimRng::seed_from(config.base_seed);
 
     // lane → cell lookup for unit-activity checks.
@@ -1853,10 +1687,9 @@ fn run_grid_vr(
         }
     }
 
-    let mut cell_active = vec![true; n_cells];
-    let mut cell_runs = vec![0usize; n_cells];
-    let mut aggs: Vec<Aggregate> = (0..plan.n_lanes).map(|_| Aggregate::new()).collect();
-    let mut trackers: Vec<CiTracker> = (0..plan.n_lanes).map(|_| CiTracker::new(&vr)).collect();
+    let mut cell_active = vec![true; cells.len()];
+    let mut cell_runs = vec![0usize; cells.len()];
+    let mut lanes: Vec<LaneFold> = (0..plan.n_lanes).map(|_| LaneFold::new(&vr)).collect();
     // Pooled per-stratum spread of the primary metric across every lane,
     // driving the next batch's Neyman schedule. Grid-level rather than
     // per-cell because a run's stratum is a property of its *shared*
@@ -1864,9 +1697,6 @@ fn run_grid_vr(
     let mut pooled = (vr.strata > 0 && vr.adaptive.is_some())
         .then(|| StratifiedSummary::equal_weights(vr.strata as usize));
 
-    let mut workers: Vec<GridWorker> = (0..threads)
-        .map(|_| GridWorker::with_vr(&plan, vr))
-        .collect();
     let mut start = 0usize;
     while start < max_runs && cell_active.iter().any(|&a| a) {
         let n_batch = batch.min(max_runs - start);
@@ -1874,81 +1704,36 @@ fn run_grid_vr(
         let active_units: Vec<usize> = (0..n_units)
             .filter(|&u| plan.units[u].lanes.iter().any(|&l| cell_active[lane_cell[l]]))
             .collect();
-        let n_active = active_units.len();
-        let total = n_batch * n_active;
-        let slab = ResultSlab::new(plan.n_lanes * n_batch);
-        let next = AtomicUsize::new(0);
-        thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for mut worker in workers.drain(..) {
-                let master = master.clone();
-                let plan = &plan;
-                let slab = &slab;
-                let next = &next;
-                let schedule = &schedule;
-                let active_units = &active_units;
-                handles.push(scope.spawn(move || {
-                    while let Some((s, e)) = claim_chunk(next, total, threads) {
-                        for item in s..e {
-                            // Run-major within the batch, exactly like
-                            // the fixed pool.
-                            let (off, ui) = (item / n_active, item % n_active);
-                            let unit = active_units[ui];
-                            let result =
-                                worker.run_unit_stratum(&master, start + off, unit, schedule[off]);
-                            let lanes = &plan.units[unit].lanes;
-                            for &lane in &lanes[1..] {
-                                // SAFETY(slab-claim-partition): this
-                                // worker owns item (run, unit), and with
-                                // it every member lane's slot.
-                                unsafe { slab.put(lane * n_batch + off, result.clone()) };
-                            }
-                            // SAFETY(slab-claim-partition): as above.
-                            unsafe { slab.put(lanes[0] * n_batch + off, result) };
-                        }
-                    }
-                    worker
-                }));
-            }
-            for handle in handles {
-                // A worker panic is already fatal; re-raise it here. simlint: allow(no-unwrap-in-lib)
-                workers.push(handle.join().expect("worker panicked"));
-            }
-        });
+        let slots = run_pool(&plan, &mut workers, &master, start, &schedule, &active_units);
 
         // Deterministic main-thread fold, (cell, model, run) order —
         // the only place statistics accumulate, and the only input to
         // the stopping and scheduling decisions below.
-        let slots = slab.into_results();
-        for c in 0..n_cells {
+        for (c, cell) in cells.iter().enumerate() {
             if !cell_active[c] {
                 continue;
             }
-            for m in 0..cells[c].models.len() {
-                let lane = plan.lane(c, m);
-                for off in 0..n_batch {
-                    let slot = slots[lane * n_batch + off].as_ref();
+            let lane0 = plan.lane(c, 0);
+            let cell_slots = &slots[lane0 * n_batch..(lane0 + cell.models.len()) * n_batch];
+            for (m, lane_slots) in cell_slots.chunks(n_batch).enumerate() {
+                for (slot, &stratum) in lane_slots.iter().zip(&schedule) {
                     // Active cells belong to active units, which the
                     // claim counter exhausts. simlint: allow(no-unwrap-in-lib)
-                    let r = slot.expect("every active unit produced a result");
-                    aggs[lane].push(r);
-                    let x = r.ledger.total_overhead_secs() / 3600.0;
-                    trackers[lane].push(schedule[off], x);
+                    let r = slot.as_ref().expect("every active unit produced a result");
+                    lanes[lane0 + m].push(stratum, r);
                     if let Some(p) = pooled.as_mut() {
-                        p.push(schedule[off] as usize, x);
+                        p.push(stratum as usize, r.ledger.total_overhead_secs() / 3600.0);
                     }
                 }
             }
             if let Some(sink) = sink.as_mut() {
-                // Fixed-count VR is a single batch covering every run,
-                // so the cell is complete here (the debug_assert above
-                // rules out adaptive re-batching).
-                let lane0 = plan.lane(c, 0);
+                // The one-batch schedule covers every run, so the cell
+                // is complete here.
                 sink(&CellResults {
                     cell: c,
                     runs: n_batch,
-                    lanes: cells[c].models.len(),
-                    slots: &slots[lane0 * n_batch..(lane0 + cells[c].models.len()) * n_batch],
+                    lanes: cell.models.len(),
+                    slots: cell_slots,
                 });
             }
             cell_runs[c] += n_batch;
@@ -1956,13 +1741,14 @@ fn run_grid_vr(
         start += n_batch;
 
         if let Some(a) = vr.adaptive {
-            for c in 0..n_cells {
+            for (c, cell) in cells.iter().enumerate() {
                 if !cell_active[c] || cell_runs[c] < 2 * batch {
                     continue;
                 }
-                let done = (0..cells[c].models.len()).all(|m| {
-                    trackers[plan.lane(c, m)].converged(a.rel_target, a.confidence)
-                });
+                let lane0 = plan.lane(c, 0);
+                let done = lanes[lane0..lane0 + cell.models.len()]
+                    .iter()
+                    .all(|lane| lane.converged(a.rel_target, a.confidence));
                 if done {
                     cell_active[c] = false;
                 }
@@ -1970,48 +1756,47 @@ fn run_grid_vr(
         }
     }
 
-    let cell_ci_rel: Vec<f64> = (0..n_cells)
-        .map(|c| {
-            (0..cells[c].models.len())
-                .map(|m| trackers[plan.lane(c, m)].rel_ci(confidence))
-                .fold(0.0, f64::max)
-        })
-        .collect();
-    let (mut generations, mut reuses) = (0u64, 0u64);
+    let mut grid = simulated_grid(&plan, &vr, lanes, cell_runs, workers.len());
     for w in &workers {
-        generations += w.trace_generations;
-        reuses += w.trace_reuses;
+        grid.trace_generations += w.trace_generations;
+        grid.trace_reuses += w.trace_reuses;
     }
+    grid
+}
 
-    let mut agg_it = aggs.into_iter();
-    let results: Vec<CampaignResult> = cells
+/// The result of simulating every cell of `plan` from its lane folds
+/// (indexed by plan lane) and per-cell run counts: campaigns, worst-lane
+/// CIs under `vr`'s estimator, and the plan accounting. The driver and
+/// the shard merge both build their results here; the trace-cache
+/// counters and shard accounting are the caller's to fill in.
+pub(crate) fn simulated_grid(
+    plan: &GridPlan,
+    vr: &VrConfig,
+    lanes: Vec<LaneFold>,
+    cell_runs: Vec<usize>,
+    threads: usize,
+) -> GridResult {
+    let confidence = vr.adaptive.map_or(0.95, |a| a.confidence);
+    let mut lanes = lanes.into_iter();
+    let (cells, cell_ci_rel) = plan
+        .cells
         .iter()
-        .map(|cell| CampaignResult {
-            models: cell.models.clone(),
-            aggregates: cell
-                .models
-                .iter()
-                // Lanes are cell-major contiguous. simlint: allow(no-unwrap-in-lib)
-                .map(|_| agg_it.next().expect("one aggregate per lane"))
-                .collect(),
-            threads,
-        })
-        .collect();
-
+        .map(|cell| finish_cell(cell, lanes.by_ref().take(cell.models.len()), threads, confidence))
+        .unzip();
     GridResult {
+        cells,
+        labels: plan.cells.iter().map(|c| c.label.clone()).collect(),
         runs_per_cell: cell_runs.iter().copied().max().unwrap_or(0),
-        cells: results,
-        labels: cells.iter().map(|c| c.label.clone()).collect(),
         cell_runs,
         cell_ci_rel,
         threads,
         trace_groups: plan.trace_groups(),
         lanes: plan.lanes(),
         units: plan.units(),
-        trace_generations: generations,
-        trace_reuses: reuses,
-        leads_digest: leads.digest(),
-        analytic_verdicts: vec![None; cells.len()],
+        trace_generations: 0,
+        trace_reuses: 0,
+        leads_digest: plan.leads.digest(),
+        analytic_verdicts: vec![None; plan.cells.len()],
         cells_pruned: 0,
         shard_meta: None,
     }

@@ -13,8 +13,8 @@
 //! ### Why the merge is exact
 //!
 //! Every `(lane, run)` result of the pool is deterministic in
-//! `(base_seed, vr, run, unit)` alone (see
-//! [`run_pool_range`](crate::runner)), so a child executing global runs
+//! `(base_seed, vr, run, unit)` alone (see `run_pool` in
+//! [`runner`](crate::runner)), so a child executing global runs
 //! `[r0, r1)` over a subset of cells produces bit-identical
 //! [`RunResult`]s to the same runs inside a full single-process sweep —
 //! provided the subset keeps each trace group intact (trace sharing
@@ -22,8 +22,9 @@
 //! cells. The planner therefore splits along two axes only: contiguous
 //! global-run ranges (antithetic pairs never straddle a boundary) and
 //! whole trace groups. Frames carry raw per-`(lane, run)` results; the
-//! coordinator replays the single-process push sequence over them, so
-//! every aggregate and CI tracker sees the identical float stream.
+//! coordinator replays the single-process push sequence over them
+//! through the same lane fold, so every aggregate and CI tracker sees
+//! the identical float stream.
 //!
 //! ### Failure handling
 //!
@@ -48,12 +49,13 @@ use crate::frames::{
     check_seal, decode_run_result, encode_run_result, get_u16, get_u32, get_u64, put_u16, put_u32,
     put_u64, seal, FRAME_VERSION,
 };
-use crate::metrics::{Aggregate, RunResult};
+use crate::metrics::RunResult;
 use crate::prefilter::Prefilter;
 use crate::runner::{
-    fixed_stratum, rel_ci, run_pool_range, splice_pruned, vr_env_spec, CampaignResult, CiTracker,
-    GridCell, GridPlan, GridResult, RunnerConfig, ShardMeta, VrConfig,
+    batch_schedule, fixed_stratum, pool_workers, run_pool, simulated_grid, splice_pruned,
+    vr_env_spec, GridCell, GridPlan, GridResult, LaneFold, RunnerConfig, ShardMeta, VrConfig,
 };
+use pckpt_simrng::SimRng;
 
 /// Frame magic: `"PKFR"` little-endian.
 const FRAME_MAGIC: u32 = 0x5246_4b50;
@@ -535,10 +537,19 @@ pub fn run_shard_child(
     let asg = splan.assignment(spec.index, &cell_groups);
     let subset: Vec<GridCell> = asg.cells.iter().map(|&c| survivors[c].clone()).collect();
     let sub_plan = GridPlan::new(&subset, leads);
-    let pool = run_pool_range(&sub_plan, config, asg.run_start, asg.run_end);
+    let span = asg.run_end - asg.run_start;
+    let mut workers = pool_workers(&sub_plan, config, span);
+    let slots = run_pool(
+        &sub_plan,
+        &mut workers,
+        &SimRng::seed_from(config.base_seed),
+        asg.run_start,
+        &batch_schedule(asg.run_start, span, &config.vr, None),
+        &(0..sub_plan.units()).collect::<Vec<_>>(),
+    );
 
-    let mut results = Vec::with_capacity(pool.slots.len());
-    for slot in pool.slots {
+    let mut results = Vec::with_capacity(slots.len());
+    for slot in slots {
         results.push(slot.ok_or("pool left a result slot empty")?);
     }
     let frame = ShardFrame {
@@ -557,9 +568,9 @@ pub fn run_shard_child(
         run_end: asg.run_end as u64,
         lanes: sub_plan.lanes() as u32,
         results,
-        threads: pool.threads as u32,
-        trace_generations: pool.trace_generations,
-        trace_reuses: pool.trace_reuses,
+        threads: workers.len() as u32,
+        trace_generations: workers.iter().map(|w| w.trace_generations).sum(),
+        trace_reuses: workers.iter().map(|w| w.trace_reuses).sum(),
     };
     let mut bytes = encode_frame(&frame);
 
@@ -960,7 +971,7 @@ pub fn run_grid_sharded_opts(
         .map(|s| s.frame.take().expect("all shards completed"))
         .collect();
 
-    let merged = fold_frames(&survivors, leads, config, &plan, &splan, &frames, ShardMeta {
+    let merged = fold_frames(&survivors, config, &plan, &splan, &frames, ShardMeta {
         shards: n_shards,
         reexecutions,
         frame_bytes,
@@ -969,14 +980,13 @@ pub fn run_grid_sharded_opts(
 }
 
 /// Folds validated frames into a survivor-grid result by replaying the
-/// single-process push sequence: per cell, per model, ascending global
-/// run — each result fetched from its owning shard's frame. Aggregates
-/// and (under fixed VR) CI trackers therefore consume the identical
-/// float stream the in-process fold consumes, which is the whole
-/// bit-identity argument.
+/// single-process push sequence through the shared lane fold: per cell,
+/// per model, ascending global run, with the static stratum labels —
+/// each result fetched from its owning shard's frame. Aggregates and CI
+/// trackers therefore consume the identical float stream the in-process
+/// fold consumes, which is the whole bit-identity argument.
 fn fold_frames(
     survivors: &[GridCell],
-    leads: &LeadTimeModel,
     config: &RunnerConfig,
     plan: &GridPlan,
     splan: &ShardPlan,
@@ -984,8 +994,6 @@ fn fold_frames(
     meta: ShardMeta,
 ) -> Result<GridResult, String> {
     let runs = config.runs;
-    let vr = config.vr;
-    let vr_active = vr.is_active();
 
     // Per-frame lane bases: frame.cells is ascending global survivor
     // indices, and the child's subset plan assigns lanes in that order.
@@ -1007,13 +1015,7 @@ fn fold_frames(
         frame_base.push(base);
     }
 
-    let mut aggs: Vec<Aggregate> = (0..plan.lanes()).map(|_| Aggregate::new()).collect();
-    let mut trackers: Vec<CiTracker> = if vr_active {
-        (0..plan.lanes()).map(|_| CiTracker::new(&vr)).collect()
-    } else {
-        Vec::new()
-    };
-
+    let mut lanes: Vec<LaneFold> = (0..plan.lanes()).map(|_| LaneFold::new(&config.vr)).collect();
     for (c, cell) in survivors.iter().enumerate() {
         let group = plan.cell_group(c);
         for m in 0..cell.models.len() {
@@ -1029,67 +1031,17 @@ fn fold_frames(
                     .results
                     .get(idx)
                     .ok_or_else(|| format!("shard {owner} frame is missing run {run}"))?;
-                aggs[lane].push(r);
-                if vr_active {
-                    trackers[lane].push(
-                        fixed_stratum(run, &vr),
-                        r.ledger.total_overhead_secs() / 3600.0,
-                    );
-                }
+                lanes[lane].push(fixed_stratum(run, &config.vr), r);
             }
         }
     }
 
-    let cell_ci_rel: Vec<f64> = (0..survivors.len())
-        .map(|c| {
-            (0..survivors[c].models.len())
-                .map(|m| {
-                    let lane = plan.lane(c, m);
-                    if vr_active {
-                        trackers[lane].rel_ci(0.95)
-                    } else {
-                        rel_ci(&aggs[lane].total_hours)
-                    }
-                })
-                .fold(0.0, f64::max)
-        })
-        .collect();
     let threads = frames.iter().map(|f| f.threads as usize).max().unwrap_or(1);
-    let trace_generations = frames.iter().map(|f| f.trace_generations).sum();
-    let trace_reuses = frames.iter().map(|f| f.trace_reuses).sum();
-
-    let mut agg_it = aggs.into_iter();
-    let results: Vec<CampaignResult> = survivors
-        .iter()
-        .map(|cell| CampaignResult {
-            models: cell.models.clone(),
-            aggregates: cell
-                .models
-                .iter()
-                // Lanes are cell-major contiguous. simlint: allow(no-unwrap-in-lib)
-                .map(|_| agg_it.next().expect("one aggregate per lane"))
-                .collect(),
-            threads,
-        })
-        .collect();
-
-    Ok(GridResult {
-        cells: results,
-        labels: survivors.iter().map(|c| c.label.clone()).collect(),
-        runs_per_cell: runs,
-        cell_runs: vec![runs; survivors.len()],
-        cell_ci_rel,
-        threads,
-        trace_groups: plan.trace_groups(),
-        lanes: plan.lanes(),
-        units: plan.units(),
-        trace_generations,
-        trace_reuses,
-        leads_digest: leads.digest(),
-        analytic_verdicts: vec![None; survivors.len()],
-        cells_pruned: 0,
-        shard_meta: Some(meta),
-    })
+    let mut grid = simulated_grid(plan, &config.vr, lanes, vec![runs; survivors.len()], threads);
+    grid.trace_generations = frames.iter().map(|f| f.trace_generations).sum();
+    grid.trace_reuses = frames.iter().map(|f| f.trace_reuses).sum();
+    grid.shard_meta = Some(meta);
+    Ok(grid)
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
 //! Proves the campaign steady state is allocation-free.
 //!
 //! A counting global allocator wraps `System`; after a warmup pass has
-//! grown every arena buffer to its high-water mark, replaying the same
-//! runs through [`RunArena::run_one`] must not touch the heap at all —
-//! not in the event queue, the fluid link, the p-ckpt round, the trace
-//! generator, nor the result hand-off. The same bar applies to the grid
-//! engine's steady state: a warm [`GridWorker`] replaying `(run, unit)`
-//! items — trace-cache hits *and* misses, core instantiation included —
-//! must be equally silent.
+//! grown every buffer of a [`GridWorker`] to its high-water mark,
+//! replaying the same `(run, unit)` items must not touch the heap at all
+//! — not in the event queue, the fluid link, the p-ckpt round, the trace
+//! generator, the trace cache (hits *and* misses, core instantiation
+//! included), nor the result hand-off. The workers cover a one-cell grid
+//! in both PFS modes (the single-view trace path and the flow link), a
+//! multi-view lead-scale sweep, and that sweep under variance reduction.
 //!
 //! This file is its own test binary on purpose: `#[global_allocator]`
 //! is process-wide, and the sole test keeps the counter honest (no
@@ -17,9 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pckpt_core::iosim::PfsMode;
-use pckpt_core::{
-    GridCell, GridPlan, GridWorker, ModelKind, RunArena, RunResult, SimParams, VrConfig,
-};
+use pckpt_core::{GridCell, GridPlan, GridWorker, ModelKind, SimParams, VrConfig};
 use pckpt_failure::LeadTimeModel;
 use pckpt_simrng::SimRng;
 use pckpt_workloads::Application;
@@ -55,48 +53,54 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Sweeps every unit of `plan` for `runs` runs on `worker` twice — a
+/// warmup, then a counted replay of the identical seed set, whose buffer
+/// sizes are therefore a deterministic function of the warmup's — and
+/// asserts the replay is bit-identical and (in debug builds) allocates
+/// nothing.
+fn assert_warm_replay_is_silent(worker: &mut GridWorker, plan: &GridPlan, runs: usize, what: &str) {
+    let master = SimRng::seed_from(41);
+    let mut sweep = || {
+        let mut checksum = 0.0f64;
+        for run in 0..runs {
+            for unit in 0..plan.units() {
+                checksum += worker.run_unit(&master, run, unit).wall_secs;
+            }
+        }
+        checksum
+    };
+    let warm = sweep();
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let replay = sweep();
+    let after = ALLOCS.load(Ordering::SeqCst);
+
+    // Release builds elide some debug-only bookkeeping, and the point
+    // of the invariant is to catch regressions where developers run
+    // tests — enforce in debug, merely exercise elsewhere.
+    #[cfg(debug_assertions)]
+    assert_eq!(after - before, 0, "{what} unit executions must not allocate");
+    #[cfg(not(debug_assertions))]
+    let _ = (before, after);
+    assert_eq!(warm.to_bits(), replay.to_bits(), "{what} replay must be bit-identical");
+}
+
+fn xgc(model: ModelKind) -> SimParams {
+    SimParams::paper_defaults(model, Application::by_name("XGC").expect("known app"))
+}
+
 #[test]
-fn warm_arena_runs_do_not_allocate() {
-    const RUNS: usize = 8;
+fn warm_grid_workers_do_not_allocate() {
     let leads = LeadTimeModel::desh_default();
-    let models = [ModelKind::B, ModelKind::P2];
+
+    // One cell per PFS mode: a single-view trace group whose first unit
+    // of a run generates the trace and whose second reuses it.
     for mode in [PfsMode::Analytic, PfsMode::Fluid] {
-        let mut p = SimParams::paper_defaults(
-            ModelKind::B,
-            Application::by_name("XGC").expect("known app"),
-        );
+        let mut p = xgc(ModelKind::B);
         p.pfs_mode = mode;
-        let master = SimRng::seed_from(41);
-        let mut arena = RunArena::new(&p, &models, &leads);
-        let mut out: Vec<Option<RunResult>> = vec![None; models.len()];
-
-        // Warmup: grows every buffer to the high-water mark of this seed
-        // set (trace storage, queue heap + liveness bitset, round queue,
-        // scratch vectors, fluid flow table).
-        for run in 0..RUNS {
-            arena.run_one(&master, run, &mut out);
-        }
-
-        // Steady state: replay the identical seed set. Buffer sizes are a
-        // deterministic function of the seeds, so nothing may grow.
-        let before = ALLOCS.load(Ordering::SeqCst);
-        for run in 0..RUNS {
-            arena.run_one(&master, run, &mut out);
-        }
-        let after = ALLOCS.load(Ordering::SeqCst);
-
-        // Release builds elide some debug-only bookkeeping, and the point
-        // of the invariant is to catch regressions where developers run
-        // tests — enforce in debug, merely exercise elsewhere.
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            after - before,
-            0,
-            "warm {mode:?} campaign runs must not allocate"
-        );
-        #[cfg(not(debug_assertions))]
-        let _ = (before, after);
-        assert!(out.iter().all(Option::is_some));
+        let cells = [GridCell::new(p, &[ModelKind::B, ModelKind::P2])];
+        let plan = GridPlan::new(&cells, &leads);
+        let what = format!("warm one-cell {mode:?}");
+        assert_warm_replay_is_silent(&mut GridWorker::new(&plan), &plan, 8, &what);
     }
 
     // Grid steady state: a warm worker replaying a lead-scale sweep.
@@ -104,44 +108,17 @@ fn warm_arena_runs_do_not_allocate() {
     // first of a run a trace-cache *hit* (instantiate only), and the
     // first a *miss* (full regeneration into cached buffers) — both
     // paths must stay off the heap.
-    let leads = LeadTimeModel::desh_default();
     let cells: Vec<GridCell> = [1.5, 1.0, 0.5]
         .iter()
         .map(|&scale| {
-            let mut p = SimParams::paper_defaults(
-                ModelKind::B,
-                Application::by_name("XGC").expect("known app"),
-            );
+            let mut p = xgc(ModelKind::B);
             p.lead_scale = scale;
             GridCell::new(p, &[ModelKind::B, ModelKind::M2])
         })
         .collect();
     let plan = GridPlan::new(&cells, &leads);
-    let master = SimRng::seed_from(41);
     let mut worker = GridWorker::new(&plan);
-
-    const GRID_RUNS: usize = 6;
-    let mut checksum = 0.0f64;
-    for run in 0..GRID_RUNS {
-        for unit in 0..plan.units() {
-            checksum += worker.run_unit(&master, run, unit).wall_secs;
-        }
-    }
-
-    let before = ALLOCS.load(Ordering::SeqCst);
-    let mut replay = 0.0f64;
-    for run in 0..GRID_RUNS {
-        for unit in 0..plan.units() {
-            replay += worker.run_unit(&master, run, unit).wall_secs;
-        }
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
-
-    #[cfg(debug_assertions)]
-    assert_eq!(after - before, 0, "warm grid unit executions must not allocate");
-    #[cfg(not(debug_assertions))]
-    let _ = (before, after);
-    assert_eq!(checksum.to_bits(), replay.to_bits(), "replay must be bit-identical");
+    assert_warm_replay_is_silent(&mut worker, &plan, 6, "warm grid");
     assert!(worker.trace_reuses > 0, "sweep must exercise the trace-cache hit path");
 
     // Variance-reduction steady state: antithetic pairing and stratified
@@ -154,30 +131,5 @@ fn warm_arena_runs_do_not_allocate() {
         strata: 4,
         ..VrConfig::default()
     };
-    let mut vr_worker = GridWorker::with_vr(&plan, vr);
-    let mut vr_checksum = 0.0f64;
-    for run in 0..GRID_RUNS {
-        for unit in 0..plan.units() {
-            vr_checksum += vr_worker.run_unit(&master, run, unit).wall_secs;
-        }
-    }
-
-    let before = ALLOCS.load(Ordering::SeqCst);
-    let mut vr_replay = 0.0f64;
-    for run in 0..GRID_RUNS {
-        for unit in 0..plan.units() {
-            vr_replay += vr_worker.run_unit(&master, run, unit).wall_secs;
-        }
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
-
-    #[cfg(debug_assertions)]
-    assert_eq!(after - before, 0, "warm VR grid unit executions must not allocate");
-    #[cfg(not(debug_assertions))]
-    let _ = (before, after);
-    assert_eq!(
-        vr_checksum.to_bits(),
-        vr_replay.to_bits(),
-        "VR replay must be bit-identical"
-    );
+    assert_warm_replay_is_silent(&mut GridWorker::with_vr(&plan, vr), &plan, 6, "warm VR grid");
 }

@@ -6,8 +6,8 @@
 //! pool's interleavings differ:
 //!
 //! * workers run `Load → Cas → Put…Put → Load → …` until the counter
-//!   passes the item count (the CAS loop in `RunnerConfig::run_grid`'s
-//!   `claim_chunk`, with `Put` standing in for `ResultSlab::put`);
+//!   passes the item count (the CAS loop in `run_pool`'s `claim_chunk`,
+//!   with `Put` standing in for `ResultSlab::put`);
 //! * the fold thread becomes runnable only once every worker is `Done`
 //!   — that gate *is* the `thread::scope` join happens-before — and
 //!   then reads one slot per step, accumulating the digest.

@@ -2,11 +2,14 @@
 //!
 //! These are the checks the `ResultSlab` invariant comments in
 //! `crates/core/src/runner.rs` point at: every interleaving of three
-//! workers plus the fold, under the real protocol, upholds
-//! `slab-claim-partition` and `slab-scope-join`, and a deliberately
-//! broken slab is caught. The three-worker run must cover at least a
-//! thousand schedules so the claim is about genuine interleaving
-//! coverage, not a handful of lucky orders.
+//! workers plus the fold, under the real protocol of the one pool
+//! function `run_pool`, upholds `slab-claim-partition` and
+//! `slab-scope-join`, and a deliberately broken slab is caught. An
+//! adaptive sweep calls `run_pool` once per batch, so its batches are
+//! sequential rounds of this same claim/put/join protocol. The
+//! three-worker run must cover at least a thousand schedules so the
+//! claim is about genuine interleaving coverage, not a handful of lucky
+//! orders.
 
 use schedcheck::explore;
 use schedcheck::model::{Bug, Config};

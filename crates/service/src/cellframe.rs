@@ -2,7 +2,7 @@
 //!
 //! One frame holds every `RunResult` for one grid cell (all model
 //! lanes × all runs, lane-major, ascending run — the same push order
-//! `fold_cell_results` replays). The byte layout reuses the shard
+//! `pckpt_core::CellFold` replays). The byte layout reuses the shard
 //! result-frame primitives from `pckpt_core::frames`, including the
 //! trailing FNV-1a seal, so a frame read back from disk is either
 //! bit-exact or rejected. The same bytes serve as cache entries and as
@@ -85,9 +85,9 @@ impl CellFrame {
 /// `RunResult` in the frame's lane-major order.
 ///
 /// This is the warm-path counterpart to [`CellFrame::decode`]: a fold
-/// can consume the frame one result at a time (via
-/// `pckpt_core::fold_cell_results_with`) with a single result struct
-/// live, instead of materializing `lanes × runs` of them first. The
+/// can consume the frame one result at a time (via `pckpt_core::CellFold`)
+/// with a single result struct live, instead of materializing
+/// `lanes × runs` of them first. The
 /// seal already guarantees the bytes are exactly what `encode` wrote,
 /// so deferring the per-result structural checks to consumption time
 /// rejects the same inputs, just later.

@@ -29,8 +29,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use pckpt_core::{
-    campaign_fingerprints, fold_cell_results, run_grid_filtered, run_grid_with_cell_sink,
-    splice_pruned, AnalyticVerdict, CellFold, Fingerprint, GridCell, GridResult, RunnerConfig,
+    campaign_fingerprints, run_grid_filtered, run_grid_with_cell_sink, splice_pruned,
+    AnalyticVerdict, CampaignResult, CellFold, Fingerprint, GridCell, GridResult, RunnerConfig,
 };
 use pckpt_failure::LeadTimeModel;
 
@@ -261,9 +261,10 @@ impl Service {
         let lock = self.campaign_lock(campaign_fp);
         let _campaign = lock.lock().unwrap_or_else(PoisonError::into_inner);
 
-        // Frames decoded (or computed) on the way in, so the fold pass
-        // below never re-decodes bytes this request already validated.
-        let mut frames: Vec<Option<CellFrame>> = (0..survivors.len()).map(|_| None).collect();
+        // Cells this request computes, as folded by the grid that ran
+        // them, so the fold pass below never folds them a second time.
+        let mut computed: Vec<Option<(CampaignResult, f64)>> =
+            (0..survivors.len()).map(|_| None).collect();
         let mut recovered_bytes: BTreeMap<usize, Arc<Vec<u8>>> = BTreeMap::new();
         let mut journal = match self.cfg.state_dir.as_ref() {
             Some(dir) => {
@@ -331,8 +332,7 @@ impl Service {
                 &to_compute,
                 config,
                 journal.as_mut(),
-                &mut resolved,
-                &mut frames,
+                &mut computed,
                 &mut meta,
             )?);
         }
@@ -359,8 +359,7 @@ impl Service {
                             &solo,
                             config,
                             journal.as_mut(),
-                            &mut resolved,
-                            &mut frames,
+                            &mut computed,
                             &mut meta,
                         )?;
                         if computed_grid.is_none() {
@@ -381,33 +380,25 @@ impl Service {
         let mut campaigns = Vec::with_capacity(survivors.len());
         let mut cell_ci_rel = Vec::with_capacity(survivors.len());
         for (i, cell) in survivors.iter().enumerate() {
-            let bytes = resolved[i]
-                .as_ref()
-                .ok_or_else(|| format!("cell {i} unresolved after compute/wait"))?;
-            let shape_err = |lanes: u32, runs: u64| {
-                format!(
-                    "cell {i} frame shape {lanes}×{runs} does not match request {}×{}",
-                    cell.models.len(),
-                    config.runs
-                )
-            };
-            // Cells this request computed still hold their in-memory
-            // frame; everything else folds streaming from the bytes.
-            let (campaign, ci) = match frames[i].take() {
-                Some(frame) => {
-                    if frame.lanes as usize != cell.models.len()
-                        || frame.runs as usize != config.runs
-                    {
-                        return Err(shape_err(frame.lanes, frame.runs));
-                    }
-                    fold_cell_results(cell, config, &frame.results, threads)
-                }
+            // Cells this request computed come folded from their grid;
+            // everything else folds streaming from its bytes.
+            let (campaign, ci) = match computed[i].take() {
+                Some((campaign, ci)) => (CampaignResult { threads, ..campaign }, ci),
                 None => {
+                    let bytes = resolved[i]
+                        .as_ref()
+                        .ok_or_else(|| format!("cell {i} unresolved after compute/wait"))?;
                     let mut reader = CellFrameReader::open(bytes, Some(fps[i]))?;
                     if reader.lanes as usize != cell.models.len()
                         || reader.runs as usize != config.runs
                     {
-                        return Err(shape_err(reader.lanes, reader.runs));
+                        return Err(format!(
+                            "cell {i} frame shape {}×{} does not match request {}×{}",
+                            reader.lanes,
+                            reader.runs,
+                            cell.models.len(),
+                            config.runs
+                        ));
                     }
                     let mut fold = CellFold::new(cell, config, threads);
                     let mut scratch = pckpt_core::RunResult::default();
@@ -451,6 +442,8 @@ impl Service {
 
     /// Runs the `indices` subset of `survivors` as one pooled grid,
     /// journaling, caching, and publishing each cell as it completes.
+    /// Each cell's folded `(campaign, ci)` moves into `computed`; the
+    /// returned grid keeps the execution accounting.
     #[allow(clippy::too_many_arguments)]
     fn compute_batch(
         &self,
@@ -459,8 +452,7 @@ impl Service {
         indices: &[usize],
         config: &RunnerConfig,
         mut journal: Option<&mut Journal>,
-        resolved: &mut [Option<Arc<Vec<u8>>>],
-        frames: &mut [Option<CellFrame>],
+        computed: &mut [Option<(CampaignResult, f64)>],
         meta: &mut ServiceMeta,
     ) -> Result<GridResult, String> {
         let subset: Vec<GridCell> = indices.iter().map(|&i| survivors[i].clone()).collect();
@@ -470,19 +462,19 @@ impl Service {
         );
         let mut sink_err: Option<String> = None;
         let mut appended = 0u64;
-        let grid = run_grid_with_cell_sink(&subset, &self.leads, config, &mut |cr| {
+        let mut grid = run_grid_with_cell_sink(&subset, &self.leads, config, &mut |cr| {
             if sink_err.is_some() {
                 return;
             }
             let survivor_idx = indices[cr.cell];
             let fp = fps[survivor_idx];
-            let frame = CellFrame {
+            let bytes = CellFrame {
                 fp,
                 lanes: cr.lanes as u32,
                 runs: cr.runs as u64,
                 results: cr.iter().cloned().collect(),
-            };
-            let bytes = frame.encode();
+            }
+            .encode();
             if let Some(j) = journal.as_deref_mut() {
                 if let Err(e) = j.append_cell(survivor_idx, &bytes) {
                     sink_err = Some(e);
@@ -496,15 +488,16 @@ impl Service {
                 sink_err = Some(e);
                 return;
             }
-            let bytes = Arc::new(bytes);
-            self.flight.publish(fp.as_u128(), Arc::clone(&bytes));
+            self.flight.publish(fp.as_u128(), Arc::new(bytes));
             guard.published(fp.as_u128());
-            resolved[survivor_idx] = Some(bytes);
-            frames[survivor_idx] = Some(frame);
         });
         drop(guard); // Abandons anything the sink never published.
         if let Some(e) = sink_err {
             return Err(e);
+        }
+        let cells = std::mem::take(&mut grid.cells);
+        for ((&i, campaign), &ci) in indices.iter().zip(cells).zip(&grid.cell_ci_rel) {
+            computed[i] = Some((campaign, ci));
         }
         meta.computed_cells += indices.len() as u64;
         meta.journal_appended += appended;

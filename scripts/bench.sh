@@ -13,7 +13,8 @@
 #   median_ns_per_event            engine dispatch cost
 #   events_per_sec                 its reciprocal
 #   flow_churn_speedup_vs_reference  virtual-time link vs O(n) reference
-#   arena_reuse_speedup[_fluid]    warm RunArena run vs fresh-build run
+#   arena_reuse_speedup[_fluid]    warm one-cell GridWorker run vs
+#                                  fresh-build run
 #   runs_per_sec / runs_per_sec_fluid  1000-run P2/XGC campaign throughput
 #   grid_speedup                   4-cell POP sweep: one grid pool vs
 #                                  serial per-cell campaigns (bit-

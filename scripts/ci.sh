@@ -2,7 +2,7 @@
 # Full CI chain: the tier-1 gate plus everything it doesn't cover —
 # workspace-member tests, the examples build, the trace-feature build
 # (whose golden digests prove the recorder changes nothing it observes),
-# and the analytic-tier equivalence gates.
+# the analytic-tier equivalence gates, and the benchmark harness.
 #
 #   1. scripts/lint.sh        simlint, release build, root test suite,
 #                             1-run bench smoke (CAMPAIGN/METRICS_JSON,
@@ -41,52 +41,62 @@
 #                             plus the service crate's unit tests
 #                             (cell-frame codec, journal, cache,
 #                             single-flight primitives)
+#  10. benchmark harness     pbench is its own workspace, so no stage
+#                             above builds it: compile it against the
+#                             current core/service API and run its
+#                             tests (incl. a traced-fold-vs-run_grid
+#                             digest check and a quick pass of every
+#                             workload)
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==== [1/9] tier-1 gate (scripts/lint.sh) ===="
+echo "==== [1/10] tier-1 gate (scripts/lint.sh) ===="
 scripts/lint.sh
 
 echo
-echo "==== [2/9] workspace tests ===="
+echo "==== [2/10] workspace tests ===="
 cargo test -q --workspace
 
 echo
-echo "==== [3/9] examples build ===="
+echo "==== [3/10] examples build ===="
 cargo build -q --examples
 
 echo
-echo "==== [4/9] trace-feature tests ===="
+echo "==== [4/10] trace-feature tests ===="
 cargo test -q --features trace
 
 echo
-echo "==== [5/9] analytic tier: batch + prefilter equivalence ===="
+echo "==== [5/10] analytic tier: batch + prefilter equivalence ===="
 cargo test -q -p pckpt-analysis --test batch_equivalence
 cargo test -q --test grid_equivalence
 
 echo
-echo "==== [6/9] schedcheck exhaustive + simlint fixtures ===="
+echo "==== [6/10] schedcheck exhaustive + simlint fixtures ===="
 cargo test -q -p schedcheck
 cargo test -q -p simlint
 
 echo
-echo "==== [7/9] variance reduction: marginals, folds, determinism ===="
+echo "==== [7/10] variance reduction: marginals, folds, determinism ===="
 cargo test -q --test variance_reduction
 cargo test -q --test trace_determinism adaptive_grid
 cargo test -q -p pckpt-core --test alloc_free
 
 echo
-echo "==== [8/9] shard scale-out: equivalence + fault injection ===="
+echo "==== [8/10] shard scale-out: equivalence + fault injection ===="
 cargo test -q --test grid_equivalence sharded
 cargo test -q --test trace_determinism sharded_grid
 cargo test -q --test shard_faults
 
 echo
-echo "==== [9/9] campaign service: cache, single-flight, crash/resume ===="
+echo "==== [9/10] campaign service: cache, single-flight, crash/resume ===="
 cargo test -q --test service_suite
 cargo test -q -p pckpt-service
+
+echo
+echo "==== [10/10] benchmark harness: pbench builds and passes ===="
+cargo test -q --offline --manifest-path crates/bench/pbench/Cargo.toml
 
 echo
 echo "ci.sh: all stages passed"

@@ -49,11 +49,32 @@ const GOLDEN_GRID_DIGEST: &str = "XGC@1.5/B:40134339b68338cd-0000000000000000-40
      XGC@0.5/B:40134339b68338cd-0000000000000000-4041800000000000;\
      XGC@0.5/P2:40004dee08fa5a35-3feb6db6db6db6db-4041800000000000;";
 
+/// `pckpt_service::grid_digest` of the same grid at a fixed run count,
+/// with VR off and with antithetic pairs in 4 strata. The digest
+/// covers `cell_runs`, `cell_ci_rel` and every lane aggregate, so the
+/// pair pins both lane CI estimators: `total_hours` with VR off and the
+/// VR tracker with VR on.
+const GOLDEN_FIXED_GRID_DIGEST: &str = "2e0c06ed7e013155b7dc5cb4d5474985";
+const GOLDEN_FIXED_VR_GRID_DIGEST: &str = "405c550f2c60c83647579990d76018c6";
+
 fn xgc_params(mode: PfsMode) -> SimParams {
     let app = Application::by_name("XGC").expect("Table I app");
     let mut params = SimParams::paper_defaults(ModelKind::P2, app);
     params.pfs_mode = mode;
     params
+}
+
+/// The golden grid: three XGC cells at different lead scales, [B, P2].
+fn golden_cells() -> Vec<GridCell> {
+    let models = [ModelKind::B, ModelKind::P2];
+    [1.5, 1.0, 0.5]
+        .iter()
+        .map(|&scale| {
+            let mut p = xgc_params(PfsMode::Analytic);
+            p.lead_scale = scale;
+            GridCell::new(p, &models).with_label(format!("XGC@{scale}"))
+        })
+        .collect()
 }
 
 /// Bit-exact digest of everything figure-feeding in a small two-model,
@@ -85,16 +106,7 @@ fn campaign_digest() -> String {
 /// lead scales through one `run_grid` pool.
 fn grid_digest() -> (String, usize) {
     let leads = LeadTimeModel::desh_default();
-    let models = [ModelKind::B, ModelKind::P2];
-    let cells: Vec<GridCell> = [1.5, 1.0, 0.5]
-        .iter()
-        .map(|&scale| {
-            let mut p = xgc_params(PfsMode::Analytic);
-            p.lead_scale = scale;
-            GridCell::new(p, &models).with_label(format!("XGC@{scale}"))
-        })
-        .collect();
-    let grid = run_grid(&cells, &leads, &RunnerConfig::new(12, 61));
+    let grid = run_grid(&golden_cells(), &leads, &RunnerConfig::new(12, 61));
     let mut s = String::new();
     for (label, c) in grid.labels.iter().zip(&grid.cells) {
         for (m, a) in c.models.iter().zip(&c.aggregates) {
@@ -196,15 +208,7 @@ const GOLDEN_ADAPTIVE_DIGEST: &str = "runs[24,16,16]\
 fn adaptive_grid_digest_matches_golden_with_and_without_trace() {
     use pckpt::core::{AdaptiveConfig, VrConfig};
     let leads = LeadTimeModel::desh_default();
-    let models = [ModelKind::B, ModelKind::P2];
-    let cells: Vec<GridCell> = [1.5, 1.0, 0.5]
-        .iter()
-        .map(|&scale| {
-            let mut p = xgc_params(PfsMode::Analytic);
-            p.lead_scale = scale;
-            GridCell::new(p, &models).with_label(format!("XGC@{scale}"))
-        })
-        .collect();
+    let cells = golden_cells();
     let mut digests = Vec::new();
     for threads in [1, 3, 8] {
         let mut cfg = RunnerConfig::new(64, 61);
@@ -250,6 +254,34 @@ fn adaptive_grid_digest_matches_golden_with_and_without_trace() {
         "adaptive grid digest drifted (trace feature {}abled)",
         if cfg!(feature = "trace") { "en" } else { "dis" }
     );
+}
+
+#[test]
+fn fixed_run_grid_digests_match_golden_at_any_thread_count() {
+    use pckpt::core::VrConfig;
+    let leads = LeadTimeModel::desh_default();
+    let cells = golden_cells();
+    let vr_on = VrConfig {
+        antithetic: true,
+        strata: 4,
+        adaptive: None,
+    };
+    for (vr, golden) in [
+        (VrConfig::default(), GOLDEN_FIXED_GRID_DIGEST),
+        (vr_on, GOLDEN_FIXED_VR_GRID_DIGEST),
+    ] {
+        for threads in [1, 3, 8] {
+            let mut cfg = RunnerConfig::new(12, 61);
+            cfg.threads = threads;
+            cfg.vr = vr;
+            let digest = pckpt_service::grid_digest(&run_grid(&cells, &leads, &cfg)).hex();
+            assert_eq!(
+                digest, golden,
+                "{vr:?} grid digest drifted at {threads} threads (trace feature {}abled)",
+                if cfg!(feature = "trace") { "en" } else { "dis" }
+            );
+        }
+    }
 }
 
 #[cfg(not(feature = "trace"))]

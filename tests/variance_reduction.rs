@@ -225,6 +225,36 @@ fn every_vr_mode_is_thread_count_invariant_end_to_end() {
 }
 
 #[test]
+fn fixed_run_sweep_is_the_one_batch_adaptive_schedule() {
+    // A fixed-count sweep and an adaptive sweep whose single batch spans
+    // the whole budget must be the same computation, CI included.
+    let leads = LeadTimeModel::desh_default();
+    let cells = xgc_cells(&[1.5, 1.0, 0.5]);
+    let runs = 12;
+    let modes = [
+        VrConfig::default(),
+        VrConfig {
+            antithetic: true,
+            strata: 2,
+            ..VrConfig::default()
+        },
+    ];
+    for vr in modes {
+        let mut fixed = RunnerConfig::new(runs, 61);
+        fixed.threads = 2;
+        fixed.vr = vr;
+        let mut one_batch = fixed;
+        one_batch.vr.adaptive = Some(AdaptiveConfig {
+            batch: runs,
+            max_runs: runs,
+            ..AdaptiveConfig::default()
+        });
+        let digest = |cfg: &RunnerConfig| pckpt_service::grid_digest(&run_grid(&cells, &leads, cfg));
+        assert_eq!(digest(&fixed), digest(&one_batch), "{vr:?}");
+    }
+}
+
+#[test]
 fn antithetic_pairing_tightens_the_ci_it_reports() {
     // Drive a one-cell plan directly so we can see per-run values: the
     // paired estimator over antithetic runs must beat the crude
