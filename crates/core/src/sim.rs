@@ -646,17 +646,32 @@ impl CrSim {
         self.seg_start = now;
     }
 
+    /// Opens a computing segment and schedules the one event that ends it.
+    ///
+    /// A segment ends at the first work threshold it reaches: the next
+    /// periodic checkpoint (`CkptDue`) or the end of the job
+    /// (`WorkComplete`). Either handler bumps the epoch (`on_ckpt_due`
+    /// through `leave_state`), so the later threshold could only ever pop
+    /// as an epoch-stale no-op and is not scheduled at all. `CkptDue` is
+    /// chosen only when its rounded delay is strictly shorter: at a tie
+    /// `WorkComplete` wins, as it did when both were scheduled and it
+    /// held the lower seq. Rate changes and failures still supersede the
+    /// pending event through the epoch.
     fn schedule_compute_events(&mut self, ctx: &mut Ctx<'_, Ev>) {
         debug_assert_eq!(self.state, AppState::Computing);
         self.seg_start = ctx.now();
         self.seg_rate = self.current_rate();
         let rate = self.seg_rate;
-        let to_target = (self.target - self.work_done).max(0.0) / rate;
-        ctx.schedule_in(SimDuration::from_secs(to_target), Ev::WorkComplete(self.epoch));
+        let to_target = SimDuration::from_secs((self.target - self.work_done).max(0.0) / rate);
         if self.next_ckpt_work < self.target {
-            let to_ckpt = (self.next_ckpt_work - self.work_done).max(0.0) / rate;
-            ctx.schedule_in(SimDuration::from_secs(to_ckpt), Ev::CkptDue(self.epoch));
+            let to_ckpt =
+                SimDuration::from_secs((self.next_ckpt_work - self.work_done).max(0.0) / rate);
+            if to_ckpt < to_target {
+                ctx.schedule_in(to_ckpt, Ev::CkptDue(self.epoch));
+                return;
+            }
         }
+        ctx.schedule_in(to_target, Ev::WorkComplete(self.epoch));
     }
 
     /// Rate changed while computing (LM started/stopped): close the
@@ -2495,6 +2510,44 @@ mod tests {
                 assert_eq!(reused[i], fresh, "trace {i} diverged ({mode:?})");
             }
         }
+    }
+
+    #[test]
+    fn failure_free_run_handles_no_stale_threshold_events() {
+        // Each periodic checkpoint is CkptDue + BbWriteDone + the drain's
+        // completion, and WorkComplete ends the run: nothing scheduled is
+        // left unhandled, in particular no superseded WorkComplete per
+        // segment.
+        for mode in [crate::iosim::PfsMode::Analytic, crate::iosim::PfsMode::Fluid] {
+            let mut p = params(ModelKind::B, "POP");
+            p.pfs_mode = mode;
+            let mut sim = Simulation::new(CrSim::new(p, FailureTrace::default(), &leads()));
+            assert_eq!(sim.run(), pckpt_desim::engine::StopReason::Requested);
+            let ckpts = sim.model().result().ledger.periodic_ckpts;
+            assert!(ckpts > 100, "{mode:?}: only {ckpts} periodic checkpoints");
+            assert_eq!(sim.events_handled(), 3 * ckpts + 1, "{mode:?}");
+            assert_eq!(sim.queue().scheduled_total(), sim.events_handled(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn threshold_tie_goes_to_work_complete() {
+        // A checkpoint due a hair before the end of the job rounds to the
+        // same nanosecond: the job completes, no checkpoint is taken.
+        let mut sim = CrSim::new(params(ModelKind::B, "POP"), FailureTrace::default(), &leads());
+        sim.next_ckpt_work = f64::from_bits(sim.target.to_bits() - 1);
+        assert!(sim.next_ckpt_work < sim.target);
+        assert_eq!(
+            SimDuration::from_secs(sim.next_ckpt_work),
+            SimDuration::from_secs(sim.target),
+            "the two thresholds must tie after rounding"
+        );
+        let mut sim = Simulation::new(sim);
+        sim.run();
+        assert_eq!(sim.events_handled(), 1);
+        let r = sim.model().result();
+        assert_eq!(r.ledger.periodic_ckpts, 0);
+        assert_eq!(r.wall_secs, r.ideal_secs);
     }
 
     #[test]

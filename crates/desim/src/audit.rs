@@ -12,12 +12,12 @@
 //!    `(time, seq)` order. A violation means the heap ordering or the
 //!    tombstone bookkeeping is corrupt — the simulated world would
 //!    observe effects before causes.
-//! 2. **Pending/heap consistency after compaction**
+//! 2. **Pending/slot consistency after compaction**
 //!    ([`check_compaction`]): compaction retains exactly the live
-//!    entries, so immediately afterwards the heap and the pending set
-//!    must have equal cardinality. An inequality means either a live
-//!    event was dropped (lost wakeup) or a dead one survived (ghost
-//!    event).
+//!    entries, so immediately afterwards the heap and the sorted run
+//!    together hold as many entries as the pending set. An inequality
+//!    means either a live event was dropped (lost wakeup) or a dead one
+//!    survived (ghost event).
 //! 3. **Byte conservation** ([`ByteLedger`]): per completion wave of a
 //!    [`FlowLink`](crate::flow::FlowLink), bytes injected by `start` =
 //!    bytes retired (completed + delivered-before-cancel) + bytes handed
@@ -76,18 +76,19 @@ impl PopAudit {
     }
 }
 
-/// Asserts the post-compaction invariant: the heap holds exactly the
-/// live (pending) entries — no ghost survived, no live event was lost.
+/// Asserts the post-compaction invariant: the heap and the sorted run
+/// together hold exactly the live (pending) entries — no ghost survived,
+/// no live event was lost.
 #[inline]
-pub fn check_compaction(heap_len: usize, pending_len: usize) {
+pub fn check_compaction(slots: usize, pending_len: usize) {
     #[cfg(debug_assertions)]
     assert_eq!(
-        heap_len, pending_len,
-        "audit: event-queue compaction left {heap_len} heap entries for \
+        slots, pending_len,
+        "audit: event-queue compaction left {slots} queue entries for \
          {pending_len} pending ids"
     );
     #[cfg(not(debug_assertions))]
-    let _ = (heap_len, pending_len);
+    let _ = (slots, pending_len);
 }
 
 /// Audits byte conservation across a [`FlowLink`](crate::flow::FlowLink)'s

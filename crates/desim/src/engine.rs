@@ -6,6 +6,14 @@
 //! a [`Ctx`] giving it scheduling, cancellation, and clock access — but not
 //! access to the loop itself, so models cannot corrupt the causal order.
 //!
+//! `init` runs exactly once, on the first `run*` call, even when that
+//! call returns before handling an event. What it schedules is the
+//! queue's sorted run and what handlers schedule goes to the queue's
+//! heap (see [`EventQueue`]). Every read of the queue merges those two
+//! heads, so [`run_with_queue`] pops once per event; only
+//! [`Simulation::run_until`] peeks first, because it must not pop an
+//! event past its horizon.
+//!
 //! ```
 //! use pckpt_desim::{Ctx, Model, SimDuration, Simulation};
 //!
@@ -109,6 +117,9 @@ pub trait Model {
 pub struct Simulation<M: Model> {
     model: M,
     queue: EventQueue<M::Event>,
+    /// Whether `init` has run. Not inferred from `events_handled`: a
+    /// `run*` call can return before handling any event.
+    initialized: bool,
     events_handled: u64,
     event_budget: u64,
 }
@@ -120,6 +131,7 @@ impl<M: Model> Simulation<M> {
         Self {
             model,
             queue: EventQueue::new(),
+            initialized: false,
             events_handled: 0,
             event_budget: u64::MAX,
         }
@@ -138,10 +150,11 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Runs until `horizon` (inclusive), the queue drains, or the model
-    /// stops.
+    /// stops. The first call runs `init`; later calls resume.
     pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
         let mut stop = false;
-        if self.events_handled == 0 {
+        if !self.initialized {
+            self.initialized = true;
             let mut ctx = Ctx {
                 queue: &mut self.queue,
                 stop: &mut stop,
@@ -245,11 +258,11 @@ pub fn run_with_queue<M: Model>(
         if handled >= event_budget {
             return (StopReason::EventBudget, handled);
         }
-        if queue.peek_time().is_none() {
+        // One pop per event: without a horizon there is nothing to peek
+        // for, and each read merges the queue's two heads.
+        let Some((_, _, event)) = queue.pop() else {
             return (StopReason::Drained, handled);
-        }
-        // peek_time() above returned Some. simlint: allow(no-unwrap-in-lib)
-        let (_, _, event) = queue.pop().expect("peeked event exists");
+        };
         handled += 1;
         let mut ctx = Ctx {
             queue,
@@ -442,6 +455,50 @@ mod tests {
         let (reason, handled) = run_with_queue(&mut model, &mut queue, 50);
         assert_eq!(reason, StopReason::EventBudget);
         assert_eq!(handled, 50);
+    }
+
+    /// Seeds three events at 10, 20 and 30 s; optionally stops in `init`.
+    struct Seeded {
+        stop_in_init: bool,
+        fired: u32,
+    }
+    impl Model for Seeded {
+        type Event = ();
+        fn init(&mut self, ctx: &mut Ctx<'_, ()>) {
+            for s in [10.0, 20.0, 30.0] {
+                ctx.schedule_at(SimTime::from_secs(s), ());
+            }
+            if self.stop_in_init {
+                ctx.stop();
+            }
+        }
+        fn handle(&mut self, _: &mut Ctx<'_, ()>, _: ()) {
+            self.fired += 1;
+        }
+    }
+
+    #[test]
+    fn init_runs_once_even_if_the_first_call_handles_nothing() {
+        // Regression: `init` used to run whenever no event had been
+        // handled yet, so a call returning early re-seeded the queue.
+        let mut sim = Simulation::new(Seeded {
+            stop_in_init: false,
+            fired: 0,
+        });
+        assert_eq!(sim.run_until(SimTime::from_secs(5.0)), StopReason::Horizon);
+        assert_eq!(sim.events_handled(), 0);
+        assert_eq!(sim.run(), StopReason::Drained);
+        assert_eq!(sim.model().fired, 3);
+
+        let mut sim = Simulation::new(Seeded {
+            stop_in_init: true,
+            fired: 0,
+        });
+        assert_eq!(sim.run(), StopReason::Requested);
+        assert_eq!(sim.events_handled(), 0);
+        assert_eq!(sim.run(), StopReason::Drained);
+        assert_eq!(sim.model().fired, 3);
+        assert_eq!(sim.queue().scheduled_total(), 3);
     }
 
     #[test]

@@ -1,14 +1,35 @@
 //! The pending-event set: a cancellable, deterministic priority queue.
 //!
+//! Events live in one of two structures, chosen by whether the queue has
+//! been read yet:
+//!
+//! - **The sorted run.** Everything scheduled on a fresh or
+//!   [`reset`](EventQueue::reset) queue, before the first
+//!   [`peek_time`](EventQueue::peek_time) or [`pop`](EventQueue::pop),
+//!   is appended to a `Vec`. That batch is what a model's `init`
+//!   schedules: in the C/R simulation, the whole failure trace, its
+//!   predictions and false positives, most of which lie past the job's
+//!   end and never pop. The first read sorts the `Vec`
+//!   once, in place, by the heap's own `(time, seq)` key, and from then
+//!   on it is consumed from its earliest end.
+//! - **The heap.** Everything scheduled after that goes to a binary
+//!   min-heap, which therefore holds only the events the model schedules
+//!   as it runs.
+//!
+//! `pop` takes whichever head has the smaller `(time, seq)`, so the pop
+//! order, the ids, `len`, `depth_hwm`, `scheduled_total` and every
+//! recorder call are exactly those of one heap holding everything.
+//!
 //! Cancellation is first-class because the C/R models revoke scheduled
 //! futures all the time: a pending failure event is cancelled when live
 //! migration moves the process off the vulnerable node; an LM-completion
 //! event is cancelled when a shorter-lead prediction aborts the migration
-//! (Fig. 5 of the paper). Cancellation is *lazy*: the heap entry stays
-//! put and the id is dropped from the live-id set, so `cancel` is O(1)
-//! and `schedule`/`pop` stay O(log n). Dead entries are skipped when
-//! they surface and the heap is compacted in one O(n) pass whenever dead
-//! entries outnumber live ones, so memory stays proportional to the live
+//! (Fig. 5 of the paper). Cancellation is *lazy* and works the same in
+//! both structures: the entry stays put and its id is cleared in one
+//! liveness bitset, so `cancel` is O(1) and `schedule`/`pop` stay
+//! O(log n). Dead entries are skipped when they surface, and both
+//! structures are compacted in one O(n) pass whenever their dead entries
+//! outnumber the live ones, so memory stays proportional to the live
 //! event count no matter how much is cancelled.
 
 use std::cmp::Reverse;
@@ -48,9 +69,17 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Compaction is skipped below this heap size: scanning a few dozen
-/// entries is cheaper than bookkeeping about them.
-const COMPACT_MIN_HEAP: usize = 64;
+/// Compaction is skipped below this many slots (heap plus sorted run):
+/// scanning a few dozen entries is cheaper than bookkeeping about them.
+const COMPACT_MIN_SLOTS: usize = 64;
+
+/// Whether bit `id` is set in the liveness bitset `live`.
+#[inline]
+fn bit_is_set(live: &[u64], id: EventId) -> bool {
+    let idx = id.0 as usize;
+    live.get(idx >> 6)
+        .is_some_and(|w| w & (1 << (idx & 63)) != 0)
+}
 
 /// A deterministic pending-event set.
 ///
@@ -59,13 +88,20 @@ const COMPACT_MIN_HEAP: usize = 64;
 /// it has been popped.
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Events scheduled before the first read. In scheduling order until
+    /// `run_sorted` is set; then in descending `(time, seq)` order, so the
+    /// earliest event leaves by `Vec::pop`.
+    run: Vec<Entry<E>>,
+    /// Set by the first `peek_time`/`pop`, which sorts `run`; from then
+    /// on new events go to `heap`.
+    run_sorted: bool,
     heap: BinaryHeap<Reverse<Entry<E>>>,
     /// Liveness bitset indexed by sequence number (= the id's value).
-    /// The single source of truth for liveness: a heap entry whose bit is
-    /// clear is dead. A bitset (not a tree set) so that scheduling and
-    /// cancellation never allocate in steady state: [`reset`](Self::reset)
-    /// zeroes the words in place and the backing storage is reused across
-    /// runs.
+    /// The single source of truth for liveness: an entry in the heap or
+    /// the sorted run whose bit is clear is dead. A bitset (not a tree
+    /// set) so that scheduling and cancellation never allocate in steady
+    /// state: [`reset`](Self::reset) zeroes the words in place and the
+    /// backing storage is reused across runs.
     live: Vec<u64>,
     /// Number of set bits in `live`.
     live_count: usize,
@@ -91,6 +127,8 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at t = 0.
     pub fn new() -> Self {
         Self {
+            run: Vec::new(),
+            run_sorted: false,
             heap: BinaryHeap::new(),
             live: Vec::new(),
             live_count: 0,
@@ -104,10 +142,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Clears the queue back to its t = 0 state while retaining all
-    /// allocated storage (heap slots and liveness words), so a recycled
-    /// queue schedules without heap allocation until it outgrows the
-    /// largest run it has hosted.
+    /// allocated storage (heap slots, sorted-run slots and liveness
+    /// words), so a recycled queue schedules without heap allocation until
+    /// it outgrows the largest run it has hosted. The next events
+    /// scheduled go to the sorted run again.
     pub fn reset(&mut self) {
+        self.run.clear();
+        self.run_sorted = false;
         self.heap.clear();
         self.live.fill(0);
         self.live_count = 0;
@@ -122,10 +163,7 @@ impl<E> EventQueue<E> {
 
     #[inline]
     fn is_live(&self, id: EventId) -> bool {
-        let idx = id.0 as usize;
-        self.live
-            .get(idx >> 6)
-            .is_some_and(|w| w & (1 << (idx & 63)) != 0)
+        bit_is_set(&self.live, id)
     }
 
     /// Clears the liveness bit for `id`; `true` if it was set.
@@ -160,12 +198,17 @@ impl<E> EventQueue<E> {
             self.now
         );
         let id = EventId(self.next_seq);
-        self.heap.push(Reverse(Entry {
+        let entry = Entry {
             time: at,
             seq: self.next_seq,
             id,
             payload,
-        }));
+        };
+        if self.run_sorted {
+            self.heap.push(Reverse(entry));
+        } else {
+            self.run.push(entry);
+        }
         let word = (self.next_seq as usize) >> 6;
         if word >= self.live.len() {
             self.live.resize(word + 1, 0);
@@ -201,26 +244,53 @@ impl<E> EventQueue<E> {
         was_pending
     }
 
-    /// Drops dead heap entries wholesale once they outnumber live ones.
+    /// Drops dead entries from the heap and the sorted run wholesale once
+    /// they outnumber live ones. `retain` keeps the run's order, sorted
+    /// or not.
     fn maybe_compact(&mut self) {
-        if self.heap.len() > COMPACT_MIN_HEAP && self.heap.len() >= 2 * self.live_count {
+        let slots = self.heap_slots();
+        if slots > COMPACT_MIN_SLOTS && slots >= 2 * self.live_count {
             let live = &self.live;
-            self.heap.retain(|Reverse(e)| {
-                let idx = e.id.0 as usize;
-                live.get(idx >> 6).is_some_and(|w| w & (1 << (idx & 63)) != 0)
-            });
-            crate::audit::check_compaction(self.heap.len(), self.live_count);
+            self.heap.retain(|Reverse(e)| bit_is_set(live, e.id));
+            self.run.retain(|e| bit_is_set(live, e.id));
+            crate::audit::check_compaction(self.heap_slots(), self.live_count);
+        }
+    }
+
+    /// Sorts the run on the first read; a no-op afterwards.
+    #[inline]
+    fn seal_run(&mut self) {
+        if !self.run_sorted {
+            self.run_sorted = true;
+            // Descending, so the earliest entry is last. Keys are unique
+            // (`seq` is), so the unstable in-place sort is deterministic.
+            self.run.sort_unstable_by(|a, b| b.cmp(a));
+        }
+    }
+
+    /// Removes and returns the earlier of the two heads, live or dead.
+    #[inline]
+    fn pop_entry(&mut self) -> Option<Entry<E>> {
+        let from_run = match (self.run.last(), self.heap.peek()) {
+            (Some(r), Some(Reverse(h))) => r < h,
+            (r, _) => r.is_some(),
+        };
+        if from_run {
+            self.run.pop()
+        } else {
+            self.heap.pop().map(|Reverse(e)| e)
         }
     }
 
     /// Pops the next live event, advancing the clock to its timestamp.
     /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
+        self.seal_run();
+        while let Some(entry) = self.pop_entry() {
             if !self.clear_live(entry.id) {
                 continue; // dead entry: cancelled earlier
             }
-            debug_assert!(entry.time >= self.now, "heap returned a past event");
+            debug_assert!(entry.time >= self.now, "queue returned a past event");
             self.audit.observe_pop(entry.time, entry.seq);
             self.now = entry.time;
             self.rec.on_pop(entry.time.as_nanos(), entry.id.0);
@@ -231,14 +301,26 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next live event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.seal_run();
         // Drop leading dead entries so the peek is accurate.
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.is_live(entry.id) {
-                return Some(entry.time);
+        while let Some(e) = self.run.last() {
+            if self.is_live(e.id) {
+                break;
+            }
+            self.run.pop();
+        }
+        while let Some(Reverse(e)) = self.heap.peek() {
+            if self.is_live(e.id) {
+                break;
             }
             self.heap.pop();
         }
-        None
+        let run_head = self.run.last().map(|e| e.time);
+        let heap_head = self.heap.peek().map(|Reverse(e)| e.time);
+        match (run_head, heap_head) {
+            (Some(r), Some(h)) => Some(r.min(h)),
+            (r, h) => r.or(h),
+        }
     }
 
     /// Number of live (non-cancelled) pending events.
@@ -256,10 +338,11 @@ impl<E> EventQueue<E> {
         self.scheduled_total
     }
 
-    /// Heap slots currently held, live or dead (for memory diagnostics
-    /// and the compaction regression test).
+    /// Slots currently held by the heap and the sorted run together,
+    /// live or dead (for memory diagnostics and the compaction
+    /// regression test).
     pub fn heap_slots(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.run.len()
     }
 
     /// High-water mark of live pending events since the last reset.
@@ -473,7 +556,7 @@ mod tests {
                 assert!(q.cancel(id));
             }
             assert!(
-                q.heap_slots() <= 2 * q.len() + COMPACT_MIN_HEAP + 100,
+                q.heap_slots() <= 2 * q.len() + COMPACT_MIN_SLOTS + 100,
                 "heap grew to {} slots with {} live events",
                 q.heap_slots(),
                 q.len()

@@ -1,13 +1,111 @@
 //! Property-based tests of the DES engine: event ordering under random
-//! schedules and cancellations, byte conservation in the fluid-flow
-//! link, and priority correctness in the resource queue.
+//! schedules and cancellations, the queue's sorted run against a
+//! reference model, byte conservation in the fluid-flow link, and
+//! priority correctness in the resource queue.
 
 use proptest::prelude::*;
 
 use pckpt_desim::resource::{Acquire, Resource};
-use pckpt_desim::{EventQueue, FlowLink, ReferenceFlowLink, SimTime};
+use pckpt_desim::{EventId, EventQueue, FlowLink, ReferenceFlowLink, SimTime};
+
+/// Reference pending-event set: every live `(time ns, seq, payload)` in
+/// a plain `Vec`; `pop` removes the minimum by `(time, seq)`.
+#[derive(Default)]
+struct RefQueue {
+    live: Vec<(u64, u64, u32)>,
+    issued: u64,
+    hwm: usize,
+}
+
+impl RefQueue {
+    fn schedule(&mut self, t: u64, payload: u32) {
+        self.live.push((t, self.issued, payload));
+        self.issued += 1;
+        self.hwm = self.hwm.max(self.live.len());
+    }
+
+    fn cancel(&mut self, seq: u64) -> bool {
+        let before = self.live.len();
+        self.live.retain(|&(_, s, _)| s != seq);
+        self.live.len() < before
+    }
+
+    fn min_index(&self) -> Option<usize> {
+        (0..self.live.len()).min_by_key(|&i| (self.live[i].0, self.live[i].1))
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64, u32)> {
+        self.min_index().map(|i| self.live.remove(i))
+    }
+
+    fn peek(&self) -> Option<u64> {
+        self.min_index().map(|i| self.live[i].0)
+    }
+}
 
 proptest! {
+    /// The queue keeps what is scheduled before its first read in a
+    /// sorted run and the rest in a heap; together they behave exactly
+    /// like the one-`Vec` reference. An initial batch (some of it
+    /// cancelled before the first pop) is followed by random schedules,
+    /// cancels of any issued id, pops and peeks, twice across a `reset`;
+    /// every pop, peek, `len`, `depth_hwm` and `scheduled_total` agrees.
+    #[test]
+    fn sorted_run_is_observationally_a_heap(
+        initial in proptest::collection::vec((0u64..40, any::<bool>()), 0..100),
+        ops in proptest::collection::vec((0u8..4, 0u64..40, any::<usize>()), 0..300),
+    ) {
+        let mut q = EventQueue::new();
+        let mut rounds = Vec::new();
+        for _ in 0..2 {
+            q.reset();
+            let mut oracle = RefQueue::default();
+            let mut ids: Vec<EventId> = Vec::new();
+            let mut popped = Vec::new();
+            let mut next_payload = 0u32;
+            for &(t, _) in &initial {
+                ids.push(q.schedule_at(SimTime::from_nanos(t), next_payload));
+                oracle.schedule(t, next_payload);
+                next_payload += 1;
+            }
+            for (seq, &(_, cancel)) in initial.iter().enumerate() {
+                if cancel {
+                    prop_assert!(q.cancel(ids[seq]));
+                    prop_assert!(oracle.cancel(seq as u64));
+                }
+            }
+            prop_assert_eq!(q.len(), oracle.live.len());
+            for &(op, dt, pick) in &ops {
+                match op {
+                    0 => {
+                        let t = q.now().as_nanos() + dt;
+                        ids.push(q.schedule_at(SimTime::from_nanos(t), next_payload));
+                        oracle.schedule(t, next_payload);
+                        next_payload += 1;
+                    }
+                    1 if !ids.is_empty() => {
+                        let seq = pick % ids.len();
+                        prop_assert_eq!(q.cancel(ids[seq]), oracle.cancel(seq as u64));
+                    }
+                    2 => {
+                        let got = q.pop().map(|(t, id, p)| (t.as_nanos(), id, p));
+                        let want = oracle.pop().map(|(t, seq, p)| (t, ids[seq as usize], p));
+                        prop_assert_eq!(got, want);
+                        popped.push(got);
+                    }
+                    _ => {
+                        prop_assert_eq!(q.peek_time().map(|t| t.as_nanos()), oracle.peek());
+                    }
+                }
+                prop_assert_eq!(q.len(), oracle.live.len());
+                prop_assert_eq!(q.depth_hwm(), oracle.hwm);
+                prop_assert_eq!(q.scheduled_total(), oracle.issued);
+            }
+            rounds.push(popped);
+        }
+        prop_assert_eq!(&rounds[0], &rounds[1]);
+    }
+
     /// Whatever is scheduled (minus cancellations) pops in
     /// (time, insertion) order, exactly once.
     #[test]

@@ -13,7 +13,11 @@
 #                             nothing else catches their drift)
 #   4. cargo test --features trace
 #                             root suite again with the recorder live:
-#                             golden stream digests + on/off equivalence
+#                             golden stream digests + on/off equivalence;
+#                             then desim's own tests with the recorder
+#                             compiled in, so the queue's hooks on both
+#                             its sorted-run and heap paths are built
+#                             and exercised
 #   5. analytic tier          batch-vs-scalar bit-identity proptest and
 #                             the prefilter digest oracle (the two
 #                             equivalence contracts of the analytic
@@ -66,6 +70,7 @@ cargo build -q --examples
 echo
 echo "==== [4/10] trace-feature tests ===="
 cargo test -q --features trace
+cargo test -q -p pckpt-desim --features trace
 
 echo
 echo "==== [5/10] analytic tier: batch + prefilter equivalence ===="

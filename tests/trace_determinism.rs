@@ -1,22 +1,33 @@
 //! Trace-determinism regression tests.
 //!
-//! Two guarantees are pinned here:
+//! The goldens here pin three layers, from coarse to raw:
 //!
-//! 1. **On/off equivalence** — compiling the `trace` feature in or out
-//!    must not change any simulated number. The campaign digest below is
-//!    a committed golden asserted under *both* feature settings (this
-//!    file is compiled twice by `scripts/ci.sh`); if enabling the
-//!    recorder perturbed RNG draws, event ordering, or float math, the
-//!    two builds would disagree with the constant.
-//! 2. **Stream stability** — with `trace` enabled, the structured event
-//!    stream of a fixed-seed run is itself deterministic: its FNV digest
-//!    matches a committed golden, in both PFS modes. Any re-ordering of
-//!    event dispatch, flow-wave completion, or protocol phases shows up
-//!    here before it shows up in an aggregate.
+//! 1. **Results** — `GOLDEN_CAMPAIGN_DIGEST`, `GOLDEN_GRID_DIGEST` (in
+//!    process and sharded), `GOLDEN_ADAPTIVE_DIGEST` and
+//!    `GOLDEN_FIXED_GRID_DIGEST`/`GOLDEN_FIXED_VR_GRID_DIGEST` hash the
+//!    aggregates the paper's figures are made of. They are asserted under
+//!    *both* settings of the `trace` feature (this file is compiled twice
+//!    by `scripts/ci.sh`), so they also prove that compiling the recorder
+//!    in perturbs no RNG draw, event order or float operation. A change
+//!    that moves one of them changes a simulated number.
+//! 2. **The protocol stream** — `GOLDEN_PROTOCOL_STREAM` (`trace` only)
+//!    hashes every record of a fixed-seed run except the queue's own
+//!    SCHED/POP/CANCEL records, over `(t, kind, a, b)`: what the handlers
+//!    did and when, in all five models and both PFS modes. It holds
+//!    across any change to how the queue stores or orders equal work,
+//!    and moves only when the protocol itself does.
+//! 3. **The raw queue stream** — `GOLDEN_STREAM_ANALYTIC` and
+//!    `GOLDEN_STREAM_FLUID` (`trace` only) hash the whole structured
+//!    stream of one run, queue records and their seq ids included. They
+//!    move whenever the set of events scheduled changes, even if no
+//!    handler sees a difference (say, an event that could only pop as
+//!    an epoch-stale no-op), and catch any re-ordering of dispatch,
+//!    flow-wave completion or protocol phases first.
 //!
-//! Regenerate goldens after an *intentional* semantic change with:
-//! `cargo test --test trace_determinism -- --nocapture` (the failing
-//! assertions print the measured values).
+//! Regenerate goldens after an *intentional* change with:
+//! `cargo test --features trace --test trace_determinism -- --nocapture`
+//! (the failing assertions print the measured values; without
+//! `--features trace` the stream goldens are not compiled).
 
 use pckpt::core::iosim::PfsMode;
 use pckpt::prelude::*;
@@ -309,8 +320,8 @@ mod trace_on {
 
     /// Golden FNV digests of the structured event stream of run 0,
     /// seed 61, XGC/P2, per PFS mode.
-    const GOLDEN_STREAM_ANALYTIC: &str = "071d2cbc81e5d175";
-    const GOLDEN_STREAM_FLUID: &str = "978dee2e3cf5bf3d";
+    const GOLDEN_STREAM_ANALYTIC: &str = "1d18a3ffa502dae9";
+    const GOLDEN_STREAM_FLUID: &str = "9b5aeac747ae87b9";
 
     fn record(mode: PfsMode, seed: u64) -> Recording {
         let leads = LeadTimeModel::desh_default();
@@ -340,6 +351,58 @@ mod trace_on {
             GOLDEN_STREAM_FLUID,
             "fluid event stream drifted ({} events)",
             rec.len()
+        );
+    }
+
+    /// Golden FNV digest of the protocol stream of run 0, seed 61, XGC
+    /// under all five models in both PFS modes: every record except the
+    /// queue's own SCHED/POP/CANCEL, over `(t, kind, a, b)` only (`seq`
+    /// and `parent` number queue records too). It pins what the
+    /// handlers did and when, independently of how the queue got there.
+    const GOLDEN_PROTOCOL_STREAM: &str = "b66f51ad3267f623";
+
+    fn protocol_stream_digest() -> String {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h = FNV_OFFSET;
+        let mut fold = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        };
+        let leads = LeadTimeModel::desh_default();
+        let app = Application::by_name("XGC").expect("Table I app");
+        for mode in [PfsMode::Analytic, PfsMode::Fluid] {
+            for model in ModelKind::ALL {
+                let mut params = SimParams::paper_defaults(model, app);
+                params.pfs_mode = mode;
+                let (_, rec) = record_run(&params, &leads, 61, 0, 1 << 20);
+                assert_eq!(rec.dropped, 0, "ring too small for a golden run");
+                let protocol = rec
+                    .records
+                    .iter()
+                    .filter(|r| !matches!(r.kind, kind::SCHED | kind::POP | kind::CANCEL));
+                let mut n = 0u64;
+                for r in protocol {
+                    fold(r.t);
+                    fold(r.kind as u64);
+                    fold(r.a);
+                    fold(r.b);
+                    n += 1;
+                }
+                fold(n);
+            }
+        }
+        format!("{h:016x}")
+    }
+
+    #[test]
+    fn protocol_stream_digest_matches_golden() {
+        assert_eq!(
+            protocol_stream_digest(),
+            GOLDEN_PROTOCOL_STREAM,
+            "protocol stream drifted"
         );
     }
 
