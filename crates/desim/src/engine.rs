@@ -1,18 +1,17 @@
 //! The event-driven simulation loop.
 //!
-//! A model implements [`Model`] over its own event type; [`Simulation`]
-//! owns the event queue and drives `handle` until the queue drains, a time
-//! horizon is reached, or the model calls [`Ctx::stop`]. The model receives
-//! a [`Ctx`] giving it scheduling, cancellation, and clock access — but not
-//! access to the loop itself, so models cannot corrupt the causal order.
+//! A model implements [`Model`] over its own event type; [`run_with_queue`]
+//! runs its `init` once, then drives `handle` until the queue drains, the
+//! model calls [`Ctx::stop`], or an event budget is spent. That is the
+//! one loop: [`Simulation`] owns a queue and calls it, and campaign
+//! workers call it on a queue they recycle between runs. The model
+//! receives a [`Ctx`] giving it scheduling, cancellation, and clock
+//! access — but not access to the loop itself, so models cannot corrupt
+//! the causal order.
 //!
-//! `init` runs exactly once, on the first `run*` call, even when that
-//! call returns before handling an event. What it schedules is the
-//! queue's sorted run and what handlers schedule goes to the queue's
-//! heap (see [`EventQueue`]). Every read of the queue merges those two
-//! heads, so [`run_with_queue`] pops once per event; only
-//! [`Simulation::run_until`] peeks first, because it must not pop an
-//! event past its horizon.
+//! What `init` schedules is the queue's sorted run and what handlers
+//! schedule goes to the queue's heap (see [`EventQueue`]). Every pop
+//! merges those two heads, so the loop pops once per event.
 //!
 //! ```
 //! use pckpt_desim::{Ctx, Model, SimDuration, Simulation};
@@ -49,8 +48,6 @@ use crate::time::{SimDuration, SimTime};
 pub enum StopReason {
     /// No live events remained.
     Drained,
-    /// The configured horizon was reached before the queue drained.
-    Horizon,
     /// The model requested a stop via [`Ctx::stop`].
     Requested,
     /// The configured event budget was exhausted (runaway protection).
@@ -79,12 +76,6 @@ impl<'a, E> Ctx<'a, E> {
         self.queue.schedule_at(at, event)
     }
 
-    /// Schedules an event to fire immediately (at the current time, after
-    /// all events already scheduled for this instant).
-    pub fn schedule_now(&mut self, event: E) -> EventId {
-        self.queue.schedule_at(self.queue.now(), event)
-    }
-
     /// Cancels a pending event; `true` if it was still live.
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
@@ -93,11 +84,6 @@ impl<'a, E> Ctx<'a, E> {
     /// Requests the loop to stop after the current event is handled.
     pub fn stop(&mut self) {
         *self.stop = true;
-    }
-
-    /// Number of live pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -113,25 +99,21 @@ pub trait Model {
     fn handle(&mut self, ctx: &mut Ctx<'_, Self::Event>, event: Self::Event);
 }
 
-/// Owns the queue and runs a [`Model`] to completion.
+/// Owns the queue and runs a [`Model`] to completion, once.
 pub struct Simulation<M: Model> {
     model: M,
     queue: EventQueue<M::Event>,
-    /// Whether `init` has run. Not inferred from `events_handled`: a
-    /// `run*` call can return before handling any event.
-    initialized: bool,
     events_handled: u64,
     event_budget: u64,
 }
 
 impl<M: Model> Simulation<M> {
-    /// Creates a simulation around `model`. `init` has not run yet; it runs
-    /// on the first call to a `run*` method.
+    /// Creates a simulation around `model`. `init` has not run yet; it
+    /// runs when [`run`](Self::run) is called.
     pub fn new(model: M) -> Self {
         Self {
             model,
             queue: EventQueue::new(),
-            initialized: false,
             events_handled: 0,
             event_budget: u64::MAX,
         }
@@ -144,47 +126,17 @@ impl<M: Model> Simulation<M> {
         self
     }
 
-    /// Runs until the queue drains or the model stops. Returns why.
+    /// Runs `init`, then events until the queue drains, the model stops
+    /// or the event budget is spent, through [`run_with_queue`] on the
+    /// owned queue. Returns why.
+    ///
+    /// Call it once: a second call panics in [`run_with_queue`]'s
+    /// empty-queue-at-t = 0 check whenever the first run moved the clock
+    /// past t = 0 or left events pending.
     pub fn run(&mut self) -> StopReason {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// Runs until `horizon` (inclusive), the queue drains, or the model
-    /// stops. The first call runs `init`; later calls resume.
-    pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
-        let mut stop = false;
-        if !self.initialized {
-            self.initialized = true;
-            let mut ctx = Ctx {
-                queue: &mut self.queue,
-                stop: &mut stop,
-            };
-            self.model.init(&mut ctx);
-            if stop {
-                return StopReason::Requested;
-            }
-        }
-        loop {
-            if self.events_handled >= self.event_budget {
-                return StopReason::EventBudget;
-            }
-            match self.queue.peek_time() {
-                None => return StopReason::Drained,
-                Some(t) if t > horizon => return StopReason::Horizon,
-                Some(_) => {}
-            }
-            // peek_time() above returned Some. simlint: allow(no-unwrap-in-lib)
-            let (_, _, event) = self.queue.pop().expect("peeked event exists");
-            self.events_handled += 1;
-            let mut ctx = Ctx {
-                queue: &mut self.queue,
-                stop: &mut stop,
-            };
-            self.model.handle(&mut ctx, event);
-            if stop {
-                return StopReason::Requested;
-            }
-        }
+        let (reason, handled) = run_with_queue(&mut self.model, &mut self.queue, self.event_budget);
+        self.events_handled = handled;
+        reason
     }
 
     /// Current simulation time.
@@ -192,7 +144,7 @@ impl<M: Model> Simulation<M> {
         self.queue.now()
     }
 
-    /// Number of events handled so far.
+    /// Number of events handled by [`run`](Self::run).
     pub fn events_handled(&self) -> u64 {
         self.events_handled
     }
@@ -213,20 +165,15 @@ impl<M: Model> Simulation<M> {
         &self.model
     }
 
-    /// Mutable access to the model (e.g. to read out metrics between
-    /// phased `run_until` calls).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Consumes the simulation, returning the model.
     pub fn into_model(self) -> M {
         self.model
     }
 }
 
-/// Runs `model` to completion against a caller-owned queue: the arena
-/// path for campaign workers that recycle one [`EventQueue`] across many
+/// Runs `model` to completion against a caller-owned queue. This is the
+/// one event loop: [`Simulation::run`] calls it on its own queue, and
+/// campaign workers call it on one [`EventQueue`] recycled across many
 /// runs via [`EventQueue::reset`] instead of constructing a
 /// [`Simulation`] (and its queue) per run.
 ///
@@ -258,8 +205,6 @@ pub fn run_with_queue<M: Model>(
         if handled >= event_budget {
             return (StopReason::EventBudget, handled);
         }
-        // One pop per event: without a horizon there is nothing to peek
-        // for, and each read merges the queue's two heads.
         let Some((_, _, event)) = queue.pop() else {
             return (StopReason::Drained, handled);
         };
@@ -324,17 +269,15 @@ mod tests {
     }
 
     #[test]
-    fn horizon_stops_before_future_events() {
+    #[should_panic(expected = "empty queue at t = 0")]
+    fn simulation_runs_once() {
         let mut sim = Simulation::new(Ticker {
-            period: SimDuration::from_secs(10.0),
-            remaining: 100,
+            period: SimDuration::from_secs(2.0),
+            remaining: 3,
             fire_times: Vec::new(),
         });
-        assert_eq!(sim.run_until(SimTime::from_secs(35.0)), StopReason::Horizon);
-        assert_eq!(sim.model().fire_times.len(), 3);
-        // Resuming continues from where we left off.
-        assert_eq!(sim.run_until(SimTime::from_secs(55.0)), StopReason::Horizon);
-        assert_eq!(sim.model().fire_times.len(), 5);
+        assert_eq!(sim.run(), StopReason::Drained);
+        sim.run();
     }
 
     struct Stopper;
@@ -414,8 +357,8 @@ mod tests {
             if ev == 0 {
                 // Same-timestamp events run after already-queued peers, in
                 // scheduling order.
-                ctx.schedule_now(1);
-                ctx.schedule_now(2);
+                ctx.schedule_at(ctx.now(), 1);
+                ctx.schedule_at(ctx.now(), 2);
             }
         }
     }
@@ -457,52 +400,8 @@ mod tests {
         assert_eq!(handled, 50);
     }
 
-    /// Seeds three events at 10, 20 and 30 s; optionally stops in `init`.
-    struct Seeded {
-        stop_in_init: bool,
-        fired: u32,
-    }
-    impl Model for Seeded {
-        type Event = ();
-        fn init(&mut self, ctx: &mut Ctx<'_, ()>) {
-            for s in [10.0, 20.0, 30.0] {
-                ctx.schedule_at(SimTime::from_secs(s), ());
-            }
-            if self.stop_in_init {
-                ctx.stop();
-            }
-        }
-        fn handle(&mut self, _: &mut Ctx<'_, ()>, _: ()) {
-            self.fired += 1;
-        }
-    }
-
     #[test]
-    fn init_runs_once_even_if_the_first_call_handles_nothing() {
-        // Regression: `init` used to run whenever no event had been
-        // handled yet, so a call returning early re-seeded the queue.
-        let mut sim = Simulation::new(Seeded {
-            stop_in_init: false,
-            fired: 0,
-        });
-        assert_eq!(sim.run_until(SimTime::from_secs(5.0)), StopReason::Horizon);
-        assert_eq!(sim.events_handled(), 0);
-        assert_eq!(sim.run(), StopReason::Drained);
-        assert_eq!(sim.model().fired, 3);
-
-        let mut sim = Simulation::new(Seeded {
-            stop_in_init: true,
-            fired: 0,
-        });
-        assert_eq!(sim.run(), StopReason::Requested);
-        assert_eq!(sim.events_handled(), 0);
-        assert_eq!(sim.run(), StopReason::Drained);
-        assert_eq!(sim.model().fired, 3);
-        assert_eq!(sim.queue().scheduled_total(), 3);
-    }
-
-    #[test]
-    fn schedule_now_preserves_fifo_at_same_instant() {
+    fn scheduling_at_now_preserves_fifo_at_same_instant() {
         let mut sim = Simulation::new(NowScheduler { order: Vec::new() });
         sim.run();
         assert_eq!(sim.model().order, vec![0, 1, 2]);

@@ -1,17 +1,16 @@
 //! The pending-event set: a cancellable, deterministic priority queue.
 //!
 //! Events live in one of two structures, chosen by whether the queue has
-//! been read yet:
+//! popped yet:
 //!
 //! - **The sorted run.** Everything scheduled on a fresh or
-//!   [`reset`](EventQueue::reset) queue, before the first
-//!   [`peek_time`](EventQueue::peek_time) or [`pop`](EventQueue::pop),
-//!   is appended to a `Vec`. That batch is what a model's `init`
-//!   schedules: in the C/R simulation, the whole failure trace, its
-//!   predictions and false positives, most of which lie past the job's
-//!   end and never pop. The first read sorts the `Vec`
-//!   once, in place, by the heap's own `(time, seq)` key, and from then
-//!   on it is consumed from its earliest end.
+//!   [`reset`](EventQueue::reset) queue, before its first
+//!   [`pop`](EventQueue::pop), is appended to a `Vec`. That batch is
+//!   what a model's `init` schedules: in the C/R simulation, the whole
+//!   failure trace, its predictions and false positives, most of which
+//!   lie past the job's end and never pop. The first pop sorts the
+//!   `Vec` once, in place, by the heap's own `(time, seq)` key, and from
+//!   then on it is consumed from its earliest end.
 //! - **The heap.** Everything scheduled after that goes to a binary
 //!   min-heap, which therefore holds only the events the model schedules
 //!   as it runs.
@@ -88,12 +87,12 @@ fn bit_is_set(live: &[u64], id: EventId) -> bool {
 /// it has been popped.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Events scheduled before the first read. In scheduling order until
+    /// Events scheduled before the first pop. In scheduling order until
     /// `run_sorted` is set; then in descending `(time, seq)` order, so the
     /// earliest event leaves by `Vec::pop`.
     run: Vec<Entry<E>>,
-    /// Set by the first `peek_time`/`pop`, which sorts `run`; from then
-    /// on new events go to `heap`.
+    /// Set by the first `pop`, which sorts `run`; from then on new
+    /// events go to `heap`.
     run_sorted: bool,
     heap: BinaryHeap<Reverse<Entry<E>>>,
     /// Liveness bitset indexed by sequence number (= the id's value).
@@ -159,11 +158,6 @@ impl<E> EventQueue<E> {
         self.audit.reset();
         // The recorder is deliberately kept: whoever installed it owns
         // its lifecycle (see `Recorder::clear`/`take`).
-    }
-
-    #[inline]
-    fn is_live(&self, id: EventId) -> bool {
-        bit_is_set(&self.live, id)
     }
 
     /// Clears the liveness bit for `id`; `true` if it was set.
@@ -257,7 +251,7 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Sorts the run on the first read; a no-op afterwards.
+    /// Sorts the run on the first pop; a no-op afterwards.
     #[inline]
     fn seal_run(&mut self) {
         if !self.run_sorted {
@@ -299,30 +293,6 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.seal_run();
-        // Drop leading dead entries so the peek is accurate.
-        while let Some(e) = self.run.last() {
-            if self.is_live(e.id) {
-                break;
-            }
-            self.run.pop();
-        }
-        while let Some(Reverse(e)) = self.heap.peek() {
-            if self.is_live(e.id) {
-                break;
-            }
-            self.heap.pop();
-        }
-        let run_head = self.run.last().map(|e| e.time);
-        let heap_head = self.heap.peek().map(|Reverse(e)| e.time);
-        match (run_head, heap_head) {
-            (Some(r), Some(h)) => Some(r.min(h)),
-            (r, h) => r.or(h),
-        }
-    }
-
     /// Number of live (non-cancelled) pending events.
     pub fn len(&self) -> usize {
         self.live_count
@@ -355,11 +325,6 @@ impl<E> EventQueue<E> {
     /// the recorder is zero-sized and the hook calls compile away.
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.rec = rec;
-    }
-
-    /// The installed recorder (shared handle; disabled by default).
-    pub fn recorder(&self) -> &Recorder {
-        &self.rec
     }
 }
 
@@ -443,16 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_tombstones() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(secs(1.0), "a");
-        q.schedule_at(secs(2.0), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(secs(2.0)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     fn len_accounts_for_cancellations() {
         let mut q = EventQueue::new();
         let ids: Vec<_> = (0..5).map(|i| q.schedule_at(secs(i as f64 + 1.0), i)).collect();
@@ -517,7 +472,7 @@ mod tests {
         }
         q.reset();
         // Nothing from before the reset may surface.
-        assert_eq!(q.peek_time(), None);
+        assert!(q.is_empty());
         q.schedule_at(secs(1.0), 99);
         assert_eq!(q.pop().unwrap().2, 99);
         assert!(q.pop().is_none());

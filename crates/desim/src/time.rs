@@ -135,19 +135,9 @@ impl SimDuration {
         nanos_to_secs(self.0)
     }
 
-    /// Creates a duration from minutes.
-    pub fn from_mins(mins: f64) -> Self {
-        Self::from_secs(mins * 60.0)
-    }
-
     /// Creates a duration from hours.
     pub fn from_hours(hours: f64) -> Self {
         Self::from_secs(hours * 3600.0)
-    }
-
-    /// Creates a duration from microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Self::from_secs(us * 1e-6)
     }
 
     /// Raw nanoseconds.
@@ -332,9 +322,6 @@ mod tests {
         assert!((t.as_secs() - 1.5).abs() < 1e-12);
         let h = SimTime::from_hours(2.0);
         assert!((h.as_hours() - 2.0).abs() < 1e-12);
-        let d = SimDuration::from_micros(8.0);
-        assert_eq!(d.as_nanos(), 8_000);
-        assert_eq!(SimDuration::from_mins(2.0), SimDuration::from_secs(120.0));
     }
 
     #[test]
@@ -392,7 +379,7 @@ mod tests {
     fn display_formats() {
         assert_eq!(format!("{}", SimDuration::from_hours(2.0)), "2.00h");
         assert_eq!(format!("{}", SimDuration::from_secs(1.5)), "1.500s");
-        assert_eq!(format!("{}", SimDuration::from_micros(8.0)), "8.0µs");
+        assert_eq!(format!("{}", SimDuration::from_nanos(8_000)), "8.0µs");
         assert_eq!(format!("{}", SimTime::from_secs(1.0)), "t=1.000s");
     }
 

@@ -1,11 +1,9 @@
 //! Property-based tests of the DES engine: event ordering under random
 //! schedules and cancellations, the queue's sorted run against a
-//! reference model, byte conservation in the fluid-flow link, and
-//! priority correctness in the resource queue.
+//! reference model, and byte conservation in the fluid-flow link.
 
 use proptest::prelude::*;
 
-use pckpt_desim::resource::{Acquire, Resource};
 use pckpt_desim::{EventId, EventQueue, FlowLink, ReferenceFlowLink, SimTime};
 
 /// Reference pending-event set: every live `(time ns, seq, payload)` in
@@ -30,30 +28,24 @@ impl RefQueue {
         self.live.len() < before
     }
 
-    fn min_index(&self) -> Option<usize> {
-        (0..self.live.len()).min_by_key(|&i| (self.live[i].0, self.live[i].1))
-    }
-
     fn pop(&mut self) -> Option<(u64, u64, u32)> {
-        self.min_index().map(|i| self.live.remove(i))
-    }
-
-    fn peek(&self) -> Option<u64> {
-        self.min_index().map(|i| self.live[i].0)
+        (0..self.live.len())
+            .min_by_key(|&i| (self.live[i].0, self.live[i].1))
+            .map(|i| self.live.remove(i))
     }
 }
 
 proptest! {
-    /// The queue keeps what is scheduled before its first read in a
+    /// The queue keeps what is scheduled before its first pop in a
     /// sorted run and the rest in a heap; together they behave exactly
     /// like the one-`Vec` reference. An initial batch (some of it
     /// cancelled before the first pop) is followed by random schedules,
-    /// cancels of any issued id, pops and peeks, twice across a `reset`;
-    /// every pop, peek, `len`, `depth_hwm` and `scheduled_total` agrees.
+    /// cancels of any issued id and pops, twice across a `reset`; every
+    /// pop, `len`, `depth_hwm` and `scheduled_total` agrees.
     #[test]
     fn sorted_run_is_observationally_a_heap(
         initial in proptest::collection::vec((0u64..40, any::<bool>()), 0..100),
-        ops in proptest::collection::vec((0u8..4, 0u64..40, any::<usize>()), 0..300),
+        ops in proptest::collection::vec((0u8..3, 0u64..40, any::<usize>()), 0..300),
     ) {
         let mut q = EventQueue::new();
         let mut rounds = Vec::new();
@@ -87,14 +79,11 @@ proptest! {
                         let seq = pick % ids.len();
                         prop_assert_eq!(q.cancel(ids[seq]), oracle.cancel(seq as u64));
                     }
-                    2 => {
+                    _ => {
                         let got = q.pop().map(|(t, id, p)| (t.as_nanos(), id, p));
                         let want = oracle.pop().map(|(t, seq, p)| (t, ids[seq as usize], p));
                         prop_assert_eq!(got, want);
                         popped.push(got);
-                    }
-                    _ => {
-                        prop_assert_eq!(q.peek_time().map(|t| t.as_nanos()), oracle.peek());
                     }
                 }
                 prop_assert_eq!(q.len(), oracle.live.len());
@@ -193,36 +182,6 @@ proptest! {
             err < 1.0 + injected * 1e-9,
             "conservation violated: injected {injected}, returned {returned}, moved {moved}"
         );
-    }
-
-    /// The resource always grants to the best (priority, arrival) waiter.
-    #[test]
-    fn resource_serves_in_priority_order(
-        priorities in proptest::collection::vec(-100i64..100, 2..50),
-        capacity in 1usize..4,
-    ) {
-        let mut r = Resource::new(capacity);
-        let mut queued: Vec<(i64, usize)> = Vec::new();
-        let mut holding = 0usize;
-        for (i, &p) in priorities.iter().enumerate() {
-            match r.acquire(i, p) {
-                Acquire::Granted => holding += 1,
-                Acquire::Queued => queued.push((p, i)),
-            }
-        }
-        queued.sort();
-        // Release every held slot (initial grants plus each transferred
-        // one); queue hand-offs must follow (priority, seq) order. A
-        // `None` release simply freed a slot without a waiter.
-        let mut served = Vec::new();
-        for _ in 0..holding + queued.len() {
-            if let Some(token) = r.release() {
-                served.push(token);
-            }
-        }
-        let expected: Vec<usize> = queued.iter().map(|&(_, i)| i).collect();
-        prop_assert_eq!(served, expected);
-        prop_assert_eq!(r.in_use(), 0);
     }
 
     /// Queue length accounting stays consistent under mixed operations.

@@ -3,12 +3,41 @@
 //! The classic acceptance test for a discrete-event simulator: an M/M/1
 //! queue's simulated statistics must match the analytic formulas
 //! (utilization ρ, mean number in system ρ/(1−ρ), mean sojourn time
-//! 1/(μ−λ) by Little's law). This exercises the engine loop, the event
-//! queue, and the time-weighted monitor together under heavy event
-//! churn, with an independent ground truth.
+//! 1/(μ−λ) by Little's law). This exercises the engine loop and the
+//! event queue together under heavy event churn, with an independent
+//! ground truth.
 
-use pckpt_desim::{Ctx, Model, SimDuration, SimTime, Simulation, TimeWeighted};
+use pckpt_desim::{Ctx, Model, SimDuration, SimTime, Simulation};
 use pckpt_simrng::{Distribution, Exponential, SimRng};
+
+/// A piecewise-constant signal's time-weighted mean from t = 0.
+struct TimeAverage {
+    value: f64,
+    since: SimTime,
+    weighted_sum: f64,
+}
+
+impl TimeAverage {
+    fn new(initial: f64) -> Self {
+        Self {
+            value: initial,
+            since: SimTime::ZERO,
+            weighted_sum: 0.0,
+        }
+    }
+
+    /// Records that the signal changed to `value` at `now`.
+    fn set(&mut self, now: SimTime, value: f64) {
+        self.weighted_sum += self.value * now.since(self.since).as_secs();
+        self.since = now;
+        self.value = value;
+    }
+
+    /// Mean over `[0, now]`; `now` must be past t = 0.
+    fn mean(&self, now: SimTime) -> f64 {
+        (self.weighted_sum + self.value * now.since(self.since).as_secs()) / now.as_secs()
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -21,8 +50,8 @@ struct Mm1 {
     interarrival: Exponential,
     service: Exponential,
     queue_len: u64, // customers in system (incl. in service)
-    in_system: TimeWeighted,
-    busy: TimeWeighted,
+    in_system: TimeAverage,
+    busy: TimeAverage,
     arrivals: u64,
     departures: u64,
     sojourn_sum: f64,
@@ -37,8 +66,8 @@ impl Mm1 {
             interarrival: Exponential::from_rate(lambda),
             service: Exponential::from_rate(mu),
             queue_len: 0,
-            in_system: TimeWeighted::new(0.0),
-            busy: TimeWeighted::new(0.0),
+            in_system: TimeAverage::new(0.0),
+            busy: TimeAverage::new(0.0),
             arrivals: 0,
             departures: 0,
             sojourn_sum: 0.0,

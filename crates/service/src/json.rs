@@ -5,6 +5,13 @@
 //! It accepts the JSON the service documents (objects, arrays, strings,
 //! numbers, booleans, null; `\uXXXX` escapes limited to the BMP) and
 //! keeps object members in document order, so parsing is deterministic.
+//! Nesting is capped at `MAX_DEPTH`, so the reader's recursion is
+//! bounded whatever a client sends.
+
+/// Deepest array/object nesting a document may have. Campaign requests
+/// nest 2 deep; without a cap, one line of `[[[[…` recurses once per
+/// bracket and overflows the stack of the thread parsing it.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +89,7 @@ impl Json {
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -105,11 +112,12 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{') => parse_obj(bytes, pos, depth),
+        Some(b'[') => parse_arr(bytes, pos, depth),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -190,7 +198,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The depth inside one more array/object, or an error past `MAX_DEPTH`.
+fn nest(depth: usize, pos: usize) -> Result<usize, String> {
+    if depth < MAX_DEPTH {
+        Ok(depth + 1)
+    } else {
+        Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+    }
+}
+
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let depth = nest(depth, *pos)?;
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -199,7 +217,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -212,7 +230,8 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let depth = nest(depth, *pos)?;
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -225,7 +244,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -280,6 +299,20 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "{\"a\":1}x", "\"\\q\"", "1.2.3"] {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        // An uncapped reader overflows a 2 MiB thread stack long before
+        // 100,000 brackets; capped, it returns an error.
+        for deep in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1), "[".repeat(100_000)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.contains("nesting deeper than 64"), "{err}");
         }
     }
 

@@ -76,7 +76,10 @@ fn respond_inner(req_text: &str, service: &Service) -> Result<String, String> {
 /// have been served. Each connection carries one request line; the
 /// response is streamed back and the connection closed. Connections
 /// are handled on their own threads so identical concurrent requests
-/// actually exercise single-flight coalescing.
+/// actually exercise single-flight coalescing. Each accept first joins
+/// the connection threads that have finished: an exited thread that is
+/// never joined keeps its stack mapped, and a daemon without a request
+/// cap would pile those up until thread spawning fails.
 pub fn serve_unix(
     socket_path: &Path,
     service: Arc<Service>,
@@ -86,12 +89,20 @@ pub fn serve_unix(
     let listener = UnixListener::bind(socket_path)
         .map_err(|e| format!("bind {}: {e}", socket_path.display()))?;
     let mut served = 0usize;
-    let mut workers = Vec::new();
+    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         let stream = match stream {
             Ok(s) => s,
             Err(e) => return Err(format!("accept: {e}")),
         };
+        let mut i = 0;
+        while i < workers.len() {
+            if workers[i].is_finished() {
+                let _ = workers.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
         let service = Arc::clone(&service);
         workers.push(std::thread::spawn(move || handle(stream, &service)));
         served += 1;

@@ -4,9 +4,9 @@
 # Runs the criterion micro-benchmarks (event dispatch, flow-link churn
 # virtual-vs-reference, arena-reuse vs fresh-build campaign runs, grid
 # sweep vs serial cells, scalar vs SoA analytic evaluation) and the
-# end-to-end campaign + grid-sweep timers, then folds the
-# machine-parsable CRITERION_JSON / CAMPAIGN_JSON / GRID_JSON /
-# METRICS_JSON lines into one snapshot (default BENCH_pr9.json; earlier
+# end-to-end campaign + grid-sweep timers, counts non-test lines of
+# code, then folds the machine-parsable CRITERION_JSON / CAMPAIGN_JSON /
+# GRID_JSON / METRICS_JSON / LOC_JSON lines into one snapshot (default BENCH_pr9.json; earlier
 # BENCH_pr<N>.json files are kept as the perf trajectory across the PR
 # sequence):
 #
@@ -52,6 +52,9 @@
 #                                  without simulating
 #   journal_resume_overhead_pct    full-journal crash-replay wall time
 #                                  as a percentage of cold compute
+#   nontest_loc                    non-test lines of Rust, per crate
+#                                  and in total (scripts/loc.sh), so
+#                                  size is tracked next to speed
 #
 # Usage: scripts/bench.sh [output.json]
 # Env:   PCKPT_RUNS (campaign size, default 1000), PCKPT_SEED,
@@ -81,6 +84,10 @@ echo
 echo "== campaign service: cache replay + journal resume =="
 cargo run --release -q -p pckpt-bench --bin bench_service 2>&1 | tee -a "$CAMPAIGN_LOG"
 
+echo
+echo "== non-test lines of code =="
+scripts/loc.sh | tee -a "$CAMPAIGN_LOG"
+
 python3 - "$BENCH_LOG" "$CAMPAIGN_LOG" "$OUT" <<'PYEOF'
 import json
 import sys
@@ -103,6 +110,11 @@ metrics = parse(campaign_log, "METRICS_JSON ")
 
 doc = {"benchmarks": benches, "campaigns": campaigns, "grids": grids,
        "metrics": metrics}
+
+with open(campaign_log) as f:
+    for line in f:
+        if line.startswith("LOC_JSON "):
+            doc["nontest_loc"] = json.loads(line[len("LOC_JSON "):])
 
 dispatch = benches.get("engine_dispatch_100k_events")
 if dispatch:
@@ -226,4 +238,6 @@ for key in (
 ):
     if key in doc:
         print(f"  {key}: {doc[key]}")
+if "nontest_loc" in doc:
+    print(f"  nontest_loc (total): {doc['nontest_loc']['total']}")
 PYEOF
