@@ -32,97 +32,26 @@
 /// reduction cannot exceed the base recomputation overhead (Sec. VII).
 pub const SIGMA_MAX: f64 = 0.61;
 
-// --- shared kernels ---------------------------------------------------
-//
-// Every public entry point below — panicking, checked, and the SoA batch
-// evaluator in `crate::batch` — funnels through these `#[inline(always)]`
-// kernels. One float-operation sequence per equation means the batch
-// columns are bit-identical (`to_bits`) to the scalar functions; the
-// equivalence proptest in `tests/batch_equivalence.rs` pins it.
-
-/// Eq. (6) kernel: `β = clamp((α − 1 + σ) / α, 0, 1)`.
-#[inline(always)]
-pub(crate) fn beta_kernel(alpha: f64, sigma: f64) -> f64 {
-    ((alpha - 1.0 + sigma) / alpha).clamp(0.0, 1.0)
-}
-
-/// Eq. (5) kernel: `1 − √(1−σ)`, with the shared `√(1−σ)` passed in so
-/// fused batch loops compute the root once per cell.
-#[inline(always)]
-pub(crate) fn lm_reduction_kernel(root: f64) -> f64 {
-    1.0 - root
-}
-
-/// Eq. (8) kernel as printed: `(σ + 1) / (σ + √(1−σ))`.
-#[inline(always)]
-pub(crate) fn alpha_threshold_kernel(sigma: f64, root: f64) -> f64 {
-    (sigma + 1.0) / (sigma + root)
-}
-
-/// Exact-threshold kernel: `(1 − σ) / (√(1−σ) − σ)`.
-#[inline(always)]
-pub(crate) fn alpha_threshold_exact_kernel(sigma: f64, root: f64) -> f64 {
-    (1.0 - sigma) / (root - sigma)
-}
-
-/// Eq. (4)/(7) kernel: LM's checkpoint savings vs p-ckpt's extra
-/// recomputation savings.
-#[inline(always)]
-pub(crate) fn pckpt_wins_kernel(alpha: f64, sigma: f64, root: f64, ratio: f64) -> bool {
-    lm_reduction_kernel(root) < ratio * (beta_kernel(alpha, sigma) - sigma)
-}
-
-// Validity predicates — the exact complements of the panicking asserts
-// below, shared by the checked scalar variants and the batch mask.
-
-/// Is `(α, σ)` inside Eq. (6)'s domain?
-#[inline(always)]
-pub(crate) fn beta_valid(alpha: f64, sigma: f64) -> bool {
-    alpha >= 1.0 && (0.0..1.0).contains(&sigma)
-}
-
-/// Is `σ` inside Eq. (5)'s domain?
-#[inline(always)]
-pub(crate) fn lm_reduction_valid(sigma: f64) -> bool {
-    (0.0..1.0).contains(&sigma)
-}
-
-/// Is `σ` inside the printed Eq. (8)'s stated validity band?
-#[inline(always)]
-pub(crate) fn alpha_threshold_valid(sigma: f64) -> bool {
-    (0.0..SIGMA_MAX).contains(&sigma)
-}
-
-/// Is `σ` inside the exact threshold's algebraic domain (`√(1−σ) > σ`)?
-#[inline(always)]
-pub(crate) fn alpha_threshold_exact_valid(sigma: f64, root: f64) -> bool {
-    root > sigma
-}
-
-// --- scalar API -------------------------------------------------------
+/// Bisection iterations of [`break_even_sigma`]: 80 halvings of
+/// `[0, SIGMA_MAX)` reach f64 resolution with margin, and a fixed count
+/// keeps the root bit-stable across hosts.
+const BISECT_ITERS: usize = 80;
 
 /// Eq. (6): the failure fraction p-ckpt can mitigate, given α and σ.
 pub fn beta_pckpt(alpha: f64, sigma: f64) -> f64 {
-    assert!(alpha >= 1.0, "alpha below 1 means LM moves less than a checkpoint");
+    assert!(
+        alpha >= 1.0,
+        "alpha below 1 means LM moves less than a checkpoint"
+    );
     assert!((0.0..1.0).contains(&sigma));
-    beta_kernel(alpha, sigma)
-}
-
-/// Non-panicking [`beta_pckpt`]: `None` outside Eq. (6)'s domain.
-pub fn beta_pckpt_checked(alpha: f64, sigma: f64) -> Option<f64> {
-    beta_valid(alpha, sigma).then(|| beta_kernel(alpha, sigma))
+    ((alpha - 1.0 + sigma) / alpha).clamp(0.0, 1.0)
 }
 
 /// Eq. (5): LM's fractional reduction of checkpoint overhead,
 /// `1 − √(1−σ)`.
 pub fn lm_ckpt_reduction(sigma: f64) -> f64 {
     assert!((0.0..1.0).contains(&sigma));
-    lm_reduction_kernel((1.0 - sigma).sqrt())
-}
-
-/// Non-panicking [`lm_ckpt_reduction`]: `None` for σ outside `[0, 1)`.
-pub fn lm_ckpt_reduction_checked(sigma: f64) -> Option<f64> {
-    lm_reduction_valid(sigma).then(|| lm_reduction_kernel((1.0 - sigma).sqrt()))
+    1.0 - (1.0 - sigma).sqrt()
 }
 
 /// Eq. (4)/(7): does p-ckpt beat LM overall?
@@ -131,22 +60,7 @@ pub fn lm_ckpt_reduction_checked(sigma: f64) -> Option<f64> {
 /// (Eq. 8 assumes 1).
 pub fn pckpt_beats_lm(alpha: f64, sigma: f64, recomp_to_ckpt_ratio: f64) -> bool {
     assert!(recomp_to_ckpt_ratio > 0.0);
-    assert!(alpha >= 1.0, "alpha below 1 means LM moves less than a checkpoint");
-    assert!((0.0..1.0).contains(&sigma));
-    pckpt_wins_kernel(alpha, sigma, (1.0 - sigma).sqrt(), recomp_to_ckpt_ratio)
-}
-
-/// Non-panicking [`pckpt_beats_lm`]: `None` when `(α, σ)` falls outside
-/// the domain of Eq. (5) or (6) (the ratio stays a hard precondition —
-/// it is a property of the workload, not of the grid point).
-pub fn pckpt_beats_lm_checked(
-    alpha: f64,
-    sigma: f64,
-    recomp_to_ckpt_ratio: f64,
-) -> Option<bool> {
-    assert!(recomp_to_ckpt_ratio > 0.0);
-    (beta_valid(alpha, sigma) && lm_reduction_valid(sigma))
-        .then(|| pckpt_wins_kernel(alpha, sigma, (1.0 - sigma).sqrt(), recomp_to_ckpt_ratio))
+    lm_ckpt_reduction(sigma) < recomp_to_ckpt_ratio * (beta_pckpt(alpha, sigma) - sigma)
 }
 
 /// Eq. (8) **as printed in the paper**: `α > (σ+1)/(σ+√(1−σ))`, yielding
@@ -172,14 +86,7 @@ pub fn alpha_threshold(sigma: f64) -> f64 {
         (0.0..SIGMA_MAX).contains(&sigma),
         "Eq. 8 is valid for 0 <= sigma < {SIGMA_MAX}"
     );
-    alpha_threshold_kernel(sigma, (1.0 - sigma).sqrt())
-}
-
-/// Non-panicking [`alpha_threshold`]: `None` for σ outside
-/// `[0, SIGMA_MAX)`.
-pub fn alpha_threshold_checked(sigma: f64) -> Option<f64> {
-    alpha_threshold_valid(sigma)
-        .then(|| alpha_threshold_kernel(sigma, (1.0 - sigma).sqrt()))
+    (sigma + 1.0) / (sigma + (1.0 - sigma).sqrt())
 }
 
 /// The exact α threshold solving Eq. (4) with Eqs. (5)–(6) and a 50/50
@@ -196,15 +103,103 @@ pub fn alpha_threshold_exact(sigma: f64) -> f64 {
         root > sigma,
         "exact threshold requires sigma < 0.618, got {sigma}"
     );
-    alpha_threshold_exact_kernel(sigma, root)
+    (1.0 - sigma) / (root - sigma)
 }
 
-/// Non-panicking [`alpha_threshold_exact`]: `None` when `√(1−σ) ≤ σ`
-/// (i.e. σ ≥ (√5−1)/2 ≈ 0.618, or σ > 1 where the root is NaN).
-pub fn alpha_threshold_exact_checked(sigma: f64) -> Option<f64> {
-    let root = (1.0 - sigma).sqrt();
-    alpha_threshold_exact_valid(sigma, root)
-        .then(|| alpha_threshold_exact_kernel(sigma, root))
+/// α ↦ break-even σ: the σ at which a workload with LM transfer factor α
+/// sits exactly on the exact threshold, found by fixed-count bisection of
+/// [`alpha_threshold_exact`] (strictly increasing) over `[0, SIGMA_MAX)`.
+/// `None` when α is outside that curve's range over the band: below
+/// α*(0) = 1, or not below its value just inside `SIGMA_MAX`.
+pub fn break_even_sigma(alpha: f64) -> Option<f64> {
+    let (mut lo, mut hi) = (0.0, SIGMA_MAX);
+    let top = alpha_threshold_exact(SIGMA_MAX - SIGMA_MAX * 1e-12);
+    if !(alpha_threshold_exact(lo) <= alpha && alpha < top) {
+        return None;
+    }
+    for _ in 0..BISECT_ITERS {
+        let mid = 0.5 * (lo + hi);
+        if alpha_threshold_exact(mid) > alpha {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(0.5 * (lo + hi))
+}
+
+/// σ-guard around [`SIGMA_MAX`]: no analytic verdict is issued within
+/// this distance of the validity boundary, on either side. The guard
+/// absorbs both the printed-vs-exact model disagreement near the bound
+/// and σ-estimation sensitivity (σ is a survival-function value; near
+/// the boundary a small lead-model perturbation flips the comparison).
+pub const SIGMA_GUARD: f64 = 0.04;
+
+/// A margin-aware analytic answer to the P1-vs-M2 crossover question.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Crossing {
+    /// p-ckpt (P1) beats LM (M2) with the stated relative clearance from
+    /// **every** crossover surface (printed and exact threshold).
+    Pckpt {
+        /// Relative distance of α above the farther threshold.
+        clearance: f64,
+    },
+    /// LM (M2) beats p-ckpt (P1) with the stated clearance — either α
+    /// clears both thresholds from below, or σ exceeds the validity
+    /// bound by more than [`SIGMA_GUARD`] (beyond it LM's checkpoint
+    /// savings exceed anything p-ckpt can recoup; the convention
+    /// `exp_analytical` has always printed).
+    Lm {
+        /// Relative α clearance below the nearer threshold, or the σ
+        /// excess beyond `SIGMA_MAX` for out-of-band cells.
+        clearance: f64,
+    },
+    /// Inside the margin of some surface, or α outside Eq. (6)'s domain
+    /// — the analytic model abstains; simulate this cell.
+    Uncertain,
+}
+
+/// Answers "does p-ckpt (P1) beat LM (M2)?" analytically, with a safety
+/// margin, under the Eq. (8) 50/50 overhead split.
+///
+/// The verdict is only `Pckpt`/`Lm` when α clears **both** threshold
+/// surfaces — the printed Eq. (8) and the exact algebra — by the given
+/// relative `margin` on the same side, and σ stays [`SIGMA_GUARD`] away
+/// from the `SIGMA_MAX` validity boundary. Anything closer, and any
+/// α < 1 (where Eq. (6) is undefined), returns [`Crossing::Uncertain`]:
+/// the caller must fall back to simulation.
+pub fn crossover_verdict(alpha: f64, sigma: f64, margin: f64) -> Crossing {
+    assert!(sigma >= 0.0, "sigma is a probability");
+    assert!(margin >= 0.0);
+    if alpha.is_nan() || alpha < 1.0 {
+        return Crossing::Uncertain;
+    }
+    if sigma >= SIGMA_MAX {
+        let excess = sigma - SIGMA_MAX;
+        return if excess >= SIGMA_GUARD {
+            Crossing::Lm { clearance: excess }
+        } else {
+            Crossing::Uncertain
+        };
+    }
+    if sigma > SIGMA_MAX - SIGMA_GUARD {
+        return Crossing::Uncertain;
+    }
+    let printed = alpha_threshold(sigma);
+    let exact = alpha_threshold_exact(sigma);
+    let lo = printed.min(exact);
+    let hi = printed.max(exact);
+    if alpha >= hi * (1.0 + margin) {
+        Crossing::Pckpt {
+            clearance: alpha / hi - 1.0,
+        }
+    } else if alpha <= lo * (1.0 - margin) {
+        Crossing::Lm {
+            clearance: 1.0 - alpha / lo,
+        }
+    } else {
+        Crossing::Uncertain
+    }
 }
 
 #[cfg(test)]
@@ -305,51 +300,50 @@ mod tests {
     }
 
     #[test]
-    fn checked_variants_mirror_panicking_ones_bit_for_bit() {
-        for &(alpha, sigma) in &[(1.0, 0.0), (3.0, 0.3), (1.5, 0.6), (8.0, 0.05)] {
-            assert_eq!(
-                beta_pckpt_checked(alpha, sigma).unwrap().to_bits(),
-                beta_pckpt(alpha, sigma).to_bits()
+    fn break_even_sigma_inverts_the_exact_threshold() {
+        for &sigma in &[0.05, 0.2, 0.4, 0.55] {
+            let alpha = alpha_threshold_exact(sigma);
+            let back = break_even_sigma(alpha).unwrap();
+            assert!(
+                (back - sigma).abs() < 1e-12,
+                "σ={sigma} → α={alpha} → σ={back}"
             );
-            assert_eq!(
-                lm_ckpt_reduction_checked(sigma).unwrap().to_bits(),
-                lm_ckpt_reduction(sigma).to_bits()
-            );
-            assert_eq!(
-                pckpt_beats_lm_checked(alpha, sigma, 1.0).unwrap(),
-                pckpt_beats_lm(alpha, sigma, 1.0)
-            );
-            assert_eq!(
-                alpha_threshold_exact_checked(sigma).unwrap().to_bits(),
-                alpha_threshold_exact(sigma).to_bits()
-            );
-            if sigma < SIGMA_MAX {
-                assert_eq!(
-                    alpha_threshold_checked(sigma).unwrap().to_bits(),
-                    alpha_threshold(sigma).to_bits()
-                );
-            }
         }
+        // The range starts at α*(0) = 1.
+        assert!(break_even_sigma(1.0).unwrap() < 1e-12);
+        assert_eq!(break_even_sigma(0.5), None, "below every threshold");
+        assert_eq!(break_even_sigma(1e6), None, "beyond the band");
     }
 
     #[test]
-    fn checked_variants_flag_invalid_inputs_instead_of_panicking() {
-        // Eq. (6): α < 1 or σ outside [0, 1).
-        assert!(beta_pckpt_checked(0.5, 0.3).is_none());
-        assert!(beta_pckpt_checked(3.0, 1.0).is_none());
-        assert!(beta_pckpt_checked(3.0, -0.1).is_none());
-        // Eq. (5): σ outside [0, 1).
-        assert!(lm_ckpt_reduction_checked(1.0).is_none());
-        // Eq. (8) as printed: the σ < SIGMA_MAX band, boundary exclusive.
-        assert!(alpha_threshold_checked(SIGMA_MAX).is_none());
-        assert!(alpha_threshold_checked(0.7).is_none());
-        assert!(alpha_threshold_checked(SIGMA_MAX - 1e-9).is_some());
-        // Exact threshold: √(1−σ) > σ, so 0.618… is out, SIGMA_MAX is in.
-        assert!(alpha_threshold_exact_checked(0.63).is_none());
-        assert!(alpha_threshold_exact_checked(SIGMA_MAX).is_some());
-        assert!(alpha_threshold_exact_checked(1.5).is_none(), "NaN root");
-        // The verdict composes Eqs. (5)+(6).
-        assert!(pckpt_beats_lm_checked(0.5, 0.3, 1.0).is_none());
-        assert!(pckpt_beats_lm_checked(3.0, 1.0, 1.0).is_none());
+    fn verdict_decides_clear_cells_and_abstains_near_boundaries() {
+        // CHIMERA-shaped: σ ≈ 0.5, α = 3 → thresholds 1.243 / 2.414; α
+        // clears the exact one by 24% > 15% margin.
+        assert!(matches!(
+            crossover_verdict(3.0, 0.5, 0.15),
+            Crossing::Pckpt { clearance } if clearance > 0.2
+        ));
+        // Same point, margin 0.30: inside the band → abstain.
+        assert_eq!(crossover_verdict(3.0, 0.5, 0.30), Crossing::Uncertain);
+        // α barely above 1 is far below both thresholds → LM.
+        assert!(matches!(
+            crossover_verdict(1.0, 0.5, 0.15),
+            Crossing::Lm { .. }
+        ));
+        // α below 1 is outside Eq. (6): abstain, in band and beyond it.
+        assert_eq!(crossover_verdict(0.5, 0.5, 0.15), Crossing::Uncertain);
+        assert_eq!(crossover_verdict(0.5, 0.85, 0.15), Crossing::Uncertain);
+        // σ capped at 0.85 (small apps): far beyond SIGMA_MAX → LM.
+        assert!(matches!(
+            crossover_verdict(3.0, 0.85, 0.15),
+            Crossing::Lm { clearance } if (clearance - 0.24).abs() < 1e-12
+        ));
+        // Just beyond the validity bound: inside the σ guard → abstain.
+        assert_eq!(crossover_verdict(3.0, 0.62, 0.15), Crossing::Uncertain);
+        // Just below the bound: also inside the guard → abstain.
+        assert_eq!(crossover_verdict(3.0, 0.60, 0.15), Crossing::Uncertain);
+        // Between the thresholds (α = 1.8 at σ = 0.5 sits between 1.243
+        // and 2.414): no verdict at any margin.
+        assert_eq!(crossover_verdict(1.8, 0.5, 0.0), Crossing::Uncertain);
     }
 }

@@ -2,16 +2,10 @@
 //! rendering.
 //!
 //! * [`analytic`] — Observation 8's closed-form comparison of live
-//!   migration and p-ckpt (Eqs. 4–8): when does prioritized checkpointing
-//!   beat migration as the proactive action, as a function of the LM
-//!   transfer ratio α and the LM-avoidable failure fraction σ?
-//! * [`batch`] — the same equations over whole parameter grids: an
-//!   SoA-layout evaluator with per-cell validity masks, bit-identical to
-//!   the scalar functions at millions of cells per second.
-//! * [`curve`] — σ ↦ α-threshold and α ↦ break-even-σ surfaces as
-//!   composable curve objects (sample / refine / invert / intersect),
-//!   plus the margin-aware crossover verdict the analytic pre-filter
-//!   uses.
+//!   migration and p-ckpt (Eqs. 4–8): one scalar function per equation,
+//!   the margin-aware crossover verdict the analytic pre-filter
+//!   (`pckpt_core::prefilter`) uses to answer grid cells without
+//!   simulating them, and the break-even σ for a given α.
 //! * [`report`] — fixed-width table rendering for the experiment
 //!   binaries (each prints the rows/series of one paper table or figure).
 //! * [`chart`] — ASCII bar charts, heat maps and box plots so the
@@ -20,20 +14,12 @@
 #![warn(missing_docs)]
 
 pub mod analytic;
-pub mod batch;
 pub mod chart;
-pub mod curve;
 pub mod report;
 
 pub use analytic::{
-    alpha_threshold, alpha_threshold_checked, alpha_threshold_exact,
-    alpha_threshold_exact_checked, beta_pckpt, beta_pckpt_checked, lm_ckpt_reduction,
-    lm_ckpt_reduction_checked, pckpt_beats_lm, pckpt_beats_lm_checked, SIGMA_MAX,
+    alpha_threshold, alpha_threshold_exact, beta_pckpt, break_even_sigma, crossover_verdict,
+    lm_ckpt_reduction, pckpt_beats_lm, Crossing, SIGMA_GUARD, SIGMA_MAX,
 };
-pub use batch::{cartesian_columns, BatchEval, Validity};
 pub use chart::{BarChart, BoxPlotChart, HeatMap};
-pub use curve::{
-    break_even_sigma, crossover_verdict, AlphaThresholdCurve, AlphaThresholdExactCurve,
-    ConstCurve, Crossing, Curve, CurveExt, SampledCurve, SIGMA_GUARD,
-};
 pub use report::Table;

@@ -4,14 +4,12 @@
 //! Prints β(α, σ), LM's checkpoint-overhead reduction, and the α
 //! crossover threshold — both the paper's printed Eq. (8) and the exact
 //! solution of Eqs. (4)–(6) (see the transcription note in DESIGN.md
-//! §14.1). The σ sweep is one [`BatchEval`] pass over SoA columns; the
-//! threshold surfaces are [`Curve`] objects, so the break-even points
-//! come from curve intersection/inversion instead of ad-hoc loops.
+//! §14.1) — then the break-even σ for α = 3 and each application's
+//! crossover verdict. `results/exp_analytical.txt` pins the output.
 
-use pckpt_analysis::batch::{BatchEval, Validity};
-use pckpt_analysis::curve::{
-    break_even_sigma, crossover_verdict, AlphaThresholdCurve, AlphaThresholdExactCurve,
-    ConstCurve, Crossing, Curve, CurveExt,
+use pckpt_analysis::analytic::{
+    alpha_threshold, alpha_threshold_exact, beta_pckpt, break_even_sigma, crossover_verdict,
+    lm_ckpt_reduction, Crossing,
 };
 use pckpt_analysis::Table;
 use pckpt_core::{ModelKind, SimParams};
@@ -19,13 +17,7 @@ use pckpt_failure::{LeadTimeModel, Predictor};
 use pckpt_workloads::TABLE_I;
 
 fn main() {
-    // The σ sweep of the paper band, evaluated as one SoA batch: every
-    // row of the table reads from the same five result columns.
-    let sigmas: Vec<f64> = (0..=12).map(|i| i as f64 * 0.05).collect();
-    let alphas = vec![3.0; sigmas.len()];
-    let mut batch = BatchEval::new();
-    batch.evaluate(&alphas, &sigmas, 1.0);
-
+    // The σ sweep of the paper band, 0 ≤ σ ≤ 0.60 < SIGMA_MAX.
     let mut t = Table::new(vec![
         "sigma",
         "beta(α=3)",
@@ -34,17 +26,14 @@ fn main() {
         "α* (exact, Eqs. 4-6)",
     ])
     .with_title("Analytical model: p-ckpt beats LM when α exceeds the threshold");
-    for (i, &sigma) in sigmas.iter().enumerate() {
-        if !batch.validity()[i].has(Validity::ALPHA_THRESHOLD) {
-            // σ ≥ SIGMA_MAX: the printed Eq. (8) band ends here.
-            break;
-        }
+    for i in 0..=12 {
+        let sigma = i as f64 * 0.05;
         t.row(vec![
             format!("{sigma:.2}"),
-            format!("{:.3}", batch.mitigatable_fraction()[i]),
-            format!("{:.1}%", 100.0 * batch.lm_ckpt_reduction()[i]),
-            format!("{:.3}", batch.alpha_threshold()[i]),
-            format!("{:.3}", batch.alpha_threshold_exact()[i]),
+            format!("{:.3}", beta_pckpt(3.0, sigma)),
+            format!("{:.1}%", 100.0 * lm_ckpt_reduction(sigma)),
+            format!("{:.3}", alpha_threshold(sigma)),
+            format!("{:.3}", alpha_threshold_exact(sigma)),
         ]);
     }
     println!("{t}");
@@ -53,28 +42,14 @@ fn main() {
          algebra additionally explains the σ bound: √(1−σ) > σ ⇔ σ < 0.618.\n"
     );
 
-    // Break-even points from curve arithmetic: where does the horizontal
-    // α = 3 line cross each threshold surface? The printed form tops out
-    // below 1.30 and is never crossed; the exact form is crossed exactly
-    // at the inverse curve's value (the two derivations must agree).
-    let alpha_line = ConstCurve(3.0);
-    let printed_cross = AlphaThresholdCurve.intersect(&alpha_line);
-    let exact_cross = AlphaThresholdExactCurve.intersect(&alpha_line);
-    match (printed_cross, exact_cross) {
-        (None, Some(sigma)) => {
-            let inv = break_even_sigma().eval(3.0).expect("α = 3 is in band");
-            assert!(
-                (sigma - inv).abs() < 1e-9,
-                "intersection and inversion disagree: {sigma} vs {inv}"
-            );
-            println!(
-                "Break-even σ for α = 3: {sigma:.4} under the exact algebra (the printed\n\
-                 Eq. (8) tops out below 1.30 and is never crossed — at α = 3 the printed\n\
-                 form says p-ckpt wins at every valid σ).\n"
-            );
-        }
-        other => unreachable!("threshold curves changed shape: {other:?}"),
-    }
+    // Where α = 3 meets the exact threshold. The printed form stays below
+    // 1.30 over the whole band, so it is never met.
+    let sigma = break_even_sigma(3.0).expect("α = 3 meets the exact threshold inside the band");
+    println!(
+        "Break-even σ for α = 3: {sigma:.4} under the exact algebra (the printed\n\
+         Eq. (8) tops out below 1.30 and is never crossed — at α = 3 the printed\n\
+         form says p-ckpt wins at every valid σ).\n"
+    );
 
     // Per-application σ (α = 3, Summit hierarchy) and the verdict — the
     // same margin-aware crossover the analytic grid pre-filter uses

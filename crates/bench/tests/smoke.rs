@@ -90,3 +90,16 @@ fn bench_campaign_emits_parsable_campaign_lines() {
         assert!(rps > 0.0, "non-positive throughput in {line}");
     }
 }
+
+/// `exp_analytical` is pure closed-form arithmetic, so its output is
+/// pinned byte for byte: the σ table, the break-even σ and the
+/// per-application verdicts must match `results/exp_analytical.txt`.
+#[test]
+fn exp_analytical_matches_its_results_file() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_exp_analytical"))
+        .output()
+        .expect("spawn exp_analytical");
+    assert!(out.status.success(), "exp_analytical failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert_eq!(stdout, include_str!("../../../results/exp_analytical.txt"));
+}

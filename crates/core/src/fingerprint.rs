@@ -299,7 +299,7 @@ mod tests {
         let mut vr = base;
         vr.vr.antithetic = true;
         assert_ne!(a, fp(&cell("XGC", 1.0), &vr), "VR mode differs");
-        let pf = Prefilter::parse("analytic:0.2");
+        let pf = Some(Prefilter::new(0.2));
         assert_ne!(
             a,
             cell_fingerprint(&cell("XGC", 1.0), leads.digest(), &base, pf.as_ref()),
@@ -313,7 +313,7 @@ mod tests {
         let leads = pckpt_failure::LeadTimeModel::desh_default();
         let cfg = RunnerConfig::new(8, 42);
         let cells = [cell("XGC", 1.0), cell("POP", 0.5), cell("XGC", 1.5)];
-        let pf = Prefilter::parse("analytic:0.2");
+        let pf = Some(Prefilter::new(0.2));
         for prefilter in [None, pf.as_ref()] {
             let (fps, campaign) =
                 campaign_fingerprints(&cells, leads.digest(), &cfg, prefilter);

@@ -7,7 +7,7 @@
 //! The pre-filter recognizes such cells, computes σ from the cell's own
 //! lead-time model, predictor and θ (exactly as the simulator's Eq. (2)
 //! machinery would), and asks the margin-aware
-//! [`crossover_verdict`](pckpt_analysis::curve::crossover_verdict). Only
+//! [`crossover_verdict`](pckpt_analysis::analytic::crossover_verdict). Only
 //! cells the analytic model cannot decide *confidently* — inside the
 //! margin band around the threshold curves, or in the σ guard band where
 //! the printed and exact Eq. (8) forms disagree — are simulated.
@@ -31,7 +31,7 @@
 //!
 //! [`run_grid`]: crate::runner::run_grid
 
-use pckpt_analysis::curve::{crossover_verdict, Crossing};
+use pckpt_analysis::analytic::{crossover_verdict, Crossing};
 use pckpt_failure::LeadTimeModel;
 
 use crate::config::ModelKind;
@@ -94,37 +94,44 @@ impl Prefilter {
     /// Reads `PCKPT_PREFILTER` from the environment: unset, empty or
     /// `off` → `None` (simulate everything, the default); `analytic` →
     /// the default margin; `analytic:<margin>` → an explicit margin.
-    /// Anything else panics with the accepted grammar, so a typo fails a
-    /// sweep loudly instead of silently simulating every cell.
+    /// Anything else panics with [`Self::parse`]'s error, so a typo fails
+    /// a sweep loudly instead of silently simulating every cell.
     // simlint: config — PCKPT_PREFILTER is the sanctioned sweep-config
     // entry point; the parsed margin changes which cells are simulated,
     // never the per-cell results.
     pub fn from_env() -> Option<Self> {
         match std::env::var("PCKPT_PREFILTER") {
-            Ok(spec) => Self::parse(&spec),
+            Ok(spec) => Self::parse(&spec).unwrap_or_else(|e| panic!("{e}")),
             Err(_) => None,
         }
     }
 
-    /// Parses a `PCKPT_PREFILTER` value (see [`Self::from_env`]).
-    pub fn parse(spec: &str) -> Option<Self> {
+    /// Parses a `PCKPT_PREFILTER` value (see [`Self::from_env`]). `Err`
+    /// names the accepted grammar, or why the margin is unusable.
+    pub fn parse(spec: &str) -> Result<Option<Self>, String> {
         let spec = spec.trim();
         if spec.is_empty() || spec == "off" {
-            return None;
+            return Ok(None);
         }
         if spec == "analytic" {
-            return Some(Self::default());
+            return Ok(Some(Self::default()));
         }
-        if let Some(rest) = spec.strip_prefix("analytic:") {
-            let margin: f64 = rest.trim().parse().unwrap_or_else(|_| {
-                panic!("PCKPT_PREFILTER margin must be a number, got {rest:?}")
-            });
-            return Some(Self::new(margin));
+        let Some(rest) = spec.strip_prefix("analytic:") else {
+            return Err(format!(
+                "unrecognized PCKPT_PREFILTER value {spec:?} \
+                 (expected \"off\", \"analytic\", or \"analytic:<margin>\")"
+            ));
+        };
+        let margin: f64 = rest
+            .trim()
+            .parse()
+            .map_err(|_| format!("PCKPT_PREFILTER margin must be a number, got {rest:?}"))?;
+        if !(margin.is_finite() && margin >= 0.0) {
+            return Err(format!(
+                "prefilter margin must be finite and non-negative, got {margin}"
+            ));
         }
-        panic!(
-            "unrecognized PCKPT_PREFILTER value {spec:?} \
-             (expected \"off\", \"analytic\", or \"analytic:<margin>\")"
-        );
+        Ok(Some(Self::new(margin)))
     }
 
     /// Renders this filter as a `PCKPT_PREFILTER` value that
@@ -196,30 +203,34 @@ mod tests {
 
     #[test]
     fn parse_accepts_the_documented_grammar() {
-        assert_eq!(Prefilter::parse(""), None);
-        assert_eq!(Prefilter::parse("off"), None);
-        assert_eq!(Prefilter::parse(" off "), None);
+        assert_eq!(Prefilter::parse(""), Ok(None));
+        assert_eq!(Prefilter::parse("off"), Ok(None));
+        assert_eq!(Prefilter::parse(" off "), Ok(None));
         assert_eq!(
             Prefilter::parse("analytic"),
-            Some(Prefilter::new(DEFAULT_MARGIN))
+            Ok(Some(Prefilter::new(DEFAULT_MARGIN)))
         );
         assert_eq!(
             Prefilter::parse("analytic:0.3"),
-            Some(Prefilter::new(0.3))
+            Ok(Some(Prefilter::new(0.3)))
         );
-        assert_eq!(Prefilter::parse("analytic:0"), Some(Prefilter::new(0.0)));
+        assert_eq!(Prefilter::parse("analytic:0"), Ok(Some(Prefilter::new(0.0))));
     }
 
     #[test]
-    #[should_panic(expected = "unrecognized PCKPT_PREFILTER")]
-    fn parse_rejects_typos_loudly() {
-        let _ = Prefilter::parse("analytics");
+    fn parse_rejects_typos() {
+        let err = Prefilter::parse("analytics").unwrap_err();
+        assert!(err.contains("unrecognized PCKPT_PREFILTER"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "margin must be a number")]
-    fn parse_rejects_bad_margins_loudly() {
-        let _ = Prefilter::parse("analytic:lots");
+    fn parse_rejects_bad_margins() {
+        let err = Prefilter::parse("analytic:lots").unwrap_err();
+        assert!(err.contains("margin must be a number"), "{err}");
+        for bad in ["analytic:-1", "analytic:NaN", "analytic:inf"] {
+            let err = Prefilter::parse(bad).unwrap_err();
+            assert!(err.contains("finite and non-negative"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -116,7 +116,13 @@ pub fn parse_request(text: &str) -> Result<CampaignRequest, String> {
         None => None,
     };
     let fn_rate = doc.get("fn_rate").and_then(Json::as_f64);
+    if fn_rate.is_some_and(|f| !(0.0..=1.0).contains(&f)) {
+        return Err("'fn_rate' must be in [0, 1]".into());
+    }
     let lm_alpha = doc.get("lm_alpha").and_then(Json::as_f64);
+    if lm_alpha.is_some_and(|a| !(a.is_finite() && a > 0.0)) {
+        return Err("'lm_alpha' must be positive and finite".into());
+    }
 
     let runs = doc.get("runs").and_then(Json::as_u64).unwrap_or(20) as usize;
     if runs == 0 {
@@ -133,9 +139,7 @@ pub fn parse_request(text: &str) -> Result<CampaignRequest, String> {
     }
 
     let prefilter = match doc.get("prefilter").and_then(Json::as_str) {
-        Some(spec) => Some(
-            Prefilter::parse(spec).ok_or_else(|| format!("unknown prefilter spec '{spec}'"))?,
-        ),
+        Some(spec) => Prefilter::parse(spec)?,
         None => None,
     };
 
@@ -210,6 +214,14 @@ mod tests {
             r#"{"app":"XGC","scales":[-1.0]}"#,
             r#"{"app":"XGC","vr":"bogus"}"#,
             r#"{"app":"XGC","dist":"marsrover"}"#,
+            r#"{"app":"XGC","prefilter":"analytics"}"#,
+            r#"{"app":"XGC","prefilter":"analytic:lots"}"#,
+            r#"{"app":"XGC","prefilter":"analytic:-1"}"#,
+            r#"{"app":"XGC","fn_rate":1.5}"#,
+            r#"{"app":"XGC","fn_rate":-0.1}"#,
+            r#"{"app":"XGC","lm_alpha":0}"#,
+            r#"{"app":"XGC","lm_alpha":-2.5}"#,
+            r#"{"app":"XGC","lm_alpha":1e999}"#,
             r#"not json"#,
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?} accepted");

@@ -1,7 +1,9 @@
 //! The wire layer under hostile or endless traffic: a request line
 //! nested far past any real request gets `ERR`, not a stack overflow,
-//! and a daemon serving connection after connection does not keep the
-//! finished connection threads' stacks mapped.
+//! a crossover request outside the analytic model's domain is simulated
+//! instead of panicking the prefilter, and a daemon serving connection
+//! after connection does not keep the finished connection threads'
+//! stacks mapped.
 
 use std::sync::Arc;
 
@@ -17,6 +19,19 @@ fn deeply_nested_request_line_gets_err() {
     let body = respond(&"[".repeat(100_000), &service);
     assert!(body.starts_with("ERR "), "{body}");
     assert!(body.contains("nesting deeper than 64"), "{body}");
+}
+
+#[test]
+fn crossover_cell_below_alpha_one_is_simulated_not_pruned() {
+    // Eq. (6) is undefined for α < 1, so the analytic prefilter must
+    // abstain and the cell must be simulated.
+    let service = memory_only_service();
+    let body = respond(
+        r#"{"app":"CHIMERA","models":["P1","M2"],"lm_alpha":0.5,"prefilter":"analytic","runs":2}"#,
+        &service,
+    );
+    assert!(body.ends_with("OK\n"), "{body}");
+    assert!(body.contains("\"pruned\":false"), "{body}");
 }
 
 #[cfg(target_os = "linux")]

@@ -1,4 +1,4 @@
-//! Analytic and empirical probability distributions.
+//! Probability distributions.
 //!
 //! Everything the simulation draws — Weibull failure inter-arrivals
 //! (Table III of the paper), truncated-normal per-sequence lead times
@@ -546,81 +546,6 @@ impl Distribution for Mixture {
     }
 }
 
-/// Empirical distribution backed by observed samples.
-///
-/// Sampling draws uniformly with linear interpolation between order
-/// statistics (a continuous approximation of the ECDF). This is how the
-/// failure-chain analyzer's recovered lead times are re-injected into the
-/// simulation, mirroring the paper's "we consider the actual lead time of
-/// any failure during simulation".
-#[derive(Debug, Clone, PartialEq)]
-pub struct Empirical {
-    sorted: Vec<f64>,
-}
-
-impl Empirical {
-    /// Builds an empirical distribution from samples. Panics if `samples`
-    /// is empty or contains non-finite values.
-    pub fn new(mut samples: Vec<f64>) -> Self {
-        assert!(!samples.is_empty(), "Empirical requires at least one sample");
-        assert!(
-            samples.iter().all(|x| x.is_finite()),
-            "samples must be finite"
-        );
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        Self { sorted: samples }
-    }
-
-    /// Fraction of probability mass strictly above `t` (empirical survival
-    /// function).
-    pub fn survival(&self, t: f64) -> f64 {
-        let below_or_eq = self.sorted.partition_point(|&x| x <= t);
-        1.0 - below_or_eq as f64 / self.sorted.len() as f64
-    }
-
-    /// Empirical quantile via linear interpolation, `q ∈ [0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile requires q in [0,1]");
-        let n = self.sorted.len();
-        if n == 1 {
-            return self.sorted[0];
-        }
-        let pos = q * (n - 1) as f64;
-        let i = pos.floor() as usize;
-        let frac = pos - i as f64;
-        if i + 1 < n {
-            self.sorted[i] * (1.0 - frac) + self.sorted[i + 1] * frac
-        } else {
-            self.sorted[n - 1]
-        }
-    }
-
-    /// Number of underlying samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True if there are no samples (never the case post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Read-only view of the sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-}
-
-impl Distribution for Empirical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.quantile(rng.uniform01())
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.sorted.iter().sum::<f64>() / self.sorted.len() as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,34 +718,6 @@ mod tests {
             let (idx, x) = mix.sample_tagged(&mut r);
             assert_eq!(x, (idx + 1) as f64);
         }
-    }
-
-    #[test]
-    fn empirical_quantiles_and_survival() {
-        let e = Empirical::new(vec![4.0, 1.0, 3.0, 2.0, 5.0]);
-        assert_eq!(e.quantile(0.0), 1.0);
-        assert_eq!(e.quantile(1.0), 5.0);
-        assert_eq!(e.quantile(0.5), 3.0);
-        assert!((e.survival(3.0) - 0.4).abs() < 1e-12);
-        assert_eq!(e.survival(0.0), 1.0);
-        assert_eq!(e.survival(10.0), 0.0);
-        assert_eq!(e.mean(), Some(3.0));
-    }
-
-    #[test]
-    fn empirical_sampling_reproduces_distribution() {
-        let base: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        let e = Empirical::new(base);
-        let m = sample_mean(&e, 200_000);
-        assert!((m - 499.5).abs() < 3.0, "mean {m}");
-    }
-
-    #[test]
-    fn empirical_single_sample() {
-        let e = Empirical::new(vec![7.0]);
-        let mut r = rng();
-        assert_eq!(e.sample(&mut r), 7.0);
-        assert_eq!(e.quantile(0.3), 7.0);
     }
 
     #[test]

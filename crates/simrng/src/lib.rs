@@ -1,8 +1,8 @@
 //! Random variates and statistics for the p-ckpt simulation suite.
 //!
 //! The paper's simulation (Sec. III) draws failure inter-arrival times from
-//! Weibull distributions (Table III), failure lead times from an empirical
-//! mixture recovered from log analysis (Fig. 2a), and averages results over
+//! Weibull distributions (Table III), failure lead times from a mixture of
+//! per-sequence truncated normals (Fig. 2a), and averages results over
 //! 1000 runs. This crate provides:
 //!
 //! * [`rng`] — a deterministic, splittable PRNG ([`rng::SimRng`]) so that
@@ -10,10 +10,11 @@
 //!   parallel runs derive independent streams.
 //! * [`dist`] — analytic distributions (Weibull, exponential, normal,
 //!   log-normal, truncated normal, uniform) sampled by inversion or
-//!   Box–Muller, plus composable [`dist::Mixture`] and data-driven
-//!   [`dist::Empirical`] distributions.
-//! * [`stats`] — streaming summaries (Welford), quantiles, histograms and
-//!   box-plot statistics used to render the paper's figures.
+//!   Box–Muller, plus weighted [`dist::Discrete`] choice and composable
+//!   [`dist::Mixture`] distributions.
+//! * [`stats`] — streaming summaries (Welford, paired and stratified),
+//!   quantiles, box-plot statistics, Student-t confidence intervals and
+//!   Kolmogorov–Smirnov tests.
 //!
 //! `rand_distr` is deliberately not used (it is not on the approved offline
 //! dependency list); the implementations here are small, and every sampler
@@ -22,17 +23,15 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod fit;
 pub mod rng;
 pub mod stats;
 
 pub use dist::{
-    norm_inv_cdf, normal_cdf, Deterministic, Discrete, Distribution, Empirical, Exponential,
-    LogNormal, Mixture, Normal, TruncatedNormal, Uniform, Weibull,
+    norm_inv_cdf, normal_cdf, Deterministic, Discrete, Distribution, Exponential, LogNormal,
+    Mixture, Normal, TruncatedNormal, Uniform, Weibull,
 };
-pub use fit::{fit_weibull, WeibullFit};
 pub use rng::SimRng;
 pub use stats::{
-    ks_one_sample, ks_two_sample, t_critical, BoxPlot, Histogram, KsResult, PairedSummary,
-    Quantiles, StratifiedSummary, Summary,
+    ks_one_sample, ks_two_sample, t_critical, BoxPlot, KsResult, PairedSummary, Quantiles,
+    StratifiedSummary, Summary,
 };

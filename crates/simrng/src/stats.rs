@@ -3,8 +3,8 @@
 //! The experiment harnesses aggregate 1000 Monte-Carlo runs per
 //! configuration (Sec. V) and render box plots (Fig. 2a) and heat maps
 //! (Fig. 2c). This module provides the numeric building blocks:
-//! Welford-style streaming summaries, interpolated quantiles, fixed-bin
-//! histograms and Tukey box-plot statistics.
+//! Welford-style streaming summaries, interpolated quantiles and Tukey
+//! box-plot statistics.
 
 /// Streaming summary: count, mean, variance (Welford), min, max.
 ///
@@ -621,69 +621,6 @@ fn kolmogorov_q(lambda: f64) -> f64 {
     (2.0 * sum).clamp(0.0, 1.0)
 }
 
-/// Fixed-width-bin histogram over `[lo, hi)` with under/overflow counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `nbins` equal-width bins on `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(hi > lo && nbins > 0, "invalid histogram bounds or bin count");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = (((x - self.lo) / width) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count of observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1047,23 +984,5 @@ mod tests {
         // Pilot fallback: no variance yet → proportional split.
         let pilot = StratifiedSummary::equal_weights(4);
         assert_eq!(pilot.neyman_allocation(8), vec![2, 2, 2, 2]);
-    }
-
-    #[test]
-    fn histogram_binning_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.push(-1.0); // underflow
-        h.push(0.0); // bin 0
-        h.push(9.999); // bin 9
-        h.push(10.0); // overflow (hi is exclusive)
-        h.push(5.5); // bin 5
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.bins()[5], 1);
-        assert_eq!(h.total(), 5);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
-        assert!((h.bin_center(9) - 9.5).abs() < 1e-12);
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use pckpt_simrng::dist::gamma_fn;
 use pckpt_simrng::{
-    BoxPlot, Discrete, Distribution, Empirical, Exponential, LogNormal, Quantiles, SimRng,
+    BoxPlot, Discrete, Distribution, Exponential, LogNormal, Quantiles, SimRng,
     Summary, TruncatedNormal, Uniform, Weibull,
 };
 
@@ -143,18 +143,6 @@ proptest! {
             let idx = d.sample_index(&mut rng);
             prop_assert!(weights[idx] > 0.0, "drew zero-weight index {idx}");
         }
-    }
-
-    /// Empirical quantile/survival are mutually consistent.
-    #[test]
-    fn empirical_consistency(values in finite_vec(100), q in 0.0f64..1.0) {
-        let e = Empirical::new(values.clone());
-        let x = e.quantile(q);
-        let lo = e.quantile(0.0);
-        let hi = e.quantile(1.0);
-        prop_assert!(x >= lo - 1e-9 && x <= hi + 1e-9);
-        prop_assert!((0.0..=1.0).contains(&e.survival(x)));
-        prop_assert_eq!(e.survival(hi), 0.0);
     }
 
     /// Split streams are deterministic functions of (seed, index).

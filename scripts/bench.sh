@@ -3,12 +3,12 @@
 #
 # Runs the criterion micro-benchmarks (event dispatch, flow-link churn
 # virtual-vs-reference, arena-reuse vs fresh-build campaign runs, grid
-# sweep vs serial cells, scalar vs SoA analytic evaluation) and the
-# end-to-end campaign + grid-sweep timers, counts non-test lines of
-# code, then folds the machine-parsable CRITERION_JSON / CAMPAIGN_JSON /
-# GRID_JSON / METRICS_JSON / LOC_JSON lines into one snapshot (default BENCH_pr9.json; earlier
-# BENCH_pr<N>.json files are kept as the perf trajectory across the PR
-# sequence):
+# sweep vs serial cells) and the end-to-end campaign + grid-sweep
+# timers, counts non-test lines of code, then folds the
+# machine-parsable CRITERION_JSON / CAMPAIGN_JSON / GRID_JSON /
+# METRICS_JSON / LOC_JSON lines into one snapshot (default
+# BENCH_pr10.json; earlier BENCH_pr<N>.json files are kept as the perf
+# trajectory):
 #
 #   median_ns_per_event            engine dispatch cost
 #   events_per_sec                 its reciprocal
@@ -22,9 +22,6 @@
 #   grid_cells_per_sec             grid sweep throughput on that sweep
 #   grid_trace_cache_hit_rate      share of unit executions served from
 #                                  a worker's cached per-run trace
-#   analytic_cells_per_s           SoA-batched Eq. (4)-(8) evaluation
-#                                  throughput on a 2^20-cell (α, σ) grid
-#   analytic_batch_speedup         that batch vs per-cell scalar calls
 #   prefilter_prune_rate           share of the 4-cell POP crossover
 #                                  sweep answered analytically
 #                                  (PCKPT_PREFILTER tier)
@@ -156,17 +153,7 @@ if sweep_serial and sweep_grid:
         sweep_serial["median_ns"] / sweep_grid["median_ns"], 2
     )
 
-# Analytic tier: SoA batch throughput over the 2^20-cell bench grid,
-# speedup vs the per-cell scalar loop, and the pre-filter prune rate on
-# the POP crossover sweep.
-scalar = benches.get("analytic_batch/scalar_1m")
-soa = benches.get("analytic_batch/soa_1m")
-if soa:
-    doc["analytic_cells_per_s"] = round((1 << 20) / (soa["median_ns"] / 1e9), 1)
-if scalar and soa:
-    doc["analytic_batch_speedup"] = round(
-        scalar["median_ns"] / soa["median_ns"], 2
-    )
+# Analytic tier: the pre-filter prune rate on the POP crossover sweep.
 prefilter = grids.get("grid_prefilter_pop")
 if prefilter:
     doc["prefilter_prune_rate"] = prefilter["prune_rate"]
@@ -221,8 +208,6 @@ for key in (
     "grid_cells_per_sec",
     "grid_trace_cache_hit_rate",
     "grid_sweep_speedup_micro",
-    "analytic_cells_per_s",
-    "analytic_batch_speedup",
     "prefilter_prune_rate",
     "variance_reduction_speedup",
     "adaptive_runs_saved_pct",

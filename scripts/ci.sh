@@ -21,10 +21,11 @@
 #                             compiled in, so the queue's hooks on both
 #                             its sorted-run and heap paths are built
 #                             and exercised
-#   5. analytic tier          batch-vs-scalar bit-identity proptest and
-#                             the prefilter digest oracle (the two
-#                             equivalence contracts of the analytic
-#                             pre-filter) as an explicit, named gate
+#   5. analytic tier          the closed-form equations and crossover
+#                             verdict (analysis crate tests), the
+#                             byte-for-byte pin of exp_analytical's
+#                             output, and the prefilter digest oracle
+#                             as an explicit, named gate
 #   6. concurrency + lint harness
 #                             schedcheck's bounded-exhaustive schedule
 #                             exploration of the grid pool's claim/slab/
@@ -77,8 +78,9 @@ cargo test -q --features trace
 cargo test -q -p pckpt-desim --features trace
 
 echo
-echo "==== [5/10] analytic tier: batch + prefilter equivalence ===="
-cargo test -q -p pckpt-analysis --test batch_equivalence
+echo "==== [5/10] analytic tier: equations, exp_analytical pin, prefilter equivalence ===="
+cargo test -q -p pckpt-analysis
+cargo test -q -p pckpt-bench --test smoke exp_analytical
 cargo test -q --test grid_equivalence
 
 echo

@@ -3,9 +3,11 @@
 # next to speed (scripts/bench.sh stores the result as `nontest_loc`).
 #
 # Counts the non-blank lines of crates/*/src/**/*.rs and src/**/*.rs
-# that come before each file's first line starting with `#[cfg(test)]`
-# (leading whitespace allowed). Comments count. Test modules after that
-# line, tests/, benches/, examples/ and the separate pbench workspace
+# that come before each file's test module: the first line starting
+# with `#[cfg(test)]` (leading whitespace allowed) whose next line opens
+# a `mod`. A `#[cfg(test)]` on any other item (a test-only helper fn)
+# is counted and does not stop the count. Comments count. Test modules,
+# tests/, benches/, examples/ and the separate pbench workspace
 # (crates/bench/pbench, outside every crates/*/src) do not. The root
 # package is reported as `pckpt`.
 #
@@ -27,8 +29,14 @@ FNR == 1 {
         loc[crate] = 0
     }
     counting = 1
+    held = 0
 }
-/^[ \t]*#\[cfg\(test\)\]/ { counting = 0 }
+held {
+    held = 0
+    if ($0 ~ /^[ \t]*(pub(\([^)]*\))?[ \t]+)?mod[ \t]/) { counting = 0; next }
+    loc[crate]++; total++
+}
+counting && /^[ \t]*#\[cfg\(test\)\]/ { held = 1; next }
 counting && NF { loc[crate]++; total++ }
 END {
     printf "%-12s %7s\n", "crate", "nontest"
