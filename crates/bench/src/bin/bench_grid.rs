@@ -13,8 +13,10 @@
 //! Both must produce bit-identical per-cell aggregates — verified here
 //! on every invocation before any timing is reported. Emits one
 //! machine-parsable `GRID_JSON {...}` line per app plus the grid
-//! `METRICS_JSON` metadata; `scripts/bench.sh` folds these into its
-//! snapshot (`BENCH_pr9.json`), with POP as the headline speedup.
+//! `METRICS_JSON` metadata, then one `GRID_JSON` line each for the
+//! prefilter, shard scale-out and variance-reduction headlines;
+//! `scripts/bench.sh` stores the six `GRID_JSON` records verbatim in
+//! its snapshot's `grid_json`, keyed by name.
 
 use std::time::Instant;
 

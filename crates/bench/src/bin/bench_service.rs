@@ -111,12 +111,6 @@ fn main() {
         n = cells.len(),
     );
     println!("METRICS_JSON {}", warm.meta_json("service_fig4_grid"));
-    if budget >= 64 {
-        assert!(
-            cache_hit_speedup >= 50.0,
-            "warm replay must be >= 50x faster than cold compute, got {cache_hit_speedup:.1}x"
-        );
-    }
 
     // Crash resume: cut the cold journal at an arbitrary byte offset
     // (half the file — a real crash tears wherever it tears), drop the
@@ -175,5 +169,14 @@ fn main() {
             "pckpt-bench-service-{tag}-{}",
             std::process::id()
         )));
+    }
+
+    // The floor is checked last, so a miss still prints the journal
+    // line and removes the scratch directories.
+    if budget >= 64 {
+        assert!(
+            cache_hit_speedup >= 50.0,
+            "warm replay must be >= 50x faster than cold compute, got {cache_hit_speedup:.1}x"
+        );
     }
 }

@@ -113,7 +113,8 @@ pub fn run_cells(cells: &[GridCell]) -> GridResult {
 /// Prints a sweep's execution metadata: one `METRICS_JSON` line with the
 /// grid-wide merged observability aggregate and one with the
 /// campaign-style grid metadata (cells, lanes, units, threads, trace
-/// sharing). `scripts/bench.sh` folds both into its snapshot.
+/// sharing). `scripts/lint.sh`'s smoke checks the pair `exp_fig4`
+/// prints.
 pub fn print_grid_metrics(name: &str, grid: &GridResult) {
     println!("METRICS_JSON {}", grid.obs_merged().to_json(name));
     println!("METRICS_JSON {}", grid.meta_json(&format!("{name}_grid")));

@@ -52,45 +52,6 @@ fn p2_replication_fits_event_budget_fluid() {
     one_p2_replication(PfsMode::Fluid);
 }
 
-/// The bench harness itself must not bit-rot: a 1-run campaign through
-/// `bench_campaign` has to emit one machine-parsable `CAMPAIGN_JSON`
-/// line per PFS mode with positive throughput, or `scripts/bench.sh`
-/// would silently produce an empty snapshot.
-#[test]
-fn bench_campaign_emits_parsable_campaign_lines() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bench_campaign"))
-        .env("PCKPT_RUNS", "1")
-        .output()
-        .expect("spawn bench_campaign");
-    assert!(out.status.success(), "bench_campaign failed: {out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let lines: Vec<&str> = stdout
-        .lines()
-        .filter_map(|l| l.strip_prefix("CAMPAIGN_JSON "))
-        .collect();
-    assert_eq!(lines.len(), 2, "one line per PFS mode:\n{stdout}");
-    for (line, mode) in lines.iter().zip(["analytic", "fluid"]) {
-        // Poor man's JSON check (no serde in-tree): the fields bench.sh
-        // consumes must be present, and runs_per_sec must be positive.
-        assert!(
-            line.contains(&format!("\"name\":\"p2_xgc_{mode}\"")),
-            "unexpected campaign name in {line}"
-        );
-        let rps = line
-            .split("\"runs_per_sec\":")
-            .nth(1)
-            .and_then(|rest| {
-                rest.trim_end_matches('}')
-                    .split(',')
-                    .next()?
-                    .parse::<f64>()
-                    .ok()
-            })
-            .unwrap_or_else(|| panic!("no parsable runs_per_sec in {line}"));
-        assert!(rps > 0.0, "non-positive throughput in {line}");
-    }
-}
-
 /// `exp_analytical` is pure closed-form arithmetic, so its output is
 /// pinned byte for byte: the σ table, the break-even σ and the
 /// per-application verdicts must match `results/exp_analytical.txt`.

@@ -10,7 +10,7 @@
 //! | rule                 | scope                                        |
 //! |----------------------|----------------------------------------------|
 //! | `no-randomized-maps` | all code in the sim-semantic crates          |
-//! | `no-wall-clock`      | whole workspace except `criterion` / `bench` |
+//! | `no-wall-clock`      | whole workspace except `bench`               |
 //! | `no-float-eq`        | library code of the sim-semantic crates      |
 //! | `no-lossy-time-cast` | library code of the sim-semantic crates      |
 //! | `no-unwrap-in-lib`   | library code of the sim-semantic crates      |
@@ -42,7 +42,7 @@ pub const SIM_CRATES: [&str; 6] =
 
 /// Crates exempt from `no-wall-clock` (benchmarking must read the real
 /// clock — that is its job).
-pub const WALL_CLOCK_EXEMPT: [&str; 2] = ["criterion", "bench"];
+pub const WALL_CLOCK_EXEMPT: [&str; 1] = ["bench"];
 
 /// All rule names, in reporting order (the last three are the
 /// call-graph families in [`crate::wsrules`]).
@@ -199,7 +199,7 @@ fn wall_clock(path: &str, tok: &Token, out: &mut Vec<Finding>) {
             line: tok.line,
             message: format!(
                 "{} reads the wall clock; simulation code must only observe SimTime \
-                 (wall-clock reads are reserved for crates/criterion and crates/bench)",
+                 (wall-clock reads are reserved for crates/bench)",
                 tok.text
             ),
         });
@@ -357,7 +357,7 @@ mod tests {
         let src = "let t = std::time::Instant::now();";
         assert_eq!(rules_fired(LIB, src), vec!["no-wall-clock"]);
         assert_eq!(rules_fired("crates/cli/src/main.rs", src), vec!["no-wall-clock"]);
-        assert!(rules_fired("crates/criterion/src/lib.rs", src).is_empty());
+        assert_eq!(rules_fired("crates/criterion/src/lib.rs", src), vec!["no-wall-clock"]);
         assert!(rules_fired("crates/bench/benches/engine.rs", src).is_empty());
     }
 

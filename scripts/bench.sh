@@ -1,228 +1,220 @@
 #!/usr/bin/env bash
-# Perf trajectory harness for the PR sequence.
+# The benchmark pipeline: builds once, runs five steps and writes one
+# snapshot (BENCH_pr<N>.json; the earlier ones are the perf trajectory):
 #
-# Runs the criterion micro-benchmarks (event dispatch, flow-link churn
-# virtual-vs-reference, arena-reuse vs fresh-build campaign runs, grid
-# sweep vs serial cells) and the end-to-end campaign + grid-sweep
-# timers, counts non-test lines of code, then folds the
-# machine-parsable CRITERION_JSON / CAMPAIGN_JSON / GRID_JSON /
-# METRICS_JSON / LOC_JSON lines into one snapshot (default
-# BENCH_pr10.json; earlier BENCH_pr<N>.json files are kept as the perf
-# trajectory):
+#   pbench       `pbench run`, stored verbatim: medians, quartiles,
+#                counts, digests and host regime of all five workloads
+#   paper_bins   wall seconds and exit status of each paper bin at the
+#                paper's 1000 runs, run from target/release, with nproc
+#                and /proc/loadavg before and after the loop
+#   grid_json    bench_grid's and bench_service's GRID_JSON records,
+#                verbatim, keyed by name (the deterministic headlines:
+#                VR runs to a ±1% CI, adaptive runs saved, prefilter
+#                prune rate, cache hit rate)
+#   nontest_loc  scripts/loc.sh's LOC_JSON
+#   compare      `pbench compare` of the newest earlier BENCH_pr<N>.json
+#                that holds a "pbench" run against this one, under
+#                BENCHMARK.json's bounds; a worse row fails the step
 #
-#   median_ns_per_event            engine dispatch cost
-#   events_per_sec                 its reciprocal
-#   flow_churn_speedup_vs_reference  virtual-time link vs O(n) reference
-#   arena_reuse_speedup[_fluid]    warm one-cell GridWorker run vs
-#                                  fresh-build run
-#   runs_per_sec / runs_per_sec_fluid  1000-run P2/XGC campaign throughput
-#   grid_speedup                   4-cell POP sweep: one grid pool vs
-#                                  serial per-cell campaigns (bit-
-#                                  identical results, asserted)
-#   grid_cells_per_sec             grid sweep throughput on that sweep
-#   grid_trace_cache_hit_rate      share of unit executions served from
-#                                  a worker's cached per-run trace
-#   prefilter_prune_rate           share of the 4-cell POP crossover
-#                                  sweep answered analytically
-#                                  (PCKPT_PREFILTER tier)
-#   variance_reduction_speedup     runs-to-±1%-CI on the Fig.-4 sweep:
-#                                  fixed uniform provisioning vs the
-#                                  adaptive antithetic+stratified engine
-#   adaptive_runs_saved_pct        share of the sweep the per-cell CI
-#                                  stopping rule alone saved
-#   vr_ci_rel_*                    attained relative CI per strategy
-#                                  (plain / antithetic / stratified /
-#                                  both) at one fixed POP budget
-#   shard_speedup                  Fig.-4 sweep, one single-threaded
-#                                  process vs 2 single-threaded shard
-#                                  subprocesses with a bit-identical
-#                                  coordinator merge (≤ 1x on a
-#                                  single-core host — see bench_grid)
-#   shard_reexecutions             shard children re-executed by the
-#                                  coordinator's failure recovery (0 on
-#                                  a healthy run)
-#   cache_hit_speedup              Fig.-4 sweep through the campaign
-#                                  service: cold compute vs warm
-#                                  content-addressed cache replay
-#                                  (bit-identical, digest-asserted)
-#   cache_hit_rate                 share of warm-pass cells served
-#                                  without simulating
-#   journal_resume_overhead_pct    full-journal crash-replay wall time
-#                                  as a percentage of cold compute
-#   nontest_loc                    non-test lines of Rust, per crate
-#                                  and in total (scripts/loc.sh), so
-#                                  size is tracked next to speed
+# Every step runs even when an earlier one fails. The snapshot records
+# each step's exit status and is written either way; the script then
+# exits non-zero naming the failed steps. Every number is taken at the
+# defaults, so the script refuses to start while any PCKPT_* variable
+# is set.
 #
-# Usage: scripts/bench.sh [output.json]
-# Env:   PCKPT_RUNS (campaign size, default 1000), PCKPT_SEED,
-#        PCKPT_THREADS (campaign worker threads),
-#        PCKPT_BENCH_SAMPLES / PCKPT_BENCH_SAMPLE_MS (criterion shim).
-
-set -euo pipefail
+# Usage: scripts/bench.sh OUT.json
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_pr10.json}
-BENCH_LOG=$(mktemp)
-CAMPAIGN_LOG=$(mktemp)
-trap 'rm -f "$BENCH_LOG" "$CAMPAIGN_LOG"' EXIT
+if [ $# -ne 1 ]; then
+    echo "usage: scripts/bench.sh OUT.json" >&2
+    exit 2
+fi
+OUT=$1
 
-echo "== criterion benches (pckpt-bench) =="
-cargo bench -p pckpt-bench 2>&1 | tee "$BENCH_LOG"
+knobs=$(compgen -e | grep '^PCKPT_' | tr '\n' ' ')
+if [ -n "$knobs" ]; then
+    echo "bench.sh: refusing to run with ${knobs% } set; unset them first" >&2
+    exit 2
+fi
+
+echo "== build =="
+cargo build --release -q --offline -p pckpt-bench || exit 1
+cargo build --release -q --offline --manifest-path crates/bench/pbench/Cargo.toml || exit 1
+REL=${CARGO_TARGET_DIR:-target}/release
+PBENCH=${CARGO_TARGET_DIR:-crates/bench/pbench/target}/release/pbench
+
+LOG=$(mktemp -d)
+trap 'rm -rf "$LOG"' EXIT
+RUN=target/pbench/bench-run.json
+
+# step NAME STATUS: appends one step's exit status to the status log.
+step() { echo "$1 $2" >> "$LOG/steps"; }
 
 echo
-echo "== end-to-end campaign timing =="
-cargo run --release -q -p pckpt-bench --bin bench_campaign 2>&1 | tee "$CAMPAIGN_LOG"
+echo "== [1/5] pbench run =="
+rm -f "$RUN"
+"$PBENCH" run --out "$RUN"
+step pbench $?
 
 echo
-echo "== grid sweep vs serial cells =="
-cargo run --release -q -p pckpt-bench --bin bench_grid 2>&1 | tee -a "$CAMPAIGN_LOG"
+echo "== [2/5] paper bins at 1000 runs =="
+nproc > "$LOG/nproc"
+cat /proc/loadavg > "$LOG/loadavg_before"
+bins_status=0
+for bin in exp_fig4 exp_table2 exp_table4 exp_fig6a exp_fig6b exp_fig6c exp_fig7 exp_fig8; do
+    start=$(date +%s%N)
+    "$REL/$bin" > "$LOG/$bin.out" 2>&1
+    status=$?
+    end=$(date +%s%N)
+    wall=$(awk -v ns=$((end - start)) 'BEGIN { printf "%.3f", ns / 1e9 }')
+    printf '  %-11s %8s s  exit %d\n' "$bin" "$wall" "$status"
+    echo "$bin $wall $status" >> "$LOG/paper_bins"
+    if [ "$status" -ne 0 ]; then
+        tail -5 "$LOG/$bin.out"
+        bins_status=1
+    fi
+done
+cat /proc/loadavg > "$LOG/loadavg_after"
+step paper_bins $bins_status
 
 echo
-echo "== campaign service: cache replay + journal resume =="
-cargo run --release -q -p pckpt-bench --bin bench_service 2>&1 | tee -a "$CAMPAIGN_LOG"
+echo "== [3/5] bench_grid and bench_service =="
+for bin in bench_grid bench_service; do
+    "$REL/$bin" 2>&1 | tee -a "$LOG/grid.out"
+    step "$bin" "${PIPESTATUS[0]}"
+done
 
 echo
-echo "== non-test lines of code =="
-scripts/loc.sh | tee -a "$CAMPAIGN_LOG"
+echo "== [4/5] non-test lines of code =="
+scripts/loc.sh | tee "$LOG/loc.out"
+step loc "${PIPESTATUS[0]}"
 
-python3 - "$BENCH_LOG" "$CAMPAIGN_LOG" "$OUT" <<'PYEOF'
+echo
+echo "== [5/5] pbench compare against the previous snapshot =="
+python3 - "$LOG" "$RUN" "$OUT" "$PBENCH" <<'PYEOF'
 import json
+import os
+import re
+import subprocess
 import sys
 
-bench_log, campaign_log, out_path = sys.argv[1:4]
+log, run_path, out_path, pbench = sys.argv[1:5]
 
-def parse(path, tag):
-    out = {}
+
+def lines(name):
+    path = os.path.join(log, name)
+    if not os.path.exists(path):
+        return []
     with open(path) as f:
-        for line in f:
-            if line.startswith(tag):
-                rec = json.loads(line[len(tag):])
-                out[rec["name"]] = rec
-    return out
+        return f.read().splitlines()
 
-benches = parse(bench_log, "CRITERION_JSON ")
-campaigns = parse(campaign_log, "CAMPAIGN_JSON ")
-grids = parse(campaign_log, "GRID_JSON ")
-metrics = parse(campaign_log, "METRICS_JSON ")
 
-doc = {"benchmarks": benches, "campaigns": campaigns, "grids": grids,
-       "metrics": metrics}
+def tagged(name, tag):
+    return [json.loads(l[len(tag):]) for l in lines(name) if l.startswith(tag)]
 
-with open(campaign_log) as f:
-    for line in f:
-        if line.startswith("LOC_JSON "):
-            doc["nontest_loc"] = json.loads(line[len("LOC_JSON "):])
 
-dispatch = benches.get("engine_dispatch_100k_events")
-if dispatch:
-    ns_per_event = dispatch["median_ns"] / 100_000
-    doc["median_ns_per_event"] = round(ns_per_event, 3)
-    doc["events_per_sec"] = round(1e9 / ns_per_event, 1)
+steps = {name: int(status) for name, status in (l.split() for l in lines("steps"))}
 
-virt = benches.get("flow_link_churn/virtual_1k_concurrent")
-ref = benches.get("flow_link_churn/reference_1k_concurrent")
-if virt and ref:
-    doc["flow_churn_speedup_vs_reference"] = round(
-        ref["median_ns"] / virt["median_ns"], 2
-    )
+doc = {"pbench": None}
+if os.path.exists(run_path):
+    with open(run_path) as f:
+        doc["pbench"] = json.load(f)
 
-for label, key in (("analytic", "arena_reuse_speedup"),
-                   ("fluid", "arena_reuse_speedup_fluid")):
-    warm = benches.get(f"campaign_run/arena_reuse_{label}")
-    fresh = benches.get(f"campaign_run/fresh_build_{label}")
-    if warm and fresh:
-        doc[key] = round(fresh["median_ns"] / warm["median_ns"], 2)
+loadavg = lambda name: [float(x) for x in lines(name)[0].split()[:3]]
+bins = {}
+for l in lines("paper_bins"):
+    name, wall, status = l.split()
+    bins[name] = {"wall_secs": float(wall), "status": int(status)}
+doc["paper_bins"] = {
+    "runs": 1000,
+    "host": {
+        "nproc": int(lines("nproc")[0]),
+        "loadavg_before": loadavg("loadavg_before"),
+        "loadavg_after": loadavg("loadavg_after"),
+    },
+    "bins": bins,
+    "total_wall_secs": round(sum(b["wall_secs"] for b in bins.values()), 3),
+}
+doc["grid_json"] = {rec["name"]: rec for rec in tagged("grid.out", "GRID_JSON ")}
+loc = tagged("loc.out", "LOC_JSON ")
+doc["nontest_loc"] = loc[0] if loc else None
 
-if "p2_xgc_analytic" in campaigns:
-    doc["runs_per_sec"] = campaigns["p2_xgc_analytic"]["runs_per_sec"]
-if "p2_xgc_fluid" in campaigns:
-    doc["runs_per_sec_fluid"] = campaigns["p2_xgc_fluid"]["runs_per_sec"]
+# The baseline: the newest BENCH_pr<N>.json holding a pbench run, older
+# than OUT when OUT is itself a BENCH_pr<N>.json.
+def pr_number(path):
+    m = re.fullmatch(r"BENCH_pr(\d+)\.json", os.path.basename(path))
+    return int(m.group(1)) if m else None
 
-# Headline grid numbers: the 4-cell POP sweep (largest per-run trace
-# share, so the strongest work-elimination case of the three apps).
-pop = grids.get("grid_sweep_pop")
-if pop:
-    doc["grid_speedup"] = pop["speedup"]
-    doc["grid_cells_per_sec"] = pop["cells_per_sec"]
-    doc["grid_trace_cache_hit_rate"] = pop["trace_cache_hit_rate"]
+limit = pr_number(out_path)
+baseline = None
+candidates = sorted(
+    (n, f) for f in os.listdir(".")
+    if (n := pr_number(f)) is not None and (limit is None or n < limit)
+)
+for _, name in reversed(candidates):
+    with open(name) as f:
+        prev = json.load(f)
+    if prev.get("pbench"):
+        baseline = (name, prev["pbench"])
+        break
 
-sweep_serial = benches.get("grid_sweep/serial_cells_pop")
-sweep_grid = benches.get("grid_sweep/grid_pop")
-if sweep_serial and sweep_grid:
-    doc["grid_sweep_speedup_micro"] = round(
-        sweep_serial["median_ns"] / sweep_grid["median_ns"], 2
-    )
-
-# Analytic tier: the pre-filter prune rate on the POP crossover sweep.
-prefilter = grids.get("grid_prefilter_pop")
-if prefilter:
-    doc["prefilter_prune_rate"] = prefilter["prune_rate"]
-
-# Variance reduction: runs-to-±1%-CI on the Fig.-4 sweep, fixed uniform
-# provisioning vs adaptive antithetic+stratified allocation, plus the
-# per-strategy attained-CI columns from the fixed-budget POP cell.
-vr = grids.get("variance_reduction_fig4")
-if vr:
-    doc["variance_reduction_speedup"] = vr["variance_reduction_speedup"]
-    doc["adaptive_runs_saved_pct"] = vr["adaptive_runs_saved_pct"]
-    for strategy in ("plain", "antithetic", "stratified",
-                     "antithetic_stratified"):
-        doc[f"vr_ci_rel_{strategy}"] = vr[f"ci_rel_{strategy}"]
-
-# Shard scale-out: the Fig.-4 sweep fanned across 2 subprocesses with a
-# bit-identical coordinator merge (digest_match is asserted inside
-# bench_grid before the line is even printed).
-shard = grids.get("shard_scaleout_fig4")
-if shard:
-    doc["shard_speedup"] = shard["shard_speedup"]
-    doc["shard_reexecutions"] = shard["reexecutions"]
-    doc["shard_frame_bytes"] = shard["frame_bytes"]
-
-# Campaign service: warm content-addressed replay vs cold compute, and
-# crash-recovery cost through the sweep journal (both digest-asserted
-# bit-identical inside bench_service before the lines are printed).
-svc_cache = grids.get("service_cache_fig4")
-if svc_cache:
-    doc["cache_hit_speedup"] = svc_cache["cache_hit_speedup"]
-    doc["cache_hit_rate"] = svc_cache["cache_hit_rate"]
-svc_journal = grids.get("service_journal_fig4")
-if svc_journal:
-    doc["journal_resume_overhead_pct"] = svc_journal[
-        "journal_resume_overhead_pct"
-    ]
+compare = {"baseline": baseline[0] if baseline else None, "report": None}
+if baseline is None:
+    compare["verdict"] = "no baseline"
+    steps["compare"] = 0
+elif doc["pbench"] is None:
+    compare["verdict"] = "no run to compare"
+    steps["compare"] = 1
+else:
+    base_path = os.path.join(log, "baseline-run.json")
+    with open(base_path, "w") as f:
+        json.dump(baseline[1], f)
+    res = subprocess.run([pbench, "compare", base_path, run_path],
+                         capture_output=True, text=True)
+    print(res.stdout + res.stderr, end="")
+    compare["report"] = res.stdout + res.stderr
+    compare["verdict"] = "worse" if res.returncode else "no worse"
+    steps["compare"] = res.returncode
+print(f"compare: {compare['verdict']}"
+      + (f" (baseline {baseline[0]})" if baseline else ""))
+doc["compare"] = compare
+doc["steps"] = steps
+failed = [name for name, status in steps.items() if status != 0]
+doc["failed_steps"] = failed
 
 with open(out_path, "w") as f:
     json.dump(doc, f, indent=2, sort_keys=True)
     f.write("\n")
 
 print(f"\nwrote {out_path}")
-for key in (
-    "median_ns_per_event",
-    "events_per_sec",
-    "flow_churn_speedup_vs_reference",
-    "arena_reuse_speedup",
-    "arena_reuse_speedup_fluid",
-    "runs_per_sec",
-    "runs_per_sec_fluid",
-    "grid_speedup",
-    "grid_cells_per_sec",
-    "grid_trace_cache_hit_rate",
-    "grid_sweep_speedup_micro",
-    "prefilter_prune_rate",
-    "variance_reduction_speedup",
-    "adaptive_runs_saved_pct",
-    "vr_ci_rel_plain",
-    "vr_ci_rel_antithetic",
-    "vr_ci_rel_stratified",
-    "vr_ci_rel_antithetic_stratified",
-    "shard_speedup",
-    "shard_reexecutions",
-    "cache_hit_speedup",
-    "cache_hit_rate",
-    "journal_resume_overhead_pct",
-):
-    if key in doc:
-        print(f"  {key}: {doc[key]}")
-if "nontest_loc" in doc:
+if doc["pbench"]:
+    for w in doc["pbench"]["workloads"]:
+        m = w["metrics"]
+        value = lambda k: m[k]["value"] if k in m else float("nan")
+        print(f"  pbench {w['workload']:<15} op_p50_ms {value('op_p50_ms'):>9.2f}  "
+              f"lane_runs_per_s {value('lane_runs_per_s'):>9.0f}  "
+              f"correct {str(w['correct']).lower()}  failed {w['failed']}")
+host = doc["paper_bins"]["host"]
+print(f"  paper bins total {doc['paper_bins']['total_wall_secs']:.1f} s "
+      f"(nproc {host['nproc']}, loadavg {host['loadavg_before'][0]} -> "
+      f"{host['loadavg_after'][0]})")
+for name, b in bins.items():
+    print(f"    {name:<11} {b['wall_secs']:>8.3f} s  exit {b['status']}")
+print(f"  grid_json {len(doc['grid_json'])} records: {', '.join(doc['grid_json'])}")
+grids = doc["grid_json"]
+for rec, key in (("variance_reduction_fig4", "variance_reduction_speedup"),
+                 ("variance_reduction_fig4", "adaptive_runs_saved_pct"),
+                 ("grid_prefilter_pop", "prune_rate"),
+                 ("service_cache_fig4", "cache_hit_rate"),
+                 ("service_cache_fig4", "cache_hit_speedup")):
+    if key in grids.get(rec, {}):
+        print(f"    {rec}.{key}: {grids[rec][key]}")
+if doc["nontest_loc"]:
     print(f"  nontest_loc (total): {doc['nontest_loc']['total']}")
+print(f"  compare: {compare['verdict']}")
+if failed:
+    print(f"bench.sh: failed steps: {', '.join(failed)}")
+    sys.exit(1)
+print("bench.sh: all steps passed")
 PYEOF

@@ -1,19 +1,17 @@
 #!/usr/bin/env bash
 # Full CI chain: the tier-1 gate plus everything it doesn't cover —
-# workspace-member tests, the examples and benches build, the
+# workspace-member tests, the examples build, the
 # trace-feature build (whose golden digests prove the recorder changes
 # nothing it observes), the analytic-tier equivalence gates, and the
 # benchmark harness.
 #
 #   1. scripts/lint.sh        simlint, release build, root test suite,
-#                             1-run bench smoke (CAMPAIGN/METRICS_JSON,
+#                             1-run bench smoke (exp_fig4 METRICS_JSON,
 #                             prefilter accounting)
 #   2. cargo test --workspace every crate's unit tests (trace off)
-#   3. examples + benches build
-#                             the doc examples and the criterion benches
-#                             compile against the current API (neither
-#                             is a test target, so nothing else catches
-#                             their drift)
+#   3. examples build         the examples compile against the current
+#                             API (they are not test targets, so
+#                             nothing else catches their drift)
 #   4. cargo test --features trace
 #                             root suite again with the recorder live:
 #                             golden stream digests + on/off equivalence;
@@ -68,9 +66,8 @@ echo "==== [2/10] workspace tests ===="
 cargo test -q --workspace
 
 echo
-echo "==== [3/10] examples + benches build ===="
+echo "==== [3/10] examples build ===="
 cargo build -q --examples
-cargo bench --no-run -q -p pckpt-bench
 
 echo
 echo "==== [4/10] trace-feature tests ===="

@@ -25,26 +25,25 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
-echo "== bench smoke (1-run campaign) =="
-# One Monte-Carlo run through the end-to-end campaign timer: proves the
-# bench harness stays runnable and its CAMPAIGN_JSON / METRICS_JSON
-# output parseable without paying for a full benchmark session.
-PCKPT_RUNS=1 cargo run --release -q -p pckpt-bench --bin bench_campaign \
+echo "== bench smoke (1-run Fig. 4 bin) =="
+# One Monte-Carlo run per cell through a paper bin: proves the obs
+# METRICS_JSON lines stay parseable and their counts consistent without
+# paying for a full benchmark session. 15 cells x [B, M1, M2] = 45
+# lanes, one run each.
+PCKPT_RUNS=1 cargo run --release -q -p pckpt-bench --bin exp_fig4 \
     | python3 -c '
 import json, sys
-seen = {"CAMPAIGN_JSON ": 0, "METRICS_JSON ": 0}
+seen = {}
 for line in sys.stdin:
-    for tag in seen:
-        if line.startswith(tag):
-            rec = json.loads(line[len(tag):])
-            if tag == "CAMPAIGN_JSON ":
-                assert rec["runs_per_sec"] > 0, rec
-            else:
-                assert rec["runs"] == 1 and rec["events_handled"] > 0, rec
-            seen[tag] += 1
-for tag, n in seen.items():
-    assert n == 2, f"expected 2 {tag.strip()} lines, saw {n}"
-print("bench smoke ok (2 campaigns, 2 metrics blocks)")
+    if line.startswith("METRICS_JSON "):
+        rec = json.loads(line[len("METRICS_JSON "):])
+        seen[rec["name"]] = rec
+obs, grid = seen.get("fig4"), seen.get("fig4_grid")
+assert obs and grid, f"expected fig4 and fig4_grid METRICS_JSON lines, saw {sorted(seen)}"
+assert obs["runs"] == 45 and obs["events_handled"] > 0, obs
+assert obs["events_scheduled"] >= obs["events_handled"], obs
+assert grid["cells"] == 15 and grid["lanes"] == 45, grid
+print("bench smoke ok (fig4: 45 runs, {} events handled)".format(obs["events_handled"]))
 '
 
 echo "== bench smoke (1-run grid + prefilter + VR + shard headline) =="

@@ -343,27 +343,56 @@ fn conformance_fig8_lm_vs_pckpt_crossover() {
 
 #[test]
 fn campaign_aggregates_carry_observability_metrics() {
-    // The simobs per-run metrics must survive the campaign fold: event
-    // counts and queue depth come from the runner, latency histograms
-    // from the model. This is always-on (no `trace` feature needed).
-    let c = conf_campaign("XGC", &[ModelKind::B, ModelKind::P2], 1.0);
-    for (m, agg) in c.models.iter().zip(&c.aggregates) {
-        let obs = &agg.obs;
-        assert_eq!(obs.runs as usize, conf_runs());
-        assert!(obs.events_handled > 0, "{m:?}: no events recorded");
-        assert!(
-            obs.events_scheduled >= obs.events_handled,
-            "{m:?}: handled more events than were scheduled"
+    // The simobs per-run metrics must survive the campaign fold in both
+    // PFS modes: event counts and queue depth come from the runner,
+    // latency histograms from the model. This is always-on (no `trace`
+    // feature needed).
+    use pckpt::core::iosim::PfsMode;
+    let app = Application::by_name("XGC").expect("Table I app");
+    let leads = LeadTimeModel::desh_default();
+    for mode in [PfsMode::Analytic, PfsMode::Fluid] {
+        let mut params = SimParams::paper_defaults(ModelKind::B, app);
+        params.pfs_mode = mode;
+        let c = run_models(
+            &params,
+            &[ModelKind::B, ModelKind::P2],
+            &leads,
+            &RunnerConfig::new(conf_runs(), SEED),
         );
-        assert!(obs.events_per_run() > 10.0, "{m:?}: implausibly few events/run");
-        assert!(obs.queue_depth_hwm > 1, "{m:?}: queue depth high-water mark missing");
-        assert!(obs.lat_bb.count() > 0, "{m:?}: no burst-buffer checkpoint latencies");
+        for (m, agg) in c.models.iter().zip(&c.aggregates) {
+            let obs = &agg.obs;
+            assert_eq!(obs.runs as usize, conf_runs());
+            assert!(obs.events_handled > 0, "{mode:?} {m:?}: no events recorded");
+            assert!(
+                obs.events_scheduled >= obs.events_handled,
+                "{mode:?} {m:?}: handled more events than were scheduled"
+            );
+            assert!(
+                obs.events_per_run() > 10.0,
+                "{mode:?} {m:?}: implausibly few events/run"
+            );
+            assert!(
+                obs.queue_depth_hwm > 1,
+                "{mode:?} {m:?}: queue depth high-water mark missing"
+            );
+            assert!(
+                obs.lat_bb.count() > 0,
+                "{mode:?} {m:?}: no burst-buffer checkpoint latencies"
+            );
+        }
+        // P2 runs p-ckpt rounds; the base model never does.
+        let p2 = &c.get(ModelKind::P2).unwrap().obs;
+        let b = &c.get(ModelKind::B).unwrap().obs;
+        assert!(
+            p2.lat_phase1.count() > 0,
+            "{mode:?}: P2 must record phase-1 commit latencies"
+        );
+        assert_eq!(
+            b.lat_phase1.count(),
+            0,
+            "{mode:?}: B must not record phase-1 commits"
+        );
     }
-    // P2 runs p-ckpt rounds; the base model never does.
-    let p2 = &c.get(ModelKind::P2).unwrap().obs;
-    let b = &c.get(ModelKind::B).unwrap().obs;
-    assert!(p2.lat_phase1.count() > 0, "P2 must record phase-1 commit latencies");
-    assert_eq!(b.lat_phase1.count(), 0, "B must not record phase-1 commits");
 }
 
 #[test]
