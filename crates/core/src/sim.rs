@@ -487,7 +487,7 @@ impl CrSim {
             return;
         };
         if let Some(at) = fluid.next_completion(ctx.now()) {
-            ctx.schedule_at(at.max(ctx.now()), Ev::PfsTick(fluid.epoch()));
+            ctx.schedule_uncancellable_at(at.max(ctx.now()), Ev::PfsTick(fluid.epoch()));
         }
     }
 
@@ -532,7 +532,10 @@ impl CrSim {
                     if now < self.recovery_floor {
                         // The replacement node / BB restores are still in
                         // flight; finish at the floor.
-                        ctx.schedule_at(self.recovery_floor, Ev::RecoveryDone(self.epoch));
+                        ctx.schedule_uncancellable_at(
+                            self.recovery_floor,
+                            Ev::RecoveryDone(self.epoch),
+                        );
                     } else {
                         self.on_recovery_done(ctx);
                     }
@@ -667,11 +670,11 @@ impl CrSim {
             let to_ckpt =
                 SimDuration::from_secs((self.next_ckpt_work - self.work_done).max(0.0) / rate);
             if to_ckpt < to_target {
-                ctx.schedule_in(to_ckpt, Ev::CkptDue(self.epoch));
+                ctx.schedule_uncancellable_in(to_ckpt, Ev::CkptDue(self.epoch));
                 return;
             }
         }
-        ctx.schedule_in(to_target, Ev::WorkComplete(self.epoch));
+        ctx.schedule_uncancellable_in(to_target, Ev::WorkComplete(self.epoch));
     }
 
     /// Rate changed while computing (LM started/stopped): close the
@@ -868,7 +871,7 @@ impl CrSim {
             self.ledger.false_positive_actions += 1;
         }
         self.trace_ev(ctx.now(), TraceKind::LmStart(node));
-        ctx.schedule_in(SimDuration::from_secs(self.theta), Ev::LmDone(node, seq));
+        ctx.schedule_uncancellable_in(SimDuration::from_secs(self.theta), Ev::LmDone(node, seq));
         self.rate_changed(ctx);
     }
 
@@ -953,7 +956,10 @@ impl CrSim {
                     self.fluid_start(ctx, crate::iosim::PfsOp::Safeguard, bytes, weight);
                 } else {
                     let dur = self.t_pfs_all_write * self.sync_pfs_slowdown() + self.t_barrier;
-                    ctx.schedule_in(SimDuration::from_secs(dur), Ev::SafeguardDone(self.epoch));
+                    ctx.schedule_uncancellable_in(
+                        SimDuration::from_secs(dur),
+                        Ev::SafeguardDone(self.epoch),
+                    );
                 }
             }
             // While recovering (or in a round, which M1 never has) the
@@ -1073,7 +1079,7 @@ impl CrSim {
                 self.fluid_start(ctx, crate::iosim::PfsOp::Phase1, bytes, 1.0);
             } else {
                 let dur = self.t_pfs_single * self.sync_pfs_slowdown() + self.t_barrier;
-                ctx.schedule_in(
+                ctx.schedule_uncancellable_in(
                     SimDuration::from_secs(dur),
                     Ev::Phase1WriterDone(self.epoch),
                 );
@@ -1097,7 +1103,10 @@ impl CrSim {
                         * self.sync_pfs_slowdown()
                         + self.t_barrier
                 };
-                ctx.schedule_in(SimDuration::from_secs(dur), Ev::Phase2Done(self.epoch));
+                ctx.schedule_uncancellable_in(
+                    SimDuration::from_secs(dur),
+                    Ev::Phase2Done(self.epoch),
+                );
             }
         }
     }
@@ -1161,7 +1170,7 @@ impl CrSim {
         } else {
             self.recovery_dur =
                 self.p.replacement_delay_secs + self.t_pfs_single * self.sync_pfs_slowdown();
-            ctx.schedule_in(
+            ctx.schedule_uncancellable_in(
                 SimDuration::from_secs(self.recovery_dur),
                 Ev::RecoveryDone(self.epoch),
             );
@@ -1186,7 +1195,7 @@ impl CrSim {
         self.leave_state(ctx.now());
         self.inflight_bb_level = self.work_done;
         self.enter_state(ctx, AppState::BbCkpt);
-        ctx.schedule_in(
+        ctx.schedule_uncancellable_in(
             SimDuration::from_secs(self.t_bb_write),
             Ev::BbWriteDone(self.epoch),
         );
@@ -1209,7 +1218,7 @@ impl CrSim {
             let weight = self.drain_weight;
             self.fluid_start(ctx, crate::iosim::PfsOp::Drain, bytes, weight);
         } else {
-            ctx.schedule_in(
+            ctx.schedule_uncancellable_in(
                 SimDuration::from_secs(self.t_drain),
                 Ev::DrainDone(self.drain_gen),
             );
@@ -1369,7 +1378,7 @@ impl CrSim {
                     self.begin_recovery(ctx, level, all_pfs);
                 } else {
                     self.enter_state(ctx, AppState::Recovering);
-                    ctx.schedule_in(
+                    ctx.schedule_uncancellable_in(
                         SimDuration::from_secs(self.recovery_dur),
                         Ev::RecoveryDone(self.epoch),
                     );
@@ -1440,7 +1449,7 @@ impl CrSim {
                     .max(self.t_pfs_single * self.sync_pfs_slowdown())
             };
             self.recovery_dur = self.p.replacement_delay_secs + read;
-            ctx.schedule_in(
+            ctx.schedule_uncancellable_in(
                 SimDuration::from_secs(self.recovery_dur),
                 Ev::RecoveryDone(self.epoch),
             );
@@ -1475,7 +1484,11 @@ impl Model for CrSim {
     type Event = Ev;
 
     fn init(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        // Schedule the fate of the run.
+        // Schedule the fate of the run. This batch stays cancellable
+        // (live migration cancels a failure event). Everything the
+        // handlers schedule is guarded instead, by the epoch, the drain
+        // generation or the migration seq, and goes through the queue's
+        // uncancellable lane.
         for (idx, f) in self.trace.failures.iter().enumerate() {
             let t_fail = SimTime::from_hours(f.time_hours);
             let ev = ctx.schedule_at(t_fail, Ev::Failure(idx));

@@ -9,9 +9,16 @@
 //! access — but not access to the loop itself, so models cannot corrupt
 //! the causal order.
 //!
-//! What `init` schedules is the queue's sorted run and what handlers
-//! schedule goes to the queue's heap (see [`EventQueue`]). Every pop
-//! merges those two heads, so the loop pops once per event.
+//! A model schedules an event it may cancel with [`Ctx::schedule_in`] or
+//! [`Ctx::schedule_at`], which return the [`EventId`] to cancel it by,
+//! and one it never will with [`Ctx::schedule_uncancellable_in`] or
+//! [`Ctx::schedule_uncancellable_at`]. The queue keeps them in three
+//! places (see [`EventQueue`]): cancellable events from `init` in its
+//! sorted run, later ones in its heap, and uncancellable ones in its
+//! lane, which skips the liveness bookkeeping. Every pop merges those
+//! three heads, caching the run/heap head across lane pops, so the loop
+//! pops once per event in one `(time, seq)` order whichever call
+//! scheduled it.
 //!
 //! ```
 //! use pckpt_desim::{Ctx, Model, SimDuration, Simulation};
@@ -74,6 +81,21 @@ impl<'a, E> Ctx<'a, E> {
     /// Schedules an event at absolute time `at` (must not be in the past).
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
         self.queue.schedule_at(at, event)
+    }
+
+    /// Schedules an event after `delay` that nothing can cancel. It pops
+    /// exactly where [`schedule_in`](Self::schedule_in) would put it,
+    /// through a cheaper path (see [`EventQueue`]); use it for every
+    /// event the model will never cancel.
+    pub fn schedule_uncancellable_in(&mut self, delay: SimDuration, event: E) {
+        self.queue.schedule_uncancellable_in(delay, event);
+    }
+
+    /// Schedules an event at absolute time `at` (must not be in the past)
+    /// that nothing can cancel; see
+    /// [`schedule_uncancellable_in`](Self::schedule_uncancellable_in).
+    pub fn schedule_uncancellable_at(&mut self, at: SimTime, event: E) {
+        self.queue.schedule_uncancellable_at(at, event);
     }
 
     /// Cancels a pending event; `true` if it was still live.

@@ -1,35 +1,60 @@
-//! The pending-event set: a cancellable, deterministic priority queue.
+//! The pending-event set: a deterministic priority queue in which an
+//! event is cancellable or not, as its scheduler chooses.
 //!
-//! Events live in one of two structures, chosen by whether the queue has
-//! popped yet:
+//! Events live in one of three places, chosen by the scheduling call and
+//! by whether the queue has popped yet:
 //!
-//! - **The sorted run.** Everything scheduled on a fresh or
-//!   [`reset`](EventQueue::reset) queue, before its first
-//!   [`pop`](EventQueue::pop), is appended to a `Vec`. That batch is
+//! - **The sorted run.** Everything [`schedule_at`](EventQueue::schedule_at)
+//!   puts on a fresh or [`reset`](EventQueue::reset) queue, before its
+//!   first [`pop`](EventQueue::pop), is appended to a `Vec`. That batch is
 //!   what a model's `init` schedules: in the C/R simulation, the whole
 //!   failure trace, its predictions and false positives, most of which
-//!   lie past the job's end and never pop. The first pop sorts the
-//!   `Vec` once, in place, by the heap's own `(time, seq)` key, and from
-//!   then on it is consumed from its earliest end.
-//! - **The heap.** Everything scheduled after that goes to a binary
-//!   min-heap, which therefore holds only the events the model schedules
-//!   as it runs.
+//!   lie past the job's end and never pop. The first pop sorts the `Vec`
+//!   once, in place, by the `(time, seq)` key, and from then on it is
+//!   consumed from its earliest end.
+//! - **The heap.** Everything `schedule_at` puts on the queue after that
+//!   goes to a binary min-heap.
+//! - **The lane.** Everything
+//!   [`schedule_uncancellable_at`](EventQueue::schedule_uncancellable_at)
+//!   puts on the queue, before or after the first pop, goes to a `Vec`
+//!   kept in descending `(time, seq)` order by insertion, so its earliest
+//!   event leaves by `Vec::pop`. Insertion is a binary search plus a
+//!   shift of the entries after it, linear in the lane's length. That is
+//!   the lane's bound: it is meant for the handful of events a model
+//!   keeps in flight, and the C/R simulation's handlers, which never
+//!   cancel what they schedule, hold at most 15 at once on the heaviest
+//!   paper panel (DESIGN.md §9). A model that keeps hundreds of events
+//!   pending is better served by `schedule_at` and the heap.
 //!
-//! `pop` takes whichever head has the smaller `(time, seq)`, so the pop
-//! order, the ids, `len`, `depth_hwm`, `scheduled_total` and every
+//! Every event takes its `seq` (and its [`EventId`]) from one counter,
+//! and `pop` takes the smallest `(time, seq)` of the three heads, so the
+//! pop order, the ids, `len`, `depth_hwm`, `scheduled_total` and every
 //! recorder call are exactly those of one heap holding everything.
 //!
 //! Cancellation is first-class because the C/R models revoke scheduled
-//! futures all the time: a pending failure event is cancelled when live
-//! migration moves the process off the vulnerable node; an LM-completion
-//! event is cancelled when a shorter-lead prediction aborts the migration
-//! (Fig. 5 of the paper). Cancellation is *lazy* and works the same in
-//! both structures: the entry stays put and its id is cleared in one
-//! liveness bitset, so `cancel` is O(1) and `schedule`/`pop` stay
-//! O(log n). Dead entries are skipped when they surface, and both
-//! structures are compacted in one O(n) pass whenever their dead entries
-//! outnumber the live ones, so memory stays proportional to the live
-//! event count no matter how much is cancelled.
+//! futures: a pending failure event is cancelled when live migration
+//! moves the process off the vulnerable node. It is *lazy* and works the
+//! same in the run and the heap: the entry stays put and its id is
+//! cleared in one liveness bitset, so `cancel` is O(1) and
+//! `schedule`/`pop` stay O(log n). Dead entries are skipped when they
+//! surface, and both structures are compacted in one O(n) pass whenever
+//! their dead entries outnumber the live ones, so memory stays
+//! proportional to the live event count no matter how much is cancelled.
+//! The lane needs none of this: `schedule_uncancellable_at` returns no
+//! id, and the id `pop` reports for a lane event names an event that has
+//! already fired, so no lane entry can die. Its events set no liveness
+//! bit, and `pop` never tests one for them.
+//!
+//! `pop` caches the key of the earliest live entry across the run and
+//! the heap, so a run of lane pops neither tests a liveness bit nor
+//! compares the run's head with the heap's. Three things can change that
+//! entry once the run is sealed, and each drops the cache: a
+//! `schedule_at`, a `cancel` that clears a live bit, and a pop from the
+//! run or the heap. The sealing itself needs no rule: it comes before
+//! the first lookup, and `new` and `reset` leave the cache empty. Lane
+//! schedules and lane pops leave it be. `pop` and the lane's scheduling
+//! calls are `#[inline]`: left out of line, the calls themselves were a
+//! measurable part of a lane event's cost in the C/R simulation.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -42,18 +67,33 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
+/// The pop-order key: earliest time first, FIFO within a timestamp.
+type Key = (SimTime, u64);
+
+/// The cached head key when neither the run nor the heap holds a live
+/// entry. It sorts after every real key, since no event gets seq
+/// `u64::MAX`.
+const NO_KEY: Key = (SimTime::MAX, u64::MAX);
+
+/// A pending event. Its id is `EventId(seq)`.
 #[derive(Debug)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
-    id: EventId,
     payload: E,
 }
 
-// Ordering for the min-heap: earliest time first, FIFO within a timestamp.
+impl<E> Entry<E> {
+    #[inline]
+    fn key(&self) -> Key {
+        (self.time, self.seq)
+    }
+}
+
+// Ordering for the min-heap and the run's sort: by `key`.
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -64,7 +104,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -72,10 +112,10 @@ impl<E> Ord for Entry<E> {
 /// scanning a few dozen entries is cheaper than bookkeeping about them.
 const COMPACT_MIN_SLOTS: usize = 64;
 
-/// Whether bit `id` is set in the liveness bitset `live`.
+/// Whether bit `seq` is set in the liveness bitset `live`.
 #[inline]
-fn bit_is_set(live: &[u64], id: EventId) -> bool {
-    let idx = id.0 as usize;
+fn bit_is_set(live: &[u64], seq: u64) -> bool {
+    let idx = seq as usize;
     live.get(idx >> 6)
         .is_some_and(|w| w & (1 << (idx & 63)) != 0)
 }
@@ -83,30 +123,39 @@ fn bit_is_set(live: &[u64], id: EventId) -> bool {
 /// A deterministic pending-event set.
 ///
 /// Events are `(time, payload)` pairs; simultaneous events pop in the order
-/// they were scheduled. Any event can be cancelled by its [`EventId`] until
-/// it has been popped.
+/// they were scheduled. An event scheduled with
+/// [`schedule_at`](Self::schedule_at) can be cancelled by its [`EventId`]
+/// until it has been popped; one scheduled with
+/// [`schedule_uncancellable_at`](Self::schedule_uncancellable_at) cannot.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Events scheduled before the first pop. In scheduling order until
-    /// `run_sorted` is set; then in descending `(time, seq)` order, so the
-    /// earliest event leaves by `Vec::pop`.
+    /// Cancellable events scheduled before the first pop. In scheduling
+    /// order until `run_sorted` is set; then in descending `(time, seq)`
+    /// order, so the earliest event leaves by `Vec::pop`.
     run: Vec<Entry<E>>,
     /// Set by the first `pop`, which sorts `run`; from then on new
-    /// events go to `heap`.
+    /// cancellable events go to `heap`.
     run_sorted: bool,
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Liveness bitset indexed by sequence number (= the id's value).
-    /// The single source of truth for liveness: an entry in the heap or
-    /// the sorted run whose bit is clear is dead. A bitset (not a tree
-    /// set) so that scheduling and cancellation never allocate in steady
-    /// state: [`reset`](Self::reset) zeroes the words in place and the
-    /// backing storage is reused across runs.
+    /// Uncancellable events, in descending `(time, seq)` order.
+    lane: Vec<Entry<E>>,
+    /// Key of the earliest live entry across `run` and `heap` (`NO_KEY`
+    /// if there is none), or `None` when it must be looked up again.
+    /// Only meaningful once the run is sealed.
+    head: Option<Key>,
+    /// Liveness bitset indexed by sequence number (= the id's value),
+    /// covering the run and the heap. The single source of truth for
+    /// their liveness: an entry there whose bit is clear is dead. A
+    /// bitset (not a tree set) so that scheduling and cancellation never
+    /// allocate in steady state: [`reset`](Self::reset) zeroes the words
+    /// in place and the backing storage is reused across runs.
     live: Vec<u64>,
     /// Number of set bits in `live`.
     live_count: usize,
     now: SimTime,
+    /// The next event's seq; also the number of events ever scheduled
+    /// since the last reset.
     next_seq: u64,
-    scheduled_total: u64,
     /// High-water mark of live pending events since the last reset.
     depth_hwm: usize,
     /// Debug-mode pop-monotonicity auditor (zero-sized in release).
@@ -129,11 +178,12 @@ impl<E> EventQueue<E> {
             run: Vec::new(),
             run_sorted: false,
             heap: BinaryHeap::new(),
+            lane: Vec::new(),
+            head: None,
             live: Vec::new(),
             live_count: 0,
             now: SimTime::ZERO,
             next_seq: 0,
-            scheduled_total: 0,
             depth_hwm: 0,
             audit: crate::audit::PopAudit::default(),
             rec: Recorder::disabled(),
@@ -141,29 +191,30 @@ impl<E> EventQueue<E> {
     }
 
     /// Clears the queue back to its t = 0 state while retaining all
-    /// allocated storage (heap slots, sorted-run slots and liveness
+    /// allocated storage (heap, sorted-run and lane slots and liveness
     /// words), so a recycled queue schedules without heap allocation until
-    /// it outgrows the largest run it has hosted. The next events
-    /// scheduled go to the sorted run again.
+    /// it outgrows the largest run it has hosted. The next cancellable
+    /// events scheduled go to the sorted run again.
     pub fn reset(&mut self) {
         self.run.clear();
         self.run_sorted = false;
         self.heap.clear();
+        self.lane.clear();
+        self.head = None;
         self.live.fill(0);
         self.live_count = 0;
         self.now = SimTime::ZERO;
         self.next_seq = 0;
-        self.scheduled_total = 0;
         self.depth_hwm = 0;
         self.audit.reset();
         // The recorder is deliberately kept: whoever installed it owns
         // its lifecycle (see `Recorder::clear`/`take`).
     }
 
-    /// Clears the liveness bit for `id`; `true` if it was set.
+    /// Clears the liveness bit for `seq`; `true` if it was set.
     #[inline]
-    fn clear_live(&mut self, id: EventId) -> bool {
-        let idx = id.0 as usize;
+    fn clear_live(&mut self, seq: u64) -> bool {
+        let idx = seq as usize;
         if let Some(w) = self.live.get_mut(idx >> 6) {
             let bit = 1u64 << (idx & 63);
             if *w & bit != 0 {
@@ -180,22 +231,40 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedules `payload` at absolute time `at`.
+    /// Takes the next seq for an event scheduled at `at`.
     ///
     /// Panics if `at` is in the past — an event scheduled behind the clock
     /// is always a model bug, and silently reordering it would corrupt
     /// causality.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
+    #[inline]
+    fn take_seq(&mut self, at: SimTime) -> u64 {
         assert!(
             at >= self.now,
             "cannot schedule an event in the past ({at} < now {})",
             self.now
         );
-        let id = EventId(self.next_seq);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Bookkeeping shared by both scheduling calls once the event is
+    /// stored: the depth mark and the recorder.
+    #[inline]
+    fn note_scheduled(&mut self, at: SimTime, seq: u64) {
+        self.depth_hwm = self.depth_hwm.max(self.len());
+        self.rec.on_sched(at.as_nanos(), seq);
+    }
+
+    /// Schedules `payload` at absolute time `at`; the returned id can
+    /// [`cancel`](Self::cancel) it until it pops.
+    ///
+    /// Panics if `at` is in the past.
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
+        let seq = self.take_seq(at);
         let entry = Entry {
             time: at,
-            seq: self.next_seq,
-            id,
+            seq,
             payload,
         };
         if self.run_sorted {
@@ -203,25 +272,53 @@ impl<E> EventQueue<E> {
         } else {
             self.run.push(entry);
         }
-        let word = (self.next_seq as usize) >> 6;
+        let word = (seq as usize) >> 6;
         if word >= self.live.len() {
             self.live.resize(word + 1, 0);
         }
-        self.live[word] |= 1 << (self.next_seq & 63);
+        self.live[word] |= 1 << (seq & 63);
         self.live_count += 1;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        if self.live_count > self.depth_hwm {
-            self.depth_hwm = self.live_count;
-        }
-        self.rec.on_sched(at.as_nanos(), id.0);
-        id
+        self.head = None;
+        self.note_scheduled(at, seq);
+        EventId(seq)
     }
 
-    /// Schedules `payload` after a relative delay.
+    /// Schedules `payload` after a relative delay; see
+    /// [`schedule_at`](Self::schedule_at).
     pub fn schedule_in(&mut self, delay: SimDuration, payload: E) -> EventId {
         let at = self.now + delay;
         self.schedule_at(at, payload)
+    }
+
+    /// Schedules `payload` at absolute time `at` for good: no id is
+    /// returned, so nothing can cancel it. It pops exactly where a
+    /// [`schedule_at`](Self::schedule_at) event would, but skips the
+    /// liveness bookkeeping (see the module docs).
+    ///
+    /// Panics if `at` is in the past.
+    #[inline]
+    pub fn schedule_uncancellable_at(&mut self, at: SimTime, payload: E) {
+        let seq = self.take_seq(at);
+        // Descending order; the new seq is the largest, so the new entry
+        // goes before every entry at the same time.
+        let pos = self.lane.partition_point(|e| e.time > at);
+        self.lane.insert(
+            pos,
+            Entry {
+                time: at,
+                seq,
+                payload,
+            },
+        );
+        self.note_scheduled(at, seq);
+    }
+
+    /// Schedules `payload` after a relative delay; see
+    /// [`schedule_uncancellable_at`](Self::schedule_uncancellable_at).
+    #[inline]
+    pub fn schedule_uncancellable_in(&mut self, delay: SimDuration, payload: E) {
+        let at = self.now + delay;
+        self.schedule_uncancellable_at(at, payload);
     }
 
     /// Cancels a scheduled event. Returns `true` if the event was still
@@ -230,8 +327,9 @@ impl<E> EventQueue<E> {
     pub fn cancel(&mut self, id: EventId) -> bool {
         // Already-popped and never-issued ids have a clear (or absent)
         // liveness bit, so they can't re-tombstone anything.
-        let was_pending = self.clear_live(id);
+        let was_pending = self.clear_live(id.0);
         if was_pending {
+            self.head = None;
             self.rec.on_cancel(self.now.as_nanos(), id.0);
             self.maybe_compact();
         }
@@ -245,8 +343,8 @@ impl<E> EventQueue<E> {
         let slots = self.heap_slots();
         if slots > COMPACT_MIN_SLOTS && slots >= 2 * self.live_count {
             let live = &self.live;
-            self.heap.retain(|Reverse(e)| bit_is_set(live, e.id));
-            self.run.retain(|e| bit_is_set(live, e.id));
+            self.heap.retain(|Reverse(e)| bit_is_set(live, e.seq));
+            self.run.retain(|e| bit_is_set(live, e.seq));
             crate::audit::check_compaction(self.heap_slots(), self.live_count);
         }
     }
@@ -262,7 +360,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Removes and returns the earlier of the two heads, live or dead.
+    /// Removes the earlier of the run's and the heap's fronts, live or
+    /// dead.
     #[inline]
     fn pop_entry(&mut self) -> Option<Entry<E>> {
         let from_run = match (self.run.last(), self.heap.peek()) {
@@ -276,46 +375,100 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pops the next live event, advancing the clock to its timestamp.
+    /// Removes the earliest live entry of the run and the heap, dropping
+    /// dead ones on the way, and clears its bit.
+    #[inline]
+    fn pop_cancellable(&mut self) -> Option<Entry<E>> {
+        self.head = None;
+        loop {
+            let entry = self.pop_entry()?;
+            if self.clear_live(entry.seq) {
+                return Some(entry);
+            }
+            // A dead entry: cancelled earlier.
+        }
+    }
+
+    /// The cached key of the earliest live entry of the run and the heap,
+    /// looked up again if stale.
+    #[inline]
+    fn head_key(&mut self) -> Key {
+        match self.head {
+            Some(key) => key,
+            None => self.refresh_head(),
+        }
+    }
+
+    /// Looks the head key up, dropping dead fronts met on the way, and
+    /// caches it. Out of line: a model that schedules mostly through the
+    /// lane comes here only after a pop from the run or the heap.
+    #[inline(never)]
+    fn refresh_head(&mut self) -> Key {
+        let key = loop {
+            let front = match (self.run.last(), self.heap.peek()) {
+                (Some(r), Some(Reverse(h))) => r.key().min(h.key()),
+                (Some(r), None) => r.key(),
+                (None, Some(Reverse(h))) => h.key(),
+                (None, None) => break NO_KEY,
+            };
+            if bit_is_set(&self.live, front.1) {
+                break front;
+            }
+            self.pop_entry();
+        };
+        self.head = Some(key);
+        key
+    }
+
+    /// Pops the next event, advancing the clock to its timestamp.
     /// Returns `None` when the queue is exhausted.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
         self.seal_run();
-        while let Some(entry) = self.pop_entry() {
-            if !self.clear_live(entry.id) {
-                continue; // dead entry: cancelled earlier
-            }
-            debug_assert!(entry.time >= self.now, "queue returned a past event");
-            self.audit.observe_pop(entry.time, entry.seq);
-            self.now = entry.time;
-            self.rec.on_pop(entry.time.as_nanos(), entry.id.0);
-            return Some((entry.time, entry.id, entry.payload));
-        }
-        None
+        // With the lane empty there is nothing to merge: the run/heap
+        // head pops without a look at the cache.
+        let lane_first = match self.lane.last().map(Entry::key) {
+            Some(key) => key < self.head_key(),
+            None => false,
+        };
+        let entry = if lane_first {
+            self.lane.pop()
+        } else {
+            self.pop_cancellable()
+        }?;
+        debug_assert!(entry.time >= self.now, "queue returned a past event");
+        self.audit.observe_pop(entry.time, entry.seq);
+        self.now = entry.time;
+        self.rec.on_pop(entry.time.as_nanos(), entry.seq);
+        Some((entry.time, EventId(entry.seq), entry.payload))
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events: live (non-cancelled) ones in the run and
+    /// the heap, plus the lane.
     pub fn len(&self) -> usize {
-        self.live_count
+        self.live_count + self.lane.len()
     }
 
-    /// True if no live events remain.
+    /// True if no pending events remain.
     pub fn is_empty(&self) -> bool {
-        self.live_count == 0
+        self.len() == 0
     }
 
-    /// Total number of events ever scheduled (monotone; for metrics).
+    /// Total number of events scheduled since the last reset, by either
+    /// call (monotone; for metrics).
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
+        self.next_seq
     }
 
     /// Slots currently held by the heap and the sorted run together,
     /// live or dead (for memory diagnostics and the compaction
-    /// regression test).
+    /// regression test). The lane is not counted: it holds no dead
+    /// entries.
     pub fn heap_slots(&self) -> usize {
         self.heap.len() + self.run.len()
     }
 
-    /// High-water mark of live pending events since the last reset.
+    /// High-water mark of pending events since the last reset.
     pub fn depth_hwm(&self) -> usize {
         self.depth_hwm
     }
@@ -495,6 +648,25 @@ mod tests {
         assert_eq!(q.depth_hwm(), 7);
         q.reset();
         assert_eq!(q.depth_hwm(), 0);
+    }
+
+    #[test]
+    fn head_cache_follows_schedule_at_and_cancel() {
+        let mut q = EventQueue::new();
+        let a = q.schedule_at(secs(2.0), "a");
+        q.schedule_at(secs(4.0), "b");
+        q.schedule_uncancellable_at(secs(1.0), "l1");
+        q.schedule_uncancellable_at(secs(3.0), "l3");
+        // This lane pop caches `a` as the run/heap head...
+        assert_eq!(q.pop().unwrap().2, "l1");
+        // ...which the cancel must forget, or `b` would pop ahead of `l3`.
+        assert!(q.cancel(a));
+        assert_eq!(q.pop().unwrap().2, "l3");
+        // The cache now names `b`; an earlier `schedule_at` must win.
+        q.schedule_at(secs(3.5), "c");
+        q.schedule_uncancellable_at(secs(3.7), "l37");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        assert_eq!(order, vec!["c", "l37", "b"]);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use cellframe::{CellFrame, CellFrameReader};
 pub use flight::{Claim, SingleFlight};
 pub use journal::{Journal, SyncPolicy};
 pub use request::{parse_request, CampaignRequest};
-pub use server::{respond, serve_unix, submit_unix};
+pub use server::{respond, serve_unix, submit_unix, MAX_REQUEST_LINE_BYTES};
 pub use service::{Service, ServiceConfig, ServiceMeta, ServiceOutcome};
 
 use pckpt_core::{Canon, Fingerprint, GridResult};

@@ -2,7 +2,9 @@
 //! the in-process `respond` entry the CLI's `once` mode shares.
 //!
 //! Request: one JSON document (see [`crate::request`]) terminated by a
-//! newline or EOF. Response, line by line:
+//! newline or EOF, on a line of at most [`MAX_REQUEST_LINE_BYTES`]
+//! bytes; a longer line gets `ERR` without being buffered. Response,
+//! line by line:
 //!
 //! ```text
 //! CELL_JSON {...}      one per input cell, input order
@@ -119,14 +121,36 @@ pub fn serve_unix(
     Ok(())
 }
 
+/// The longest request line the daemon reads, newline excluded. A real
+/// request is a few hundred bytes; the cap keeps a client from making
+/// the daemon buffer without bound.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
 fn handle(stream: UnixStream, service: &Service) {
-    let mut reader = BufReader::new(&stream);
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
-        let _ = (&stream).write_all(b"ERR empty request\n");
+    let mut line = Vec::new();
+    let read = BufReader::new((&stream).take(MAX_REQUEST_LINE_BYTES as u64 + 1))
+        .read_until(b'\n', &mut line);
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    }
+    if line.len() > MAX_REQUEST_LINE_BYTES {
+        let msg = format!("ERR request line longer than {MAX_REQUEST_LINE_BYTES} bytes\n");
+        let _ = (&stream).write_all(msg.as_bytes());
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        // Discard the rest of the client's input through a fixed
+        // buffer, so it can finish sending and read the ERR: closing
+        // with its bytes unread would reset the connection under it.
+        let _ = std::io::copy(&mut &stream, &mut std::io::sink());
         return;
     }
-    let body = respond(line.trim(), service);
+    let text = match (read, String::from_utf8(line)) {
+        (Ok(_), Ok(text)) if !text.trim().is_empty() => text,
+        _ => {
+            let _ = (&stream).write_all(b"ERR empty request\n");
+            return;
+        }
+    };
+    let body = respond(text.trim(), service);
     let _ = (&stream).write_all(body.as_bytes());
     let _ = (&stream).flush();
 }

@@ -1,13 +1,20 @@
 //! The wire layer under hostile or endless traffic: a request line
 //! nested far past any real request gets `ERR`, not a stack overflow,
-//! a crossover request outside the analytic model's domain is simulated
-//! instead of panicking the prefilter, and a daemon serving connection
-//! after connection does not keep the finished connection threads'
-//! stacks mapped.
+//! one longer than the line cap gets `ERR` without being buffered and
+//! the daemon keeps serving, a crossover request outside the analytic
+//! model's domain is simulated instead of panicking the prefilter, and
+//! a daemon serving connection after connection does not keep the
+//! finished connection threads' stacks mapped.
 
+use std::path::Path;
 use std::sync::Arc;
 
-use pckpt_service::{respond, serve_unix, submit_unix, Service, ServiceConfig};
+use pckpt_core::run_grid_filtered;
+use pckpt_failure::LeadTimeModel;
+use pckpt_service::{
+    grid_digest, parse_request, respond, serve_unix, submit_unix, Service, ServiceConfig,
+    MAX_REQUEST_LINE_BYTES,
+};
 
 fn memory_only_service() -> Service {
     Service::open(ServiceConfig::in_dirs(None, None)).expect("open service")
@@ -19,6 +26,49 @@ fn deeply_nested_request_line_gets_err() {
     let body = respond(&"[".repeat(100_000), &service);
     assert!(body.starts_with("ERR "), "{body}");
     assert!(body.contains("nesting deeper than 64"), "{body}");
+}
+
+/// Waits (bounded) for a daemon's socket to appear.
+fn wait_for_socket(socket: &Path) {
+    for _ in 0..200 {
+        if socket.exists() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn oversize_request_line_gets_err_and_daemon_keeps_serving() {
+    const REQ: &str = r#"{"name":"cap","app":"POP","models":["B","P2"],"runs":2,"threads":1}"#;
+    let dir = std::env::temp_dir().join(format!("pckpt-service-linecap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let socket = dir.join("pckptd.sock");
+    let server = {
+        let socket = socket.clone();
+        let service = Arc::new(memory_only_service());
+        std::thread::spawn(move || serve_unix(&socket, service, Some(3)))
+    };
+    wait_for_socket(&socket);
+    // A valid request behind leading blanks: only its length can fail it.
+    let padded = |len: usize| format!("{}{REQ}", " ".repeat(len - REQ.len()));
+    assert_eq!(
+        submit_unix(&socket, &padded(MAX_REQUEST_LINE_BYTES + 1)).expect("oversize request"),
+        format!("ERR request line longer than {MAX_REQUEST_LINE_BYTES} bytes\n")
+    );
+    let req = parse_request(REQ).expect("request parses");
+    let leads = LeadTimeModel::desh_default();
+    let direct = run_grid_filtered(&req.cells, &leads, &req.config, req.prefilter.as_ref());
+    let want = format!("DIGEST {}", grid_digest(&direct).hex());
+    for line in [padded(MAX_REQUEST_LINE_BYTES), REQ.to_string()] {
+        let body = submit_unix(&socket, &line).expect("valid request");
+        assert!(body.ends_with("OK\n"), "{body}");
+        assert!(body.lines().any(|l| l == want), "{body}");
+    }
+    server.join().expect("server thread").expect("serve_unix");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -47,12 +97,7 @@ fn serve_unix_joins_finished_connection_threads() {
         let service = Arc::new(memory_only_service());
         std::thread::spawn(move || serve_unix(&socket, service, Some(N + 1)))
     };
-    for _ in 0..200 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    wait_for_socket(&socket);
     let maps = || {
         std::fs::read_to_string("/proc/self/maps")
             .expect("read /proc/self/maps")

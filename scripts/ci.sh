@@ -16,9 +16,10 @@
 #                             root suite again with the recorder live:
 #                             golden stream digests + on/off equivalence;
 #                             then desim's own tests with the recorder
-#                             compiled in, so the queue's hooks on both
-#                             its sorted-run and heap paths are built
-#                             and exercised
+#                             compiled in, so the queue's hooks on all
+#                             three of its paths (sorted run, heap and
+#                             uncancellable lane) are built and
+#                             exercised
 #   5. analytic tier          the closed-form equations and crossover
 #                             verdict (analysis crate tests), the
 #                             byte-for-byte pin of exp_analytical's
