@@ -3,9 +3,11 @@
 //! causal parent), or confirms the streams are identical.
 //!
 //! Usage: `trace_diff [app] [model] [mode] [seed_a] [seed_b]`
-//! (defaults: `XGC P2 analytic 1 2`). Build with `--features trace` —
-//! with the feature disabled the recorder is a ZST and both recordings
-//! come back empty, which the bin reports explicitly.
+//! (defaults: `XGC P2 analytic 1 2`). A default build compares the
+//! protocol records (states, predictions, actions, failures, recoveries,
+//! flow waves), each with causal parent `NO_PARENT`. Build with
+//! `--features trace` to add the queue's SCHED/POP/CANCEL records and the
+//! causal parents they set; the bin says which stream it compared.
 //!
 //! Example (two different seeds diverge almost immediately):
 //!
@@ -34,7 +36,7 @@ fn parse_model(s: &str) -> ModelKind {
 }
 
 fn record(params: &SimParams, leads: &LeadTimeModel, seed: u64) -> Recording {
-    let (_, recording) = record_run(params, leads, seed, 0, CAPACITY);
+    let (_, recording, _) = record_run(params, leads, seed, 0, CAPACITY);
     recording
 }
 
@@ -80,8 +82,14 @@ fn main() {
         b.len(),
         b.dropped,
     );
+    if !cfg!(feature = "trace") {
+        println!(
+            "protocol records only, every causal parent unset: build with \
+             `--features trace` for the queue's records and causal parents"
+        );
+    }
     if a.is_empty() && b.is_empty() {
-        println!("both recordings are empty — build with `--features trace` to capture events");
+        println!("both recordings are empty: neither run emitted a record");
         return;
     }
 

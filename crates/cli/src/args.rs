@@ -134,9 +134,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "apps" => expect_end(it).map(|()| Command::Apps),
         "io" => {
             let (opts, extra) = parse_options(it)?;
-            if let Some(k) = extra.first() {
-                return Err(format!("unexpected option {k}"));
-            }
+            reject_unused(&extra, &[])?;
             if opts.app.is_empty() {
                 return Err("io requires --app".into());
             }
@@ -144,7 +142,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
         "simulate" => {
             let (opts, extra) = parse_options(it)?;
-            let model = extract_model(&extra)?;
+            reject_unused(&extra, &["--model"])?;
+            let model = extract_model(&extra, "simulate")?;
             if opts.app.is_empty() {
                 return Err("simulate requires --app".into());
             }
@@ -152,9 +151,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
         "compare" => {
             let (opts, extra) = parse_options(it)?;
-            if let Some(k) = extra.first() {
-                return Err(format!("unexpected option {k}"));
-            }
+            reject_unused(&extra, &[])?;
             if opts.app.is_empty() {
                 return Err("compare requires --app".into());
             }
@@ -165,7 +162,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "shard" => parse_grid(it).map(Command::Shard),
         "trace" => {
             let (opts, extra) = parse_options(it)?;
-            let model = extract_model(&extra)?;
+            reject_unused(&extra, &["--model", "--run", "--verbose"])?;
+            let model = extract_model(&extra, "trace")?;
             if opts.app.is_empty() {
                 return Err("trace requires --app".into());
             }
@@ -234,13 +232,7 @@ fn parse_grid<'a>(it: impl Iterator<Item = &'a String>) -> Result<GridOptions, S
     if opts.app.is_empty() {
         return Err("grid requires --app".into());
     }
-    if let Some(k) = extra
-        .iter()
-        .step_by(2)
-        .find(|k| !matches!(k.as_str(), "--scales" | "--models" | "--shards"))
-    {
-        return Err(format!("unexpected option {k}"));
-    }
+    reject_unused(&extra, &["--scales", "--models", "--shards"])?;
     let scales = match extract_kv::<String>(&extra, "--scales")? {
         None => vec![opts.lead_scale],
         Some(csv) => csv
@@ -280,8 +272,9 @@ fn expect_end<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<(), String
     }
 }
 
-/// Parses `--key value` pairs; returns options plus any `--model` pair
-/// left for the caller.
+/// Parses `--key value` pairs; returns the common options plus the
+/// subcommand-specific pairs (`--model`, `--run`, ...) left for the
+/// caller, which must reject those it does not read.
 fn parse_options<'a>(
     mut it: impl Iterator<Item = &'a String>,
 ) -> Result<(SimOptions, Vec<String>), String> {
@@ -315,6 +308,19 @@ fn parse_options<'a>(
     Ok((opts, extra))
 }
 
+/// Rejects the first passthrough option (see [`parse_options`]) that is
+/// not in `used`, the options the subcommand reads.
+fn reject_unused(extra: &[String], used: &[&str]) -> Result<(), String> {
+    match extra
+        .iter()
+        .step_by(2)
+        .find(|k| !used.contains(&k.as_str()))
+    {
+        Some(k) => Err(format!("unexpected option {k}")),
+        None => Ok(()),
+    }
+}
+
 /// Pulls an optional `--key value` pair out of the passthrough list.
 fn extract_kv<T: std::str::FromStr>(extra: &[String], key: &str) -> Result<Option<T>, String> {
     match extra.iter().position(|k| k == key) {
@@ -331,11 +337,11 @@ fn extract_kv<T: std::str::FromStr>(extra: &[String], key: &str) -> Result<Optio
     }
 }
 
-fn extract_model(extra: &[String]) -> Result<ModelKind, String> {
+fn extract_model(extra: &[String], subcommand: &str) -> Result<ModelKind, String> {
     let pos = extra
         .iter()
         .position(|k| k == "--model")
-        .ok_or("simulate requires --model")?;
+        .ok_or_else(|| format!("{subcommand} requires --model"))?;
     let value = extra
         .get(pos + 1)
         .ok_or("--model requires a value (B, M1, M2, P1 or P2)")?;
@@ -493,6 +499,40 @@ mod tests {
         assert!(parse(&v(&["grid", "--app", "XGC", "--scales", "nope"])).is_err());
         assert!(parse(&v(&["grid", "--app", "XGC", "--model", "P2"])).is_err());
         assert!(parse(&v(&["grid", "--app", "XGC", "--run", "1"])).is_err());
+    }
+
+    #[test]
+    fn simulate_and_trace_reject_flags_they_do_not_read() {
+        let grid_flags = [["--scales", "0.5"], ["--models", "B"], ["--shards", "2"]];
+        for [flag, value] in [["--run", "1"], ["--verbose", "true"]]
+            .iter()
+            .chain(&grid_flags)
+        {
+            let err = parse(&v(&[
+                "simulate", "--app", "XGC", "--model", "P2", flag, value,
+            ]))
+            .unwrap_err();
+            assert_eq!(err, format!("unexpected option {flag}"));
+        }
+        for [flag, value] in &grid_flags {
+            let err =
+                parse(&v(&["trace", "--app", "XGC", "--model", "P2", flag, value])).unwrap_err();
+            assert_eq!(err, format!("unexpected option {flag}"));
+        }
+        // What each one reads is still accepted.
+        let trace = ["trace", "--app", "XGC", "--model", "P2", "--run", "3"];
+        assert!(matches!(
+            parse(&v(&[&trace[..], &["--verbose", "true"]].concat())),
+            Ok(Command::Trace(ModelKind::P2, _, 3, true))
+        ));
+    }
+
+    #[test]
+    fn missing_model_error_names_the_subcommand() {
+        for sub in ["simulate", "trace"] {
+            let err = parse(&v(&[sub, "--app", "XGC"])).unwrap_err();
+            assert_eq!(err, format!("{sub} requires --model"));
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Command implementations.
 
 use pckpt_analysis::Table;
+use pckpt_core::obs::kind;
+use pckpt_core::sim::state_name;
 use pckpt_core::{
-    run_grid, run_grid_sharded, run_shard_child, shard_child_config, shard_spec_from_env,
-    Aggregate, GridCell, ModelKind, RunnerConfig, ShardLauncher, SimParams,
+    record_run, run_grid, run_grid_sharded, run_shard_child, shard_child_config,
+    shard_spec_from_env, Aggregate, GridCell, ModelKind, RunnerConfig, ShardLauncher, SimParams,
 };
+use pckpt_desim::SimTime;
 use pckpt_failure::LeadTimeModel;
 use pckpt_workloads::{Application, TABLE_I};
 
@@ -130,45 +133,95 @@ fn shard(g: &GridOptions) -> Result<(), String> {
     run_shard_child(&cells, &leads, &shard_child_config(), &spec)
 }
 
+/// Ring capacity for `trace`: every record of one run, with room to
+/// spare (a 240 h run emits a few thousand).
+const TRACE_CAPACITY: usize = 1 << 20;
+
 fn trace_run(model: ModelKind, opts: &SimOptions, run: usize, verbose: bool) -> Result<(), String> {
-    use pckpt_core::CrSim;
-    use pckpt_failure::{FailureTrace, TraceConfig};
-    use pckpt_simrng::SimRng;
+    print!("{}", trace_story(model, opts, run, verbose)?);
+    Ok(())
+}
+
+/// The story of run `run` of a campaign with `opts`' seed, rendered from
+/// the recording of the campaign's own one-unit path
+/// ([`record_run`]). `verbose = false` skips the periodic
+/// checkpoint/drain heartbeat and the state changes, and keeps the
+/// fault-tolerance story (predictions, actions, failures).
+fn trace_story(
+    model: ModelKind,
+    opts: &SimOptions,
+    run: usize,
+    verbose: bool,
+) -> Result<String, String> {
     let mut params = build_params(opts)?;
     params.model = model;
     let leads = LeadTimeModel::desh_default();
-    // Reconstruct exactly the trace that run `run` of a campaign with
-    // this seed would see.
-    let mut rng = SimRng::seed_from(opts.seed).split(run as u64);
-    let cfg = TraceConfig::new(
-        params.distribution,
-        params.app.nodes,
-        params.app.compute_hours * params.horizon_factor,
-    )
-    .with_lead_scale(params.lead_scale)
-    .with_projection(params.projection)
-    .with_node_selection(params.node_selection);
-    let failure_trace = FailureTrace::generate(&cfg, &leads, &params.predictor, &mut rng);
-    println!(
-        "run {run} of {} under {} (seed {}): {} failures, {} false alarms\n",
+    let (result, rec, trace) = record_run(&params, &leads, opts.seed, run, TRACE_CAPACITY);
+    if rec.dropped > 0 {
+        return Err(format!(
+            "the run emitted {} records past the {TRACE_CAPACITY}-record ring; \
+             its story would be truncated",
+            rec.dropped
+        ));
+    }
+    let mut out = format!(
+        "run {run} of {} under {} (seed {}): {} failures, {} false alarms\n\n",
         params.app.name,
         model.name(),
         opts.seed,
-        failure_trace.failure_count(),
-        failure_trace.false_positives.len()
+        trace.failure_count(),
+        trace.false_positives.len()
     );
-    let (result, story) = CrSim::new(params, failure_trace, &leads).run_traced();
-    print!("{}", story.render(verbose));
-    println!(
-        "\nwall {:.1} h (ideal {:.0} h) | ckpt {:.2} h, recomp {:.2} h, recovery {:.2} h | FT {:.2}",
+    for r in &rec.records {
+        let (node, flag) = kind::split_node_flag(r.a);
+        let line = match r.kind {
+            kind::STATE if verbose => format!("state → {}", state_name(r.a)),
+            kind::BB_CKPT if verbose => "periodic checkpoint → burst buffers".to_string(),
+            kind::DRAIN_DONE if verbose => {
+                "async drain complete (ckpt now PFS-durable)".to_string()
+            }
+            kind::PREDICTION => format!(
+                "prediction: node {node} fails in {:.1}s{}",
+                f64::from_bits(r.b),
+                if flag { "" } else { " [false alarm]" }
+            ),
+            kind::LM_START => format!("live migration started (node {node})"),
+            kind::LM_COMMIT => format!("live migration complete — node {node} vacated"),
+            kind::LM_ABORT => format!("live migration ABORTED (node {node}) — p-ckpt takes over"),
+            kind::ROUND_START => "p-ckpt round: all nodes freeze".to_string(),
+            kind::PHASE1_COMMIT => {
+                format!("  phase 1: node {node} committed to PFS (mitigation point)")
+            }
+            kind::ROUND_COMPLETE => {
+                "  phase 2 complete: checkpoint durable, computing resumes".to_string()
+            }
+            kind::SAFEGUARD_START => "safeguard commit: all nodes → PFS".to_string(),
+            kind::SAFEGUARD_DONE => "safeguard commit complete".to_string(),
+            kind::FAILURE => format!(
+                "FAILURE on node {node} — {}",
+                if flag { "MITIGATED" } else { "unmitigated" }
+            ),
+            kind::RECOVERY_START => {
+                format!("recovery begins ({:.0}s of work lost)", f64::from_bits(r.b))
+            }
+            kind::RECOVERY_DONE => "recovery complete".to_string(),
+            kind::COMPLETE => "application complete".to_string(),
+            // The heartbeat when quiet, flow waves and queue records.
+            _ => continue,
+        };
+        let hours = SimTime::from_nanos(r.t).as_hours();
+        out.push_str(&format!("[{hours:>10.1}h] {line}\n"));
+    }
+    out.push_str(&format!(
+        "\nwall {:.1} h (ideal {:.0} h) | ckpt {:.2} h, recomp {:.2} h, recovery {:.2} h | FT {:.2}\n",
         result.wall_secs / 3600.0,
         result.ideal_secs / 3600.0,
         result.ledger.ckpt_bucket_secs() / 3600.0,
         result.ledger.recomp_secs / 3600.0,
         result.ledger.recovery_secs / 3600.0,
         result.ledger.ft_ratio(),
-    );
-    Ok(())
+    ));
+    Ok(out)
 }
 
 fn logs_generate(opts: &LogGenOptions) -> Result<(), String> {
@@ -476,6 +529,56 @@ mod tests {
         std::env::remove_var("PCKPT_SHARD");
         let err = shard(&g).unwrap_err();
         assert!(err.contains("PCKPT_SHARD"), "got: {err}");
+    }
+
+    #[test]
+    fn trace_tells_the_recorded_story() {
+        let opts = SimOptions {
+            app: "XGC".into(),
+            ..Default::default()
+        };
+        // The quiet story, byte for byte.
+        let quiet = trace_story(ModelKind::P2, &opts, 3, false).unwrap();
+        assert_eq!(
+            quiet,
+            "run 3 of XGC under P2 (seed 42): 17 failures, 3 false alarms
+
+[     128.1h] prediction: node 1424 fails in 66.5s
+[     128.1h] live migration started (node 1424)
+[     128.1h] live migration complete — node 1424 vacated
+[     157.6h] prediction: node 949 fails in 25.3s
+[     157.6h] p-ckpt round: all nodes freeze
+[     157.6h]   phase 1: node 949 committed to PFS (mitigation point)
+[     157.6h] FAILURE on node 949 — MITIGATED
+[     157.6h] recovery begins (0s of work lost)
+[     157.6h] recovery complete
+[     182.5h] prediction: node 1192 fails in 26.0s
+[     182.5h] p-ckpt round: all nodes freeze
+[     182.5h]   phase 1: node 1192 committed to PFS (mitigation point)
+[     182.5h] FAILURE on node 1192 — MITIGATED
+[     182.5h] recovery begins (0s of work lost)
+[     182.5h] recovery complete
+[     241.1h] application complete
+
+wall 241.1 h (ideal 240 h) | ckpt 1.11 h, recomp 0.00 h, recovery 0.02 h | FT 1.00
+"
+        );
+        // Verbose adds the heartbeat and every state change around the
+        // same lines, in the same order.
+        let loud = trace_story(ModelKind::P2, &opts, 3, true).unwrap();
+        let mut rest = loud.lines();
+        for line in quiet.lines() {
+            assert!(rest.any(|l| l == line), "verbose story lost {line:?}");
+        }
+        for beat in [
+            "state → p-ckpt round",
+            "state → done",
+            "burst buffers",
+            "PFS-durable",
+        ] {
+            assert!(loud.contains(beat), "verbose story lacks {beat:?}");
+        }
+        trace_run(ModelKind::B, &opts, 0, false).unwrap();
     }
 
     #[test]

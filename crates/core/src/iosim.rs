@@ -104,8 +104,7 @@ impl FluidPfs {
     }
 
     /// Installs a trace recorder on the underlying flow link, so PFS
-    /// wave completions show up in the structured event stream. A no-op
-    /// unless the `trace` feature is enabled.
+    /// wave completions show up in the structured event stream.
     pub fn set_recorder(&mut self, rec: pckpt_simobs::Recorder) {
         self.link.set_recorder(rec);
     }

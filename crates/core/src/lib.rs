@@ -44,7 +44,6 @@ pub mod protocol;
 pub mod runner;
 pub mod shard;
 pub mod sim;
-pub mod tracer;
 
 pub use config::{ModelKind, SimParams};
 pub use fingerprint::{

@@ -398,21 +398,24 @@ fn execute_sim(
 }
 
 /// Executes a single run of one model under a structured-event recorder
-/// and returns both the run's result and the captured [`Recording`].
+/// and returns the run's result, the captured [`Recording`] (its first
+/// `capacity` records) and the failure trace the run was simulated
+/// against.
 ///
 /// The run is a one-cell grid's single unit, so it is draw-for-draw
 /// identical to the same `(base_seed, run)` pair inside a campaign: the
 /// run's RNG stream is `master.split(run)`, trace generation consumes it
-/// first, and the background-traffic stream is `rng.split(0xB6)`. With
-/// the `trace` feature disabled the recorder records nothing and the
-/// returned recording is empty.
+/// first, and the background-traffic stream is `rng.split(0xB6)`. The
+/// recording holds every record the model and the flow link emit; the
+/// queue's SCHED/POP/CANCEL records and the causal parents they set
+/// are added under the `trace` feature.
 pub fn record_run(
     params: &SimParams,
     leads: &LeadTimeModel,
     base_seed: u64,
     run: usize,
     capacity: usize,
-) -> (RunResult, Recording) {
+) -> (RunResult, Recording, FailureTrace) {
     let rec = Recorder::enabled(capacity);
     let cells = [GridCell::new(params.clone(), &[params.model])];
     let plan = GridPlan::new(&cells, leads);
@@ -420,7 +423,8 @@ pub fn record_run(
     worker.queue.set_recorder(rec.clone());
     worker.unit_sim(0).set_recorder(rec.clone());
     let result = worker.run_unit(&SimRng::seed_from(base_seed), run, 0);
-    (result, rec.take())
+    let trace = std::mem::take(&mut worker.slots[plan.units[0].group].trace);
+    (result, rec.take(), trace)
 }
 
 /// Claims the next chunk of item indices `[start, end)` from the shared

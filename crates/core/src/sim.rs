@@ -38,17 +38,38 @@ use crate::config::{ModelKind, SimParams};
 use crate::metrics::{OverheadLedger, RunResult};
 use crate::oci;
 use crate::protocol::{Phase, PckptRound, Vulnerable};
-use crate::tracer::{RunTrace, TraceKind};
 
-/// What blocks the application right now.
+/// What blocks the application right now. The discriminants are the
+/// stable `a` payloads of [`obskind::STATE`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AppState {
-    Computing,
-    BbCkpt,
-    Round,
-    Safeguard,
-    Recovering,
-    Done,
+    Computing = 0,
+    BbCkpt = 1,
+    Round = 2,
+    Safeguard = 3,
+    Recovering = 4,
+    Done = 5,
+}
+
+impl AppState {
+    /// The `a` payload of this state's [`obskind::STATE`] records.
+    fn code(self) -> u64 {
+        self as u64
+    }
+}
+
+/// The name of the state an [`obskind::STATE`] record's `a` payload
+/// codes (`pckpt trace` prints it).
+pub fn state_name(code: u64) -> &'static str {
+    const NAMES: [&str; 6] = [
+        "computing",
+        "bb-checkpoint",
+        "p-ckpt round",
+        "safeguard",
+        "recovering",
+        "done",
+    ];
+    NAMES.get(code as usize).copied().unwrap_or("unknown")
 }
 
 /// Events of the C/R simulation.
@@ -80,18 +101,6 @@ pub enum Ev {
     /// A fluid-mode PFS transfer may have completed (stamped with the
     /// fluid link's epoch; stale ticks are dropped).
     PfsTick(u64),
-}
-
-/// Stable numeric code for [`obskind::STATE`] trace records.
-fn state_code(state: AppState) -> u64 {
-    match state {
-        AppState::Computing => 0,
-        AppState::BbCkpt => 1,
-        AppState::Round => 2,
-        AppState::Safeguard => 3,
-        AppState::Recovering => 4,
-        AppState::Done => 5,
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -185,13 +194,11 @@ pub struct CrSim {
     /// Whether the current recovery restores everything from the PFS
     /// (fluid mode: restart path selection).
     recovery_all_pfs: bool,
-    /// Optional run trace (enabled by [`CrSim::run_traced`]).
-    tracer: Option<RunTrace>,
     /// Always-on fixed-size run metrics (no heap storage; folded into
     /// [`RunResult`] by [`CrSim::result`]).
     obs: RunObs,
-    /// Structured trace sink; zero-sized no-op unless the `trace`
-    /// feature is enabled and a live recorder is installed.
+    /// Structured trace sink; records nothing unless a live recorder
+    /// is installed.
     rec: Recorder,
     /// When the current p-ckpt phase-1 writer started (obs latency).
     phase1_started: SimTime,
@@ -284,7 +291,6 @@ impl CrSim {
             recovery_started: SimTime::ZERO,
             recovery_floor: SimTime::ZERO,
             recovery_all_pfs: false,
-            tracer: None,
             obs: RunObs::default(),
             rec: Recorder::disabled(),
             phase1_started: SimTime::ZERO,
@@ -347,7 +353,6 @@ impl CrSim {
         self.recovery_started = SimTime::ZERO;
         self.recovery_floor = SimTime::ZERO;
         self.recovery_all_pfs = false;
-        self.tracer = None;
         // The recorder stays installed: per-run recordings are cut by the
         // owner via `Recorder::take`/`clear` between runs.
         self.obs.reset();
@@ -355,8 +360,7 @@ impl CrSim {
     }
 
     /// Installs a structured trace recorder on the model and its fluid
-    /// link (the campaign runner wires the event queue separately). A
-    /// no-op unless the `trace` feature is enabled.
+    /// link (the campaign runner wires the event queue separately).
     pub fn set_recorder(&mut self, rec: Recorder) {
         if let Some(fluid) = self.fluid.as_mut() {
             fluid.set_recorder(rec.clone());
@@ -367,102 +371,6 @@ impl CrSim {
     /// The always-on per-run observability metrics accumulated so far.
     pub fn obs(&self) -> &RunObs {
         &self.obs
-    }
-
-    /// Records a trace event: always feeds the structured simobs stream
-    /// and the fixed-size run metrics; additionally feeds the legacy
-    /// allocating tracer when one is enabled via [`CrSim::run_traced`].
-    fn trace_ev(&mut self, at: SimTime, kind: TraceKind) {
-        self.observe(at, &kind);
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.push(at, kind);
-        }
-    }
-
-    /// Maps one trace event onto the structured recorder and the run
-    /// metrics. Allocation-free; every `rec` call compiles to nothing
-    /// without the `trace` feature.
-    fn observe(&mut self, at: SimTime, kind: &TraceKind) {
-        let t = at.as_nanos();
-        match *kind {
-            // State transitions are emitted by `enter_state` directly
-            // (the TraceKind variant is only built when the legacy
-            // tracer is on).
-            TraceKind::State(_) => {}
-            TraceKind::Prediction {
-                node,
-                lead_secs,
-                genuine,
-            } => self.rec.emit(
-                t,
-                obskind::PREDICTION,
-                u64::from(node) | (u64::from(genuine) << 32),
-                lead_secs.to_bits(),
-            ),
-            TraceKind::LmStart(n) => self.rec.emit(t, obskind::LM_START, n.into(), 0),
-            TraceKind::LmDone(n) => self.rec.emit(t, obskind::LM_COMMIT, n.into(), 0),
-            TraceKind::LmAbort(n) => self.rec.emit(t, obskind::LM_ABORT, n.into(), 0),
-            TraceKind::RoundStart => self.rec.emit(t, obskind::ROUND_START, 0, 0),
-            TraceKind::Phase1Commit(n) => {
-                self.obs
-                    .lat_phase1
-                    .record(at.since(self.phase1_started).as_nanos());
-                // Payload b: the phase-1 backlog at commit time — how many
-                // vulnerable nodes were still waiting behind this writer.
-                let queued = self.round.as_ref().map_or(0, |r| r.queued_count() as u64);
-                self.rec.emit(t, obskind::PHASE1_COMMIT, n.into(), queued);
-            }
-            TraceKind::RoundComplete => {
-                self.obs
-                    .lat_pfs_full
-                    .record(at.since(self.state_entered).as_nanos());
-                self.rec.emit(t, obskind::ROUND_COMPLETE, 0, 0);
-            }
-            TraceKind::SafeguardStart => self.rec.emit(t, obskind::SAFEGUARD_START, 0, 0),
-            TraceKind::SafeguardDone => {
-                self.obs
-                    .lat_pfs_full
-                    .record(at.since(self.state_entered).as_nanos());
-                self.rec.emit(t, obskind::SAFEGUARD_DONE, 0, 0);
-            }
-            TraceKind::BbCkpt => {
-                self.obs
-                    .lat_bb
-                    .record(at.since(self.state_entered).as_nanos());
-                self.rec.emit(t, obskind::BB_CKPT, 0, 0);
-            }
-            TraceKind::DrainDone => self.rec.emit(t, obskind::DRAIN_DONE, 0, 0),
-            TraceKind::Failure { node, mitigated } => self.rec.emit(
-                t,
-                obskind::FAILURE,
-                u64::from(node) | (u64::from(mitigated) << 32),
-                0,
-            ),
-            TraceKind::RecoveryStart { lost_secs } => {
-                self.obs
-                    .recomp
-                    .record(SimDuration::from_secs(lost_secs).as_nanos());
-                self.rec
-                    .emit(t, obskind::RECOVERY_START, 0, lost_secs.to_bits());
-            }
-            TraceKind::RecoveryDone => self.rec.emit(t, obskind::RECOVERY_DONE, 0, 0),
-            TraceKind::Complete => self.rec.emit(t, obskind::COMPLETE, 0, 0),
-        }
-    }
-
-    /// Runs the simulation with tracing enabled, returning the result and
-    /// the recorded story of the run.
-    pub fn run_traced(mut self) -> (RunResult, RunTrace) {
-        self.tracer = Some(RunTrace::new());
-        let budget = 10_000_000;
-        let rec = self.rec.clone();
-        let mut sim = Simulation::new(self).with_event_budget(budget);
-        sim.set_recorder(rec);
-        sim.run();
-        let mut model = sim.into_model();
-        // run_traced installs the tracer above. simlint: allow(no-unwrap-in-lib)
-        let trace = model.tracer.take().expect("tracing was enabled");
-        (model.finish(), trace)
     }
 
     /// Injects engine-level queue statistics into the obs snapshot.
@@ -521,7 +429,7 @@ impl CrSim {
         for &op in &done {
             match op {
                 PfsOp::Drain => {
-                    self.trace_ev(now, TraceKind::DrainDone);
+                    self.rec.emit(now.as_nanos(), obskind::DRAIN_DONE, 0, 0);
                     self.best_bb_pfs = self.best_bb_pfs.max(self.drain_level);
                 }
                 PfsOp::Safeguard => self.on_safeguard_done(ctx),
@@ -704,18 +612,7 @@ impl CrSim {
 
     fn enter_state(&mut self, ctx: &mut Ctx<'_, Ev>, state: AppState) {
         self.rec
-            .emit(ctx.now().as_nanos(), obskind::STATE, state_code(state), 0);
-        if self.tracer.is_some() {
-            let name = match state {
-                AppState::Computing => "computing",
-                AppState::BbCkpt => "bb-checkpoint",
-                AppState::Round => "p-ckpt round",
-                AppState::Safeguard => "safeguard",
-                AppState::Recovering => "recovering",
-                AppState::Done => "done",
-            };
-            self.trace_ev(ctx.now(), TraceKind::State(name));
-        }
+            .emit(ctx.now().as_nanos(), obskind::STATE, state.code(), 0);
         self.state = state;
         self.state_entered = ctx.now();
         if state == AppState::Computing {
@@ -790,13 +687,11 @@ impl CrSim {
                 (fp.node, fp.lead_secs)
             }
         };
-        self.trace_ev(
-            ctx.now(),
-            TraceKind::Prediction {
-                node,
-                lead_secs: lead,
-                genuine: fail_idx.is_some(),
-            },
+        self.rec.emit(
+            ctx.now().as_nanos(),
+            obskind::PREDICTION,
+            obskind::node_flag(node, fail_idx.is_some()),
+            lead.to_bits(),
         );
         if !self.p.model.uses_prediction() {
             return;
@@ -870,7 +765,8 @@ impl CrSim {
         if fail_idx.is_none() && !rearmed {
             self.ledger.false_positive_actions += 1;
         }
-        self.trace_ev(ctx.now(), TraceKind::LmStart(node));
+        self.rec
+            .emit(ctx.now().as_nanos(), obskind::LM_START, node.into(), 0);
         ctx.schedule_uncancellable_in(SimDuration::from_secs(self.theta), Ev::LmDone(node, seq));
         self.rate_changed(ctx);
     }
@@ -884,7 +780,8 @@ impl CrSim {
         }
         // Presence established by the get() above. simlint: allow(no-unwrap-in-lib)
         let lm = self.active_lms.remove(&node).expect("checked above");
-        self.trace_ev(ctx.now(), TraceKind::LmDone(node));
+        self.rec
+            .emit(ctx.now().as_nanos(), obskind::LM_COMMIT, node.into(), 0);
         if let Some(idx) = lm.fail_idx {
             // The process left the vulnerable node: the failure no longer
             // hits the job.
@@ -913,8 +810,9 @@ impl CrSim {
         let mut lms = std::mem::take(&mut self.lm_scratch);
         lms.clear();
         lms.extend(self.active_lms.drain());
-        for (node, _) in &lms {
-            self.trace_ev(ctx.now(), TraceKind::LmAbort(*node));
+        for &(node, _) in &lms {
+            self.rec
+                .emit(ctx.now().as_nanos(), obskind::LM_ABORT, node.into(), 0);
         }
         // Only called while a round is active. simlint: allow(no-unwrap-in-lib)
         let round = self.round.as_mut().expect("abort into an active round");
@@ -943,7 +841,8 @@ impl CrSim {
                 self.safeguard_level = self.work_done;
                 self.enter_state(ctx, AppState::Safeguard);
                 self.ledger.safeguard_ckpts += 1;
-                self.trace_ev(ctx.now(), TraceKind::SafeguardStart);
+                self.rec
+                    .emit(ctx.now().as_nanos(), obskind::SAFEGUARD_START, 0, 0);
                 if fail_idx.is_none() && !rearmed {
                     self.ledger.false_positive_actions += 1;
                 }
@@ -970,7 +869,11 @@ impl CrSim {
 
     fn on_safeguard_done(&mut self, ctx: &mut Ctx<'_, Ev>) {
         debug_assert_eq!(self.state, AppState::Safeguard);
-        self.trace_ev(ctx.now(), TraceKind::SafeguardDone);
+        self.obs
+            .lat_pfs_full
+            .record(ctx.now().since(self.state_entered).as_nanos());
+        self.rec
+            .emit(ctx.now().as_nanos(), obskind::SAFEGUARD_DONE, 0, 0);
         self.best_pfs_all = self.best_pfs_all.max(self.safeguard_level);
         // The just-committed snapshot covers every prediction that is
         // still pending — their nodes' state is safely on the PFS.
@@ -1031,16 +934,13 @@ impl CrSim {
                 };
                 round.enqueue(entry);
                 self.round = Some(round);
-                self.rec.emit(
-                    ctx.now().as_nanos(),
-                    obskind::STATE,
-                    state_code(AppState::Round),
-                    0,
-                );
+                let now = ctx.now().as_nanos();
+                self.rec
+                    .emit(now, obskind::STATE, AppState::Round.code(), 0);
                 self.state = AppState::Round;
                 self.state_entered = ctx.now();
                 self.ledger.pckpt_rounds += 1;
-                self.trace_ev(ctx.now(), TraceKind::RoundStart);
+                self.rec.emit(now, obskind::ROUND_START, 0, 0);
                 if fail_idx.is_none() && !rearmed {
                     self.ledger.false_positive_actions += 1;
                 }
@@ -1116,7 +1016,18 @@ impl CrSim {
         // Round state implies an active round. simlint: allow(no-unwrap-in-lib)
         let round = self.round.as_mut().expect("writer done without a round");
         let committed = round.writer_committed();
-        self.trace_ev(ctx.now(), TraceKind::Phase1Commit(committed.node));
+        self.obs
+            .lat_phase1
+            .record(ctx.now().since(self.phase1_started).as_nanos());
+        // Payload b: the phase-1 backlog at commit time — how many
+        // vulnerable nodes were still waiting behind this writer.
+        let queued = round.queued_count() as u64;
+        self.rec.emit(
+            ctx.now().as_nanos(),
+            obskind::PHASE1_COMMIT,
+            committed.node.into(),
+            queued,
+        );
         // The vulnerable node's state is on the PFS: its failure is
         // mitigated from this moment (the healthy rest will complete).
         if let Some(idx) = committed.fail_idx {
@@ -1143,7 +1054,11 @@ impl CrSim {
                 }
             }
         }
-        self.trace_ev(ctx.now(), TraceKind::RoundComplete);
+        self.obs
+            .lat_pfs_full
+            .record(ctx.now().since(self.state_entered).as_nanos());
+        self.rec
+            .emit(ctx.now().as_nanos(), obskind::ROUND_COMPLETE, 0, 0);
         self.spare_round = Some(round);
         self.leave_state(ctx.now());
         // The round is over: a suspended drain resumes.
@@ -1158,7 +1073,7 @@ impl CrSim {
     /// committed node: healthy nodes hold the checkpointed state in
     /// memory; only the replacement node reads from the PFS.
     fn begin_replacement_only_recovery(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        self.trace_ev(ctx.now(), TraceKind::RecoveryStart { lost_secs: 0.0 });
+        self.emit_recovery_start(ctx.now(), 0.0);
         self.recovery_level = self.work_done;
         self.enter_state(ctx, AppState::Recovering);
         if self.fluid.is_some() {
@@ -1204,7 +1119,10 @@ impl CrSim {
     fn on_bb_write_done(&mut self, ctx: &mut Ctx<'_, Ev>) {
         debug_assert_eq!(self.state, AppState::BbCkpt);
         self.ledger.periodic_ckpts += 1;
-        self.trace_ev(ctx.now(), TraceKind::BbCkpt);
+        self.obs
+            .lat_bb
+            .record(ctx.now().since(self.state_entered).as_nanos());
+        self.rec.emit(ctx.now().as_nanos(), obskind::BB_CKPT, 0, 0);
         // Kick off (or supersede) the asynchronous drain.
         self.drain_gen += 1;
         self.drain_level = self.inflight_bb_level;
@@ -1236,13 +1154,30 @@ impl CrSim {
         if gen != self.drain_gen {
             return; // superseded or cancelled drain
         }
-        self.trace_ev(now, TraceKind::DrainDone);
+        self.rec.emit(now.as_nanos(), obskind::DRAIN_DONE, 0, 0);
         self.best_bb_pfs = self.best_bb_pfs.max(self.drain_level);
     }
 
     // ------------------------------------------------------------------
     // Failures and recovery.
     // ------------------------------------------------------------------
+
+    /// Records a failure's arrival (`mitigated`: a proactive action
+    /// covered it).
+    fn emit_failure(&self, now: SimTime, node: u32, mitigated: bool) {
+        self.rec
+            .emit(now.as_nanos(), obskind::FAILURE, obskind::node_flag(node, mitigated), 0);
+    }
+
+    /// Records the start of a recovery that recomputes `lost_secs` of
+    /// work.
+    fn emit_recovery_start(&mut self, now: SimTime, lost_secs: f64) {
+        self.obs
+            .recomp
+            .record(SimDuration::from_secs(lost_secs).as_nanos());
+        self.rec
+            .emit(now.as_nanos(), obskind::RECOVERY_START, 0, lost_secs.to_bits());
+    }
 
     fn on_failure(&mut self, ctx: &mut Ctx<'_, Ev>, idx: usize) {
         if self.state == AppState::Done {
@@ -1306,13 +1241,7 @@ impl CrSim {
                 self.abort_round();
                 self.leave_state(ctx.now());
                 if committed_here {
-                    self.trace_ev(
-                        ctx.now(),
-                        TraceKind::Failure {
-                            node: f.node,
-                            mitigated: true,
-                        },
-                    );
+                    self.emit_failure(ctx.now(), f.node, true);
                     // The p-ckpt race was won: the vulnerable node's state
                     // is on the PFS and every healthy node is still
                     // *blocked at the checkpointed state* — only the
@@ -1323,13 +1252,7 @@ impl CrSim {
                     debug_assert!((self.work_done - self.recovery_level).abs() >= 0.0);
                     self.begin_replacement_only_recovery(ctx);
                 } else {
-                    self.trace_ev(
-                        ctx.now(),
-                        TraceKind::Failure {
-                            node: f.node,
-                            mitigated: covered.is_some(),
-                        },
-                    );
+                    self.emit_failure(ctx.now(), f.node, covered.is_some());
                     if let Some(mech) = covered {
                         // Covered by an earlier completed proactive ckpt.
                         self.count_mitigation(mech);
@@ -1343,13 +1266,7 @@ impl CrSim {
             // prior proactive checkpoint (covered) makes the loss small
             // and counts as a mitigation.
             AppState::Safeguard | AppState::BbCkpt | AppState::Computing => {
-                self.trace_ev(
-                    ctx.now(),
-                    TraceKind::Failure {
-                        node: f.node,
-                        mitigated: covered.is_some(),
-                    },
-                );
+                self.emit_failure(ctx.now(), f.node, covered.is_some());
                 self.leave_state(ctx.now());
                 if let Some(mech) = covered {
                     self.count_mitigation(mech);
@@ -1359,13 +1276,7 @@ impl CrSim {
             AppState::Recovering => {
                 // Recovery restarts from scratch; the rollback target is
                 // unchanged (work_done is already at the recovery level).
-                self.trace_ev(
-                    ctx.now(),
-                    TraceKind::Failure {
-                        node: f.node,
-                        mitigated: covered.is_some(),
-                    },
-                );
+                self.emit_failure(ctx.now(), f.node, covered.is_some());
                 if let Some(mech) = covered {
                     self.count_mitigation(mech);
                 }
@@ -1413,7 +1324,7 @@ impl CrSim {
             self.work_done
         );
         let loss = (self.work_done - level).max(0.0);
-        self.trace_ev(ctx.now(), TraceKind::RecoveryStart { lost_secs: loss });
+        self.emit_recovery_start(ctx.now(), loss);
         self.ledger.recomp_secs += loss;
         self.work_done = level;
         self.recovery_level = level;
@@ -1458,7 +1369,8 @@ impl CrSim {
 
     fn on_recovery_done(&mut self, ctx: &mut Ctx<'_, Ev>) {
         debug_assert_eq!(self.state, AppState::Recovering);
-        self.trace_ev(ctx.now(), TraceKind::RecoveryDone);
+        self.rec
+            .emit(ctx.now().as_nanos(), obskind::RECOVERY_DONE, 0, 0);
         self.leave_state(ctx.now());
         self.resume_computing(ctx);
     }
@@ -1467,14 +1379,10 @@ impl CrSim {
         debug_assert_eq!(self.state, AppState::Computing);
         self.close_segment(ctx.now());
         self.epoch += 1;
-        self.rec.emit(
-            ctx.now().as_nanos(),
-            obskind::STATE,
-            state_code(AppState::Done),
-            0,
-        );
+        let now = ctx.now().as_nanos();
+        self.rec.emit(now, obskind::STATE, AppState::Done.code(), 0);
         self.state = AppState::Done;
-        self.trace_ev(ctx.now(), TraceKind::Complete);
+        self.rec.emit(now, obskind::COMPLETE, 0, 0);
         self.finished_at = Some(ctx.now());
         ctx.stop();
     }
@@ -2427,52 +2335,59 @@ mod tests {
     }
 
     #[test]
-    fn run_traced_records_the_story() {
-        use crate::tracer::TraceKind;
-        let p = params(ModelKind::P2, "XGC");
-        let theta = p.theta_secs();
-        let trace = FailureTrace {
-            failures: vec![
-                failure(50.0, 1, theta + 10.0, true), // LM
-                failure(120.0, 2, theta * 0.5, true), // p-ckpt
-                failure(180.0, 3, 10.0, false),       // unmitigated
-            ],
-            false_positives: vec![],
-        };
-        let (result, story) = CrSim::new(p, trace, &leads()).run_traced();
-        assert_eq!(result.ledger.failures_total, 3);
-        assert_eq!(story.count(|k| matches!(k, TraceKind::Prediction { .. })), 2);
-        assert_eq!(story.count(|k| matches!(k, TraceKind::LmStart(_))), 1);
-        assert_eq!(story.count(|k| matches!(k, TraceKind::LmDone(_))), 1);
-        assert_eq!(story.count(|k| matches!(k, TraceKind::RoundStart)), 1);
-        assert_eq!(story.count(|k| matches!(k, TraceKind::Phase1Commit(_))), 1);
-        assert_eq!(
-            story.count(|k| matches!(k, TraceKind::Failure { mitigated: true, .. })),
-            1,
-            "the p-ckpt-mitigated failure (the LM-avoided one never fires)"
-        );
-        assert_eq!(
-            story.count(|k| matches!(k, TraceKind::Failure { mitigated: false, .. })),
-            1
-        );
-        assert_eq!(story.count(|k| matches!(k, TraceKind::Complete)), 1);
-        // Rendering produces a narrative containing the key beats.
-        let text = story.render(false);
-        assert!(text.contains("live migration complete"));
-        assert!(text.contains("phase 1: node 2 committed"));
-        assert!(text.contains("unmitigated"));
-        // The untraced run is byte-identical in results.
-        let p2 = params(ModelKind::P2, "XGC");
-        let trace2 = FailureTrace {
-            failures: vec![
-                failure(50.0, 1, theta + 10.0, true),
-                failure(120.0, 2, theta * 0.5, true),
-                failure(180.0, 3, 10.0, false),
-            ],
-            false_positives: vec![],
-        };
-        let plain = CrSim::new(p2, trace2, &leads()).run();
-        assert_eq!(plain, result);
+    fn record_run_records_the_story() {
+        // The recording `pckpt trace` renders tells the ledger's story
+        // beat for beat, and recording changes no result.
+        use crate::runner::{record_run, GridCell, GridPlan, GridWorker};
+        use pckpt_simobs::kind;
+        use pckpt_simrng::SimRng;
+        let leads = leads();
+        let mut seen = [0u64; 4]; // LM commits, rounds, mitigated, unmitigated failures
+        for model in [ModelKind::P2, ModelKind::M1] {
+            let p = params(model, "XGC");
+            let cells = [GridCell::new(p.clone(), &[model])];
+            let plan = GridPlan::new(&cells, &leads);
+            let mut worker = GridWorker::new(&plan);
+            for run in 0..6 {
+                let (result, rec, trace) = record_run(&p, &leads, 61, run, 1 << 20);
+                assert_eq!(result, worker.run_unit(&SimRng::seed_from(61), run, 0));
+                assert_eq!(rec.dropped, 0);
+                assert!(!trace.failures.is_empty(), "{model:?} run {run}: no failures drawn");
+                let count = |k: u16, pred: &dyn Fn(u64) -> bool| {
+                    rec.records.iter().filter(|r| r.kind == k && pred(r.a)).count() as u64
+                };
+                let any = |_| true;
+                let flagged = |a: u64| kind::split_node_flag(a).1;
+                let l = &result.ledger;
+                let mitigated = count(kind::FAILURE, &flagged);
+                let struck = count(kind::FAILURE, &any);
+                assert_eq!(struck + l.mitigated_by_lm, l.failures_total);
+                assert_eq!(mitigated, l.mitigated_by_pckpt + l.mitigated_by_safeguard);
+                assert_eq!(count(kind::LM_START, &any), l.lm_started);
+                assert_eq!(count(kind::LM_ABORT, &any), l.lm_aborted);
+                assert_eq!(count(kind::ROUND_START, &any), l.pckpt_rounds);
+                assert_eq!(count(kind::SAFEGUARD_START, &any), l.safeguard_ckpts);
+                assert_eq!(count(kind::BB_CKPT, &any), l.periodic_ckpts);
+                assert_eq!(count(kind::COMPLETE, &any), 1);
+                assert!(count(kind::PREDICTION, &flagged) >= l.failures_predicted);
+                let recomp: f64 = rec
+                    .records
+                    .iter()
+                    .filter(|r| r.kind == kind::RECOVERY_START)
+                    .map(|r| f64::from_bits(r.b))
+                    .sum();
+                assert_eq!(recomp, l.recomp_secs);
+                for (n, c) in seen.iter_mut().zip([
+                    count(kind::LM_COMMIT, &any),
+                    l.pckpt_rounds,
+                    mitigated,
+                    struck - mitigated,
+                ]) {
+                    *n += c;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "story beats seen: {seen:?}");
     }
 
     #[test]

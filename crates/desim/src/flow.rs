@@ -153,8 +153,8 @@ pub struct FlowLink {
     by_finish: BinaryHeap<HeapEntry>,
     /// Debug-mode byte-conservation auditor (zero-sized in release).
     audit: crate::audit::ByteLedger,
-    /// Structured trace sink; zero-sized no-op unless the `trace`
-    /// feature is enabled and a live recorder is installed.
+    /// Structured trace sink; records nothing unless a live recorder
+    /// is installed.
     rec: Recorder,
 }
 
@@ -196,8 +196,7 @@ impl FlowLink {
     }
 
     /// Installs a trace recorder; every completed wave is emitted as a
-    /// [`kind::FLOW_WAVE`] record. A no-op unless the `trace` feature is
-    /// active.
+    /// [`kind::FLOW_WAVE`] record.
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.rec = rec;
     }

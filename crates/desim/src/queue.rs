@@ -160,8 +160,8 @@ pub struct EventQueue<E> {
     depth_hwm: usize,
     /// Debug-mode pop-monotonicity auditor (zero-sized in release).
     audit: crate::audit::PopAudit,
-    /// Structured event recorder (ZST no-op unless the `trace` feature
-    /// of `pckpt-simobs` is enabled).
+    /// Structured event recorder; its queue hooks record only under the
+    /// `trace` feature of `pckpt-simobs`.
     rec: Recorder,
 }
 
@@ -475,7 +475,7 @@ impl<E> EventQueue<E> {
 
     /// Installs a structured-event recorder: every schedule, cancel and
     /// pop from here on is reported to it. Without the `trace` feature
-    /// the recorder is zero-sized and the hook calls compile away.
+    /// those hooks are empty and the calls compile away.
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.rec = rec;
     }

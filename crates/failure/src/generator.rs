@@ -147,9 +147,10 @@ impl TraceConfig {
     /// The scale-invariant core of this configuration.
     ///
     /// `lead_scale` is a *pure per-event transform*: generation draws the
-    /// raw lead from the mixture first and only then computes
-    /// `usable_lead_secs(raw × scale)` (see [`FailureTrace::generate_into`]
-    /// and `make_failure`), so two configs that differ only in
+    /// raw lead from the mixture first and only the per-event view
+    /// computes `usable_lead_secs(raw × scale)` (see
+    /// [`FailureTrace::generate_into`] and [`TraceCore::instantiate_into`],
+    /// which share both), so two configs that differ only in
     /// `lead_scale` consume **identical RNG draw sequences**. Campaign
     /// grids exploit this: cells with equal cores share one generated
     /// [`TraceCore`] and instantiate their own lead-scale view from it
@@ -239,6 +240,10 @@ impl FailureTrace {
     /// the same RNG draw sequence as [`generate`](Self::generate) — so a
     /// campaign worker recycling one trace across runs produces
     /// bit-identical streams to one constructing a fresh trace per run.
+    ///
+    /// The draws come from the routine [`TraceCore::generate_into`] uses;
+    /// each is stored as its `config.lead_scale` view, through the
+    /// per-event transform [`TraceCore::instantiate_into`] applies.
     pub fn generate_into(
         &mut self,
         config: &TraceConfig,
@@ -248,190 +253,14 @@ impl FailureTrace {
     ) {
         self.failures.clear();
         self.false_positives.clear();
-        let failures = &mut self.failures;
-        // Variance-reduction structured path (see [`geometric_trials`]):
-        // active when the stream is an antithetic pair member or carries
-        // an armed stratum. Same law as the literal path; the default
-        // path is untouched — every fixed-run digest depends on its
-        // exact draw sequence.
-        let vr = rng.paired() || rng.stratum_armed();
-        let mut event: u64 = 0;
-        match config.projection {
-            Projection::MinStability => {
-                let w = config.distribution.job_weibull(config.job_nodes);
-                let mut t = 0.0;
-                loop {
-                    t += w.sample(rng);
-                    if t >= config.horizon_hours {
-                        break;
-                    }
-                    if vr {
-                        // Attribute draws from a per-event substream keep
-                        // the main stream's consumption unconditional, so
-                        // a mirrored pair stays draw-aligned all horizon.
-                        let mut sub = rng.split(event);
-                        failures.push(Self::make_failure_vr(config, leads, predictor, &mut sub, t));
-                    } else {
-                        failures.push(Self::make_failure(config, leads, predictor, rng, t, None));
-                    }
-                    event += 1;
-                }
-            }
-            Projection::Thinning => {
-                let n = config.distribution.system_nodes;
-                assert!(
-                    config.job_nodes <= n,
-                    "thinning projection requires job_nodes ({}) ≤ system nodes ({n})",
-                    config.job_nodes
-                );
-                let w = config.distribution.system_weibull();
-                let mut t = 0.0;
-                if vr {
-                    // Geometric-block form: the count of system events up
-                    // to and including the next in-job one is
-                    // Geometric(c/N), inverted from ONE uniform — the
-                    // run's first uniform becomes the first-job-failure
-                    // quantile (what the stratum confines, and what
-                    // reflection mirrors). Identical law to the literal
-                    // per-event Bernoulli path below.
-                    let p = config.job_nodes as f64 / n as f64;
-                    'events: loop {
-                        let g = geometric_trials(rng.uniform01(), p);
-                        // Gaps live in the block's substream: the main
-                        // stream consumes exactly one uniform per block,
-                        // so pair members' j-th geometric quantiles stay
-                        // positionally mirrored no matter where either
-                        // run's horizon lands.
-                        let mut sub = rng.split(event);
-                        event += 1;
-                        let mut gaps = sub.split(0);
-                        for _ in 0..g {
-                            t += w.sample(&mut gaps);
-                            if t >= config.horizon_hours {
-                                break 'events;
-                            }
-                        }
-                        failures.push(Self::make_failure_vr(config, leads, predictor, &mut sub, t));
-                    }
-                } else {
-                    loop {
-                        t += w.sample(rng);
-                        if t >= config.horizon_hours {
-                            break;
-                        }
-                        // Uniform node over the whole system; in-job nodes
-                        // keep the event. Under a non-uniform selection
-                        // model the membership probability stays c/N but
-                        // the job-local placement is re-drawn from the
-                        // selection.
-                        let node = rng.below(n);
-                        if node < config.job_nodes {
-                            let job_node = match config.node_selection {
-                                NodeSelection::Uniform => node as u32,
-                                sel => sel.pick(rng, config.job_nodes),
-                            };
-                            failures.push(Self::make_failure(
-                                config,
-                                leads,
-                                predictor,
-                                rng,
-                                t,
-                                Some(job_node),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-
-        // False positives: a Poisson process whose expected count keeps
-        // the configured share of all predictions false.
-        let expected_true_predictions =
-            failures.iter().filter(|f| f.predicted).count() as f64;
-        let expected_fp = expected_true_predictions * predictor.fp_per_true_prediction();
-        if expected_fp > 0.0 {
-            let gap = Exponential::from_rate(expected_fp / config.horizon_hours);
-            let mut t = gap.sample(rng);
-            while t < config.horizon_hours {
-                let (sequence_id, raw_lead) = leads.sample(rng);
-                let lead_secs =
-                    predictor.usable_lead_secs(raw_lead * config.lead_scale);
-                self.false_positives.push(Prediction {
-                    node: config.node_selection.pick(rng, config.job_nodes),
-                    at_hours: t,
-                    lead_secs,
-                    sequence_id,
-                    genuine: false,
-                });
-                t += gap.sample(rng);
-            }
-        }
-    }
-
-    fn make_failure(
-        config: &TraceConfig,
-        leads: &LeadTimeModel,
-        predictor: &Predictor,
-        rng: &mut SimRng,
-        time_hours: f64,
-        node: Option<u32>,
-    ) -> FailureEvent {
-        let node = node.unwrap_or_else(|| config.node_selection.pick(rng, config.job_nodes));
-        let (sequence_id, raw_lead) = leads.sample(rng);
-        let lead_secs = predictor.usable_lead_secs(raw_lead * config.lead_scale);
-        let est_lead_secs = if config.lead_error_cv > 0.0 {
-            let noise =
-                pckpt_simrng::dist::LogNormal::from_mean_cv(1.0, config.lead_error_cv)
-                    .sample(rng);
-            (lead_secs * noise).max(0.0)
-        } else {
-            lead_secs
-        };
-        FailureEvent {
-            time_hours,
-            node,
-            sequence_id,
-            lead_secs,
-            est_lead_secs,
-            predicted: predictor.predicts(rng),
-        }
-    }
-
-    /// Variance-reduction variant of [`Self::make_failure`]: every
-    /// attribute class draws from its own child of the event substream,
-    /// so variable-length draws in one class (the lead-time mixture's
-    /// rejection sampling, a multi-draw node selection) cannot shift the
-    /// stream positions of the others. Across an antithetic pair this
-    /// keeps each attribute of the j-th failure exactly mirrored — in
-    /// particular the predicted flag, whose complement (`u < r` vs
-    /// `u > 1 − r`) makes the pair's unpredicted-failure indicators
-    /// disjoint for recall > ½.
-    fn make_failure_vr(
-        config: &TraceConfig,
-        leads: &LeadTimeModel,
-        predictor: &Predictor,
-        sub: &mut SimRng,
-        time_hours: f64,
-    ) -> FailureEvent {
-        let node = config.node_selection.pick(&mut sub.split(1), config.job_nodes);
-        let mut lead_rng = sub.split(2);
-        let (sequence_id, raw_lead) = leads.sample(&mut lead_rng);
-        let lead_secs = predictor.usable_lead_secs(raw_lead * config.lead_scale);
-        let est_lead_secs = if config.lead_error_cv > 0.0 {
-            let noise = pckpt_simrng::dist::LogNormal::from_mean_cv(1.0, config.lead_error_cv)
-                .sample(&mut lead_rng);
-            (lead_secs * noise).max(0.0)
-        } else {
-            lead_secs
-        };
-        FailureEvent {
-            time_hours,
-            node,
-            sequence_id,
-            lead_secs,
-            est_lead_secs,
-            predicted: predictor.predicts(&mut sub.split(3)),
-        }
+        draw_trace(
+            config,
+            leads,
+            predictor,
+            rng,
+            |f| self.failures.push(f.view(config, predictor)),
+            |p| self.false_positives.push(p.view(config, predictor)),
+        );
     }
 
     /// Count of genuine failures.
@@ -442,6 +271,135 @@ impl FailureTrace {
     /// Count of predicted genuine failures.
     pub fn predicted_count(&self) -> usize {
         self.failures.iter().filter(|f| f.predicted).count()
+    }
+}
+
+/// Draws one trace under `config` and hands each genuine failure, then
+/// each false positive, to the caller as raw draws, in ascending time.
+///
+/// The one generation loop: [`FailureTrace::generate_into`] stores each
+/// draw's lead-scale view, [`TraceCore::generate_into`] the draws
+/// themselves, so direct and core traces are bit-identical by
+/// construction. No draw depends on `config.lead_scale`.
+#[inline]
+fn draw_trace(
+    config: &TraceConfig,
+    leads: &LeadTimeModel,
+    predictor: &Predictor,
+    rng: &mut SimRng,
+    mut failure: impl FnMut(CoreFailure),
+    mut false_positive: impl FnMut(CoreFp),
+) {
+    let mut predicted = 0usize;
+    let mut hand_over = |f: CoreFailure| {
+        predicted += usize::from(f.predicted);
+        failure(f);
+    };
+    // Variance-reduction structured path (see [`geometric_trials`]):
+    // active when the stream is an antithetic pair member or carries
+    // an armed stratum. Same law as the literal path; the default
+    // path is untouched — every fixed-run digest depends on its
+    // exact draw sequence.
+    let vr = rng.paired() || rng.stratum_armed();
+    let mut event: u64 = 0;
+    match config.projection {
+        Projection::MinStability => {
+            let w = config.distribution.job_weibull(config.job_nodes);
+            let mut t = 0.0;
+            loop {
+                t += w.sample(rng);
+                if t >= config.horizon_hours {
+                    break;
+                }
+                if vr {
+                    // Attribute draws from a per-event substream keep
+                    // the main stream's consumption unconditional, so
+                    // a mirrored pair stays draw-aligned all horizon.
+                    let mut sub = rng.split(event);
+                    hand_over(CoreFailure::draw_vr(config, leads, predictor, &mut sub, t));
+                } else {
+                    hand_over(CoreFailure::draw(config, leads, predictor, rng, t, None));
+                }
+                event += 1;
+            }
+        }
+        Projection::Thinning => {
+            let n = config.distribution.system_nodes;
+            assert!(
+                config.job_nodes <= n,
+                "thinning projection requires job_nodes ({}) ≤ system nodes ({n})",
+                config.job_nodes
+            );
+            let w = config.distribution.system_weibull();
+            let mut t = 0.0;
+            if vr {
+                // Geometric-block form: the count of system events up
+                // to and including the next in-job one is
+                // Geometric(c/N), inverted from ONE uniform — the
+                // run's first uniform becomes the first-job-failure
+                // quantile (what the stratum confines, and what
+                // reflection mirrors). Identical law to the literal
+                // per-event Bernoulli path below.
+                let p = config.job_nodes as f64 / n as f64;
+                'events: loop {
+                    let g = geometric_trials(rng.uniform01(), p);
+                    // Gaps live in the block's substream: the main
+                    // stream consumes exactly one uniform per block,
+                    // so pair members' j-th geometric quantiles stay
+                    // positionally mirrored no matter where either
+                    // run's horizon lands.
+                    let mut sub = rng.split(event);
+                    event += 1;
+                    let mut gaps = sub.split(0);
+                    for _ in 0..g {
+                        t += w.sample(&mut gaps);
+                        if t >= config.horizon_hours {
+                            break 'events;
+                        }
+                    }
+                    hand_over(CoreFailure::draw_vr(config, leads, predictor, &mut sub, t));
+                }
+            } else {
+                loop {
+                    t += w.sample(rng);
+                    if t >= config.horizon_hours {
+                        break;
+                    }
+                    // Uniform node over the whole system; in-job nodes
+                    // keep the event. Under a non-uniform selection
+                    // model the membership probability stays c/N but
+                    // the job-local placement is re-drawn from the
+                    // selection.
+                    let node = rng.below(n);
+                    if node < config.job_nodes {
+                        let job_node = match config.node_selection {
+                            NodeSelection::Uniform => node as u32,
+                            sel => sel.pick(rng, config.job_nodes),
+                        };
+                        let node = Some(job_node);
+                        hand_over(CoreFailure::draw(config, leads, predictor, rng, t, node));
+                    }
+                }
+            }
+        }
+    }
+
+    // False positives: a Poisson process whose expected count keeps
+    // the configured share of all predictions false.
+    let expected_fp = predicted as f64 * predictor.fp_per_true_prediction();
+    if expected_fp > 0.0 {
+        let gap = Exponential::from_rate(expected_fp / config.horizon_hours);
+        let mut t = gap.sample(rng);
+        while t < config.horizon_hours {
+            let (sequence_id, raw_lead) = leads.sample(rng);
+            false_positive(CoreFp {
+                node: config.node_selection.pick(rng, config.job_nodes),
+                at_hours: t,
+                sequence_id,
+                raw_lead,
+            });
+            t += gap.sample(rng);
+        }
     }
 }
 
@@ -458,6 +416,92 @@ struct CoreFailure {
     predicted: bool,
 }
 
+impl CoreFailure {
+    /// The literal path's draws, all from the run's main stream: the node
+    /// (unless the thinning projection already placed it), the mixture
+    /// lead, the estimation noise when it is on, the prediction outcome.
+    fn draw(
+        config: &TraceConfig,
+        leads: &LeadTimeModel,
+        predictor: &Predictor,
+        rng: &mut SimRng,
+        time_hours: f64,
+        node: Option<u32>,
+    ) -> Self {
+        let node = node.unwrap_or_else(|| config.node_selection.pick(rng, config.job_nodes));
+        let (sequence_id, raw_lead) = leads.sample(rng);
+        let est_noise = if config.lead_error_cv > 0.0 {
+            pckpt_simrng::dist::LogNormal::from_mean_cv(1.0, config.lead_error_cv).sample(rng)
+        } else {
+            1.0
+        };
+        Self {
+            time_hours,
+            node,
+            sequence_id,
+            raw_lead,
+            est_noise,
+            predicted: predictor.predicts(rng),
+        }
+    }
+
+    /// Variance-reduction variant of [`Self::draw`]: every attribute
+    /// class draws from its own child of the event substream, so
+    /// variable-length draws in one class (the lead-time mixture's
+    /// rejection sampling, a multi-draw node selection) cannot shift the
+    /// stream positions of the others. Across an antithetic pair this
+    /// keeps each attribute of the j-th failure exactly mirrored — in
+    /// particular the predicted flag, whose complement (`u < r` vs
+    /// `u > 1 − r`) makes the pair's unpredicted-failure indicators
+    /// disjoint for recall > ½.
+    fn draw_vr(
+        config: &TraceConfig,
+        leads: &LeadTimeModel,
+        predictor: &Predictor,
+        sub: &mut SimRng,
+        time_hours: f64,
+    ) -> Self {
+        let node = config.node_selection.pick(&mut sub.split(1), config.job_nodes);
+        let mut lead_rng = sub.split(2);
+        let (sequence_id, raw_lead) = leads.sample(&mut lead_rng);
+        let est_noise = if config.lead_error_cv > 0.0 {
+            pckpt_simrng::dist::LogNormal::from_mean_cv(1.0, config.lead_error_cv)
+                .sample(&mut lead_rng)
+        } else {
+            1.0
+        };
+        Self {
+            time_hours,
+            node,
+            sequence_id,
+            raw_lead,
+            est_noise,
+            predicted: predictor.predicts(&mut sub.split(3)),
+        }
+    }
+
+    /// The `config.lead_scale` view: `usable_lead_secs(raw × scale)`,
+    /// then `(lead × noise).max(0)` as the estimate when estimation
+    /// error is on.
+    #[inline]
+    fn view(&self, config: &TraceConfig, predictor: &Predictor) -> FailureEvent {
+        let lead_secs = predictor.usable_lead_secs(self.raw_lead * config.lead_scale);
+        let est_lead_secs = if config.lead_error_cv > 0.0 {
+            (lead_secs * self.est_noise).max(0.0)
+        } else {
+            lead_secs
+        };
+        FailureEvent {
+            time_hours: self.time_hours,
+            node: self.node,
+            sequence_id: self.sequence_id,
+            lead_secs,
+            est_lead_secs,
+            predicted: self.predicted,
+        }
+    }
+}
+
 /// One false-positive prediction before the lead-scale view is applied.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct CoreFp {
@@ -465,6 +509,20 @@ struct CoreFp {
     node: u32,
     sequence_id: u32,
     raw_lead: f64,
+}
+
+impl CoreFp {
+    /// The `config.lead_scale` view: `usable_lead_secs(raw × scale)`.
+    #[inline]
+    fn view(&self, config: &TraceConfig, predictor: &Predictor) -> Prediction {
+        Prediction {
+            node: self.node,
+            at_hours: self.at_hours,
+            lead_secs: predictor.usable_lead_secs(self.raw_lead * config.lead_scale),
+            sequence_id: self.sequence_id,
+            genuine: false,
+        }
+    }
 }
 
 /// The scale-independent capture of one generated trace.
@@ -475,7 +533,8 @@ struct CoreFp {
 /// false-positive process. Any lead-scale view of the same core is then a
 /// deterministic, RNG-free transform ([`instantiate_into`]
 /// (Self::instantiate_into)) — bit-identical to generating the scaled
-/// trace directly, because `lead_scale` only ever appears as
+/// trace directly, because both go through one draw routine and one
+/// per-event view, and `lead_scale` only ever appears as
 /// `usable_lead_secs(raw × scale)` downstream of every draw.
 ///
 /// This is what lets a campaign grid share one generation across an
@@ -510,166 +569,22 @@ impl TraceCore {
         self.failures.clear();
         self.false_positives.clear();
         self.key = Some(config.scale_invariant());
-        let failures = &mut self.failures;
-        // Same structured/literal path split as
-        // `FailureTrace::generate_into` — the two must consume identical
-        // draw sequences in every mode.
-        let vr = rng.paired() || rng.stratum_armed();
-        let mut event: u64 = 0;
-        match config.projection {
-            Projection::MinStability => {
-                let w = config.distribution.job_weibull(config.job_nodes);
-                let mut t = 0.0;
-                loop {
-                    t += w.sample(rng);
-                    if t >= config.horizon_hours {
-                        break;
-                    }
-                    if vr {
-                        let mut sub = rng.split(event);
-                        failures.push(Self::make_core_failure_vr(
-                            config, leads, predictor, &mut sub, t,
-                        ));
-                    } else {
-                        failures
-                            .push(Self::make_core_failure(config, leads, predictor, rng, t, None));
-                    }
-                    event += 1;
-                }
-            }
-            Projection::Thinning => {
-                let n = config.distribution.system_nodes;
-                assert!(
-                    config.job_nodes <= n,
-                    "thinning projection requires job_nodes ({}) ≤ system nodes ({n})",
-                    config.job_nodes
-                );
-                let w = config.distribution.system_weibull();
-                let mut t = 0.0;
-                if vr {
-                    let p = config.job_nodes as f64 / n as f64;
-                    'events: loop {
-                        let g = geometric_trials(rng.uniform01(), p);
-                        let mut sub = rng.split(event);
-                        event += 1;
-                        let mut gaps = sub.split(0);
-                        for _ in 0..g {
-                            t += w.sample(&mut gaps);
-                            if t >= config.horizon_hours {
-                                break 'events;
-                            }
-                        }
-                        failures.push(Self::make_core_failure_vr(
-                            config, leads, predictor, &mut sub, t,
-                        ));
-                    }
-                } else {
-                    loop {
-                        t += w.sample(rng);
-                        if t >= config.horizon_hours {
-                            break;
-                        }
-                        let node = rng.below(n);
-                        if node < config.job_nodes {
-                            let job_node = match config.node_selection {
-                                NodeSelection::Uniform => node as u32,
-                                sel => sel.pick(rng, config.job_nodes),
-                            };
-                            failures.push(Self::make_core_failure(
-                                config,
-                                leads,
-                                predictor,
-                                rng,
-                                t,
-                                Some(job_node),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-
-        let expected_true_predictions =
-            failures.iter().filter(|f| f.predicted).count() as f64;
-        let expected_fp = expected_true_predictions * predictor.fp_per_true_prediction();
-        if expected_fp > 0.0 {
-            let gap = Exponential::from_rate(expected_fp / config.horizon_hours);
-            let mut t = gap.sample(rng);
-            while t < config.horizon_hours {
-                let (sequence_id, raw_lead) = leads.sample(rng);
-                self.false_positives.push(CoreFp {
-                    node: config.node_selection.pick(rng, config.job_nodes),
-                    at_hours: t,
-                    sequence_id,
-                    raw_lead,
-                });
-                t += gap.sample(rng);
-            }
-        }
-    }
-
-    /// Mirrors `FailureTrace::make_failure` draw-for-draw, storing the
-    /// raw lead and noise factor instead of the scaled view.
-    fn make_core_failure(
-        config: &TraceConfig,
-        leads: &LeadTimeModel,
-        predictor: &Predictor,
-        rng: &mut SimRng,
-        time_hours: f64,
-        node: Option<u32>,
-    ) -> CoreFailure {
-        let node = node.unwrap_or_else(|| config.node_selection.pick(rng, config.job_nodes));
-        let (sequence_id, raw_lead) = leads.sample(rng);
-        let est_noise = if config.lead_error_cv > 0.0 {
-            pckpt_simrng::dist::LogNormal::from_mean_cv(1.0, config.lead_error_cv).sample(rng)
-        } else {
-            1.0
-        };
-        CoreFailure {
-            time_hours,
-            node,
-            sequence_id,
-            raw_lead,
-            est_noise,
-            predicted: predictor.predicts(rng),
-        }
-    }
-
-    /// Mirrors `FailureTrace::make_failure_vr` draw-for-draw, storing the
-    /// raw lead and noise factor instead of the scaled view.
-    fn make_core_failure_vr(
-        config: &TraceConfig,
-        leads: &LeadTimeModel,
-        predictor: &Predictor,
-        sub: &mut SimRng,
-        time_hours: f64,
-    ) -> CoreFailure {
-        let node = config.node_selection.pick(&mut sub.split(1), config.job_nodes);
-        let mut lead_rng = sub.split(2);
-        let (sequence_id, raw_lead) = leads.sample(&mut lead_rng);
-        let est_noise = if config.lead_error_cv > 0.0 {
-            pckpt_simrng::dist::LogNormal::from_mean_cv(1.0, config.lead_error_cv)
-                .sample(&mut lead_rng)
-        } else {
-            1.0
-        };
-        CoreFailure {
-            time_hours,
-            node,
-            sequence_id,
-            raw_lead,
-            est_noise,
-            predicted: predictor.predicts(&mut sub.split(3)),
-        }
+        draw_trace(
+            config,
+            leads,
+            predictor,
+            rng,
+            |f| self.failures.push(f),
+            |p| self.false_positives.push(p),
+        );
     }
 
     /// Fills `out` with the `config.lead_scale` view of this core,
     /// retaining `out`'s allocations.
     ///
     /// Bit-identical to `FailureTrace::generate_into(config, ..)` over
-    /// the same RNG stream: the lead computation is the same expression
-    /// (`usable_lead_secs(raw × scale)`, then `(lead × noise).max(0)`
-    /// when estimation error is on) applied to the same stored draws.
+    /// the same RNG stream: both apply the same per-event view to the
+    /// same draws.
     pub fn instantiate_into(
         &self,
         config: &TraceConfig,
@@ -683,32 +598,13 @@ impl TraceCore {
         );
         out.failures.clear();
         out.false_positives.clear();
-        for f in &self.failures {
-            let lead_secs = predictor.usable_lead_secs(f.raw_lead * config.lead_scale);
-            let est_lead_secs = if config.lead_error_cv > 0.0 {
-                (lead_secs * f.est_noise).max(0.0)
-            } else {
-                lead_secs
-            };
-            out.failures.push(FailureEvent {
-                time_hours: f.time_hours,
-                node: f.node,
-                sequence_id: f.sequence_id,
-                lead_secs,
-                est_lead_secs,
-                predicted: f.predicted,
-            });
-        }
-        for p in &self.false_positives {
-            let lead_secs = predictor.usable_lead_secs(p.raw_lead * config.lead_scale);
-            out.false_positives.push(Prediction {
-                node: p.node,
-                at_hours: p.at_hours,
-                lead_secs,
-                sequence_id: p.sequence_id,
-                genuine: false,
-            });
-        }
+        out.failures
+            .extend(self.failures.iter().map(|f| f.view(config, predictor)));
+        out.false_positives.extend(
+            self.false_positives
+                .iter()
+                .map(|p| p.view(config, predictor)),
+        );
     }
 
     /// Count of genuine failures captured in the core.
@@ -919,12 +815,34 @@ mod tests {
         }
     }
 
+    /// The run streams the campaign runner derives: plain, both members
+    /// of an antithetic pair (as `vr_run_rng` sets them up) and a stream
+    /// armed with a stratum — the last three take the VR draw path.
+    fn run_streams(seed: u64) -> [SimRng; 4] {
+        let pair_member = |reflected: bool| {
+            let mut r = SimRng::seed_from(seed);
+            r.set_inverse_normals(true);
+            r.set_paired(true);
+            r.set_reflected(reflected);
+            r
+        };
+        let mut stratified = SimRng::seed_from(seed);
+        stratified.set_next_stratum(1, 4);
+        [
+            SimRng::seed_from(seed),
+            pair_member(false),
+            pair_member(true),
+            stratified,
+        ]
+    }
+
     #[test]
     fn core_instantiation_is_bit_identical_to_direct_generation() {
-        // For every projection, noise setting, and lead scale: generating
-        // a TraceCore and instantiating a scale view must (a) consume the
-        // exact RNG stream of direct generation and (b) reproduce the
-        // direct trace bit-for-bit.
+        // For every projection, noise setting, lead scale and run stream
+        // (literal and VR draw paths): generating a TraceCore and
+        // instantiating a scale view must (a) consume the exact RNG
+        // stream of direct generation and (b) reproduce the direct trace
+        // bit-for-bit.
         let (leads, predictor) = setup();
         let configs = [
             TraceConfig::new(FailureDistribution::OLCF_TITAN, 505, 5_000.0),
@@ -945,19 +863,39 @@ mod tests {
             for (j, scale) in [1.5, 1.1, 1.0, 0.9, 0.5].iter().enumerate() {
                 let cfg = base.with_lead_scale(*scale);
                 let seed = 1000 + (i * 10 + j) as u64;
-                let mut r1 = SimRng::seed_from(seed);
-                let mut r2 = SimRng::seed_from(seed);
-                let direct = FailureTrace::generate(&cfg, &leads, &predictor, &mut r1);
-                // Generate the core under a *different* scale-mate of the
-                // same config — the draws must not depend on the scale.
-                core.generate_into(&base.with_lead_scale(2.0), &leads, &predictor, &mut r2);
-                core.instantiate_into(&cfg, &predictor, &mut view);
-                assert_eq!(direct, view, "config {i} scale {scale}");
-                assert_eq!(
-                    r1.uniform01().to_bits(),
-                    r2.uniform01().to_bits(),
-                    "config {i} scale {scale}: RNGs must leave in the same state"
-                );
+                let streams = run_streams(seed).into_iter().zip(run_streams(seed));
+                for (k, (mut r1, mut r2)) in streams.enumerate() {
+                    let direct = FailureTrace::generate(&cfg, &leads, &predictor, &mut r1);
+                    // Generate the core under a *different* scale-mate of
+                    // the same config — the draws must not depend on the
+                    // scale.
+                    core.generate_into(&base.with_lead_scale(2.0), &leads, &predictor, &mut r2);
+                    core.instantiate_into(&cfg, &predictor, &mut view);
+                    assert_eq!(direct, view, "config {i} scale {scale} stream {k}");
+                    assert_eq!(
+                        r1.uniform01().to_bits(),
+                        r2.uniform01().to_bits(),
+                        "config {i} scale {scale} stream {k}: RNGs must leave in the same state"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vr_streams_take_their_own_draw_path() {
+        // The equivalence above covers the VR path only if these streams
+        // actually leave the literal one.
+        let (leads, predictor) = setup();
+        for projection in [Projection::MinStability, Projection::Thinning] {
+            let cfg = TraceConfig::new(FailureDistribution::OLCF_TITAN, 2272, 5_000.0)
+                .with_projection(projection);
+            let [mut plain, vr @ ..] = run_streams(77);
+            let literal = FailureTrace::generate(&cfg, &leads, &predictor, &mut plain);
+            assert!(literal.failure_count() > 0, "{projection:?}: need failures");
+            for (k, mut r) in vr.into_iter().enumerate() {
+                let t = FailureTrace::generate(&cfg, &leads, &predictor, &mut r);
+                assert_ne!(t, literal, "{projection:?} VR stream {k}");
             }
         }
     }

@@ -68,7 +68,10 @@ fn respond_inner(req_text: &str, service: &Service) -> Result<String, String> {
             bits.join(","),
         ));
     }
-    out.push_str(&format!("SERVICE_JSON {}\n", outcome.meta_json(&req.name)));
+    out.push_str(&format!(
+        "SERVICE_JSON {}\n",
+        outcome.meta_json(&escape(&req.name))
+    ));
     out.push_str(&format!("DIGEST {}\n", grid_digest(grid).hex()));
     out.push_str("OK\n");
     Ok(out)

@@ -1,10 +1,11 @@
 //! The wire layer under hostile or endless traffic: a request line
 //! nested far past any real request gets `ERR`, not a stack overflow,
 //! one longer than the line cap gets `ERR` without being buffered and
-//! the daemon keeps serving, a crossover request outside the analytic
-//! model's domain is simulated instead of panicking the prefilter, and
-//! a daemon serving connection after connection does not keep the
-//! finished connection threads' stacks mapped.
+//! the daemon keeps serving, a request's name reaches `SERVICE_JSON`
+//! escaped, a crossover request outside the analytic model's domain is
+//! simulated instead of panicking the prefilter, and a daemon serving
+//! connection after connection does not keep the finished connection
+//! threads' stacks mapped.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -69,6 +70,32 @@ fn oversize_request_line_gets_err_and_daemon_keeps_serving() {
     }
     server.join().expect("server thread").expect("serve_unix");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn request_name_is_escaped_in_service_json() {
+    // The name `a"b`, a newline, `c`: raw, the quote would end the JSON
+    // string and the newline would split the line protocol.
+    let service = memory_only_service();
+    let body = respond(
+        r#"{"name":"a\"b\nc","app":"POP","models":["B"],"runs":2,"threads":1}"#,
+        &service,
+    );
+    assert!(body.ends_with("OK\n"), "{body}");
+    for line in body.lines() {
+        assert!(
+            ["CELL_JSON {", "SERVICE_JSON {", "DIGEST ", "OK"]
+                .iter()
+                .any(|prefix| line.starts_with(prefix)),
+            "line outside the protocol: {line:?}"
+        );
+    }
+    let meta = body
+        .lines()
+        .find_map(|l| l.strip_prefix("SERVICE_JSON "))
+        .expect("SERVICE_JSON line");
+    let doc = pckpt_service::json::parse(meta).expect("SERVICE_JSON parses");
+    assert_eq!(doc.get("name").and_then(|n| n.as_str()), Some("a\"b\nc"));
 }
 
 #[test]

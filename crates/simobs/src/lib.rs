@@ -3,11 +3,12 @@
 //! Three layers, each independently usable:
 //!
 //! 1. **Event recorder** ([`Recorder`]): a fixed-capacity ring that
-//!    captures event pops, schedules, cancels, flow-wave completions and
-//!    protocol transitions with sim-time and a *causal parent id*. It is
-//!    compiled in only under the `trace` cargo feature; without it the
-//!    type is a ZST and every hook is an `#[inline(always)]` empty body,
-//!    so the default build keeps the allocation-free hot loop intact.
+//!    captures flow-wave completions, protocol transitions, failures and
+//!    recoveries with sim-time, in every build, whenever a ring is
+//!    installed; the campaign path installs none and pays one inlined
+//!    check per hook. The `trace` cargo feature adds the queue's event
+//!    pops, schedules and cancels and the *causal parent id* they give
+//!    every record; without it each record's parent is [`NO_PARENT`].
 //! 2. **Per-run metrics** ([`RunObs`], [`ObsAggregate`]): always-on,
 //!    fixed-size counters and power-of-two-bucket histograms (queue
 //!    depth, events per run, checkpoint latency per level,
@@ -21,6 +22,8 @@
 //! The crate deliberately has no dependencies (not even on `desim`):
 //! sim-time crosses the boundary as raw nanoseconds, so any layer of the
 //! stack can report into it without cycles.
+
+use std::sync::{Arc, Mutex};
 
 /// Sentinel parent id for records with no causal parent (e.g. the events
 /// scheduled before the simulation loop starts).
@@ -40,8 +43,8 @@ pub mod kind {
     pub const FLOW_WAVE: u16 = 4;
     /// The C/R state machine moved (`a` = state code).
     pub const STATE: u16 = 5;
-    /// A failure prediction was delivered (`a` = node, `b` = lead
-    /// seconds as `f64::to_bits`).
+    /// A failure prediction was delivered (`a` = [`node_flag`]`(node,
+    /// genuine)`, `b` = lead seconds as `f64::to_bits`).
     pub const PREDICTION: u16 = 6;
     /// Live migration started (`a` = node).
     pub const LM_START: u16 = 7;
@@ -63,7 +66,7 @@ pub mod kind {
     pub const BB_CKPT: u16 = 15;
     /// An asynchronous drain made a checkpoint PFS-durable.
     pub const DRAIN_DONE: u16 = 16;
-    /// A failure arrived (`a` = node, `b` = 1 if mitigated).
+    /// A failure arrived (`a` = [`node_flag`]`(node, mitigated)`).
     pub const FAILURE: u16 = 17;
     /// Recovery began (`b` = lost work seconds as `f64::to_bits`).
     pub const RECOVERY_START: u16 = 18;
@@ -71,6 +74,18 @@ pub mod kind {
     pub const RECOVERY_DONE: u16 = 19;
     /// The application completed.
     pub const COMPLETE: u16 = 20;
+
+    /// The `a` payload of [`PREDICTION`] and [`FAILURE`] records: the
+    /// node in the low 32 bits, `flag` (genuine, mitigated) above them.
+    #[inline]
+    pub fn node_flag(node: u32, flag: bool) -> u64 {
+        u64::from(node) | (u64::from(flag) << 32)
+    }
+
+    /// Splits a [`node_flag`] payload back into `(node, flag)`.
+    pub fn split_node_flag(a: u64) -> (u32, bool) {
+        (a as u32, a >> 32 == 1)
+    }
 
     /// Human-readable name for a kind code.
     pub fn name(k: u16) -> &'static str {
@@ -121,9 +136,6 @@ pub struct Record {
 }
 
 /// A finished recording: the ring's contents, in emission order.
-///
-/// Available under every feature setting (always empty when `trace` is
-/// off) so downstream code can be written once.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Recording {
     /// Records in `seq` order. When the ring overflowed, this is the
@@ -296,99 +308,107 @@ pub fn diff_report(
 }
 
 // ---------------------------------------------------------------------------
-// Recorder: ring buffer under `trace`, ZST no-op otherwise.
+// Recorder: the ring, compiled in every build.
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "trace")]
-mod recorder {
-    use super::{kind, Record, Recording, NO_PARENT};
-    use std::sync::{Arc, Mutex};
+#[derive(Debug)]
+struct Ring {
+    rec: Recording,
+    capacity: usize,
+    seq: u64,
+    /// Causal id of the pop currently being dispatched.
+    current: u64,
+    /// Event id → causal id of the record that scheduled it.
+    sched_parent: Vec<u64>,
+}
 
-    #[derive(Debug)]
-    struct Ring {
-        rec: Recording,
-        capacity: usize,
-        seq: u64,
-        /// Causal id of the pop currently being dispatched.
-        current: u64,
-        /// Event id → causal id of the record that scheduled it.
-        sched_parent: Vec<u64>,
-    }
-
-    impl Ring {
-        fn new(capacity: usize) -> Self {
-            Self {
-                rec: Recording::default(),
-                capacity,
-                seq: 0,
-                current: NO_PARENT,
-                sched_parent: Vec::new(),
-            }
-        }
-
-        fn record(&mut self, t: u64, parent: u64, kind: u16, a: u64, b: u64) -> u64 {
-            let seq = self.seq;
-            self.seq += 1;
-            if self.rec.records.len() < self.capacity {
-                self.rec.records.push(Record {
-                    t,
-                    seq,
-                    parent,
-                    kind,
-                    a,
-                    b,
-                });
-            } else {
-                self.rec.dropped += 1;
-            }
-            seq
-        }
-
-        fn reset(&mut self) {
-            self.rec = Recording::default();
-            self.seq = 0;
-            self.current = NO_PARENT;
-            self.sched_parent.clear();
+impl Ring {
+    fn new(capacity: usize) -> Self {
+        Self {
+            rec: Recording::default(),
+            capacity,
+            seq: 0,
+            current: NO_PARENT,
+            sched_parent: Vec::new(),
         }
     }
 
-    /// Shared handle to one recording ring. Cloning shares the ring, so
-    /// the queue, the flow link and the C/R model all feed one causally
-    /// ordered stream. `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>`
-    /// because it rides inside `Send` closures (the flow link's capacity
-    /// function); the lock is uncontended — one sim thread per ring.
-    #[derive(Debug, Clone, Default)]
-    pub struct Recorder {
-        inner: Option<Arc<Mutex<Ring>>>,
+    fn record(&mut self, t: u64, parent: u64, kind: u16, a: u64, b: u64) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        if self.rec.records.len() < self.capacity {
+            self.rec.records.push(Record {
+                t,
+                seq,
+                parent,
+                kind,
+                a,
+                b,
+            });
+        } else {
+            self.rec.dropped += 1;
+        }
+        seq
     }
 
-    impl Recorder {
-        /// A recorder that drops everything (the default).
-        pub fn disabled() -> Self {
-            Self { inner: None }
-        }
+    /// Empties the ring and re-arms it, returning what it held.
+    fn take(&mut self) -> Recording {
+        self.seq = 0;
+        self.current = NO_PARENT;
+        self.sched_parent.clear();
+        std::mem::take(&mut self.rec)
+    }
+}
 
-        /// A live recorder retaining the first `capacity` records.
-        pub fn enabled(capacity: usize) -> Self {
-            Self {
-                inner: Some(Arc::new(Mutex::new(Ring::new(capacity)))),
-            }
-        }
+/// Shared handle to one recording ring, or to none (the default, which
+/// records nothing). Cloning shares the ring, so the queue, the flow link
+/// and the C/R model all feed one causally ordered stream.
+/// `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>` because it rides inside
+/// `Send` closures (the flow link's capacity function); the lock is
+/// uncontended — one sim thread per ring.
+///
+/// Domain records ([`emit`](Self::emit)) are kept whenever a ring is
+/// installed. The queue's own records — [`on_pop`](Self::on_pop),
+/// [`on_sched`](Self::on_sched), [`on_cancel`](Self::on_cancel) — and
+/// the causal parents they set are compiled in only under the `trace`
+/// feature; without it those hooks are empty and every record carries
+/// parent [`NO_PARENT`].
+#[derive(Debug, Clone, Default)]
+pub struct Recorder {
+    inner: Option<Arc<Mutex<Ring>>>,
+}
 
-        /// True when records are being retained.
-        pub fn is_enabled(&self) -> bool {
-            self.inner.is_some()
-        }
+impl Recorder {
+    /// A recorder that drops everything (the default).
+    pub fn disabled() -> Self {
+        Self { inner: None }
+    }
 
-        fn with(&self, f: impl FnOnce(&mut Ring)) {
-            if let Some(m) = &self.inner {
-                f(&mut m.lock().expect("simobs ring poisoned"));
-            }
+    /// A live recorder retaining the first `capacity` records.
+    pub fn enabled(capacity: usize) -> Self {
+        Self {
+            inner: Some(Arc::new(Mutex::new(Ring::new(capacity)))),
         }
+    }
 
-        /// An event was popped for dispatch. Its causal parent is the
-        /// record that scheduled it; subsequent emissions hang off it.
-        pub fn on_pop(&self, t: u64, id: u64) {
+    /// True when records are being retained.
+    pub fn is_enabled(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    /// Runs `f` on the ring, if one is installed.
+    fn with(&self, f: impl FnOnce(&mut Ring)) {
+        if let Some(ring) = &self.inner {
+            f(&mut ring.lock().expect("simobs ring poisoned"));
+        }
+    }
+
+    /// An event was popped for dispatch. Its causal parent is the
+    /// record that scheduled it; subsequent emissions hang off it.
+    /// Recorded only under the `trace` feature.
+    #[inline(always)]
+    pub fn on_pop(&self, t: u64, id: u64) {
+        if cfg!(feature = "trace") {
             self.with(|g| {
                 let parent = g
                     .sched_parent
@@ -399,9 +419,13 @@ mod recorder {
                 g.current = seq;
             });
         }
+    }
 
-        /// An event was scheduled (during the current pop, if any).
-        pub fn on_sched(&self, t: u64, id: u64) {
+    /// An event was scheduled (during the current pop, if any).
+    /// Recorded only under the `trace` feature.
+    #[inline(always)]
+    pub fn on_sched(&self, t: u64, id: u64) {
+        if cfg!(feature = "trace") {
             self.with(|g| {
                 let parent = g.current;
                 let seq = g.record(t, parent, kind::SCHED, id, 0);
@@ -412,103 +436,54 @@ mod recorder {
                 g.sched_parent[idx] = seq;
             });
         }
+    }
 
-        /// A pending event was cancelled.
-        pub fn on_cancel(&self, t: u64, id: u64) {
+    /// A pending event was cancelled. Recorded only under the `trace`
+    /// feature.
+    #[inline(always)]
+    pub fn on_cancel(&self, t: u64, id: u64) {
+        if cfg!(feature = "trace") {
             self.with(|g| {
                 let parent = g.current;
                 g.record(t, parent, kind::CANCEL, id, 0);
             });
         }
+    }
 
-        /// A domain event (protocol transition, flow wave, failure, ...)
-        /// occurred inside the current pop.
-        pub fn emit(&self, t: u64, kind: u16, a: u64, b: u64) {
-            self.with(|g| {
-                let parent = g.current;
-                g.record(t, parent, kind, a, b);
-            });
+    /// A domain event (protocol transition, flow wave, failure, ...)
+    /// occurred inside the current pop.
+    ///
+    /// Only the ring check is inlined into the call site; recording is
+    /// an out-of-line call taking the payload in registers, so the
+    /// campaign path, which installs no ring, keeps its handlers small.
+    #[inline]
+    pub fn emit(&self, t: u64, kind: u16, a: u64, b: u64) {
+        #[cold]
+        #[inline(never)]
+        fn emit_locked(ring: &Mutex<Ring>, t: u64, kind: u16, a: u64, b: u64) {
+            let mut g = ring.lock().expect("simobs ring poisoned");
+            let parent = g.current;
+            g.record(t, parent, kind, a, b);
         }
-
-        /// Discards everything recorded so far and re-arms the ring.
-        pub fn clear(&self) {
-            self.with(Ring::reset);
-        }
-
-        /// Takes the recording out, leaving an empty re-armed ring.
-        pub fn take(&self) -> Recording {
-            let mut out = Recording::default();
-            self.with(|g| {
-                out = std::mem::take(&mut g.rec);
-                g.seq = 0;
-                g.current = NO_PARENT;
-                g.sched_parent.clear();
-            });
-            out
+        if let Some(ring) = &self.inner {
+            emit_locked(ring, t, kind, a, b);
         }
     }
-}
 
-#[cfg(not(feature = "trace"))]
-mod recorder {
-    use super::Recording;
+    /// Discards everything recorded so far and re-arms the ring.
+    pub fn clear(&self) {
+        self.with(|g| {
+            g.take();
+        });
+    }
 
-    /// Zero-sized no-op recorder (the `trace` feature is disabled).
-    /// Every method body is empty and `#[inline(always)]`, so hook call
-    /// sites compile to nothing — the campaign hot loop stays exactly as
-    /// allocation-free and branch-free as before the hooks existed.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Recorder;
-
-    impl Recorder {
-        /// A recorder that drops everything (the only kind, here).
-        #[inline(always)]
-        pub fn disabled() -> Self {
-            Recorder
-        }
-
-        /// Without the `trace` feature this still returns a no-op
-        /// recorder; callers branch on [`Recorder::is_enabled`].
-        #[inline(always)]
-        pub fn enabled(_capacity: usize) -> Self {
-            Recorder
-        }
-
-        /// Always false.
-        #[inline(always)]
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn on_pop(&self, _t: u64, _id: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn on_sched(&self, _t: u64, _id: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn on_cancel(&self, _t: u64, _id: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn emit(&self, _t: u64, _kind: u16, _a: u64, _b: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn clear(&self) {}
-
-        /// Always empty.
-        #[inline(always)]
-        pub fn take(&self) -> Recording {
-            Recording::default()
-        }
+    /// Takes the recording out, leaving an empty re-armed ring.
+    pub fn take(&self) -> Recording {
+        let mut out = Recording::default();
+        self.with(|g| out = g.take());
+        out
     }
 }
-
-pub use recorder::Recorder;
 
 // ---------------------------------------------------------------------------
 // Always-on per-run metrics.
@@ -1116,6 +1091,7 @@ mod tests {
         assert!(j.contains("\"parent\":-1"));
     }
 
+    /// Needs the `trace` feature: only the queue hooks set parents.
     #[cfg(feature = "trace")]
     #[test]
     fn live_recorder_tracks_causal_parents() {
@@ -1140,29 +1116,52 @@ mod tests {
         assert_eq!(r.take().len(), 1);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn ring_keeps_first_and_counts_drops() {
         let r = Recorder::enabled(2);
-        r.on_sched(0, 0);
-        r.on_sched(1, 1);
-        r.on_sched(2, 2);
-        r.on_pop(3, 0);
+        r.emit(0, kind::STATE, 0, 0);
+        r.emit(1, kind::BB_CKPT, 0, 0);
+        r.emit(2, kind::DRAIN_DONE, 0, 0);
+        r.emit(3, kind::COMPLETE, 0, 0);
         let rec = r.take();
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.dropped, 2);
         assert_eq!(rec.records[0].t, 0);
         assert_eq!(rec.records[1].t, 1);
+        assert_eq!(rec.records[1].seq, 1);
+        // take() re-arms: numbering restarts and nothing counts as dropped.
+        r.emit(4, kind::COMPLETE, 0, 0);
+        let again = r.take();
+        assert_eq!(
+            (again.len(), again.dropped, again.records[0].seq),
+            (1, 0, 0)
+        );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn clear_discards_without_disabling() {
         let r = Recorder::enabled(16);
-        r.on_sched(0, 0);
+        r.emit(0, kind::BB_CKPT, 0, 0);
         r.clear();
         assert!(r.is_enabled());
         assert!(r.take().is_empty());
+    }
+
+    #[test]
+    fn queue_hooks_record_only_under_the_trace_feature() {
+        let r = Recorder::enabled(16);
+        r.on_sched(0, 0);
+        r.on_pop(1, 0);
+        r.on_cancel(1, 1);
+        r.emit(1, kind::BB_CKPT, 0, 0);
+        let rec = r.take();
+        let kinds: Vec<u16> = rec.records.iter().map(|x| x.kind).collect();
+        if cfg!(feature = "trace") {
+            assert_eq!(kinds, [kind::SCHED, kind::POP, kind::CANCEL, kind::BB_CKPT]);
+        } else {
+            assert_eq!(kinds, [kind::BB_CKPT]);
+            assert_eq!(rec.records[0].parent, NO_PARENT);
+        }
     }
 
     #[test]

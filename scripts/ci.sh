@@ -13,13 +13,14 @@
 #                             API (they are not test targets, so
 #                             nothing else catches their drift)
 #   4. cargo test --features trace
-#                             root suite again with the recorder live:
-#                             golden stream digests + on/off equivalence;
-#                             then desim's own tests with the recorder
-#                             compiled in, so the queue's hooks on all
+#                             root suite again with the queue's records
+#                             compiled in: raw-stream golden digests +
+#                             on/off equivalence; then desim's own tests
+#                             with them, so the queue's hooks on all
 #                             three of its paths (sorted run, heap and
 #                             uncancellable lane) are built and
-#                             exercised
+#                             exercised; then simobs' own tests, for
+#                             the causal parents those hooks set
 #   5. analytic tier          the closed-form equations and crossover
 #                             verdict (analysis crate tests), the
 #                             byte-for-byte pin of exp_analytical's
@@ -74,6 +75,7 @@ echo
 echo "==== [4/10] trace-feature tests ===="
 cargo test -q --features trace
 cargo test -q -p pckpt-desim --features trace
+cargo test -q -p pckpt-simobs --features trace
 
 echo
 echo "==== [5/10] analytic tier: equations, exp_analytical pin, prefilter equivalence ===="

@@ -10,12 +10,14 @@
 //!    by `scripts/ci.sh`), so they also prove that compiling the recorder
 //!    in perturbs no RNG draw, event order or float operation. A change
 //!    that moves one of them changes a simulated number.
-//! 2. **The protocol stream** — `GOLDEN_PROTOCOL_STREAM` (`trace` only)
-//!    hashes every record of a fixed-seed run except the queue's own
-//!    SCHED/POP/CANCEL records, over `(t, kind, a, b)`: what the handlers
-//!    did and when, in all five models and both PFS modes. It holds
-//!    across any change to how the queue stores or orders equal work,
-//!    and moves only when the protocol itself does.
+//! 2. **The protocol stream** — `GOLDEN_PROTOCOL_STREAM` hashes every
+//!    record of a fixed-seed run except the queue's own SCHED/POP/CANCEL
+//!    records, over `(t, kind, a, b)`: what the handlers did and when, in
+//!    all five models and both PFS modes. A default build records exactly
+//!    this stream (the queue records need `trace`), so it is checked
+//!    under both feature settings. It holds across any change to how the
+//!    queue stores or orders equal work, and moves only when the protocol
+//!    itself does.
 //! 3. **The raw queue stream** — `GOLDEN_STREAM_ANALYTIC` and
 //!    `GOLDEN_STREAM_FLUID` (`trace` only) hash the whole structured
 //!    stream of one run, queue records and their seq ids included. They
@@ -27,7 +29,7 @@
 //! Regenerate goldens after an *intentional* change with:
 //! `cargo test --features trace --test trace_determinism -- --nocapture`
 //! (the failing assertions print the measured values; without
-//! `--features trace` the stream goldens are not compiled).
+//! `--features trace` the raw-stream goldens are not compiled).
 
 use pckpt::core::iosim::PfsMode;
 use pckpt::prelude::*;
@@ -295,21 +297,64 @@ fn fixed_run_grid_digests_match_golden_at_any_thread_count() {
     }
 }
 
-#[cfg(not(feature = "trace"))]
-mod trace_off {
-    use super::*;
+/// Golden FNV digest of the protocol stream of run 0, seed 61, XGC
+/// under all five models in both PFS modes: every record except the
+/// queue's own SCHED/POP/CANCEL, over `(t, kind, a, b)` only (`seq` and
+/// `parent` number queue records too). It pins what the handlers did
+/// and when, independently of how the queue got there.
+const GOLDEN_PROTOCOL_STREAM: &str = "b66f51ad3267f623";
 
-    #[test]
-    fn recorder_is_inert_without_the_feature() {
-        // The ZST recorder captures nothing; record_run still produces a
-        // valid result over the same RNG draws.
-        let leads = LeadTimeModel::desh_default();
-        let (result, recording) =
-            pckpt::core::record_run(&xgc_params(PfsMode::Analytic), &leads, 61, 0, 1 << 16);
-        assert!(result.ledger.total_overhead_secs() >= 0.0);
-        assert!(recording.is_empty());
-        assert_eq!(recording.dropped, 0);
+/// The protocol-stream digest, and the number of queue records the ten
+/// recordings held.
+fn protocol_stream_digest() -> (String, usize) {
+    use pckpt::core::obs::{kind, Record};
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = FNV_OFFSET;
+    let mut fold = |v: u64| {
+        for byte in v.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+    };
+    let leads = LeadTimeModel::desh_default();
+    let app = Application::by_name("XGC").expect("Table I app");
+    let mut queue_records = 0;
+    for mode in [PfsMode::Analytic, PfsMode::Fluid] {
+        for model in ModelKind::ALL {
+            let mut params = SimParams::paper_defaults(model, app);
+            params.pfs_mode = mode;
+            let (_, rec, _) = pckpt::core::record_run(&params, &leads, 61, 0, 1 << 20);
+            assert_eq!(rec.dropped, 0, "ring too small for a golden run");
+            let (queue, protocol): (Vec<&Record>, Vec<&Record>) = rec
+                .records
+                .iter()
+                .partition(|r| matches!(r.kind, kind::SCHED | kind::POP | kind::CANCEL));
+            queue_records += queue.len();
+            for r in &protocol {
+                fold(r.t);
+                fold(r.kind as u64);
+                fold(r.a);
+                fold(r.b);
+            }
+            fold(protocol.len() as u64);
+        }
     }
+    (format!("{h:016x}"), queue_records)
+}
+
+#[test]
+fn protocol_stream_digest_matches_golden() {
+    // Every build records the protocol stream; only `trace` adds the
+    // queue's own records to it.
+    let (digest, queue_records) = protocol_stream_digest();
+    assert_eq!(digest, GOLDEN_PROTOCOL_STREAM, "protocol stream drifted");
+    assert_eq!(
+        queue_records > 0,
+        cfg!(feature = "trace"),
+        "{queue_records} SCHED/POP/CANCEL records (trace feature {}abled)",
+        if cfg!(feature = "trace") { "en" } else { "dis" }
+    );
 }
 
 #[cfg(feature = "trace")]
@@ -325,7 +370,7 @@ mod trace_on {
 
     fn record(mode: PfsMode, seed: u64) -> Recording {
         let leads = LeadTimeModel::desh_default();
-        let (_, recording) = record_run(&xgc_params(mode), &leads, seed, 0, 1 << 20);
+        let (_, recording, _) = record_run(&xgc_params(mode), &leads, seed, 0, 1 << 20);
         assert_eq!(recording.dropped, 0, "ring too small for a golden run");
         recording
     }
@@ -351,58 +396,6 @@ mod trace_on {
             GOLDEN_STREAM_FLUID,
             "fluid event stream drifted ({} events)",
             rec.len()
-        );
-    }
-
-    /// Golden FNV digest of the protocol stream of run 0, seed 61, XGC
-    /// under all five models in both PFS modes: every record except the
-    /// queue's own SCHED/POP/CANCEL, over `(t, kind, a, b)` only (`seq`
-    /// and `parent` number queue records too). It pins what the
-    /// handlers did and when, independently of how the queue got there.
-    const GOLDEN_PROTOCOL_STREAM: &str = "b66f51ad3267f623";
-
-    fn protocol_stream_digest() -> String {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut fold = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        let leads = LeadTimeModel::desh_default();
-        let app = Application::by_name("XGC").expect("Table I app");
-        for mode in [PfsMode::Analytic, PfsMode::Fluid] {
-            for model in ModelKind::ALL {
-                let mut params = SimParams::paper_defaults(model, app);
-                params.pfs_mode = mode;
-                let (_, rec) = record_run(&params, &leads, 61, 0, 1 << 20);
-                assert_eq!(rec.dropped, 0, "ring too small for a golden run");
-                let protocol = rec
-                    .records
-                    .iter()
-                    .filter(|r| !matches!(r.kind, kind::SCHED | kind::POP | kind::CANCEL));
-                let mut n = 0u64;
-                for r in protocol {
-                    fold(r.t);
-                    fold(r.kind as u64);
-                    fold(r.a);
-                    fold(r.b);
-                    n += 1;
-                }
-                fold(n);
-            }
-        }
-        format!("{h:016x}")
-    }
-
-    #[test]
-    fn protocol_stream_digest_matches_golden() {
-        assert_eq!(
-            protocol_stream_digest(),
-            GOLDEN_PROTOCOL_STREAM,
-            "protocol stream drifted"
         );
     }
 
