@@ -14,9 +14,9 @@
 //! on every invocation before any timing is reported. Emits one
 //! machine-parsable `GRID_JSON {...}` line per app plus the grid
 //! `METRICS_JSON` metadata, then one `GRID_JSON` line each for the
-//! prefilter, shard scale-out and variance-reduction headlines;
-//! `scripts/bench.sh` stores the six `GRID_JSON` records verbatim in
-//! its snapshot's `grid_json`, keyed by name.
+//! prefilter and variance-reduction headlines; `scripts/bench.sh`
+//! stores the five `GRID_JSON` records verbatim in its snapshot's
+//! `grid_json`, keyed by name.
 
 use std::time::Instant;
 
@@ -26,21 +26,6 @@ use pckpt_failure::{FailureDistribution, LeadTimeModel};
 
 const SWEEP_SCALES: [f64; 4] = [1.5, 1.1, 0.9, 0.5];
 const MODELS: [ModelKind; 2] = [ModelKind::B, ModelKind::M2];
-
-/// The Fig.-4-shaped sweep the shard scale-out headline fans out: three
-/// figure apps × four lead scales × [B, M2]. Shard children rebuild the
-/// identical cells through [`main`]'s coordinator-environment hook, so
-/// only results ever cross the process boundary.
-fn fig4_shard_cells() -> Vec<pckpt_core::GridCell> {
-    pckpt_bench::figure_apps()
-        .into_iter()
-        .flat_map(|app| {
-            SWEEP_SCALES.iter().map(move |&s| {
-                sweep_cell(app, &MODELS, FailureDistribution::OLCF_TITAN, s, None, None)
-            })
-        })
-        .collect()
-}
 
 fn digest(a: &Aggregate) -> (u64, u64, u64) {
     (
@@ -52,19 +37,6 @@ fn digest(a: &Aggregate) -> (u64, u64, u64) {
 
 fn main() {
     let leads = LeadTimeModel::desh_default();
-    // Shard-child hook: when `run_grid_sharded` re-invokes this binary
-    // with the coordinator's environment contract, execute one shard of
-    // the fig4 sweep and exit instead of benchmarking.
-    if let Some(spec) = pckpt_core::shard_spec_from_env() {
-        pckpt_core::run_shard_child(
-            &fig4_shard_cells(),
-            &leads,
-            &pckpt_core::shard_child_config(),
-            &spec,
-        )
-        .expect("shard child");
-        return;
-    }
     println!(
         "grid sweep vs serial cells — 4 lead scales x [B, M2], {} runs, seed {}",
         runs(),
@@ -189,90 +161,6 @@ fn main() {
     );
 
     variance_reduction_headline(&leads);
-    shard_scaleout_headline(&leads);
-}
-
-/// Deterministic scale-out on the Fig.-4 sweep: one single-threaded
-/// process vs 2 single-threaded shard subprocesses (the scale-out story
-/// is processes, not threads, so both sides are pinned to one worker
-/// thread per process). The merge is gated on bit-identity with the
-/// single-process sweep before any timing is reported. `shard_speedup`
-/// tracks available cores: ~2x on 2+ free cores, and ≤ 1x on a
-/// single-core host, where parallel shards merely timeslice and the
-/// number degenerates to a measure of coordination overhead.
-fn shard_scaleout_headline(leads: &LeadTimeModel) {
-    use pckpt_core::{
-        run_grid_sharded_opts, RunnerConfig, ShardLauncher, ShardOptions,
-    };
-    // Large enough that simulation dominates the ~100 ms of process
-    // spawn + frame I/O the sharded side pays (at 64 runs the overhead
-    // wins and the "speedup" is < 1).
-    const SHARD_BUDGET: usize = 512;
-    const SHARDS: usize = 2;
-    let cells = fig4_shard_cells();
-    let mut cfg = RunnerConfig::new(SHARD_BUDGET, seed());
-    cfg.threads = 1;
-
-    let started = Instant::now();
-    let single = run_grid_filtered(&cells, leads, &cfg, None);
-    let single_wall = started.elapsed().as_secs_f64();
-
-    let launcher = ShardLauncher::current_exe(Vec::new()).expect("bench binary path");
-    let started = Instant::now();
-    let sharded = run_grid_sharded_opts(
-        &cells,
-        leads,
-        &cfg,
-        &ShardOptions::new(SHARDS),
-        &launcher,
-        None,
-    )
-    .expect("sharded fig4 sweep");
-    let sharded_wall = started.elapsed().as_secs_f64();
-
-    for (i, (s, g)) in single.cells.iter().zip(&sharded.cells).enumerate() {
-        for (a, b) in s.aggregates.iter().zip(&g.aggregates) {
-            assert_eq!(
-                digest(a),
-                digest(b),
-                "fig4 cell {i}: sharded merge diverged from single process"
-            );
-        }
-    }
-    let meta = sharded.shard_meta.expect("sharded runs report shard_meta");
-    let speedup = single_wall / sharded_wall;
-    // A bare speedup number is ambiguous: on a host with fewer free
-    // cores than shards, parallel single-threaded processes merely
-    // timeslice one core, and the ratio measures *coordination
-    // overhead* (spawn + frame I/O + merge), not scale-out. Report the
-    // regime alongside the number so downstream consumers never read a
-    // 0.9x on a starved CI box as a parallelism regression.
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let regime = if host_cores >= SHARDS {
-        "parallel"
-    } else {
-        "coordination_overhead"
-    };
-    println!(
-        "  shard scale-out fig4 ({} cells x {SHARD_BUDGET} runs): single {single_wall:.3} s, \
-         {SHARDS} shards {sharded_wall:.3} s  ({speedup:.2}x {regime} on {host_cores} core(s), \
-         {} re-execution(s), {} frame bytes, digests bit-identical)",
-        cells.len(),
-        meta.reexecutions,
-        meta.frame_bytes,
-    );
-    println!(
-        "GRID_JSON {{\"name\":\"shard_scaleout_fig4\",\"cells\":{n},\"runs_per_cell\":{SHARD_BUDGET},\
-         \"shards\":{shards},\"single_wall_secs\":{single_wall:.6},\
-         \"sharded_wall_secs\":{sharded_wall:.6},\"shard_speedup\":{speedup:.3},\
-         \"host_cores\":{host_cores},\"shard_speedup_regime\":\"{regime}\",\
-         \"reexecutions\":{reexec},\"frame_bytes\":{fb},\"digest_match\":true}}",
-        n = cells.len(),
-        shards = meta.shards,
-        reexec = meta.reexecutions,
-        fb = meta.frame_bytes,
-    );
-    println!("METRICS_JSON {}", sharded.meta_json("shard_scaleout_fig4_grid"));
 }
 
 /// Runs-to-±1%-CI on the Fig.-4-shaped sweep (the three figure apps ×

@@ -18,10 +18,7 @@ usage:
   pckpt trace --app <NAME> --model <B|M1|M2|P1|P2> [--run 0] [--verbose true]
               [common options]
   pckpt grid  --app <NAME> [--scales 1.5,1,0.5] [--models B,P2]
-              [--shards N] [common options]
-  pckpt shard --app <NAME> [--scales ...] [--models ...] [common options]
-              (internal: executes one shard; requires PCKPT_SHARD and
-               PCKPT_SHARD_OUT in the environment)
+              [common options]
 
 common options:
   --runs <N>          Monte-Carlo runs (default 400)
@@ -33,8 +30,7 @@ common options:
 
 environment:
   PCKPT_RUNS=auto[:target[:cap]]  adaptive CI-driven run allocation
-  PCKPT_VR=antithetic,stratified[:K]  variance-reduced trace generation
-  PCKPT_SHARD_TIMEOUT_SECS=N      per-shard watchdog for `grid --shards`";
+  PCKPT_VR=antithetic,stratified[:K]  variance-reduced trace generation";
 
 /// Options shared by the simulation subcommands.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,9 +80,8 @@ pub struct LogGenOptions {
     pub seed: u64,
 }
 
-/// Options for the `grid` and `shard` subcommands: a lead-time sweep of
-/// one application across several models, optionally scaled out over
-/// subprocess shards.
+/// Options for the `grid` subcommand: a lead-time sweep of one
+/// application across several models.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridOptions {
     /// Common simulation options (`lead_scale` is ignored — the sweep
@@ -96,8 +91,6 @@ pub struct GridOptions {
     pub scales: Vec<f64>,
     /// Models simulated in every cell.
     pub models: Vec<ModelKind>,
-    /// Shard subprocesses to fan out over (1 = in-process).
-    pub shards: usize,
 }
 
 /// A parsed command.
@@ -119,13 +112,25 @@ pub enum Command {
     Trace(ModelKind, SimOptions, usize, bool),
     /// Mine failure chains from a log file.
     LogsAnalyze(String),
-    /// A lead-time sweep grid, optionally sharded across subprocesses.
+    /// A lead-time sweep grid.
     Grid(GridOptions),
-    /// Internal: execute one shard of a grid (spawned by `grid --shards`).
-    Shard(GridOptions),
 }
 
+/// The common options, which build a campaign's [`SimOptions`].
+const COMMON: &[&str] = &[
+    "--app",
+    "--runs",
+    "--seed",
+    "--dist",
+    "--lead-scale",
+    "--fn-rate",
+    "--alpha",
+];
+
 /// Parses an argument vector into a [`Command`].
+///
+/// Each subcommand names every option it reads in its `reject_unused`
+/// call; any other option is an error, never silently ignored.
 pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut it = argv.iter();
     let sub = it.next().ok_or("missing subcommand")?;
@@ -133,25 +138,25 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "leads" => expect_end(it).map(|()| Command::Leads),
         "apps" => expect_end(it).map(|()| Command::Apps),
         "io" => {
-            let (opts, extra) = parse_options(it)?;
-            reject_unused(&extra, &[])?;
+            let (opts, given) = parse_options(it)?;
+            reject_unused(&given, &["--app"])?;
             if opts.app.is_empty() {
                 return Err("io requires --app".into());
             }
             Ok(Command::Io(opts.app))
         }
         "simulate" => {
-            let (opts, extra) = parse_options(it)?;
-            reject_unused(&extra, &["--model"])?;
-            let model = extract_model(&extra, "simulate")?;
+            let (opts, given) = parse_options(it)?;
+            reject_unused(&given, &[COMMON, &["--model"]].concat())?;
+            let model = extract_model(&given, "simulate")?;
             if opts.app.is_empty() {
                 return Err("simulate requires --app".into());
             }
             Ok(Command::Simulate(model, opts))
         }
         "compare" => {
-            let (opts, extra) = parse_options(it)?;
-            reject_unused(&extra, &[])?;
+            let (opts, given) = parse_options(it)?;
+            reject_unused(&given, COMMON)?;
             if opts.app.is_empty() {
                 return Err("compare requires --app".into());
             }
@@ -159,16 +164,27 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
         "logs" => parse_logs(it),
         "grid" => parse_grid(it).map(Command::Grid),
-        "shard" => parse_grid(it).map(Command::Shard),
         "trace" => {
-            let (opts, extra) = parse_options(it)?;
-            reject_unused(&extra, &["--model", "--run", "--verbose"])?;
-            let model = extract_model(&extra, "trace")?;
+            let (opts, given) = parse_options(it)?;
+            // One run: `--run` picks it, so `--runs` has no meaning here.
+            let reads = [
+                "--app",
+                "--seed",
+                "--dist",
+                "--lead-scale",
+                "--fn-rate",
+                "--alpha",
+                "--model",
+                "--run",
+                "--verbose",
+            ];
+            reject_unused(&given, &reads)?;
+            let model = extract_model(&given, "trace")?;
             if opts.app.is_empty() {
                 return Err("trace requires --app".into());
             }
-            let run = extract_kv(&extra, "--run")?.unwrap_or(0);
-            let verbose = extract_kv::<bool>(&extra, "--verbose")?.unwrap_or(false);
+            let run = extract_kv(&given, "--run")?.unwrap_or(0);
+            let verbose = extract_kv::<bool>(&given, "--verbose")?.unwrap_or(false);
             Ok(Command::Trace(model, opts, run, verbose))
         }
         other => Err(format!("unknown subcommand {other:?}")),
@@ -228,19 +244,36 @@ fn parse_logs<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<Command, S
 }
 
 fn parse_grid<'a>(it: impl Iterator<Item = &'a String>) -> Result<GridOptions, String> {
-    let (opts, extra) = parse_options(it)?;
+    let (opts, given) = parse_options(it)?;
     if opts.app.is_empty() {
         return Err("grid requires --app".into());
     }
-    reject_unused(&extra, &["--scales", "--models", "--shards"])?;
-    let scales = match extract_kv::<String>(&extra, "--scales")? {
+    // The sweep's lead scales come from `--scales`, or else from the one
+    // `--lead-scale`; it never reads both.
+    let scale_option = if value_of(&given, "--scales").is_some() {
+        "--scales"
+    } else {
+        "--lead-scale"
+    };
+    let reads = [
+        "--app",
+        "--runs",
+        "--seed",
+        "--dist",
+        "--fn-rate",
+        "--alpha",
+        "--models",
+        scale_option,
+    ];
+    reject_unused(&given, &reads)?;
+    let scales = match extract_kv::<String>(&given, "--scales")? {
         None => vec![opts.lead_scale],
         Some(csv) => csv
             .split(',')
             .map(|s| parse_float("--scales", s.trim(), 0.01, 10.0))
             .collect::<Result<Vec<_>, _>>()?,
     };
-    let models = match extract_kv::<String>(&extra, "--models")? {
+    let models = match extract_kv::<String>(&given, "--models")? {
         None => vec![ModelKind::B, ModelKind::P2],
         Some(csv) => csv
             .split(',')
@@ -253,15 +286,10 @@ fn parse_grid<'a>(it: impl Iterator<Item = &'a String>) -> Result<GridOptions, S
     if scales.is_empty() || models.is_empty() {
         return Err("--scales and --models must be non-empty".into());
     }
-    let shards = extract_kv::<usize>(&extra, "--shards")?.unwrap_or(1);
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
     Ok(GridOptions {
         opts,
         scales,
         models,
-        shards,
     })
 }
 
@@ -272,18 +300,21 @@ fn expect_end<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<(), String
     }
 }
 
-/// Parses `--key value` pairs; returns the common options plus the
-/// subcommand-specific pairs (`--model`, `--run`, ...) left for the
-/// caller, which must reject those it does not read.
+/// Parses `--key value` pairs; returns the common options plus every
+/// pair as given, in order. The caller reads its subcommand-specific
+/// options (`--model`, `--run`, ...) from the pairs and must reject
+/// every option it does not read with [`reject_unused`].
 fn parse_options<'a>(
     mut it: impl Iterator<Item = &'a String>,
 ) -> Result<(SimOptions, Vec<String>), String> {
     let mut opts = SimOptions::default();
-    let mut extra = Vec::new();
+    let mut given = Vec::new();
     while let Some(key) = it.next() {
         let value = it
             .next()
             .ok_or_else(|| format!("option {key} requires a value"))?;
+        given.push(key.clone());
+        given.push(value.clone());
         match key.as_str() {
             "--app" => opts.app = value.clone(),
             "--runs" => opts.runs = parse_num(key, value)?,
@@ -295,23 +326,20 @@ fn parse_options<'a>(
                 opts.dist = FailureDistribution::by_name(value)
                     .ok_or_else(|| format!("unknown distribution {value:?}"))?
             }
-            "--model" | "--run" | "--verbose" | "--scales" | "--models" | "--shards" => {
-                extra.push(key.clone());
-                extra.push(value.clone());
-            }
+            "--model" | "--run" | "--verbose" | "--scales" | "--models" => {}
             other => return Err(format!("unknown option {other:?}")),
         }
     }
     if opts.runs == 0 {
         return Err("--runs must be at least 1".into());
     }
-    Ok((opts, extra))
+    Ok((opts, given))
 }
 
-/// Rejects the first passthrough option (see [`parse_options`]) that is
-/// not in `used`, the options the subcommand reads.
-fn reject_unused(extra: &[String], used: &[&str]) -> Result<(), String> {
-    match extra
+/// Rejects the first given option (see [`parse_options`]) that is not in
+/// `used`, the options the subcommand reads.
+fn reject_unused(given: &[String], used: &[&str]) -> Result<(), String> {
+    match given
         .iter()
         .step_by(2)
         .find(|k| !used.contains(&k.as_str()))
@@ -321,30 +349,29 @@ fn reject_unused(extra: &[String], used: &[&str]) -> Result<(), String> {
     }
 }
 
-/// Pulls an optional `--key value` pair out of the passthrough list.
-fn extract_kv<T: std::str::FromStr>(extra: &[String], key: &str) -> Result<Option<T>, String> {
-    match extra.iter().position(|k| k == key) {
+/// The value of the first `key` among the given pairs (see
+/// [`parse_options`]), if present.
+fn value_of<'a>(given: &'a [String], key: &str) -> Option<&'a String> {
+    given
+        .chunks_exact(2)
+        .find(|pair| pair[0] == key)
+        .map(|pair| &pair[1])
+}
+
+/// Pulls an optional `--key value` pair out of the given pairs.
+fn extract_kv<T: std::str::FromStr>(given: &[String], key: &str) -> Result<Option<T>, String> {
+    match value_of(given, key) {
         None => Ok(None),
-        Some(pos) => {
-            let value = extra
-                .get(pos + 1)
-                .ok_or_else(|| format!("{key} requires a value"))?;
-            value
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{key}: cannot parse {value:?}"))
-        }
+        Some(value) => value
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{key}: cannot parse {value:?}")),
     }
 }
 
-fn extract_model(extra: &[String], subcommand: &str) -> Result<ModelKind, String> {
-    let pos = extra
-        .iter()
-        .position(|k| k == "--model")
-        .ok_or_else(|| format!("{subcommand} requires --model"))?;
-    let value = extra
-        .get(pos + 1)
-        .ok_or("--model requires a value (B, M1, M2, P1 or P2)")?;
+fn extract_model(given: &[String], subcommand: &str) -> Result<ModelKind, String> {
+    let value =
+        value_of(given, "--model").ok_or_else(|| format!("{subcommand} requires --model"))?;
     ModelKind::ALL
         .into_iter()
         .find(|m| m.name().eq_ignore_ascii_case(value))
@@ -458,10 +485,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_grid_with_sweep_and_shards() {
+    fn parses_grid_with_sweep() {
         let cmd = parse(&v(&[
-            "grid", "--app", "XGC", "--scales", "1.5,1,0.5", "--models", "b,P2", "--shards", "4",
-            "--runs", "12", "--seed", "61",
+            "grid", "--app", "XGC", "--scales", "1.5,1,0.5", "--models", "b,P2", "--runs", "12",
+            "--seed", "61",
         ]))
         .unwrap();
         match cmd {
@@ -469,24 +496,17 @@ mod tests {
                 assert_eq!(g.opts.app, "XGC");
                 assert_eq!(g.scales, vec![1.5, 1.0, 0.5]);
                 assert_eq!(g.models, vec![ModelKind::B, ModelKind::P2]);
-                assert_eq!(g.shards, 4);
                 assert_eq!(g.opts.runs, 12);
                 assert_eq!(g.opts.seed, 61);
             }
             other => panic!("wrong command {other:?}"),
         }
-        // Defaults: one cell at --lead-scale, B + P2, no sharding.
+        // Defaults: one cell at --lead-scale, B + P2.
         match parse(&v(&["grid", "--app", "POP", "--lead-scale", "0.9"])).unwrap() {
             Command::Grid(g) => {
                 assert_eq!(g.scales, vec![0.9]);
                 assert_eq!(g.models, vec![ModelKind::B, ModelKind::P2]);
-                assert_eq!(g.shards, 1);
             }
-            other => panic!("wrong command {other:?}"),
-        }
-        // `shard` shares the grammar.
-        match parse(&v(&["shard", "--app", "XGC", "--scales", "1"])).unwrap() {
-            Command::Shard(g) => assert_eq!(g.scales, vec![1.0]),
             other => panic!("wrong command {other:?}"),
         }
     }
@@ -494,7 +514,6 @@ mod tests {
     #[test]
     fn grid_rejects_bad_input() {
         assert!(parse(&v(&["grid", "--scales", "1"])).is_err()); // no app
-        assert!(parse(&v(&["grid", "--app", "XGC", "--shards", "0"])).is_err());
         assert!(parse(&v(&["grid", "--app", "XGC", "--models", "Z9"])).is_err());
         assert!(parse(&v(&["grid", "--app", "XGC", "--scales", "nope"])).is_err());
         assert!(parse(&v(&["grid", "--app", "XGC", "--model", "P2"])).is_err());
@@ -502,8 +521,53 @@ mod tests {
     }
 
     #[test]
+    fn grid_rejects_lead_scale_beside_scales() {
+        // `--scales` sets every cell's lead scale, so `--lead-scale`
+        // would be dropped without a word.
+        let err = parse(&v(&[
+            "grid", "--app", "XGC", "--lead-scale", "0.5", "--scales", "1.5",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "unexpected option --lead-scale");
+    }
+
+    #[test]
+    fn io_reads_only_the_app() {
+        for [flag, value] in [
+            ["--dist", "lanl18"],
+            ["--seed", "9"],
+            ["--runs", "3"],
+            ["--lead-scale", "0.5"],
+            ["--fn-rate", "0.2"],
+            ["--alpha", "2"],
+            ["--model", "P2"],
+        ] {
+            let err = parse(&v(&["io", "--app", "XGC", flag, value])).unwrap_err();
+            assert_eq!(err, format!("unexpected option {flag}"));
+        }
+    }
+
+    #[test]
+    fn trace_rejects_runs() {
+        // `trace` narrates the one run `--run` picks.
+        let err = parse(&v(&[
+            "trace", "--app", "XGC", "--model", "B", "--runs", "7",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "unexpected option --runs");
+    }
+
+    #[test]
+    fn process_sharding_is_gone() {
+        let err = parse(&v(&["grid", "--app", "XGC", "--shards", "2"])).unwrap_err();
+        assert_eq!(err, r#"unknown option "--shards""#);
+        let err = parse(&v(&["shard", "--app", "XGC", "--scales", "1"])).unwrap_err();
+        assert_eq!(err, r#"unknown subcommand "shard""#);
+    }
+
+    #[test]
     fn simulate_and_trace_reject_flags_they_do_not_read() {
-        let grid_flags = [["--scales", "0.5"], ["--models", "B"], ["--shards", "2"]];
+        let grid_flags = [["--scales", "0.5"], ["--models", "B"]];
         for [flag, value] in [["--run", "1"], ["--verbose", "true"]]
             .iter()
             .chain(&grid_flags)

@@ -3,10 +3,7 @@
 use pckpt_analysis::Table;
 use pckpt_core::obs::kind;
 use pckpt_core::sim::state_name;
-use pckpt_core::{
-    record_run, run_grid, run_grid_sharded, run_shard_child, shard_child_config,
-    shard_spec_from_env, Aggregate, GridCell, ModelKind, RunnerConfig, ShardLauncher, SimParams,
-};
+use pckpt_core::{record_run, run_grid, Aggregate, GridCell, ModelKind, RunnerConfig, SimParams};
 use pckpt_desim::SimTime;
 use pckpt_failure::LeadTimeModel;
 use pckpt_workloads::{Application, TABLE_I};
@@ -25,14 +22,11 @@ pub fn run(cmd: Command) -> Result<(), String> {
         Command::LogsAnalyze(path) => logs_analyze(&path),
         Command::Trace(model, opts, run, verbose) => trace_run(model, &opts, run, verbose),
         Command::Grid(g) => grid(&g),
-        Command::Shard(g) => shard(&g),
     }
 }
 
-/// Builds the grid cells for a `grid`/`shard` invocation. Coordinator and
-/// shard children call this with identical [`GridOptions`], so both sides
-/// reconstruct bit-identical `SimParams` — the shard protocol ships only
-/// results, never configuration.
+/// Builds the grid cells for a `grid` invocation: one cell per lead
+/// scale.
 fn build_grid_cells(g: &GridOptions) -> Result<Vec<GridCell>, String> {
     let mut cells = Vec::with_capacity(g.scales.len());
     for &scale in &g.scales {
@@ -45,38 +39,11 @@ fn build_grid_cells(g: &GridOptions) -> Result<Vec<GridCell>, String> {
     Ok(cells)
 }
 
-/// Rebuilds this invocation's argv as a `shard` subcommand for child
-/// processes. `f64` `Display` is shortest-roundtrip, so the child parses
-/// back the exact scales the coordinator holds.
-fn shard_launcher(g: &GridOptions) -> Result<ShardLauncher, String> {
-    let join = |xs: &[String]| xs.join(",");
-    let args = vec![
-        "shard".to_string(),
-        "--app".into(),
-        g.opts.app.clone(),
-        "--dist".into(),
-        g.opts.dist.short_key().into(),
-        "--fn-rate".into(),
-        g.opts.fn_rate.to_string(),
-        "--alpha".into(),
-        g.opts.alpha.to_string(),
-        "--scales".into(),
-        join(&g.scales.iter().map(f64::to_string).collect::<Vec<_>>()),
-        "--models".into(),
-        join(&g.models.iter().map(|m| m.name().to_string()).collect::<Vec<_>>()),
-    ];
-    ShardLauncher::current_exe(args)
-}
-
 fn grid(g: &GridOptions) -> Result<(), String> {
     let cells = build_grid_cells(g)?;
     let leads = LeadTimeModel::desh_default();
     let config = RunnerConfig::new(g.opts.runs, g.opts.seed).with_env_vr();
-    let result = if g.shards > 1 {
-        run_grid_sharded(&cells, &leads, &config, g.shards, &shard_launcher(g)?)?
-    } else {
-        run_grid(&cells, &leads, &config)
-    };
+    let result = run_grid(&cells, &leads, &config);
     let mut t = Table::new(vec!["cell", "model", "total (h)", "vs B", "FT ratio"]).with_title(
         format!(
             "{} sweep on {} — {} runs/cell, seed {}",
@@ -112,25 +79,11 @@ fn grid(g: &GridOptions) -> Result<(), String> {
         }
     }
     println!("{t}");
-    if let Some(s) = result.shard_meta {
-        println!(
-            "sharded over {} subprocess(es): {} re-execution(s), {} frame byte(s)",
-            s.shards, s.reexecutions, s.frame_bytes
-        );
-    }
     println!(
         "GRID_JSON {}",
         result.meta_json(&format!("cli_grid_{}", g.opts.app.to_ascii_lowercase()))
     );
     Ok(())
-}
-
-fn shard(g: &GridOptions) -> Result<(), String> {
-    let spec = shard_spec_from_env()
-        .ok_or("shard is internal: requires PCKPT_SHARD=<i>/<RxG> and PCKPT_SHARD_OUT=<path>")?;
-    let cells = build_grid_cells(g)?;
-    let leads = LeadTimeModel::desh_default();
-    run_shard_child(&cells, &leads, &shard_child_config(), &spec)
 }
 
 /// Ring capacity for `trace`: every record of one run, with room to
@@ -520,15 +473,8 @@ mod tests {
             },
             scales: vec![1.0, 0.5],
             models: vec![ModelKind::B, ModelKind::P2],
-            shards: 1,
         };
         grid(&g).unwrap();
-        // `shard` is internal and refuses to run without the coordinator's
-        // environment contract.
-        let _lock = pckpt_core::env_test_lock();
-        std::env::remove_var("PCKPT_SHARD");
-        let err = shard(&g).unwrap_err();
-        assert!(err.contains("PCKPT_SHARD"), "got: {err}");
     }
 
     #[test]

@@ -1,24 +1,17 @@
-//! Canonical configuration fingerprints — the binding-digest normal
-//! form shared by shard frames and the campaign service cache.
+//! Canonical configuration fingerprints — the normal form the campaign
+//! service keys its cache and journal by.
 //!
-//! PR 9 introduced the *binding digest*: a canonical byte rendering of
-//! everything a result depends on (seed, runs, VR selection, prefilter,
-//! lead-time model, cell identities), hashed with FNV-1a, so a frame
-//! from a different campaign can never fold. The campaign service
-//! (`crates/service`) needs the same normal form to key its
-//! content-addressed result cache and its sweep journal, so the builder
-//! lives here and both layers render configurations through the same
-//! code path instead of duplicating it.
+//! A fingerprint is a canonical byte rendering of everything a result
+//! depends on (seed, runs, VR selection, prefilter, lead-time model,
+//! cell identities), hashed so that a result from a different campaign
+//! can never be served or folded. The campaign service
+//! (`crates/service`) keys its content-addressed result cache and its
+//! sweep journal by it.
 //!
-//! Two digest widths serve two purposes:
-//!
-//! * [`Canon::digest`] — 64-bit FNV-1a, used by the shard binding digest
-//!   where the coordinator *also* compares every structural field, so
-//!   the digest is a tamper check, not the identity.
-//! * [`Canon::fingerprint`] — 128 bits from two independently seeded
-//!   FNV-1a passes, used where the digest **is** the identity (cache
-//!   keys, journal headers): a 64-bit birthday collision at cache scale
-//!   would silently serve the wrong cell, so the key is wide.
+//! [`Canon::fingerprint`] is 128 bits from two independently seeded
+//! FNV-1a passes, because the digest **is** the identity (cache keys,
+//! journal headers): a 64-bit birthday collision at cache scale would
+//! silently serve the wrong cell, so the key is wide.
 
 use crate::prefilter::Prefilter;
 use crate::runner::{GridCell, RunnerConfig};
@@ -46,7 +39,7 @@ pub fn fnv1a_from(basis: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a over `bytes` (the frame and binding digest primitive).
+/// FNV-1a over `bytes` (the frame and journal seal primitive).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_from(FNV_BASIS, bytes)
 }
@@ -157,11 +150,6 @@ impl Canon {
     /// The canonical bytes so far.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
-    }
-
-    /// 64-bit FNV-1a of the canonical bytes.
-    pub fn digest(&self) -> u64 {
-        fnv1a(&self.buf)
     }
 
     /// 128-bit content-address of the canonical bytes.

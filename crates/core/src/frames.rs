@@ -1,20 +1,18 @@
-//! The binary result-frame codec shared by shard children and the
-//! campaign service.
+//! The binary result-frame codec of the campaign service.
 //!
-//! PR 9's shard frames established the wire discipline this module
-//! extracts: little-endian fixed-width fields, raw [`RunResult`]s (every
-//! `f64` travels by bit pattern, so decode ∘ encode is the identity on
-//! results), and a trailing FNV-1a digest over everything before it —
-//! truncation at any prefix length and any corrupted byte are detected
-//! before a single field is trusted. The shard codec
-//! ([`crate::shard::encode_frame`]), the service's cell cache entries,
-//! and the sweep journal all compose these primitives, so there is
-//! exactly one implementation of the byte layout.
+//! The wire discipline: little-endian fixed-width fields, raw
+//! [`RunResult`]s (every `f64` travels by bit pattern, so decode ∘
+//! encode is the identity on results), and a trailing FNV-1a digest over
+//! everything before it — truncation at any prefix length and any
+//! corrupted byte are detected before a single field is trusted. The
+//! service's cell cache entries and its sweep journal both compose these
+//! primitives, so there is exactly one implementation of the byte
+//! layout.
 
 use crate::metrics::{OverheadLedger, RunResult};
 
-/// Frame format version shared by every frame-shaped artifact (shard
-/// frames, cache cells, journal records). Bump on any layout change.
+/// Frame format version shared by every frame-shaped artifact (cache
+/// cells, journal records). Bump on any layout change.
 pub const FRAME_VERSION: u16 = 1;
 
 // ---------------------------------------------------------------------
@@ -111,18 +109,11 @@ pub fn encode_run_result(out: &mut Vec<u8>, r: &RunResult) {
     r.obs.encode_into(out);
 }
 
-/// Inverse of [`encode_run_result`].
-pub fn decode_run_result(bytes: &[u8], pos: &mut usize) -> Result<RunResult, String> {
-    let mut r = RunResult::default();
-    decode_run_result_into(bytes, pos, &mut r)?;
-    Ok(r)
-}
-
-/// [`decode_run_result`] into a caller-owned result, overwriting its
-/// previous contents. A `RunResult` is ~2 KiB (four fixed histograms),
-/// so a loop decoding thousands of them reuses one scratch value
-/// instead of moving a fresh one out per call. On error the contents
-/// are unspecified.
+/// Inverse of [`encode_run_result`], decoding into a caller-owned
+/// result and overwriting its previous contents. A `RunResult` is
+/// ~2 KiB (four fixed histograms), so a loop decoding thousands of them
+/// reuses one scratch value instead of moving a fresh one out per call.
+/// On error the contents are unspecified.
 pub fn decode_run_result_into(
     bytes: &[u8],
     pos: &mut usize,
@@ -206,8 +197,25 @@ mod tests {
         };
         let mut buf = Vec::new();
         encode_run_result(&mut buf, &r);
+        // Decode into a scratch that already holds a different result:
+        // every field, histogram buckets included, must be overwritten.
+        let mut back = RunResult {
+            ledger: OverheadLedger {
+                ckpt_secs: 9.0,
+                periodic_ckpts: 3,
+                ..OverheadLedger::default()
+            },
+            wall_secs: 1.0,
+            obs: RunObs {
+                events_handled: 5,
+                ..RunObs::default()
+            },
+            ..RunResult::default()
+        };
+        back.obs.lat_bb.record(1 << 20);
+        back.obs.recomp.record(77);
         let mut pos = 0;
-        let back = decode_run_result(&buf, &mut pos).unwrap();
+        decode_run_result_into(&buf, &mut pos, &mut back).unwrap();
         assert_eq!(pos, buf.len(), "no trailing bytes");
         assert_eq!(back, r);
         assert_eq!(back.ledger.lm_slowdown_secs.to_bits(), (-0.0f64).to_bits());

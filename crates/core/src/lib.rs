@@ -42,7 +42,6 @@ pub mod oci;
 pub mod prefilter;
 pub mod protocol;
 pub mod runner;
-pub mod shard;
 pub mod sim;
 
 pub use config::{ModelKind, SimParams};
@@ -56,11 +55,6 @@ pub use runner::{
     run_grid_with_cell_sink, run_many, run_models, splice_pruned, AdaptiveConfig, CampaignResult,
     CellFold, CellResults, GridCell, GridPlan, GridResult, GridWorker, RunnerConfig, RunsSpec,
     ShardMeta, VrConfig,
-};
-pub use shard::{
-    decode_frame, encode_frame, run_grid_sharded, run_grid_sharded_opts, run_shard_child,
-    shard_child_config, shard_spec_from_env, ShardAssignment, ShardFrame, ShardLauncher,
-    ShardOptions, ShardPlan, ShardSpec,
 };
 pub use sim::CrSim;
 

@@ -136,8 +136,8 @@ impl Prefilter {
 
     /// Renders this filter as a `PCKPT_PREFILTER` value that
     /// [`Self::parse`] maps back to an equal filter (`f64`'s `Display`
-    /// round-trips exactly); the shard coordinator propagates it into
-    /// children so both sides prune identically.
+    /// round-trips exactly); cell and campaign fingerprints render it,
+    /// so a cached cell binds to the filter it was pruned under.
     pub fn spec(&self) -> String {
         format!("analytic:{}", self.margin)
     }

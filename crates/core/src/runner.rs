@@ -52,11 +52,10 @@
 //! Every sweep runs through one driver that executes runs in sequential
 //! batches. A fixed run count is the one-batch schedule; adaptive
 //! allocation ([`AdaptiveConfig`]) is the multi-batch schedule, deciding
-//! after each batch which cells continue. Each batch, and each shard
-//! child's run range (`crate::shard`), runs through the one pool
-//! function, which borrows its warm [`GridWorker`]s for the batch and
-//! hands them back. Every per-lane accumulation — the driver's, the
-//! shard merge's, and [`CellFold`]'s — goes through one lane fold: an
+//! after each batch which cells continue. Each batch runs through the
+//! one pool function, which borrows its warm [`GridWorker`]s for the
+//! batch and hands them back. Every per-lane accumulation — the
+//! driver's and [`CellFold`]'s — goes through one lane fold: an
 //! [`Aggregate`], plus the variance-reduction CI estimator when VR is
 //! on.
 
@@ -162,26 +161,6 @@ pub fn parse_runs_spec(s: &str) -> Option<RunsSpec> {
         return Some(RunsSpec::Auto(a));
     }
     s.parse::<usize>().ok().filter(|&n| n > 0).map(RunsSpec::Fixed)
-}
-
-/// Renders `vr` as a `PCKPT_VR` value that [`parse_vr_spec`] parses back
-/// to the same antithetic/strata selection, or `None` when both are off.
-/// Adaptive allocation lives in `PCKPT_RUNS` and is not rendered here
-/// (the shard coordinator never propagates it — adaptive sweeps fall
-/// back in-process; see `crate::shard`).
-pub(crate) fn vr_env_spec(vr: &VrConfig) -> Option<String> {
-    let mut parts: Vec<String> = Vec::new();
-    if vr.antithetic {
-        parts.push("antithetic".to_string());
-    }
-    if vr.strata > 0 {
-        parts.push(format!("stratified:{}", vr.strata));
-    }
-    if parts.is_empty() {
-        None
-    } else {
-        Some(parts.join(","))
-    }
 }
 
 /// Parses a `PCKPT_VR` value: a comma-separated subset of `antithetic`
@@ -354,7 +333,7 @@ fn vr_run_rng(master: &SimRng, run: usize, vr: &VrConfig, stratum: u32) -> SimRn
 /// The static (non-adaptive) stratum assignment for run `run`: pairs (or
 /// single runs) round-robin through the strata, so any prefix of the run
 /// sequence is balanced to within one sample per stratum.
-pub(crate) fn fixed_stratum(run: usize, vr: &VrConfig) -> u32 {
+fn fixed_stratum(run: usize, vr: &VrConfig) -> u32 {
     if vr.strata == 0 {
         return 0;
     }
@@ -584,7 +563,6 @@ pub struct GridPlan<'a> {
     groups: Vec<GroupInfo>,
     units: Vec<Unit>,
     lane_base: Vec<usize>,
-    cell_group: Vec<usize>,
     n_lanes: usize,
 }
 
@@ -670,19 +648,12 @@ impl<'a> GridPlan<'a> {
             groups,
             units,
             lane_base,
-            cell_group,
             n_lanes,
         }
     }
 
-    pub(crate) fn lane(&self, cell: usize, model_idx: usize) -> usize {
+    fn lane(&self, cell: usize, model_idx: usize) -> usize {
         self.lane_base[cell] + model_idx
-    }
-
-    /// The trace group of cell `cell` (shard planning keeps each group's
-    /// cells on one shard so cross-cell trace sharing survives the split).
-    pub(crate) fn cell_group(&self, cell: usize) -> usize {
-        self.cell_group[cell]
     }
 
     /// Execution units per run (≤ [`lanes`](Self::lanes); smaller when
@@ -899,21 +870,13 @@ impl ResultSlab {
     }
 }
 
-/// Per-sweep shard/merge accounting, populated by
-/// [`run_grid_sharded`](crate::shard::run_grid_sharded) (`None` for
-/// in-process sweeps; `meta_json` then reports one shard and zero
-/// re-executions).
+/// The type of [`GridResult::shard_meta`]. It has no values, so the
+/// field is `None` in every grid: every grid runs on the in-process
+/// pool. The field stays because the benchmark harness
+/// (`crates/bench/pbench`, a workspace of its own) builds `GridResult`
+/// as a struct literal with `shard_meta: None`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardMeta {
-    /// Shards the planner actually produced (≤ the requested count; 1
-    /// when the coordinator fell back in-process).
-    pub shards: usize,
-    /// Shard re-executions the coordinator performed after child
-    /// failures (non-zero exit, bad frame, timeout).
-    pub reexecutions: usize,
-    /// Total bytes of validated result frames folded into the merge.
-    pub frame_bytes: u64,
-}
+pub enum ShardMeta {}
 
 /// Results and execution metadata of one [`run_grid`] sweep.
 #[derive(Debug, Clone)]
@@ -958,8 +921,8 @@ pub struct GridResult {
     pub analytic_verdicts: Vec<Option<AnalyticVerdict>>,
     /// Cells answered by the analytic tier instead of simulation.
     pub cells_pruned: usize,
-    /// Shard/merge accounting when the sweep ran through the
-    /// process-sharding coordinator (`None` for in-process sweeps).
+    /// Always `None` ([`ShardMeta`] has no values); kept so existing
+    /// `GridResult` struct literals still compile.
     pub shard_meta: Option<ShardMeta>,
 }
 
@@ -1048,8 +1011,7 @@ impl GridResult {
              \"threads\":{},\"trace_groups\":{},\"trace_generations\":{},\"trace_reuses\":{},\
              \"trace_cache_hit_rate\":{:.4},\"leads_digest\":\"{:016x}\",\
              \"prefilter_pruned\":{},\"prefilter_simulated\":{},\
-             \"total_runs\":{},\"runs_min\":{},\"worst_ci_rel\":{:.6},\
-             \"shards\":{},\"reexecutions\":{},\"frame_bytes\":{}}}",
+             \"total_runs\":{},\"runs_min\":{},\"worst_ci_rel\":{:.6}}}",
             self.cells.len(),
             self.lanes,
             self.units,
@@ -1065,9 +1027,6 @@ impl GridResult {
             self.total_runs(),
             runs_min,
             self.worst_ci_rel(),
-            self.shard_meta.map_or(1, |s| s.shards),
-            self.shard_meta.map_or(0, |s| s.reexecutions),
-            self.shard_meta.map_or(0, |s| s.frame_bytes),
         )
     }
 }
@@ -1139,9 +1098,9 @@ pub fn run_grid_filtered(
 
 /// Splices a simulated survivor-grid result back into the full input
 /// cell order: pruned cells get an empty campaign (their answer lives in
-/// `analytic_verdicts`), zero runs, and a zero CI. The shard coordinator
-/// and the campaign service reuse this so a sharded or cache-served
-/// prefiltered sweep splices exactly like an in-process one.
+/// `analytic_verdicts`), zero runs, and a zero CI. The campaign service
+/// reuses this so a cache-served prefiltered sweep splices exactly like
+/// an in-process one.
 pub fn splice_pruned(
     cells: &[GridCell],
     leads: &LeadTimeModel,
@@ -1216,7 +1175,7 @@ pub fn splice_pruned(
         leads_digest: leads.digest(),
         analytic_verdicts: verdicts,
         cells_pruned: pruned,
-        shard_meta: simulated.as_ref().and_then(|g| g.shard_meta),
+        shard_meta: None,
     }
 }
 
@@ -1224,16 +1183,16 @@ pub fn splice_pruned(
 /// the active variance-reduction strategies when VR is on.
 ///
 /// Every per-lane accumulation goes through here — the grid driver's
-/// batch fold, the shard merge's frame replay, and [`CellFold`]'s — so
-/// the three produce bit-identical aggregates and CIs from identical
-/// push sequences by construction.
-pub(crate) struct LaneFold {
+/// batch fold and [`CellFold`]'s frame replay — so the two produce
+/// bit-identical aggregates and CIs from identical push sequences by
+/// construction.
+struct LaneFold {
     agg: Aggregate,
     tracker: Option<CiTracker>,
 }
 
 impl LaneFold {
-    pub(crate) fn new(vr: &VrConfig) -> Self {
+    fn new(vr: &VrConfig) -> Self {
         Self {
             agg: Aggregate::new(),
             tracker: vr.is_active().then(|| CiTracker::new(vr)),
@@ -1242,7 +1201,7 @@ impl LaneFold {
 
     /// Folds in the next run of this lane (ascending run order), whose
     /// first failure time was drawn from stratum `stratum`.
-    pub(crate) fn push(&mut self, stratum: u32, r: &RunResult) {
+    fn push(&mut self, stratum: u32, r: &RunResult) {
         self.agg.push(r);
         if let Some(t) = self.tracker.as_mut() {
             t.push(stratum, r.ledger.total_overhead_secs() / 3600.0);
@@ -1302,9 +1261,9 @@ fn finish_cell(
 /// the results one at a time with [`push`](Self::push), then
 /// [`finish`](Self::finish).
 ///
-/// The lane fold is the one [`run_grid`] and the shard coordinator use,
-/// so feeding it a cell's decoded frame reproduces the in-process
-/// aggregate bit for bit — the service cache's equivalence argument.
+/// The lane fold is the one [`run_grid`] uses, so feeding it a cell's
+/// decoded frame reproduces the in-process aggregate bit for bit — the
+/// service cache's equivalence argument.
 /// Borrowing each result keeps exactly one `RunResult` live however the
 /// caller produces them — a decode loop can reuse one scratch value for
 /// the whole frame. Fixed run counts only; adaptive campaigns are never
@@ -1363,9 +1322,9 @@ impl<'a> CellFold<'a> {
 /// the deterministic main-thread fold completes the cell.
 ///
 /// `slots` is the cell's lane-major slice of the pool slab: lane `m`'s
-/// run `r` sits at `m * runs + r`, the exact order the shard frame codec
-/// serializes (`frames::encode_run_result` per slot) — so a sink can
-/// stream the cell straight into a frame without reordering.
+/// run `r` sits at `m * runs + r`, the exact order the service's cell
+/// frame serializes (`frames::encode_run_result` per slot) — so a sink
+/// can stream the cell straight into a frame without reordering.
 pub struct CellResults<'a> {
     /// Index of the cell among the simulated cells the pool ran (the
     /// caller owns any prefilter splicing back to input order).
@@ -1428,7 +1387,7 @@ pub fn run_grid_with_cell_sink(
 /// stratum-weighted fold. Using the crude per-run variance in those modes
 /// would overstate (antithetic) or understate (stratified) the CI and
 /// corrupt the stopping rule.
-pub(crate) enum CiTracker {
+enum CiTracker {
     /// Crude per-run variance (no VR).
     Plain(Summary),
     /// Variance over antithetic pair means.
@@ -1441,7 +1400,7 @@ pub(crate) enum CiTracker {
 }
 
 impl CiTracker {
-    pub(crate) fn new(vr: &VrConfig) -> Self {
+    fn new(vr: &VrConfig) -> Self {
         match (vr.antithetic, vr.strata) {
             (false, 0) => Self::Plain(Summary::new()),
             (true, 0) => Self::Paired(PairedSummary::new()),
@@ -1453,7 +1412,7 @@ impl CiTracker {
     /// Adds one per-run observation. Callers push in ascending run order
     /// (the fold order), which is what makes consecutive pushes of one
     /// stratum form antithetic pairs.
-    pub(crate) fn push(&mut self, stratum: u32, x: f64) {
+    fn push(&mut self, stratum: u32, x: f64) {
         match self {
             Self::Plain(s) => s.push(x),
             Self::Paired(p) => p.push(x),
@@ -1501,7 +1460,7 @@ impl CiTracker {
 
     /// Relative CI half-width (`half_width / |mean|`), 0 when not yet
     /// statable or degenerate.
-    pub(crate) fn rel_ci(&self, confidence: f64) -> f64 {
+    fn rel_ci(&self, confidence: f64) -> f64 {
         let m = self.mean().abs();
         match self.half_width(confidence) {
             Some(hw) if m > 0.0 => hw / m,
@@ -1528,7 +1487,7 @@ impl CiTracker {
 /// per-stratum spreads. Antithetic pairs always occupy consecutive
 /// (even, odd) offsets with equal strata: batches are pair-aligned and
 /// every allocation block is a multiple of the pair width.
-pub(crate) fn batch_schedule(
+fn batch_schedule(
     start: usize,
     n_batch: usize,
     vr: &VrConfig,
@@ -1558,7 +1517,7 @@ pub(crate) fn batch_schedule(
 
 /// One pool worker per thread for sweeps of `runs` runs of every unit of
 /// `plan` (the thread count follows the `runs × units` item space).
-pub(crate) fn pool_workers<'a, 'p>(
+fn pool_workers<'a, 'p>(
     plan: &'p GridPlan<'a>,
     config: &RunnerConfig,
     runs: usize,
@@ -1577,11 +1536,10 @@ pub(crate) fn pool_workers<'a, 'p>(
 /// unit, stratum)` alone — worker caches and chunk interleaving never
 /// reach the results — so a sub-range of runs reproduces exactly the
 /// slots the same runs fill inside a full sweep. That is what makes the
-/// driver's batches and the shard children's run ranges
-/// (`crate::shard`) bit-identical to a one-shot sweep. The workers are
+/// driver's batches bit-identical to a one-shot sweep. The workers are
 /// borrowed for the batch and handed back warm, so sequential batches
 /// reuse their simulators and trace buffers.
-pub(crate) fn run_pool(
+fn run_pool(
     plan: &GridPlan,
     workers: &mut Vec<GridWorker>,
     master: &SimRng,
@@ -1770,10 +1728,9 @@ fn run_grid_simulated(
 
 /// The result of simulating every cell of `plan` from its lane folds
 /// (indexed by plan lane) and per-cell run counts: campaigns, worst-lane
-/// CIs under `vr`'s estimator, and the plan accounting. The driver and
-/// the shard merge both build their results here; the trace-cache
-/// counters and shard accounting are the caller's to fill in.
-pub(crate) fn simulated_grid(
+/// CIs under `vr`'s estimator, and the plan accounting. The trace-cache
+/// counters are the caller's to fill in.
+fn simulated_grid(
     plan: &GridPlan,
     vr: &VrConfig,
     lanes: Vec<LaneFold>,

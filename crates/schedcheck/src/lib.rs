@@ -8,10 +8,9 @@
 //! `invariant(slab-scope-join)`): the chunk-claim CAS loop hands every
 //! item to exactly one worker, and results are read only after
 //! `thread::scope` joins every worker. Every sweep goes through that
-//! function — a fixed-run sweep as one call, each adaptive batch and
-//! each shard child's run range as one call apiece — so adaptive
-//! batches are sequential rounds of the same claim/put/join protocol,
-//! each with a fresh counter and slab. Those invariants were argued in
+//! function — a fixed-run sweep as one call, each adaptive batch as one
+//! call apiece — so adaptive batches are sequential rounds of the same
+//! claim/put/join protocol, each with a fresh counter and slab. Those invariants were argued in
 //! prose; this crate checks them by exhaustive interleaving of an
 //! explicit operation model (the registry is unreachable, so no loom —
 //! the explorer is hand-rolled, like the workspace's rand/proptest

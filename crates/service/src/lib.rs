@@ -47,10 +47,10 @@ use pckpt_core::{Canon, Fingerprint, GridResult};
 /// (mean total hours, pooled failure-tolerance ratio, failure counts),
 /// attained CIs, and run counts.
 ///
-/// Execution-shape metadata (threads, trace-cache counters, shard
-/// accounting) is deliberately excluded: the digest answers "did this
-/// sweep produce the same *results*?", the equality the cache, the
-/// journal, and the single-flight layer each promise. Cold, warm,
+/// Execution-shape metadata (threads, trace-cache counters) is
+/// deliberately excluded: the digest answers "did this sweep produce
+/// the same *results*?", the equality the cache, the journal, and the
+/// single-flight layer each promise. Cold, warm,
 /// coalesced, and crash-resumed executions of one campaign must all
 /// report the same digest — the integration tests hold them to it.
 pub fn grid_digest(grid: &GridResult) -> Fingerprint {

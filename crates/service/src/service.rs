@@ -19,8 +19,7 @@
 //! Adaptive-allocation campaigns (`config.vr.adaptive`) are the one
 //! shape none of this applies to: grid-pooled pilot feedback makes a
 //! cell's results depend on which other cells share the pool, so such
-//! requests bypass cache and journal entirely (same precedent as the
-//! shard coordinator's in-process fallback) and are flagged
+//! requests bypass cache and journal entirely and are flagged
 //! `"uncached":true` in the meta.
 
 use std::collections::BTreeMap;
@@ -150,10 +149,8 @@ impl ServiceOutcome {
 
 /// Crash-injection hook: `PCKPT_SERVICE_FAIL=crash:<k>` kills the
 /// process (exit 13) immediately after the `k`-th journal append it
-/// performs. Exercises the resume path exactly like the shard fault
-/// harness exercises child failures.
-// simlint: config — test-only fault injection, mirrors
-// `PCKPT_SHARD_FAIL`; never set in production runs.
+/// performs, so the resume tests can kill a daemon mid-campaign.
+// simlint: config — test-only fault injection; never set in production runs.
 fn crash_hook_after_append() {
     let Ok(spec) = std::env::var("PCKPT_SERVICE_FAIL") else {
         return;
@@ -225,7 +222,7 @@ impl Service {
         if req.config.vr.adaptive.is_some() {
             // Grid-pooled adaptive feedback: cell results depend on
             // pool composition, so frames are not independently
-            // addressable. Run uncached (shard.rs precedent).
+            // addressable. Run uncached.
             let grid = run_grid_filtered(&req.cells, &self.leads, &req.config, req.prefilter.as_ref());
             let meta = ServiceMeta {
                 pruned: grid.cells_pruned as u64,
@@ -432,7 +429,7 @@ impl Service {
                 leads_digest,
                 analytic_verdicts: vec![None; survivors.len()],
                 cells_pruned: 0,
-                shard_meta: computed_grid.as_ref().and_then(|g| g.shard_meta),
+                shard_meta: None,
             })
         };
 

@@ -18,6 +18,18 @@
 //!   type, it is treated as a module path and falls back to free fns
 //!   (`time::to_nanos` → free fn `to_nanos`).
 //!
+//! Two scoping facts narrow every kind, because the callee they drop is
+//! not callable from the call site at all:
+//!
+//! * a call made from library code ([`crate::rules::FileClass::is_lib`])
+//!   resolves only to fns defined in library files — a library cannot
+//!   call into a bin, a test or an example;
+//! * a free fn nested in another fn's body is a candidate only for calls
+//!   inside that body. (Methods are not narrowed: an `impl` block inside
+//!   a fn body still adds methods callable from anywhere.)
+//!
+//! Calls from non-library files keep the full over-approximation.
+//!
 //! Traversals are plain BFS over a visited set, so recursion cycles
 //! terminate by construction; each visit records its predecessor so
 //! rules can print the full call chain in findings.
@@ -77,6 +89,23 @@ impl CallGraph {
         }
         g.callees = vec![Vec::new(); g.nodes.len()];
         g.callers = vec![Vec::new(); g.nodes.len()];
+        // The body a nested free fn is visible in: the innermost other
+        // fn body around its declaration.
+        let scope: Vec<Option<(usize, usize)>> = g
+            .nodes
+            .iter()
+            .map(|r| {
+                let fns = &files[r.file].items.fns;
+                let f = &fns[r.fn_idx];
+                if f.impl_type.is_some() {
+                    return None;
+                }
+                fns.iter()
+                    .filter_map(|outer| outer.body)
+                    .filter(|&(open, close)| open < f.decl_idx && f.decl_idx < close)
+                    .min_by_key(|&(open, close)| close - open)
+            })
+            .collect();
 
         // Edges.
         for (file, sf) in files.iter().enumerate() {
@@ -85,33 +114,45 @@ impl CallGraph {
                     continue;
                 };
                 let caller_item = &sf.items.fns[call.caller];
-                let targets: &[NodeId] = match &call.kind {
-                    CallKind::Free => free_fns
-                        .get(call.name.as_str())
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[]),
-                    CallKind::Method => methods_by_name
-                        .get(call.name.as_str())
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[]),
+                // Where the call site sits: inside the caller's body.
+                let site = caller_item
+                    .body
+                    .map_or(caller_item.decl_idx, |(open, _)| open);
+                let callable = |to: &NodeId| {
+                    let r = g.nodes[*to];
+                    let lib_ok = !sf.class.is_lib || files[r.file].class.is_lib;
+                    let scope_ok = scope[*to]
+                        .is_none_or(|(open, close)| r.file == file && open <= site && site < close);
+                    lib_ok && scope_ok
+                };
+                let candidates = |ids: Option<&Vec<NodeId>>| -> Vec<NodeId> {
+                    ids.into_iter()
+                        .flatten()
+                        .copied()
+                        .filter(callable)
+                        .collect()
+                };
+                let targets = match &call.kind {
+                    CallKind::Free => candidates(free_fns.get(call.name.as_str())),
+                    CallKind::Method => candidates(methods_by_name.get(call.name.as_str())),
                     CallKind::Path(qual) => {
                         let qual: &str = if qual == "Self" {
                             caller_item.impl_type.as_deref().unwrap_or("Self")
                         } else {
                             qual
                         };
-                        match methods_by_qual.get(&(qual, call.name.as_str())) {
-                            Some(v) => v.as_slice(),
-                            // Unknown qualifier: could be a module path
+                        match candidates(methods_by_qual.get(&(qual, call.name.as_str()))) {
+                            // No callable method of that type: the
+                            // qualifier may be a module path
                             // (`time::to_nanos`) — fall back to free fns.
-                            None => free_fns
-                                .get(call.name.as_str())
-                                .map(Vec::as_slice)
-                                .unwrap_or(&[]),
+                            methods if methods.is_empty() => {
+                                candidates(free_fns.get(call.name.as_str()))
+                            }
+                            methods => methods,
                         }
                     }
                 };
-                for &to in targets {
+                for to in targets {
                     g.callees[from].push(to);
                     g.callers[to].push(from);
                 }
@@ -218,6 +259,61 @@ mod tests {
             }
         }
         panic!("no fn named {name}");
+    }
+
+    fn find_in(ws: &Workspace, g: &CallGraph, path: &str, name: &str) -> NodeId {
+        let file = ws.files.iter().position(|sf| sf.rel == path).expect("file");
+        let fn_idx = ws.files[file]
+            .items
+            .fns
+            .iter()
+            .position(|f| f.name == name)
+            .expect("fn");
+        g.node(file, fn_idx).expect("node")
+    }
+
+    #[test]
+    fn lib_calls_skip_bin_fns_and_nested_fns_stay_in_their_body() {
+        // A hot library fn calls a fn nested in its own body; a bin has
+        // a fn of the same name that reaches a cold, allocating lib fn.
+        const LIB: &str = "crates/core/src/lib.rs";
+        const BIN: &str = "crates/bench/src/bin/tool.rs";
+        let ws = ws(&[
+            (
+                LIB,
+                "// simlint: hot\n\
+                 pub fn step() { fn record() {} record(); }\n\
+                 pub fn build() -> Vec<u8> { Vec::new() }",
+            ),
+            (BIN, "fn record() { build(); }\nfn main() { record(); }"),
+        ]);
+        let g = CallGraph::build(&ws.files);
+        let step = find_in(&ws, &g, LIB, "step");
+        let nested = find_in(&ws, &g, LIB, "record");
+        let build = find_in(&ws, &g, LIB, "build");
+        let bin_record = find_in(&ws, &g, BIN, "record");
+        let bin_main = find_in(&ws, &g, BIN, "main");
+        assert_eq!(
+            g.callees[step],
+            vec![nested],
+            "lib code never calls a bin fn"
+        );
+        assert_eq!(
+            g.callees[bin_main],
+            vec![bin_record],
+            "a nested fn is not callable outside its body"
+        );
+        assert_eq!(
+            g.callees[bin_record],
+            vec![build],
+            "bins still reach lib fns"
+        );
+        let hot_allocs: Vec<_> = ws
+            .lint()
+            .into_iter()
+            .filter(|f| f.rule == "no-alloc-in-hot-loop")
+            .collect();
+        assert!(hot_allocs.is_empty(), "{hot_allocs:?}");
     }
 
     #[test]

@@ -574,7 +574,7 @@ impl FixedHist {
     /// Appends the histogram's wire encoding to `out`: a one-byte count
     /// of non-empty buckets, then strictly ascending `(index u8,
     /// count u64 LE)` pairs, then the `u128` LE sum. Sparse because the
-    /// shard result frames carry four of these per run and most runs
+    /// service's cell records carry four of these per run and most runs
     /// populate a handful of buckets.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let n = self.buckets.iter().filter(|&&b| b != 0).count() as u8;

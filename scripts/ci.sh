@@ -37,19 +37,13 @@
 #                             consistency, VR/adaptive thread-count
 #                             invariance, the adaptive-grid golden
 #                             digest, and the VR-on zero-allocation gate
-#   8. shard scale-out        cross-process equivalence (sharded merges
-#                             bit-identical to single-process sweeps,
-#                             incl. VR and prefilter modes), the sharded
-#                             golden grid, and the fault-injection suite
-#                             (killed / truncated / corrupted / hung
-#                             children recover to the same digest)
-#   9. campaign service       pckptd end-to-end suite (cache replay
+#   8. campaign service       pckptd end-to-end suite (cache replay
 #                             digest oracle, single-flight admission,
 #                             torn-journal crash/resume property test)
 #                             plus the service crate's unit tests
 #                             (cell-frame codec, journal, cache,
 #                             single-flight primitives)
-#  10. benchmark harness     pbench is its own workspace, so no stage
+#   9. benchmark harness     pbench is its own workspace, so no stage
 #                             above builds it: compile it against the
 #                             current core/service API and run its
 #                             tests (incl. a traced-fold-vs-run_grid
@@ -60,53 +54,47 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==== [1/10] tier-1 gate (scripts/lint.sh) ===="
+echo "==== [1/9] tier-1 gate (scripts/lint.sh) ===="
 scripts/lint.sh
 
 echo
-echo "==== [2/10] workspace tests ===="
+echo "==== [2/9] workspace tests ===="
 cargo test -q --workspace
 
 echo
-echo "==== [3/10] examples build ===="
+echo "==== [3/9] examples build ===="
 cargo build -q --examples
 
 echo
-echo "==== [4/10] trace-feature tests ===="
+echo "==== [4/9] trace-feature tests ===="
 cargo test -q --features trace
 cargo test -q -p pckpt-desim --features trace
 cargo test -q -p pckpt-simobs --features trace
 
 echo
-echo "==== [5/10] analytic tier: equations, exp_analytical pin, prefilter equivalence ===="
+echo "==== [5/9] analytic tier: equations, exp_analytical pin, prefilter equivalence ===="
 cargo test -q -p pckpt-analysis
 cargo test -q -p pckpt-bench --test smoke exp_analytical
 cargo test -q --test grid_equivalence
 
 echo
-echo "==== [6/10] schedcheck exhaustive + simlint fixtures ===="
+echo "==== [6/9] schedcheck exhaustive + simlint fixtures ===="
 cargo test -q -p schedcheck
 cargo test -q -p simlint
 
 echo
-echo "==== [7/10] variance reduction: marginals, folds, determinism ===="
+echo "==== [7/9] variance reduction: marginals, folds, determinism ===="
 cargo test -q --test variance_reduction
 cargo test -q --test trace_determinism adaptive_grid
 cargo test -q -p pckpt-core --test alloc_free
 
 echo
-echo "==== [8/10] shard scale-out: equivalence + fault injection ===="
-cargo test -q --test grid_equivalence sharded
-cargo test -q --test trace_determinism sharded_grid
-cargo test -q --test shard_faults
-
-echo
-echo "==== [9/10] campaign service: cache, single-flight, crash/resume ===="
+echo "==== [8/9] campaign service: cache, single-flight, crash/resume ===="
 cargo test -q --test service_suite
 cargo test -q -p pckpt-service
 
 echo
-echo "==== [10/10] benchmark harness: pbench builds and passes ===="
+echo "==== [9/9] benchmark harness: pbench builds and passes ===="
 cargo test -q --offline --manifest-path crates/bench/pbench/Cargo.toml
 
 echo

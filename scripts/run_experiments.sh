@@ -41,29 +41,6 @@ for exp in "${EXPERIMENTS[@]}"; do
   fi
 done
 
-# Shard / re-execution accounting: every grid METRICS_JSON line now
-# carries `shards` / `reexecutions` / `frame_bytes` counters (1/0/0 for
-# in-process sweeps), so a sweep that silently fell back to one process
-# or quietly retried children is visible in the sweep summary.
-echo "== shard accounting =="
-(grep -h '^METRICS_JSON ' results/*.txt 2>/dev/null || true) | python3 - <<'PYEOF'
-import json
-import sys
-
-grids = reexecs = 0
-for line in sys.stdin:
-    rec = json.loads(line[len("METRICS_JSON "):])
-    if "shards" not in rec:
-        continue
-    grids += 1
-    reexecs += rec.get("reexecutions", 0)
-    if rec["shards"] > 1 or rec.get("reexecutions", 0) > 0:
-        print(f"  {rec['name']}: shards={rec['shards']} "
-              f"reexecutions={rec['reexecutions']} "
-              f"frame_bytes={rec.get('frame_bytes', 0)}")
-print(f"  {grids} grid metric line(s), {reexecs} shard re-execution(s)")
-PYEOF
-
 echo "ALL EXPERIMENTS DONE $(date +%T)"
 if ((${#FAILED[@]} > 0)); then
   echo "FAILED: ${FAILED[*]}" >&2

@@ -9,20 +9,10 @@
 use proptest::prelude::*;
 
 use pckpt::core::{
-    run_grid, run_grid_filtered, run_grid_sharded_opts, run_models, Aggregate, GridCell,
-    ModelKind, Prefilter, RunnerConfig, ShardOptions, VrConfig,
+    run_grid, run_grid_filtered, run_models, Aggregate, GridCell, ModelKind, Prefilter,
+    RunnerConfig,
 };
 use pckpt::prelude::*;
-
-mod shard_common;
-
-/// Child entry point for the sharded suites below: under the
-/// coordinator's environment contract this executes one shard and exits;
-/// in a normal test run it is an inert pass.
-#[test]
-fn shard_child_entry() {
-    let _ = shard_common::maybe_run_shard_child();
-}
 
 /// Everything an aggregate folds, as exact bits.
 fn digest(a: &Aggregate) -> [u64; 5] {
@@ -108,90 +98,6 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-/// Sweep-shaped recipes matching [`arb_cells`]'s shape space, plus the
-/// variance-reduction configs the sharded fold must replay exactly.
-fn arb_sharded_recipe() -> impl Strategy<Value = String> {
-    let scales = prop_oneof![
-        Just("1"),
-        Just("1.5,0.5"),
-        Just("1.1,1,0.9"),
-        Just("1.5,1.1,0.5"),
-    ];
-    let models = prop_oneof![
-        Just("B"),
-        Just("B,P2"),
-        Just("B,M2"),
-        Just("M1,P1"),
-        Just("B,M2,P2"),
-    ];
-    (scales, models).prop_map(|(s, m)| format!("sweep|XGC|{s}|{m}"))
-}
-
-/// Runs `recipe`'s grid through `run_grid_sharded_opts` at every
-/// (shards, threads) combination and asserts each result is bit-identical
-/// to the single-process reference under the same `vr` config.
-fn assert_sharded_matches_single(recipe: &str, runs: usize, seed: u64, vr: VrConfig) {
-    let cells = shard_common::cells_from_recipe(recipe).unwrap();
-    let leads = LeadTimeModel::desh_default();
-    let launcher = shard_common::launcher_for("shard_child_entry", recipe);
-    let mut reference_cfg = RunnerConfig::new(runs, seed);
-    reference_cfg.threads = 2;
-    reference_cfg.vr = vr;
-    let reference = shard_common::grid_digest(&run_grid_filtered(
-        &cells,
-        &leads,
-        &reference_cfg,
-        None,
-    ));
-    for shards in [1usize, 2, 4] {
-        for threads in [1usize, 3] {
-            let mut cfg = RunnerConfig::new(runs, seed);
-            cfg.threads = threads;
-            cfg.vr = vr;
-            let grid = run_grid_sharded_opts(
-                &cells,
-                &leads,
-                &cfg,
-                &ShardOptions::new(shards),
-                &launcher,
-                None,
-            )
-            .unwrap_or_else(|e| panic!("{shards} shards / {threads} threads failed: {e}"));
-            let meta = grid.shard_meta.expect("sharded runs report shard_meta");
-            assert_eq!(meta.reexecutions, 0, "healthy children never re-execute");
-            assert_eq!(
-                shard_common::grid_digest(&grid),
-                reference,
-                "digest diverged at {shards} shards / {threads} threads \
-                 (recipe {recipe}, seed {seed}, runs {runs}, vr {vr:?})"
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// Tentpole oracle: for arbitrary sweep shapes, shard counts and
-    /// thread counts — in both plain and variance-reduced trace modes —
-    /// the coordinator's cross-process merge is bit-identical to the
-    /// single-process fold.
-    #[test]
-    fn sharded_equals_single_process(
-        recipe in arb_sharded_recipe(),
-        seed in 0u64..1_000_000,
-        runs in 3usize..=5,
-    ) {
-        assert_sharded_matches_single(&recipe, runs, seed, VrConfig::default());
-        let vr = VrConfig {
-            antithetic: true,
-            strata: 2,
-            adaptive: None,
-        };
-        assert_sharded_matches_single(&recipe, runs, seed, vr);
     }
 }
 
@@ -281,62 +187,4 @@ fn analytic_verdicts_agree_with_simulated_crossover() {
         checked += 1;
     }
     assert_eq!(checked, 2, "both confident verdicts must be validated");
-}
-
-/// The crossover grid as a shard recipe (must rebuild
-/// [`mixed_crossover_grid`] bit-identically in child processes).
-const XOVER_RECIPE: &str = "xover|CHIMERA@3,POP@3,XGC@3,CHIMERA@2.5|B,M2,P1";
-
-#[test]
-fn recipe_rebuilds_the_crossover_grid() {
-    let rebuilt = shard_common::cells_from_recipe(XOVER_RECIPE).unwrap();
-    let original = mixed_crossover_grid();
-    assert_eq!(rebuilt.len(), original.len());
-    for (r, o) in rebuilt.iter().zip(&original) {
-        assert_eq!(r.label, o.label);
-        assert_eq!(r.models, o.models);
-        assert_eq!(format!("{:?}", r.params), format!("{:?}", o.params));
-    }
-}
-
-/// Sharding composes with the analytic pre-filter: the coordinator
-/// prunes, shards only the survivors, and splices verdicts back in —
-/// bit-identical to the in-process filtered sweep, including under
-/// variance reduction.
-#[test]
-fn sharded_prefilter_matches_in_process() {
-    let cells = shard_common::cells_from_recipe(XOVER_RECIPE).unwrap();
-    let leads = LeadTimeModel::desh_default();
-    let launcher = shard_common::launcher_for("shard_child_entry", XOVER_RECIPE);
-    let pf = Prefilter::default();
-    for vr in [
-        VrConfig::default(),
-        VrConfig {
-            antithetic: true,
-            strata: 2,
-            adaptive: None,
-        },
-    ] {
-        let mut cfg = RunnerConfig::new(5, 33);
-        cfg.vr = vr;
-        let reference = run_grid_filtered(&cells, &leads, &cfg, Some(&pf));
-        for shards in [2usize, 4] {
-            let grid = run_grid_sharded_opts(
-                &cells,
-                &leads,
-                &cfg,
-                &ShardOptions::new(shards),
-                &launcher,
-                Some(&pf),
-            )
-            .unwrap();
-            assert_eq!(grid.cells_pruned, 2, "pruning is shard-invariant");
-            assert_eq!(grid.analytic_verdicts, reference.analytic_verdicts);
-            assert_eq!(
-                shard_common::grid_digest(&grid),
-                shard_common::grid_digest(&reference),
-                "filtered digest diverged at {shards} shards (vr {vr:?})"
-            );
-        }
-    }
 }

@@ -7,9 +7,9 @@
 //! * **single-flight** — N concurrent identical (and overlapping)
 //!   requests perform exactly one computation per distinct cell;
 //! * **crash/resume** — a daemon killed mid-sweep (via the
-//!   `PCKPT_SERVICE_FAIL=crash:<k>` hook, same idiom as
-//!   `PCKPT_SHARD_FAIL`) resumes to a bit-identical merged digest,
-//!   re-executing only the cells that never hit the journal;
+//!   `PCKPT_SERVICE_FAIL=crash:<k>` hook) resumes to a bit-identical
+//!   merged digest, re-executing only the cells that never hit the
+//!   journal;
 //! * **journal robustness** — a journal truncated or corrupted at an
 //!   *arbitrary byte offset* still resumes to the golden digest
 //!   (proptest), because recovery keeps exactly the longest valid

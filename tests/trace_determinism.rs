@@ -2,8 +2,8 @@
 //!
 //! The goldens here pin three layers, from coarse to raw:
 //!
-//! 1. **Results** — `GOLDEN_CAMPAIGN_DIGEST`, `GOLDEN_GRID_DIGEST` (in
-//!    process and sharded), `GOLDEN_ADAPTIVE_DIGEST` and
+//! 1. **Results** — `GOLDEN_CAMPAIGN_DIGEST`, `GOLDEN_GRID_DIGEST`,
+//!    `GOLDEN_ADAPTIVE_DIGEST` and
 //!    `GOLDEN_FIXED_GRID_DIGEST`/`GOLDEN_FIXED_VR_GRID_DIGEST` hash the
 //!    aggregates the paper's figures are made of. They are asserted under
 //!    *both* settings of the `trace` feature (this file is compiled twice
@@ -33,15 +33,6 @@
 
 use pckpt::core::iosim::PfsMode;
 use pckpt::prelude::*;
-
-mod shard_common;
-
-/// Child entry point for [`sharded_grid_digest_matches_golden`] (see
-/// `shard_common::maybe_run_shard_child`).
-#[test]
-fn shard_child_entry() {
-    let _ = shard_common::maybe_run_shard_child();
-}
 
 /// Golden digest of the 12-run XGC campaign below — identical with and
 /// without the `trace` feature.
@@ -156,49 +147,6 @@ fn grid_digest_matches_golden_with_and_without_trace() {
     assert_eq!(
         digest, GOLDEN_GRID_DIGEST,
         "grid digest drifted (trace feature {}abled)",
-        if cfg!(feature = "trace") { "en" } else { "dis" }
-    );
-}
-
-/// The same 3-cell grid sharded across 2 subprocesses must reproduce
-/// [`GOLDEN_GRID_DIGEST`] — the committed constant, not merely the
-/// in-process run — under both `trace` feature settings (this file is
-/// compiled twice by `scripts/ci.sh`, so the children inherit whichever
-/// feature set the parent was built with).
-#[test]
-fn sharded_grid_digest_matches_golden() {
-    use pckpt::core::{run_grid_sharded_opts, ShardOptions};
-    let recipe = "golden|XGC|1.5,1,0.5|B,P2";
-    let cells = shard_common::cells_from_recipe(recipe).unwrap();
-    let leads = LeadTimeModel::desh_default();
-    let launcher = shard_common::launcher_for("shard_child_entry", recipe);
-    let grid = run_grid_sharded_opts(
-        &cells,
-        &leads,
-        &RunnerConfig::new(12, 61),
-        &ShardOptions::new(2),
-        &launcher,
-        None,
-    )
-    .expect("sharded golden grid");
-    assert_eq!(grid.shard_meta.expect("sharded meta").shards, 2);
-    let mut s = String::new();
-    for (label, c) in grid.labels.iter().zip(&grid.cells) {
-        for (m, a) in c.models.iter().zip(&c.aggregates) {
-            s.push_str(&format!(
-                "{}/{}:{:016x}-{:016x}-{:016x};",
-                label,
-                m.name(),
-                a.total_hours.mean().to_bits(),
-                a.ft_ratio_pooled().to_bits(),
-                a.failures.sum().to_bits(),
-            ));
-        }
-    }
-    assert_eq!(
-        s, GOLDEN_GRID_DIGEST,
-        "sharded grid digest drifted from the committed golden \
-         (trace feature {}abled)",
         if cfg!(feature = "trace") { "en" } else { "dis" }
     );
 }
