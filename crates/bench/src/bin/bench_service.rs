@@ -88,7 +88,7 @@ fn main() {
     assert_eq!(cold.meta.computed_cells as usize, cells.len());
 
     // Warm: a fresh daemon instance, fresh journal dir, same cache —
-    // every cell must be served from its content-addressed frame.
+    // every cell must be served from its content-addressed fold record.
     let warm_state = scratch("state-warm");
     let daemon = service(&cache_dir, &warm_state);
     let started = Instant::now();
@@ -136,7 +136,7 @@ fn main() {
     );
 
     // Replay overhead: resume over the *complete* journal (nothing to
-    // recompute) — pure recovery + refold cost as a share of cold.
+    // recompute) — pure recovery + record-decode cost as a share of cold.
     std::fs::write(&journal_path, &journal_bytes).expect("restore journal");
     let daemon = service(&scratch("cache-replay"), &cold_state);
     let started = Instant::now();

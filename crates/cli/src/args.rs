@@ -303,16 +303,20 @@ fn expect_end<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<(), String
 /// Parses `--key value` pairs; returns the common options plus every
 /// pair as given, in order. The caller reads its subcommand-specific
 /// options (`--model`, `--run`, ...) from the pairs and must reject
-/// every option it does not read with [`reject_unused`].
+/// every option it does not read with [`reject_unused`]. A key given
+/// twice is an error, so no option has two values to choose between.
 fn parse_options<'a>(
     mut it: impl Iterator<Item = &'a String>,
 ) -> Result<(SimOptions, Vec<String>), String> {
     let mut opts = SimOptions::default();
-    let mut given = Vec::new();
+    let mut given: Vec<String> = Vec::new();
     while let Some(key) = it.next() {
         let value = it
             .next()
             .ok_or_else(|| format!("option {key} requires a value"))?;
+        if given.iter().step_by(2).any(|k| k == key) {
+            return Err(format!("option {key} given twice"));
+        }
         given.push(key.clone());
         given.push(value.clone());
         match key.as_str() {
@@ -425,6 +429,23 @@ mod tests {
         assert!(err.contains("--model requires a value"), "got: {err}");
         let err = parse(&v(&["simulate", "--app", "XGC", "--model", "p2", "--run"])).unwrap_err();
         assert!(err.contains("--run requires a value"), "got: {err}");
+    }
+
+    #[test]
+    fn repeated_options_are_rejected() {
+        let err = parse(&v(&[
+            "simulate", "--app", "XGC", "--model", "B", "--model", "P2", "--runs", "2",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "option --model given twice");
+        let err = parse(&v(&[
+            "simulate", "--app", "XGC", "--model", "B", "--runs", "2", "--runs", "3",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "option --runs given twice");
+        let err = parse(&v(&["grid", "--app", "XGC", "--scales", "1", "--scales", "2"]))
+            .unwrap_err();
+        assert_eq!(err, "option --scales given twice");
     }
 
     #[test]

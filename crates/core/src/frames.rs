@@ -1,19 +1,32 @@
-//! The binary result-frame codec of the campaign service.
+//! The binary codecs of the campaign service.
 //!
-//! The wire discipline: little-endian fixed-width fields, raw
-//! [`RunResult`]s (every `f64` travels by bit pattern, so decode ∘
-//! encode is the identity on results), and a trailing FNV-1a digest over
-//! everything before it — truncation at any prefix length and any
-//! corrupted byte are detected before a single field is trusted. The
-//! service's cell cache entries and its sweep journal both compose these
-//! primitives, so there is exactly one implementation of the byte
-//! layout.
+//! The wire discipline: little-endian fixed-width fields, every `f64`
+//! by bit pattern (so decode ∘ encode is the identity), and a trailing
+//! FNV-1a digest over everything before it — truncation at any prefix
+//! length and any corrupted byte are detected before a single field is
+//! trusted. Two payloads compose these primitives:
+//!
+//! * the **fold codec** ([`encode_fold`] / [`decode_fold`]): one cell's
+//!   folded value, its `(CampaignResult, ci)` — what the service's cache
+//!   entries and journal records store and serve;
+//! * the **run-result codec** ([`encode_run_result`] /
+//!   [`decode_run_result_into`]): one raw per-run result, which the
+//!   per-run cell frame replays.
+//!
+//! There is exactly one implementation of each byte layout.
 
-use crate::metrics::{OverheadLedger, RunResult};
+use pckpt_simobs::{FixedHist, ObsAggregate};
+use pckpt_simrng::stats::Summary;
+
+use crate::config::ModelKind;
+use crate::metrics::{Aggregate, OverheadLedger, RunResult};
+use crate::runner::CampaignResult;
 
 /// Frame format version shared by every frame-shaped artifact (cache
-/// cells, journal records). Bump on any layout change.
-pub const FRAME_VERSION: u16 = 1;
+/// cells, journal records, per-run frames). Bump on any layout change.
+/// Version 2 made a cache entry and a journal cell record one sealed
+/// fold record instead of a per-run frame.
+pub const FRAME_VERSION: u16 = 2;
 
 // ---------------------------------------------------------------------
 // Little-endian primitives
@@ -140,6 +153,178 @@ pub fn decode_run_result_into(
     out.ideal_secs = get_f64(bytes, pos)?;
     out.final_oci_secs = get_f64(bytes, pos)?;
     out.obs.decode_into(bytes, pos)
+}
+
+// ---------------------------------------------------------------------
+// Fold codec
+// ---------------------------------------------------------------------
+
+/// Serializes one cell's folded value bit for bit: the model list (one
+/// tag byte each), the attained relative CI, and per model its
+/// [`Aggregate`] — the ten `Summary`s, the `ObsAggregate` (counters plus
+/// `FixedHist::encode_into`) and the per-run total-overhead samples.
+/// `campaign.threads` is execution shape, not result, and is not stored.
+///
+/// ```text
+/// models   u32, then one ModelKind tag u8 per model
+/// ci       f64
+/// per model:
+///   10 × Summary   n u64 | mean f64 | m2 f64 | min f64 | max f64
+///   obs            runs | events_handled | events_scheduled |
+///                  queue_depth_hwm (u64 each), 4 × FixedHist
+///   samples        count u64, count × f64
+/// ```
+pub fn encode_fold(out: &mut Vec<u8>, campaign: &CampaignResult, ci: f64) {
+    debug_assert_eq!(campaign.models.len(), campaign.aggregates.len(), "one aggregate per model");
+    put_u32(out, campaign.models.len() as u32);
+    for &m in &campaign.models {
+        out.push(m as u8);
+    }
+    put_f64(out, ci);
+    for agg in &campaign.aggregates {
+        let Aggregate {
+            ckpt_hours,
+            recomp_hours,
+            recovery_hours,
+            total_hours,
+            ft_ratio,
+            failures,
+            mitigated_lm,
+            mitigated_pckpt,
+            mitigated_safeguard,
+            wall_hours,
+            obs,
+            total_samples,
+        } = agg;
+        for s in [
+            ckpt_hours,
+            recomp_hours,
+            recovery_hours,
+            total_hours,
+            ft_ratio,
+            failures,
+            mitigated_lm,
+            mitigated_pckpt,
+            mitigated_safeguard,
+            wall_hours,
+        ] {
+            let (n, mean, m2, min, max) = s.parts();
+            put_u64(out, n);
+            for v in [mean, m2, min, max] {
+                put_f64(out, v);
+            }
+        }
+        let ObsAggregate {
+            runs,
+            events_handled,
+            events_scheduled,
+            queue_depth_hwm,
+            lat_bb,
+            lat_phase1,
+            lat_pfs_full,
+            recomp,
+        } = obs;
+        for c in [runs, events_handled, events_scheduled, queue_depth_hwm] {
+            put_u64(out, *c);
+        }
+        for h in [lat_bb, lat_phase1, lat_pfs_full, recomp] {
+            h.encode_into(out);
+        }
+        put_u64(out, total_samples.len() as u64);
+        for &x in total_samples {
+            put_f64(out, x);
+        }
+    }
+}
+
+fn get_summary(bytes: &[u8], pos: &mut usize) -> Result<Summary, String> {
+    let n = get_u64(bytes, pos)?;
+    let (mean, m2) = (get_f64(bytes, pos)?, get_f64(bytes, pos)?);
+    let (min, max) = (get_f64(bytes, pos)?, get_f64(bytes, pos)?);
+    Ok(Summary::from_parts(n, mean, m2, min, max))
+}
+
+/// One [`Aggregate`] in [`encode_fold`]'s layout (fields are read in the
+/// order written: a struct literal evaluates its fields in source order).
+fn get_aggregate(bytes: &[u8], pos: &mut usize) -> Result<Aggregate, String> {
+    let mut agg = Aggregate {
+        ckpt_hours: get_summary(bytes, pos)?,
+        recomp_hours: get_summary(bytes, pos)?,
+        recovery_hours: get_summary(bytes, pos)?,
+        total_hours: get_summary(bytes, pos)?,
+        ft_ratio: get_summary(bytes, pos)?,
+        failures: get_summary(bytes, pos)?,
+        mitigated_lm: get_summary(bytes, pos)?,
+        mitigated_pckpt: get_summary(bytes, pos)?,
+        mitigated_safeguard: get_summary(bytes, pos)?,
+        wall_hours: get_summary(bytes, pos)?,
+        obs: ObsAggregate {
+            runs: get_u64(bytes, pos)?,
+            events_handled: get_u64(bytes, pos)?,
+            events_scheduled: get_u64(bytes, pos)?,
+            queue_depth_hwm: get_u64(bytes, pos)?,
+            lat_bb: FixedHist::decode_from(bytes, pos)?,
+            lat_phase1: FixedHist::decode_from(bytes, pos)?,
+            lat_pfs_full: FixedHist::decode_from(bytes, pos)?,
+            recomp: FixedHist::decode_from(bytes, pos)?,
+        },
+        total_samples: Vec::new(),
+    };
+    let count = get_u64(bytes, pos)?;
+    if count != agg.total_hours.count() {
+        return Err(format!(
+            "aggregate of {} runs carries {count} samples",
+            agg.total_hours.count()
+        ));
+    }
+    // The stated count is checked against the bytes that remain before
+    // anything is allocated for it.
+    let len = usize::try_from(count)
+        .ok()
+        .and_then(|c| c.checked_mul(8))
+        .ok_or_else(|| format!("implausible sample count {count}"))?;
+    agg.total_samples = take(bytes, pos, len)?
+        .chunks_exact(8)
+        .map(|w| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(w);
+            f64::from_bits(u64::from_le_bytes(b))
+        })
+        .collect();
+    Ok(agg)
+}
+
+/// Inverse of [`encode_fold`]: the campaign result (with `threads` 0;
+/// the caller sets it) and the CI. Every length the bytes declare — the
+/// model count, each sample count, each histogram's entry count — is
+/// checked against the bytes that remain before anything is allocated
+/// for it, and an aggregate whose sample count differs from its run
+/// count is rejected.
+pub fn decode_fold(bytes: &[u8], pos: &mut usize) -> Result<(CampaignResult, f64), String> {
+    let n = get_u32(bytes, pos)? as usize;
+    let models = take(bytes, pos, n)?
+        .iter()
+        .map(|&tag| {
+            ModelKind::ALL
+                .into_iter()
+                .find(|&m| m as u8 == tag)
+                .ok_or_else(|| format!("unknown model tag {tag}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let ci = get_f64(bytes, pos)?;
+    // Grown as decoded, not reserved up front: an aggregate is larger in
+    // memory than its smallest encoding, so reserving by the stated
+    // count would let a damaged count allocate more than the bytes hold.
+    let mut aggregates = Vec::new();
+    for _ in 0..n {
+        aggregates.push(get_aggregate(bytes, pos)?);
+    }
+    let campaign = CampaignResult {
+        models,
+        aggregates,
+        threads: 0,
+    };
+    Ok((campaign, ci))
 }
 
 // ---------------------------------------------------------------------

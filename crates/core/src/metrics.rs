@@ -138,7 +138,10 @@ pub struct Aggregate {
     /// mark, latency histograms) across the runs.
     pub obs: ObsAggregate,
     /// Per-run total-overhead samples (hours) for percentile error bars.
-    total_samples: Vec<f64>,
+    /// Crate-visible for the fold codec (`frames::encode_fold`); outside
+    /// the crate only [`push`](Self::push) and [`merge`](Self::merge)
+    /// grow it, so it always holds one sample per run.
+    pub(crate) total_samples: Vec<f64>,
 }
 
 impl Aggregate {
@@ -149,21 +152,29 @@ impl Aggregate {
 
     /// Folds one run into the aggregate.
     pub fn push(&mut self, run: &RunResult) {
-        const H: f64 = 3600.0;
-        self.ckpt_hours.push(run.ledger.ckpt_bucket_secs() / H);
-        self.recomp_hours.push(run.ledger.recomp_secs / H);
-        self.recovery_hours.push(run.ledger.recovery_secs / H);
-        self.total_hours.push(run.ledger.total_overhead_secs() / H);
-        self.ft_ratio.push(run.ledger.ft_ratio());
-        self.failures.push(run.ledger.failures_total as f64);
-        self.mitigated_lm.push(run.ledger.mitigated_by_lm as f64);
-        self.mitigated_pckpt.push(run.ledger.mitigated_by_pckpt as f64);
-        self.mitigated_safeguard
-            .push(run.ledger.mitigated_by_safeguard as f64);
-        self.wall_hours.push(run.wall_secs / H);
+        self.push_ledger(&run.ledger, run.wall_secs);
         self.obs.push(&run.obs);
-        self.total_samples
-            .push(run.ledger.total_overhead_secs() / H);
+    }
+
+    /// Folds one run's ledger and wall time in: everything
+    /// [`push`](Self::push) folds but the run's observability snapshot,
+    /// which the grid pool's workers reduce into [`Aggregate::obs`]
+    /// themselves (an `ObsAggregate` merge is integer sums and a max, so
+    /// where it happens cannot change a bit).
+    pub(crate) fn push_ledger(&mut self, ledger: &OverheadLedger, wall_secs: f64) {
+        const H: f64 = 3600.0;
+        self.ckpt_hours.push(ledger.ckpt_bucket_secs() / H);
+        self.recomp_hours.push(ledger.recomp_secs / H);
+        self.recovery_hours.push(ledger.recovery_secs / H);
+        self.total_hours.push(ledger.total_overhead_secs() / H);
+        self.ft_ratio.push(ledger.ft_ratio());
+        self.failures.push(ledger.failures_total as f64);
+        self.mitigated_lm.push(ledger.mitigated_by_lm as f64);
+        self.mitigated_pckpt.push(ledger.mitigated_by_pckpt as f64);
+        self.mitigated_safeguard
+            .push(ledger.mitigated_by_safeguard as f64);
+        self.wall_hours.push(wall_secs / H);
+        self.total_samples.push(ledger.total_overhead_secs() / H);
     }
 
     /// Merges another aggregate (parallel reduction).

@@ -39,13 +39,17 @@
 //! state performs no heap allocation (enforced by a counting-allocator
 //! test in `crates/core/tests/alloc_free.rs`).
 //!
-//! Workers publish per-run results into a preallocated lock-free slab:
-//! every `(lane, run)` slot is written by exactly one worker (the claim
-//! counter partitions the item space), so slot writes need no mutex. The
-//! fold into aggregates happens on the main thread in ascending run
-//! order per lane, which keeps every cell's aggregate **bit-identical**
-//! to a standalone [`run_models`] call for any thread count and any
-//! work-stealing interleaving.
+//! Workers publish each run's ledger and wall time into a preallocated
+//! lock-free slab: every `(lane, run)` slot is written by exactly one
+//! worker (the claim counter partitions the item space), so slot writes
+//! need no mutex. The fold into aggregates happens on the main thread in
+//! ascending run order per lane, which keeps every cell's aggregate
+//! **bit-identical** to a standalone [`run_models`] call for any thread
+//! count and any work-stealing interleaving. A run's observability
+//! snapshot (its fixed histograms, most of a `RunResult`'s bytes) skips
+//! the slab: the worker that ran it adds it to its own per-lane
+//! `ObsAggregate`, and the fold merges those per lane, which is integer
+//! sums and a max and so bit-identical in any order.
 //!
 //! ### One driver, one pool, one fold
 //!
@@ -69,7 +73,7 @@ use pckpt_simobs::{ObsAggregate, Recorder, Recording};
 use pckpt_simrng::{t_critical, PairedSummary, SimRng, StratifiedSummary, Summary};
 
 use crate::config::{ModelKind, SimParams};
-use crate::metrics::{Aggregate, RunResult};
+use crate::metrics::{Aggregate, OverheadLedger, RunResult};
 use crate::prefilter::{AnalyticVerdict, Prefilter};
 use crate::sim::{CrSim, Ev};
 
@@ -712,6 +716,9 @@ pub struct GridWorker<'a, 'p> {
     pub trace_generations: u64,
     /// Unit executions that reused this worker's cached per-run trace.
     pub trace_reuses: u64,
+    /// Per plan lane, the observability snapshots of the runs this
+    /// worker executed in the current pool batch (see [`run_pool`]).
+    lane_obs: Vec<ObsAggregate>,
 }
 
 impl<'a, 'p> GridWorker<'a, 'p> {
@@ -742,6 +749,7 @@ impl<'a, 'p> GridWorker<'a, 'p> {
                 .collect(),
             trace_generations: 0,
             trace_reuses: 0,
+            lane_obs: vec![ObsAggregate::default(); plan.n_lanes],
         }
     }
 
@@ -830,6 +838,16 @@ impl<'a, 'p> GridWorker<'a, 'p> {
     }
 }
 
+/// What the pool keeps of one `(lane, run)` result until the fold: the
+/// ledger and the wall time. The run's observability snapshot (four
+/// fixed histograms, ~2.1 KB of a `RunResult`'s ~2.3 KB) goes into the
+/// worker's per-lane [`ObsAggregate`] as the run finishes instead, so a
+/// slot is ~130 B.
+struct PoolRun {
+    ledger: OverheadLedger,
+    wall_secs: f64,
+}
+
 /// Preallocated per-`(lane, run)` result storage with lock-free disjoint
 /// writes.
 //
@@ -842,7 +860,7 @@ impl<'a, 'p> GridWorker<'a, 'p> {
 // (Both are model-checked by crates/schedcheck against the claim/put/fold
 // operation model.)
 struct ResultSlab {
-    slots: Vec<UnsafeCell<Option<RunResult>>>,
+    slots: Vec<UnsafeCell<Option<PoolRun>>>,
 }
 
 // SAFETY(slab-claim-partition, slab-scope-join): disjoint single writes
@@ -861,11 +879,11 @@ impl ResultSlab {
     ///
     /// The caller must be the unique writer of `idx` for the lifetime of
     /// the slab's sharing (guaranteed by the claim-counter partition).
-    unsafe fn put(&self, idx: usize, v: RunResult) {
+    unsafe fn put(&self, idx: usize, v: PoolRun) {
         *self.slots[idx].get() = Some(v);
     }
 
-    fn into_results(self) -> Vec<Option<RunResult>> {
+    fn into_results(self) -> Vec<Option<PoolRun>> {
         self.slots.into_iter().map(|c| c.into_inner()).collect()
     }
 }
@@ -1183,9 +1201,10 @@ pub fn splice_pruned(
 /// the active variance-reduction strategies when VR is on.
 ///
 /// Every per-lane accumulation goes through here — the grid driver's
-/// batch fold and [`CellFold`]'s frame replay — so the two produce
+/// batch fold and [`CellFold`]'s replay — so the two produce
 /// bit-identical aggregates and CIs from identical push sequences by
 /// construction.
+#[derive(Clone)]
 struct LaneFold {
     agg: Aggregate,
     tracker: Option<CiTracker>,
@@ -1199,12 +1218,14 @@ impl LaneFold {
         }
     }
 
-    /// Folds in the next run of this lane (ascending run order), whose
-    /// first failure time was drawn from stratum `stratum`.
-    fn push(&mut self, stratum: u32, r: &RunResult) {
-        self.agg.push(r);
+    /// Folds in the ledger and wall time of the next run of this lane
+    /// (ascending run order), whose first failure time was drawn from
+    /// stratum `stratum`. The run's observability snapshot is the
+    /// caller's to fold into `agg.obs`.
+    fn push(&mut self, stratum: u32, ledger: &OverheadLedger, wall_secs: f64) {
+        self.agg.push_ledger(ledger, wall_secs);
         if let Some(t) = self.tracker.as_mut() {
-            t.push(stratum, r.ledger.total_overhead_secs() / 3600.0);
+            t.push(stratum, ledger.total_overhead_secs() / 3600.0);
         }
     }
 
@@ -1262,12 +1283,12 @@ fn finish_cell(
 /// [`finish`](Self::finish).
 ///
 /// The lane fold is the one [`run_grid`] uses, so feeding it a cell's
-/// decoded frame reproduces the in-process aggregate bit for bit — the
-/// service cache's equivalence argument.
+/// per-run results (from `GridWorker::run_unit`, or decoded from a
+/// per-run frame) reproduces the in-process aggregate bit for bit.
 /// Borrowing each result keeps exactly one `RunResult` live however the
 /// caller produces them — a decode loop can reuse one scratch value for
 /// the whole frame. Fixed run counts only; adaptive campaigns are never
-/// frame-addressed (see [`run_grid_with_cell_sink`]).
+/// cell-addressed (see [`run_grid_with_cell_sink`]).
 pub struct CellFold<'a> {
     cell: &'a GridCell,
     vr: VrConfig,
@@ -1297,7 +1318,9 @@ impl<'a> CellFold<'a> {
     /// `0..runs`, then lane `m+1`'s). Panics past `models × runs`.
     pub fn push(&mut self, r: &RunResult) {
         assert!(self.lane < self.lanes.len(), "more results than models × runs");
-        self.lanes[self.lane].push(fixed_stratum(self.run, &self.vr), r);
+        let lane = &mut self.lanes[self.lane];
+        lane.push(fixed_stratum(self.run, &self.vr), &r.ledger, r.wall_secs);
+        lane.agg.obs.push(&r.obs);
         self.run += 1;
         if self.run == self.runs {
             self.lane += 1;
@@ -1318,47 +1341,28 @@ impl<'a> CellFold<'a> {
     }
 }
 
-/// One simulated cell's raw per-run results, handed to a grid sink as
-/// the deterministic main-thread fold completes the cell.
-///
-/// `slots` is the cell's lane-major slice of the pool slab: lane `m`'s
-/// run `r` sits at `m * runs + r`, the exact order the service's cell
-/// frame serializes (`frames::encode_run_result` per slot) — so a sink
-/// can stream the cell straight into a frame without reordering.
-pub struct CellResults<'a> {
+/// One simulated cell's folded value, handed to a grid sink as the
+/// deterministic main-thread fold completes the cell: the campaign
+/// result and attained relative CI the returned grid reports for the
+/// cell, bit for bit (the sink gets its own copy; the fold is not
+/// repeated).
+pub struct CellResults {
     /// Index of the cell among the simulated cells the pool ran (the
     /// caller owns any prefilter splicing back to input order).
     pub cell: usize,
-    /// Runs per lane.
-    pub runs: usize,
-    /// Model lanes of this cell.
-    pub lanes: usize,
-    slots: &'a [Option<RunResult>],
-}
-
-impl CellResults<'_> {
-    /// The `(lane, run)` result.
-    pub fn result(&self, lane: usize, run: usize) -> &RunResult {
-        self.slots[lane * self.runs + run]
-            .as_ref()
-            // The fold only reaches a cell once every slot is filled.
-            // simlint: allow(no-unwrap-in-lib)
-            .expect("every unit produced a result")
-    }
-
-    /// Lane-major, ascending-run iterator — the canonical frame order.
-    pub fn iter(&self) -> impl Iterator<Item = &RunResult> {
-        (0..self.lanes).flat_map(move |m| (0..self.runs).map(move |r| self.result(m, r)))
-    }
+    /// The cell's campaign result (the grid's `cells[cell]`).
+    pub campaign: CampaignResult,
+    /// Attained relative CI, worst lane (the grid's `cell_ci_rel[cell]`).
+    pub ci: f64,
 }
 
 /// A per-cell completion callback for [`run_grid_with_cell_sink`].
-pub type CellSink<'a> = dyn FnMut(&CellResults<'_>) + 'a;
+pub type CellSink<'a> = dyn FnMut(CellResults) + 'a;
 
 /// [`run_grid`] over exactly `cells` (no prefilter), invoking `sink`
-/// with each cell's raw lane-major results as the main-thread fold
-/// completes it — the service layer's journaling/caching hook. Sink
-/// order is deterministic (ascending cell index). The returned grid is
+/// with each cell's folded value as the main-thread fold completes it
+/// — the service layer's journaling/caching hook. Sink order is
+/// deterministic (ascending cell index). The returned grid is
 /// bit-identical to `run_grid_filtered(cells, leads, config, None)`.
 ///
 /// Requires a fixed run count: under adaptive allocation
@@ -1387,6 +1391,7 @@ pub fn run_grid_with_cell_sink(
 /// stratum-weighted fold. Using the crude per-run variance in those modes
 /// would overstate (antithetic) or understate (stratified) the CI and
 /// corrupt the stopping rule.
+#[derive(Clone)]
 enum CiTracker {
     /// Crude per-run variance (no VR).
     Plain(Summary),
@@ -1529,8 +1534,12 @@ fn pool_workers<'a, 'p>(
 /// The grid pool: executes the execution units `units` for the global
 /// runs `r0 + off`, `off < strata.len()` — run `r0 + off` drawing its
 /// first failure time from stratum `strata[off]` — on one work-stealing
-/// thread per worker, and returns the per-run results indexed `lane *
-/// strata.len() + off` (`None` for lanes of units not in `units`).
+/// thread per worker, and returns the per-run ledgers and wall times
+/// indexed `lane * strata.len() + off` (`None` for lanes of units not in
+/// `units`). Each worker folds the observability snapshot of every run
+/// it executes into its `lane_obs` entry of each of the unit's lanes,
+/// which this call resets first: after it, summing a lane's entries over
+/// the workers gives the batch's observability for that lane.
 ///
 /// Every `(lane, run)` result is deterministic in `(master, vr, run,
 /// unit, stratum)` alone — worker caches and chunk interleaving never
@@ -1546,11 +1555,14 @@ fn run_pool(
     r0: usize,
     strata: &[u32],
     units: &[usize],
-) -> Vec<Option<RunResult>> {
+) -> Vec<Option<PoolRun>> {
     let (n_runs, n_units, threads) = (strata.len(), units.len(), workers.len());
     let total = n_runs * n_units;
     let slab = ResultSlab::new(plan.n_lanes * n_runs);
     let next = AtomicUsize::new(0);
+    for worker in workers.iter_mut() {
+        worker.lane_obs.fill(ObsAggregate::default());
+    }
     thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for mut worker in workers.drain(..) {
@@ -1563,14 +1575,25 @@ fn run_pool(
                         let (off, unit) = (item / n_units, units[item % n_units]);
                         let result = worker.run_unit_stratum(master, r0 + off, unit, strata[off]);
                         let lanes = &plan.units[unit].lanes;
+                        for &lane in lanes {
+                            worker.lane_obs[lane].push(&result.obs);
+                        }
                         for &lane in &lanes[1..] {
+                            let run = PoolRun {
+                                ledger: result.ledger.clone(),
+                                wall_secs: result.wall_secs,
+                            };
                             // SAFETY(slab-claim-partition): this worker
                             // owns item (run, unit), and with it every
                             // member lane's (lane, run) slot.
-                            unsafe { slab.put(lane * n_runs + off, result.clone()) };
+                            unsafe { slab.put(lane * n_runs + off, run) };
                         }
+                        let run = PoolRun {
+                            ledger: result.ledger,
+                            wall_secs: result.wall_secs,
+                        };
                         // SAFETY(slab-claim-partition): as above.
-                        unsafe { slab.put(lanes[0] * n_runs + off, result) };
+                        unsafe { slab.put(lanes[0] * n_runs + off, run) };
                     }
                 }
                 worker
@@ -1678,25 +1701,27 @@ fn run_grid_simulated(
             let lane0 = plan.lane(c, 0);
             let cell_slots = &slots[lane0 * n_batch..(lane0 + cell.models.len()) * n_batch];
             for (m, lane_slots) in cell_slots.chunks(n_batch).enumerate() {
+                let lane = &mut lanes[lane0 + m];
                 for (slot, &stratum) in lane_slots.iter().zip(&schedule) {
                     // Active cells belong to active units, which the
                     // claim counter exhausts. simlint: allow(no-unwrap-in-lib)
                     let r = slot.as_ref().expect("every active unit produced a result");
-                    lanes[lane0 + m].push(stratum, r);
+                    lane.push(stratum, &r.ledger, r.wall_secs);
                     if let Some(p) = pooled.as_mut() {
                         p.push(stratum as usize, r.ledger.total_overhead_secs() / 3600.0);
                     }
                 }
+                for w in &workers {
+                    lane.agg.obs.merge(&w.lane_obs[lane0 + m]);
+                }
             }
             if let Some(sink) = sink.as_mut() {
                 // The one-batch schedule covers every run, so the cell
-                // is complete here.
-                sink(&CellResults {
-                    cell: c,
-                    runs: n_batch,
-                    lanes: cell.models.len(),
-                    slots: cell_slots,
-                });
+                // is complete here. Only a sink pays for the lane
+                // clones; the grid below finishes the lanes themselves.
+                let done = lanes[lane0..lane0 + cell.models.len()].iter().cloned();
+                let (campaign, ci) = finish_cell(cell, done, workers.len(), 0.95);
+                sink(CellResults { cell: c, campaign, ci });
             }
             cell_runs[c] += n_batch;
         }
@@ -2110,6 +2135,43 @@ mod tests {
         }
         assert_eq!(digests[0], digests[1]);
         assert_eq!(digests[0], digests[2]);
+    }
+
+    #[test]
+    fn pool_observability_matches_a_per_run_fold() {
+        // The pool keeps only ledgers per slot and reduces each run's
+        // observability snapshot in the worker that ran it. Replaying the
+        // same runs one by one through `CellFold` (which folds whole
+        // `RunResult`s) must give the same aggregates, observability
+        // included, for lanes that share a unit (the B lanes) and lanes
+        // that do not, under a VR mode and on two threads.
+        let leads = LeadTimeModel::desh_default();
+        let cells = scale_sweep_cells("XGC", &[1.5, 0.5]);
+        let mut config = RunnerConfig::new(6, 9);
+        config.threads = 2;
+        config.vr = parse_vr_spec("antithetic").unwrap();
+        let grid = run_grid_filtered(&cells, &leads, &config, None);
+        let plan = GridPlan::new(&cells, &leads);
+        assert!(plan.units() < plan.lanes(), "some lanes share a unit");
+        let master = SimRng::seed_from(config.base_seed);
+        let mut worker = GridWorker::with_vr(&plan, config.vr);
+        for (c, cell) in cells.iter().enumerate() {
+            let mut fold = CellFold::new(cell, &config, grid.threads);
+            for m in 0..cell.models.len() {
+                let lane = plan.lane(c, m);
+                let unit = plan.units.iter().position(|u| u.lanes.contains(&lane)).unwrap();
+                for run in 0..config.runs {
+                    fold.push(&worker.run_unit(&master, run, unit));
+                }
+            }
+            let (want, ci) = fold.finish();
+            assert_eq!(ci.to_bits(), grid.cell_ci_rel[c].to_bits());
+            for (got, want) in grid.cells[c].aggregates.iter().zip(&want.aggregates) {
+                assert_eq!(got.obs, want.obs, "cell {c}");
+                assert!(got.obs.lat_bb.count() > 0);
+                assert_eq!(digest(got), digest(want), "cell {c}");
+            }
+        }
     }
 
     #[test]

@@ -106,6 +106,19 @@ impl Predictor {
     pub fn usable_lead_secs(&self, raw_lead_secs: f64) -> f64 {
         (raw_lead_secs - self.latency_secs).max(0.0)
     }
+
+    /// Every parameter, as [`new`](Self::new) takes them: `(recall,
+    /// fp_share, latency_secs)`. Destructures `Self` exhaustively, so a
+    /// new field fails to compile here until it is returned (the cell
+    /// fingerprint encodes these parts).
+    pub fn parts(&self) -> (f64, f64, f64) {
+        let Self {
+            recall,
+            fp_share,
+            latency_secs,
+        } = *self;
+        (recall, fp_share, latency_secs)
+    }
 }
 
 #[cfg(test)]

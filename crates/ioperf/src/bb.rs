@@ -70,6 +70,19 @@ impl BurstBuffer {
         assert!(bytes >= 0.0, "negative read size");
         bytes / self.read_bw
     }
+
+    /// Every parameter, as [`new`](Self::new) takes them: `(capacity,
+    /// write_bw, read_bw)`. Destructures `Self` exhaustively, so a new
+    /// field fails to compile here until it is returned (the cell
+    /// fingerprint encodes these parts).
+    pub fn parts(&self) -> (f64, f64, f64) {
+        let Self {
+            capacity,
+            write_bw,
+            read_bw,
+        } = *self;
+        (capacity, write_bw, read_bw)
+    }
 }
 
 #[cfg(test)]

@@ -60,6 +60,18 @@ impl Network {
         let levels = (nodes as f64).log2().ceil();
         levels * self.collective_hop_latency
     }
+
+    /// Every parameter, as [`new`](Self::new) takes them:
+    /// `(injection_bw, collective_hop_latency)`. Destructures `Self`
+    /// exhaustively, so a new field fails to compile here until it is
+    /// returned (the cell fingerprint encodes these parts).
+    pub fn parts(&self) -> (f64, f64) {
+        let Self {
+            injection_bw,
+            collective_hop_latency,
+        } = *self;
+        (injection_bw, collective_hop_latency)
+    }
 }
 
 #[cfg(test)]

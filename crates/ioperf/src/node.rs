@@ -115,6 +115,21 @@ impl NodeIoModel {
         }
         bytes / self.optimal_bandwidth(bytes)
     }
+
+    /// Every parameter, as [`new`](Self::new) takes them: `(peak_bw,
+    /// optimal_tasks, half_saturation, oversubscription_penalty)`.
+    /// Destructures `Self` exhaustively, so a new field fails to compile
+    /// here until it is returned (the cell fingerprint encodes these
+    /// parts).
+    pub fn parts(&self) -> (f64, u32, f64, f64) {
+        let Self {
+            peak_bw,
+            optimal_tasks,
+            half_saturation,
+            oversubscription_penalty,
+        } = *self;
+        (peak_bw, optimal_tasks, half_saturation, oversubscription_penalty)
+    }
 }
 
 #[cfg(test)]

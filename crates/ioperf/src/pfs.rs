@@ -259,6 +259,22 @@ impl PfsModel {
         &self.node_model
     }
 
+    /// The inputs of [`from_parts`](Self::from_parts), the only
+    /// constructor: `(node_model, ceiling, contention_exponent)`. The
+    /// sampled matrix is a pure function of them, so these parts alone
+    /// identify the model (the cell fingerprint encodes them).
+    /// Destructures `Self` exhaustively, so a new field fails to compile
+    /// here until it is accounted for.
+    pub fn parts(&self) -> (NodeIoModel, f64, f64) {
+        let Self {
+            matrix: _,
+            node_model,
+            ceiling,
+            contention_exponent,
+        } = self;
+        (*node_model, *ceiling, *contention_exponent)
+    }
+
     /// Precomputes the writer-count → aggregate-bandwidth curve at a
     /// fixed per-node size. See [`CapacityTable`].
     pub fn capacity_table(&self, per_node_bytes: f64, max_writers: usize) -> CapacityTable {

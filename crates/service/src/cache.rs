@@ -1,22 +1,24 @@
-//! Content-addressed cell store: sealed cell frames on disk, keyed by
+//! Content-addressed cell store: sealed fold records on disk, keyed by
 //! fingerprint.
 //!
 //! Layout under the cache directory (`PCKPT_CACHE_DIR`):
 //!
 //! ```text
-//! <fp-hex32>.cell   sealed CellFrame bytes, named by their fingerprint
+//! <fp-hex32>.cell   one sealed fold record, named by its cell's fingerprint
 //! index.log         one fingerprint hex per line, insertion order
 //! ```
 //!
-//! The store is deliberately dumb: it never interprets frame bytes
-//! (callers validate via [`crate::cellframe::CellFrame::decode`], so a
-//! corrupt or truncated file degrades to a cache miss, never a wrong
-//! answer), and it never fsyncs (durability belongs to the sweep
-//! journal; the cache is a performance layer that may lose recent
-//! entries on power cut). Writes go through a scratch file plus
-//! rename, so concurrent daemons sharing a directory see either the
-//! old state or a complete frame. `index.log` only orders eviction:
-//! when entries exceed `PCKPT_CACHE_MAX`, the oldest are removed.
+//! The store is deliberately dumb: it never interprets the bytes
+//! (callers validate via [`crate::cellframe::decode_fold_record`], so a
+//! corrupt, truncated, stale-version or misplaced file degrades to a
+//! cache miss, never a wrong answer), and it never fsyncs (durability
+//! belongs to the sweep journal; the cache is a performance layer that
+//! may lose recent entries on power cut). Writes go through a scratch
+//! file plus rename, so concurrent daemons sharing a directory see
+//! either the old state or a complete record. `index.log` only orders
+//! eviction: when entries exceed `PCKPT_CACHE_MAX`, the oldest are
+//! removed. It is rewritten only when it changes (an insert or an
+//! eviction), so re-putting a present entry touches no file.
 
 use std::fs;
 use std::io::Write;
@@ -69,45 +71,52 @@ impl CellStore {
         })
     }
 
-    /// The path a fingerprint's frame lives at, if persistence is on.
+    /// The path a fingerprint's record lives at, if persistence is on.
     pub fn entry_path(&self, fp: Fingerprint) -> Option<PathBuf> {
         self.dir.as_ref().map(|d| d.join(format!("{}.cell", fp.hex())))
     }
 
-    /// Reads the raw frame bytes for `fp`. Missing file (or disabled
+    /// Reads the raw record bytes for `fp`. Missing file (or disabled
     /// store) is a miss; callers must still validate the bytes.
     pub fn get(&self, fp: Fingerprint) -> Option<Vec<u8>> {
         fs::read(self.entry_path(fp)?).ok()
     }
 
-    /// Persists sealed frame bytes under `fp`, evicting the oldest
+    /// Persists sealed record bytes under `fp`, evicting the oldest
     /// entries beyond the cap. Already-present entries are left alone
-    /// (content-addressed: same key ⇒ same bytes).
+    /// (content-addressed: same key ⇒ same bytes), and `index.log` is
+    /// rewritten only when an insert or an eviction changed it.
     pub fn put(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), String> {
         let Some(dir) = self.dir.as_ref() else {
             return Ok(());
         };
         let path = dir.join(format!("{}.cell", fp.hex()));
         let mut index = self.index.lock().unwrap_or_else(PoisonError::into_inner);
-        if !index.contains(&fp) || !path.exists() {
-            let scratch = dir.join(format!(
-                ".tmp-{}-{}",
-                std::process::id(),
-                SCRATCH.fetch_add(1, Ordering::Relaxed)
-            ));
-            fs::write(&scratch, bytes).map_err(|e| format!("write {}: {e}", scratch.display()))?;
-            fs::rename(&scratch, &path)
-                .map_err(|e| format!("rename {}: {e}", path.display()))?;
-            if !index.contains(&fp) {
-                index.push(fp);
-            }
+        let indexed = index.contains(&fp);
+        if indexed && path.exists() {
+            return Ok(());
+        }
+        let scratch = dir.join(format!(
+            ".tmp-{}-{}",
+            std::process::id(),
+            SCRATCH.fetch_add(1, Ordering::Relaxed)
+        ));
+        fs::write(&scratch, bytes).map_err(|e| format!("write {}: {e}", scratch.display()))?;
+        fs::rename(&scratch, &path).map_err(|e| format!("rename {}: {e}", path.display()))?;
+        let mut changed = !indexed;
+        if changed {
+            index.push(fp);
         }
         while index.len() > self.max_entries {
             let oldest = index.remove(0);
             let victim = dir.join(format!("{}.cell", oldest.hex()));
             let _ = fs::remove_file(victim);
+            changed = true;
         }
-        self.rewrite_index(dir, &index)
+        if changed {
+            self.rewrite_index(dir, &index)?;
+        }
+        Ok(())
     }
 
     fn rewrite_index(&self, dir: &Path, index: &[Fingerprint]) -> Result<(), String> {
@@ -181,6 +190,23 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert!(store.get(fp(1)).is_none(), "oldest entry evicted");
         assert!(store.get(fp(3)).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn re_putting_an_indexed_entry_leaves_the_index_file_alone() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = scratch_dir("reput");
+        let store = CellStore::open(Some(&dir), 8).unwrap();
+        store.put(fp(1), b"a").unwrap();
+        let inode = || fs::metadata(dir.join("index.log")).unwrap().ino();
+        let before = inode();
+        // A rewrite renames a scratch file over index.log: a new inode.
+        store.put(fp(1), b"a").unwrap();
+        assert_eq!(inode(), before, "second put of the same key rewrote index.log");
+        // An insert does rewrite it.
+        store.put(fp(2), b"b").unwrap();
+        assert_ne!(inode(), before);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,13 +1,33 @@
-//! Per-cell result frames: the service's unit of persistence.
+//! The service's unit of persistence, and the per-run frame codec.
 //!
-//! One frame holds every `RunResult` for one grid cell (all model
-//! lanes × all runs, lane-major, ascending run — the same push order
-//! `pckpt_core::CellFold` replays). The byte layout is built from the
-//! `pckpt_core::frames` primitives, including the trailing FNV-1a seal,
-//! so a frame read back from disk is either bit-exact or rejected. The
-//! same bytes serve as cache entries and as sweep-journal payloads.
+//! **Fold records.** The service stores and serves each computed cell
+//! as its folded value — the `(CampaignResult, ci)` the grid computed —
+//! in one sealed record, built from the `pckpt_core::frames`
+//! primitives. The same bytes are a cache entry and a sweep-journal
+//! payload, and a record read back from disk is either bit-exact or
+//! rejected, so a warm answer equals the cold one by construction and
+//! no warm path touches per-run results. Layout (all integers
+//! little-endian):
 //!
-//! Layout (all integers little-endian):
+//! ```text
+//! FOLD_MAGIC  u32   "PKFD"
+//! version     u16   frames::FRAME_VERSION
+//! fp.hi       u64   cell fingerprint, high half
+//! fp.lo       u64   cell fingerprint, low half
+//! runs        u64   runs per lane
+//! fold        frames::encode_fold (models, ci, one Aggregate per model)
+//! digest      u64   FNV-1a over everything above (frames::seal)
+//! ```
+//!
+//! A record is about 16 B per run and lane plus a fixed part: a
+//! 1000-run, 2-lane cell is about 20 KB.
+//!
+//! **Per-run frames.** A [`CellFrame`] holds every `RunResult` for one
+//! grid cell (all model lanes × all runs, lane-major, ascending run —
+//! the order `pckpt_core::CellFold` replays), about 260 B per result. The
+//! service no longer writes them: once the fold is stored, nothing reads
+//! per-run results. They remain the codec the benchmark harness replays
+//! to price encode and decode per result. Layout:
 //!
 //! ```text
 //! CELL_MAGIC  u32   "PKCL"
@@ -21,15 +41,88 @@
 //! ```
 
 use pckpt_core::frames::{
-    check_seal, decode_run_result_into, encode_run_result, get_u16, get_u32, get_u64, put_u16,
-    put_u32, put_u64, seal, FRAME_VERSION,
+    check_seal, decode_fold, decode_run_result_into, encode_fold, encode_run_result, get_u16,
+    get_u32, get_u64, put_u16, put_u32, put_u64, seal, FRAME_VERSION,
 };
-use pckpt_core::{Fingerprint, RunResult};
+use pckpt_core::{CampaignResult, Fingerprint, ModelKind, RunResult};
+
+/// A cell's folded value as the service stores and serves it: the
+/// campaign result (its `threads` is execution shape, set when served)
+/// and the attained relative CI.
+pub type Fold = (CampaignResult, f64);
+
+/// Magic prefix for fold records ("PKFD" little-endian).
+pub const FOLD_MAGIC: u32 = 0x4446_4b50;
+
+/// Encodes and seals the fold record of cell `fp`, folded over `runs`
+/// runs per lane.
+pub fn encode_fold_record(fp: Fingerprint, runs: u64, fold: &Fold) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 + fold.0.models.len() * (600 + 8 * runs as usize));
+    put_u32(&mut out, FOLD_MAGIC);
+    put_u16(&mut out, FRAME_VERSION);
+    put_u64(&mut out, fp.hi);
+    put_u64(&mut out, fp.lo);
+    put_u64(&mut out, runs);
+    encode_fold(&mut out, &fold.0, fold.1);
+    seal(out)
+}
+
+/// Decodes a sealed fold record as the fold of cell `fp` over `models`
+/// × `runs`. Rejects, before trusting any field, a bad seal (any
+/// truncation or corrupted byte); then a wrong magic, another
+/// `FRAME_VERSION`, another cell's fingerprint (a record copied onto
+/// the wrong key), a shape other than `models` × `runs`, and trailing
+/// bytes.
+pub fn decode_fold_record(
+    bytes: &[u8],
+    fp: Fingerprint,
+    models: &[ModelKind],
+    runs: usize,
+) -> Result<Fold, String> {
+    let body = check_seal(bytes)?;
+    let mut pos = 0usize;
+    let magic = get_u32(body, &mut pos)?;
+    if magic != FOLD_MAGIC {
+        return Err(format!("bad fold record magic {magic:#010x}"));
+    }
+    let version = get_u16(body, &mut pos)?;
+    if version != FRAME_VERSION {
+        return Err(format!("fold record version {version} (want {FRAME_VERSION})"));
+    }
+    let stated = Fingerprint {
+        hi: get_u64(body, &mut pos)?,
+        lo: get_u64(body, &mut pos)?,
+    };
+    if stated != fp {
+        return Err(format!(
+            "fold record of cell {} read as cell {}",
+            stated.hex(),
+            fp.hex()
+        ));
+    }
+    let stated_runs = get_u64(body, &mut pos)?;
+    if stated_runs != runs as u64 {
+        return Err(format!("fold record of {stated_runs} runs, want {runs}"));
+    }
+    let (campaign, ci) = decode_fold(body, &mut pos)?;
+    if pos != body.len() {
+        return Err(format!("{} trailing bytes in fold record", body.len() - pos));
+    }
+    if campaign.models != models || campaign.aggregates.iter().any(|a| a.runs() != stated_runs) {
+        return Err(format!(
+            "fold record shape {:?} does not match the cell's {models:?} × {runs}",
+            campaign.models
+        ));
+    }
+    Ok((campaign, ci))
+}
 
 /// Magic prefix for cell frames ("PKCL" little-endian).
 pub const CELL_MAGIC: u32 = 0x4c43_4b50;
 
-/// A decoded cell frame: the full run set for one grid cell.
+/// A decoded cell frame: the full run set for one grid cell. The
+/// service no longer writes these (it stores fold records); the frame
+/// stays as the per-run codec a benchmark replays.
 #[derive(Debug, Clone)]
 pub struct CellFrame {
     /// Binding fingerprint of the cell under its execution config.
@@ -83,7 +176,7 @@ impl CellFrame {
 /// [`next_result`](CellFrameReader::next_result) call decodes one
 /// `RunResult` in the frame's lane-major order.
 ///
-/// This is the warm-path counterpart to [`CellFrame::decode`]: a fold
+/// This is the streaming counterpart to [`CellFrame::decode`]: a fold
 /// can consume the frame one result at a time (via `pckpt_core::CellFold`)
 /// with a single result struct live, instead of materializing
 /// `lanes × runs` of them first. The
@@ -160,7 +253,7 @@ impl<'a> CellFrameReader<'a> {
 
     /// [`next_result`](Self::next_result) into a caller-owned scratch
     /// value (a `RunResult` is ~2 KiB; reusing one across a frame's
-    /// thousands of results keeps the warm fold allocation- and
+    /// thousands of results keeps a decode loop allocation- and
     /// copy-free). On error the scratch contents are unspecified.
     pub fn next_result_into(&mut self, out: &mut RunResult) -> Result<(), String> {
         if self.remaining == 0 {
@@ -181,24 +274,49 @@ impl<'a> CellFrameReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pckpt_core::{run_grid_with_cell_sink, GridCell, ModelKind, RunnerConfig, SimParams};
+    use pckpt_core::{
+        run_grid_with_cell_sink, GridCell, GridPlan, GridWorker, RunnerConfig, SimParams,
+    };
+    use pckpt_simrng::SimRng;
     use pckpt_workloads::Application;
 
-    fn sample_frame() -> CellFrame {
+    fn xgc_cell() -> GridCell {
         let app = Application::by_name("XGC").expect("table app");
         let params = SimParams::paper_defaults(ModelKind::B, app);
-        let cells = vec![GridCell::new(params, &[ModelKind::B, ModelKind::P2])];
-        let mut config = RunnerConfig::new(3, 7);
+        GridCell::new(params, &[ModelKind::B, ModelKind::P2])
+    }
+
+    /// A frame of real results: every unit of one XGC cell for runs
+    /// 0..3, straight from the grid worker.
+    fn sample_frame() -> CellFrame {
+        let cells = vec![xgc_cell()];
+        let leads = pckpt_failure::LeadTimeModel::desh_default();
+        let plan = GridPlan::new(&cells, &leads);
+        let master = SimRng::seed_from(7);
+        let mut worker = GridWorker::new(&plan);
+        let runs = 3;
+        let mut results = Vec::new();
+        for unit in 0..plan.units() {
+            for run in 0..runs {
+                results.push(worker.run_unit(&master, run, unit));
+            }
+        }
+        CellFrame {
+            fp: Fingerprint { hi: 0x1122, lo: 0x3344 },
+            lanes: plan.units() as u32,
+            runs: runs as u64,
+            results,
+        }
+    }
+
+    /// The fold of one XGC cell over 4 runs, as the grid sink hands it.
+    fn sample_fold() -> Fold {
+        let mut config = RunnerConfig::new(4, 7);
         config.threads = 1;
         let leads = pckpt_failure::LeadTimeModel::desh_default();
         let mut captured = None;
-        run_grid_with_cell_sink(&cells, &leads, &config, &mut |cr| {
-            captured = Some(CellFrame {
-                fp: Fingerprint { hi: 0x1122, lo: 0x3344 },
-                lanes: cr.lanes as u32,
-                runs: cr.runs as u64,
-                results: cr.iter().cloned().collect(),
-            });
+        run_grid_with_cell_sink(&[xgc_cell()], &leads, &config, &mut |done| {
+            captured = Some((done.campaign, done.ci));
         });
         captured.expect("sink ran")
     }
@@ -250,5 +368,45 @@ mod tests {
         // Wrong expected fingerprint is rejected even with a valid seal.
         let other = Fingerprint { hi: 9, lo: 9 };
         assert!(CellFrame::decode(&bytes, Some(other)).is_err());
+    }
+
+    #[test]
+    fn fold_records_roundtrip_and_reject_another_identity_or_shape() {
+        let fold = sample_fold();
+        let fp = Fingerprint { hi: 5, lo: 6 };
+        let models = [ModelKind::B, ModelKind::P2];
+        let bytes = encode_fold_record(fp, 4, &fold);
+        let back = decode_fold_record(&bytes, fp, &models, 4).unwrap();
+        assert_eq!(encode_fold_record(fp, 4, &back), bytes, "decode re-encodes exactly");
+        assert_eq!(back.1.to_bits(), fold.1.to_bits());
+        let other = Fingerprint { hi: 5, lo: 7 };
+        assert!(decode_fold_record(&bytes, other, &models, 4).is_err(), "other cell");
+        assert!(decode_fold_record(&bytes, fp, &models, 5).is_err(), "other run count");
+        assert!(decode_fold_record(&bytes, fp, &models[..1], 4).is_err(), "other models");
+        // A record sealed with the per-run frame's magic is not a fold.
+        let mut body = bytes[..bytes.len() - 8].to_vec();
+        body[..4].copy_from_slice(&CELL_MAGIC.to_le_bytes());
+        assert!(decode_fold_record(&seal(body), fp, &models, 4).is_err(), "magic");
+    }
+
+    #[test]
+    fn fold_record_lengths_are_checked_before_allocating() {
+        let fold = sample_fold();
+        let fp = Fingerprint { hi: 1, lo: 2 };
+        let bytes = encode_fold_record(fp, 4, &fold);
+        let body = &bytes[..bytes.len() - 8];
+        // Header (30 B), then the model count: claim u32::MAX models.
+        let mut huge_models = body.to_vec();
+        huge_models[30..34].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_fold_record(&seal(huge_models), fp, &[ModelKind::B, ModelKind::P2], 4)
+            .unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+        // Every declared count re-sealed at u64::MAX fails cleanly: walk
+        // each 8-byte window of the fold section and make it huge.
+        for at in 30..body.len() - 8 {
+            let mut bad = body.to_vec();
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let _ = decode_fold_record(&seal(bad), fp, &[ModelKind::B, ModelKind::P2], 4);
+        }
     }
 }

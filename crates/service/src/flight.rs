@@ -12,20 +12,26 @@
 //!
 //! A leader that errors out (or is dropped unwinding) abandons its
 //! claims; waiters observe [`FlightState::Failed`], re-claim, and one
-//! of them becomes the new leader. Published results stay in the table
+//! of them becomes the new leader. Published folds stay in the table
 //! as a bounded most-recent in-memory cache, so repeat requests inside
-//! one daemon lifetime skip even the filesystem.
+//! one daemon lifetime skip even the filesystem: a memory hit is an
+//! `Arc` clone of the decoded fold, with nothing to decode. The table
+//! holds the fold *instead of* its record bytes: nothing reads the
+//! bytes again, so keeping both would only cost memory (DESIGN.md
+//! §18.2 has the measurement).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
+
+use crate::cellframe::Fold;
 
 /// State of one cell fingerprint in the admission table.
 #[derive(Debug, Clone)]
 enum FlightState {
     /// A leader thread is computing this cell.
     Running,
-    /// The sealed cell-frame bytes are available.
-    Done(Arc<Vec<u8>>),
+    /// The cell's decoded fold is available.
+    Done(Arc<Fold>),
     /// The last leader abandoned the cell; a waiter should re-claim.
     Failed,
 }
@@ -39,8 +45,8 @@ pub enum Claim {
     /// Another thread is computing; call [`SingleFlight::wait`] after
     /// publishing everything the caller leads.
     Pending,
-    /// The cell is already in memory.
-    Ready(Arc<Vec<u8>>),
+    /// The cell's fold is already in memory.
+    Ready(Arc<Fold>),
 }
 
 /// The admission table. One per service.
@@ -78,9 +84,9 @@ impl SingleFlight {
 
     /// A non-claiming peek: `Some` only when the cell is already Done
     /// in memory. Never changes table state.
-    pub fn peek(&self, fp: u128) -> Option<Arc<Vec<u8>>> {
+    pub fn peek(&self, fp: u128) -> Option<Arc<Fold>> {
         match self.lock().entries.get(&fp) {
-            Some(FlightState::Done(bytes)) => Some(Arc::clone(bytes)),
+            Some(FlightState::Done(fold)) => Some(Arc::clone(fold)),
             _ => None,
         }
     }
@@ -90,7 +96,7 @@ impl SingleFlight {
     pub fn claim(&self, fp: u128) -> Claim {
         let mut table = self.lock();
         match table.entries.get(&fp) {
-            Some(FlightState::Done(bytes)) => Claim::Ready(Arc::clone(bytes)),
+            Some(FlightState::Done(fold)) => Claim::Ready(Arc::clone(fold)),
             Some(FlightState::Running) => Claim::Pending,
             Some(FlightState::Failed) | None => {
                 table.entries.insert(fp, FlightState::Running);
@@ -99,12 +105,12 @@ impl SingleFlight {
         }
     }
 
-    /// Publishes the sealed bytes for a cell the caller leads (or
-    /// recovered from cache/journal) and wakes all waiters.
-    pub fn publish(&self, fp: u128, bytes: Arc<Vec<u8>>) {
+    /// Publishes the fold of a cell the caller leads (or recovered from
+    /// cache/journal) and wakes all waiters.
+    pub fn publish(&self, fp: u128, fold: Arc<Fold>) {
         let mut table = self.lock();
         let was_done = matches!(table.entries.get(&fp), Some(FlightState::Done(_)));
-        table.entries.insert(fp, FlightState::Done(bytes));
+        table.entries.insert(fp, FlightState::Done(fold));
         if !was_done {
             table.done_order.push(fp);
         }
@@ -123,14 +129,14 @@ impl SingleFlight {
         self.cv.notify_all();
     }
 
-    /// Blocks until `fp` resolves. Returns the bytes on `Done`, or
+    /// Blocks until `fp` resolves. Returns the fold on `Done`, or
     /// `None` on `Failed` / entry-evicted — the caller should re-claim
     /// (possibly becoming the new leader).
-    pub fn wait(&self, fp: u128) -> Option<Arc<Vec<u8>>> {
+    pub fn wait(&self, fp: u128) -> Option<Arc<Fold>> {
         let mut table = self.lock();
         loop {
             match table.entries.get(&fp) {
-                Some(FlightState::Done(bytes)) => return Some(Arc::clone(bytes)),
+                Some(FlightState::Done(fold)) => return Some(Arc::clone(fold)),
                 Some(FlightState::Failed) | None => return None,
                 Some(FlightState::Running) => {
                     table = self
@@ -184,7 +190,18 @@ impl Drop for LeaderGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pckpt_core::CampaignResult;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A fold told apart by its CI alone.
+    fn fold(ci: f64) -> Arc<Fold> {
+        let campaign = CampaignResult {
+            models: Vec::new(),
+            aggregates: Vec::new(),
+            threads: 0,
+        };
+        Arc::new((campaign, ci))
+    }
 
     #[test]
     fn coalesces_to_one_leader() {
@@ -199,13 +216,13 @@ mod tests {
                 match flight.claim(fp) {
                     Claim::Leader => {
                         computations.fetch_add(1, Ordering::SeqCst);
-                        flight.publish(fp, Arc::new(vec![7, 7, 7]));
-                        return vec![7, 7, 7];
+                        flight.publish(fp, fold(7.0));
+                        return 7.0;
                     }
-                    Claim::Ready(bytes) => return bytes.as_ref().clone(),
+                    Claim::Ready(done) => return done.1,
                     Claim::Pending => {
-                        if let Some(bytes) = flight.wait(fp) {
-                            return bytes.as_ref().clone();
+                        if let Some(done) = flight.wait(fp) {
+                            return done.1;
                         }
                         // Failed: loop and re-claim.
                     }
@@ -213,7 +230,7 @@ mod tests {
             }));
         }
         for h in handles {
-            assert_eq!(h.join().expect("thread"), vec![7, 7, 7]);
+            assert_eq!(h.join().expect("thread"), 7.0);
         }
         assert_eq!(computations.load(Ordering::SeqCst), 1);
     }
@@ -229,7 +246,7 @@ mod tests {
         }
         // A new claimant takes over leadership.
         assert!(matches!(flight.claim(fp), Claim::Leader));
-        flight.publish(fp, Arc::new(vec![1]));
+        flight.publish(fp, fold(1.0));
         assert!(matches!(flight.claim(fp), Claim::Ready(_)));
     }
 
@@ -238,7 +255,7 @@ mod tests {
         let flight = SingleFlight::new(2);
         for fp in [1u128, 2, 3] {
             assert!(matches!(flight.claim(fp), Claim::Leader));
-            flight.publish(fp, Arc::new(vec![fp as u8]));
+            flight.publish(fp, fold(fp as f64));
         }
         // 1 evicted; 2 and 3 retained.
         assert!(matches!(flight.claim(1), Claim::Leader));

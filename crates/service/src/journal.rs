@@ -17,14 +17,16 @@
 //!   match the campaign being opened is discarded and restarted — the
 //!   fingerprint IS the campaign identity, so a stale file from a
 //!   different sweep can never leak results into this one.
-//! * `KIND_CELL`: survivor index `u64` followed by the sealed
-//!   [`crate::cellframe::CellFrame`] bytes for that cell.
+//! * `KIND_CELL`: survivor index `u64` followed by the cell's sealed
+//!   fold record ([`crate::cellframe::encode_fold_record`]) — the same
+//!   bytes the cache stores, never per-run results.
 //!
 //! Recovery scans from the start, accepts the longest valid record
 //! prefix, truncates the file there, and returns the recovered cells.
-//! The cell frames carry their own seals and fingerprints, so journal
+//! The fold records carry their own seals and fingerprints, so journal
 //! recovery composes two integrity layers: record framing (torn
-//! writes) and frame seals (content rot).
+//! writes) and record seals (content rot). The journal itself never
+//! interprets a payload; the service decodes each recovered record once.
 //!
 //! Sync policy: `PCKPT_JOURNAL_SYNC=always` (default) issues
 //! `sync_data` after every append — a killed *machine* loses at most
@@ -78,8 +80,8 @@ pub struct Journal {
 }
 
 /// Cells recovered from an existing journal: survivor index → sealed
-/// frame bytes. Later duplicates win (idempotent re-appends after an
-/// ill-timed crash are harmless).
+/// fold-record bytes. Later duplicates win (idempotent re-appends after
+/// an ill-timed crash are harmless).
 pub type Recovered = std::collections::BTreeMap<usize, Vec<u8>>;
 
 fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
@@ -220,12 +222,12 @@ impl Journal {
         Ok(())
     }
 
-    /// Appends one completed cell (survivor index + sealed frame
+    /// Appends one completed cell (survivor index + its sealed record
     /// bytes).
-    pub fn append_cell(&mut self, cell_idx: usize, frame_bytes: &[u8]) -> Result<(), String> {
-        let mut payload = Vec::with_capacity(8 + frame_bytes.len());
+    pub fn append_cell(&mut self, cell_idx: usize, record: &[u8]) -> Result<(), String> {
+        let mut payload = Vec::with_capacity(8 + record.len());
         put_u64(&mut payload, cell_idx as u64);
-        payload.extend_from_slice(frame_bytes);
+        payload.extend_from_slice(record);
         self.append_record(KIND_CELL, &payload)?;
         self.appended += 1;
         Ok(())

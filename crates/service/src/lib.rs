@@ -7,8 +7,9 @@
 //! layers, cheapest first:
 //!
 //! 1. a **content-addressed cell cache** — computed cells persist as
-//!    sealed result frames keyed by fingerprint, so replaying a sweep
-//!    is a read, not a simulation ([`cache`]);
+//!    sealed fold records (each cell's folded result, not its per-run
+//!    results) keyed by fingerprint, so replaying a sweep is a read,
+//!    not a simulation ([`cache`], [`cellframe`]);
 //! 2. **single-flight admission** — concurrent identical requests
 //!    coalesce onto one computation ([`flight`]);
 //! 3. a **crash-safe sweep journal** — each completed cell is appended
@@ -17,7 +18,7 @@
 //!
 //! All three lean on one repo-wide invariant: per-cell grid aggregates
 //! are **bit-identical** to standalone runs regardless of pool
-//! composition. That is what makes a cached frame, a coalesced wait,
+//! composition. That is what makes a cached fold, a coalesced wait,
 //! and a journal replay each indistinguishable — byte for byte — from
 //! fresh computation, and it is checked, not assumed: [`grid_digest`]
 //! gives every response a campaign digest that cold runs, warm runs,
@@ -33,7 +34,7 @@ pub mod server;
 pub mod service;
 
 pub use cache::CellStore;
-pub use cellframe::{CellFrame, CellFrameReader};
+pub use cellframe::{decode_fold_record, encode_fold_record, CellFrame, CellFrameReader, Fold};
 pub use flight::{Claim, SingleFlight};
 pub use journal::{Journal, SyncPolicy};
 pub use request::{parse_request, CampaignRequest};

@@ -3,11 +3,11 @@
 //!
 //! 1. **Content-addressed cache** ([`crate::cache::CellStore`]): a
 //!    cell whose fingerprint was computed before — by any request, any
-//!    daemon lifetime — is served from its sealed frame. The repo's
-//!    determinism contract (per-cell grid aggregates are bit-identical
-//!    to standalone runs regardless of pool composition) is what makes
-//!    per-cell reuse *sound*: a cached frame folds to the exact bytes
-//!    a fresh simulation would produce.
+//!    daemon lifetime — is served from its sealed fold record. The
+//!    repo's determinism contract (per-cell grid aggregates are
+//!    bit-identical to standalone runs regardless of pool composition)
+//!    is what makes per-cell reuse *sound*: the stored fold holds the
+//!    bits a fresh simulation of the cell folds to.
 //! 2. **Single-flight admission** ([`crate::flight::SingleFlight`]):
 //!    concurrent identical cells coalesce onto one computation.
 //! 3. **Sweep journal** ([`crate::journal::Journal`]): every computed
@@ -29,12 +29,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use pckpt_core::{
     campaign_fingerprints, run_grid_filtered, run_grid_with_cell_sink, splice_pruned,
-    AnalyticVerdict, CampaignResult, CellFold, Fingerprint, GridCell, GridResult, RunnerConfig,
+    AnalyticVerdict, CampaignResult, Fingerprint, GridCell, GridResult, RunnerConfig,
 };
 use pckpt_failure::LeadTimeModel;
 
 use crate::cache::CellStore;
-use crate::cellframe::{CellFrame, CellFrameReader};
+use crate::cellframe::{decode_fold_record, encode_fold_record, Fold};
 use crate::flight::{Claim, LeaderGuard, SingleFlight};
 use crate::journal::{Journal, SyncPolicy};
 use crate::request::CampaignRequest;
@@ -203,25 +203,27 @@ impl Service {
         Arc::clone(locks.entry(fp.as_u128()).or_default())
     }
 
-    /// Validates recovered/cached bytes as the frame for `fp`,
-    /// publishing on success. Validation is seal + header (the seal
-    /// already proves the bytes are exactly what `encode` wrote); the
-    /// fold streams the results out later without a second pass.
-    fn adopt(&self, fp: Fingerprint, bytes: Vec<u8>, config: &RunnerConfig) -> Option<Arc<Vec<u8>>> {
-        let reader = CellFrameReader::open(&bytes, Some(fp)).ok()?;
-        if reader.runs as usize != config.runs {
-            return None;
-        }
-        let bytes = Arc::new(bytes);
-        self.flight.publish(fp.as_u128(), Arc::clone(&bytes));
-        Some(bytes)
+    /// Decodes a cached or journaled fold record as the fold of `cell`
+    /// (seal, header, fingerprint and shape, once), publishing the fold
+    /// on success. A record that fails any check is a miss: the cell is
+    /// recomputed, never served wrong.
+    fn adopt(
+        &self,
+        fp: Fingerprint,
+        bytes: &[u8],
+        cell: &GridCell,
+        config: &RunnerConfig,
+    ) -> Option<Arc<Fold>> {
+        let fold = Arc::new(decode_fold_record(bytes, fp, &cell.models, config.runs).ok()?);
+        self.flight.publish(fp.as_u128(), Arc::clone(&fold));
+        Some(fold)
     }
 
     /// Serves one campaign request through the three reuse layers.
     pub fn execute(&self, req: &CampaignRequest) -> Result<ServiceOutcome, String> {
         if req.config.vr.adaptive.is_some() {
             // Grid-pooled adaptive feedback: cell results depend on
-            // pool composition, so frames are not independently
+            // pool composition, so cells are not independently
             // addressable. Run uncached.
             let grid = run_grid_filtered(&req.cells, &self.leads, &req.config, req.prefilter.as_ref());
             let meta = ServiceMeta {
@@ -258,11 +260,8 @@ impl Service {
         let lock = self.campaign_lock(campaign_fp);
         let _campaign = lock.lock().unwrap_or_else(PoisonError::into_inner);
 
-        // Cells this request computes, as folded by the grid that ran
-        // them, so the fold pass below never folds them a second time.
-        let mut computed: Vec<Option<(CampaignResult, f64)>> =
-            (0..survivors.len()).map(|_| None).collect();
-        let mut recovered_bytes: BTreeMap<usize, Arc<Vec<u8>>> = BTreeMap::new();
+        // Every survivor's fold, from whichever layer has it first.
+        let mut resolved: Vec<Option<Arc<Fold>>> = vec![None; survivors.len()];
         let mut journal = match self.cfg.state_dir.as_ref() {
             Some(dir) => {
                 let path = dir.join(format!("{}.journal", campaign_fp.hex()));
@@ -271,10 +270,10 @@ impl Service {
                 // Recovered cells re-enter every layer: a resumed
                 // daemon serves them without re-execution.
                 for (idx, bytes) in recovered {
-                    if let Some(adopted) = self.adopt(fps[idx], bytes, config) {
-                        self.store.put(fps[idx], &adopted)?;
+                    if let Some(fold) = self.adopt(fps[idx], &bytes, &survivors[idx], config) {
+                        self.store.put(fps[idx], &bytes)?;
                         meta.journal_recovered += 1;
-                        recovered_bytes.insert(idx, adopted);
+                        resolved[idx] = Some(fold);
                     }
                 }
                 Some(journal)
@@ -284,31 +283,27 @@ impl Service {
 
         // Layer pass: resolve every survivor to Ready / Leader /
         // Pending. All claims happen before any wait (deadlock-free
-        // coalescing; see crate::flight).
-        let mut resolved: Vec<Option<Arc<Vec<u8>>>> = vec![None; survivors.len()];
+        // coalescing; see crate::flight). Cells this request just pulled
+        // out of its own journal are already resolved and accounted as
+        // journal_recovered, not cache hits.
         let mut to_compute: Vec<usize> = Vec::new();
         let mut pending: Vec<usize> = Vec::new();
-        for i in 0..survivors.len() {
-            // Cells this request just pulled out of its own journal are
-            // already accounted as journal_recovered, not cache hits.
-            if let Some(bytes) = recovered_bytes.remove(&i) {
-                resolved[i] = Some(bytes);
+        for (i, cell) in survivors.iter().enumerate() {
+            if resolved[i].is_some() {
                 continue;
             }
-            if let Some(bytes) = self.flight.peek(fps[i].as_u128()) {
-                resolved[i] = Some(bytes);
+            let fp = fps[i];
+            let hit = self.flight.peek(fp.as_u128()).or_else(|| {
+                let bytes = self.store.get(fp)?;
+                self.adopt(fp, &bytes, cell, config)
+            });
+            if hit.is_some() {
+                resolved[i] = hit;
                 meta.cache_hits += 1;
                 continue;
             }
-            if let Some(bytes) = self.store.get(fps[i]) {
-                if let Some(adopted) = self.adopt(fps[i], bytes, config) {
-                    resolved[i] = Some(adopted);
-                    meta.cache_hits += 1;
-                    continue;
-                }
-            }
-            match self.flight.claim(fps[i].as_u128()) {
-                Claim::Ready(bytes) => resolved[i] = Some(bytes),
+            match self.flight.claim(fp.as_u128()) {
+                Claim::Ready(fold) => resolved[i] = Some(fold),
                 Claim::Leader => {
                     meta.cache_misses += 1;
                     to_compute.push(i);
@@ -329,7 +324,7 @@ impl Service {
                 &to_compute,
                 config,
                 journal.as_mut(),
-                &mut computed,
+                &mut resolved,
                 &mut meta,
             )?);
         }
@@ -337,14 +332,14 @@ impl Service {
         // Only now wait on cells other requests lead.
         for i in pending {
             loop {
-                if let Some(bytes) = self.flight.wait(fps[i].as_u128()) {
-                    resolved[i] = Some(bytes);
+                if let Some(fold) = self.flight.wait(fps[i].as_u128()) {
+                    resolved[i] = Some(fold);
                     break;
                 }
                 // The leader abandoned this cell; take over.
                 match self.flight.claim(fps[i].as_u128()) {
-                    Claim::Ready(bytes) => {
-                        resolved[i] = Some(bytes);
+                    Claim::Ready(fold) => {
+                        resolved[i] = Some(fold);
                         break;
                     }
                     Claim::Pending => continue,
@@ -356,7 +351,7 @@ impl Service {
                             &solo,
                             config,
                             journal.as_mut(),
-                            &mut computed,
+                            &mut resolved,
                             &mut meta,
                         )?;
                         if computed_grid.is_none() {
@@ -368,46 +363,22 @@ impl Service {
             }
         }
 
-        // Fold every survivor frame in the canonical order and
-        // assemble the survivor grid.
+        // Assemble the survivor grid from the folds, in canonical order.
         let threads = computed_grid
             .as_ref()
             .map(|g| g.threads)
             .unwrap_or_else(|| config.effective_threads_for(0));
         let mut campaigns = Vec::with_capacity(survivors.len());
         let mut cell_ci_rel = Vec::with_capacity(survivors.len());
-        for (i, cell) in survivors.iter().enumerate() {
-            // Cells this request computed come folded from their grid;
-            // everything else folds streaming from its bytes.
-            let (campaign, ci) = match computed[i].take() {
-                Some((campaign, ci)) => (CampaignResult { threads, ..campaign }, ci),
-                None => {
-                    let bytes = resolved[i]
-                        .as_ref()
-                        .ok_or_else(|| format!("cell {i} unresolved after compute/wait"))?;
-                    let mut reader = CellFrameReader::open(bytes, Some(fps[i]))?;
-                    if reader.lanes as usize != cell.models.len()
-                        || reader.runs as usize != config.runs
-                    {
-                        return Err(format!(
-                            "cell {i} frame shape {}×{} does not match request {}×{}",
-                            reader.lanes,
-                            reader.runs,
-                            cell.models.len(),
-                            config.runs
-                        ));
-                    }
-                    let mut fold = CellFold::new(cell, config, threads);
-                    let mut scratch = pckpt_core::RunResult::default();
-                    for _ in 0..cell.models.len() * config.runs {
-                        reader.next_result_into(&mut scratch)?;
-                        fold.push(&scratch);
-                    }
-                    fold.finish()
-                }
-            };
-            campaigns.push(campaign);
-            cell_ci_rel.push(ci);
+        for (i, fold) in resolved.iter().enumerate() {
+            let (campaign, ci) = fold
+                .as_deref()
+                .ok_or_else(|| format!("cell {i} unresolved after compute/wait"))?;
+            campaigns.push(CampaignResult {
+                threads,
+                ..campaign.clone()
+            });
+            cell_ci_rel.push(*ci);
         }
 
         let simulated = if survivors.is_empty() {
@@ -438,8 +409,8 @@ impl Service {
     }
 
     /// Runs the `indices` subset of `survivors` as one pooled grid,
-    /// journaling, caching, and publishing each cell as it completes.
-    /// Each cell's folded `(campaign, ci)` moves into `computed`; the
+    /// journaling, caching, and publishing each cell's fold record as
+    /// the grid folds the cell, and resolving the cell to its fold. The
     /// returned grid keeps the execution accounting.
     #[allow(clippy::too_many_arguments)]
     fn compute_batch(
@@ -449,7 +420,7 @@ impl Service {
         indices: &[usize],
         config: &RunnerConfig,
         mut journal: Option<&mut Journal>,
-        computed: &mut [Option<(CampaignResult, f64)>],
+        resolved: &mut [Option<Arc<Fold>>],
         meta: &mut ServiceMeta,
     ) -> Result<GridResult, String> {
         let subset: Vec<GridCell> = indices.iter().map(|&i| survivors[i].clone()).collect();
@@ -459,19 +430,14 @@ impl Service {
         );
         let mut sink_err: Option<String> = None;
         let mut appended = 0u64;
-        let mut grid = run_grid_with_cell_sink(&subset, &self.leads, config, &mut |cr| {
+        let grid = run_grid_with_cell_sink(&subset, &self.leads, config, &mut |done| {
             if sink_err.is_some() {
                 return;
             }
-            let survivor_idx = indices[cr.cell];
+            let survivor_idx = indices[done.cell];
             let fp = fps[survivor_idx];
-            let bytes = CellFrame {
-                fp,
-                lanes: cr.lanes as u32,
-                runs: cr.runs as u64,
-                results: cr.iter().cloned().collect(),
-            }
-            .encode();
+            let fold = Arc::new((done.campaign, done.ci));
+            let bytes = encode_fold_record(fp, config.runs as u64, &fold);
             if let Some(j) = journal.as_deref_mut() {
                 if let Err(e) = j.append_cell(survivor_idx, &bytes) {
                     sink_err = Some(e);
@@ -485,16 +451,13 @@ impl Service {
                 sink_err = Some(e);
                 return;
             }
-            self.flight.publish(fp.as_u128(), Arc::new(bytes));
+            self.flight.publish(fp.as_u128(), Arc::clone(&fold));
             guard.published(fp.as_u128());
+            resolved[survivor_idx] = Some(fold);
         });
         drop(guard); // Abandons anything the sink never published.
         if let Some(e) = sink_err {
             return Err(e);
-        }
-        let cells = std::mem::take(&mut grid.cells);
-        for ((&i, campaign), &ci) in indices.iter().zip(cells).zip(&grid.cell_ci_rel) {
-            computed[i] = Some((campaign, ci));
         }
         meta.computed_cells += indices.len() as u64;
         meta.journal_appended += appended;

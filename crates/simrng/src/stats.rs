@@ -38,6 +38,33 @@ impl Summary {
         }
     }
 
+    /// The summary's complete state, `(n, mean, m2, min, max)`: the
+    /// count, the running mean, the running sum of squared deviations and
+    /// the extremes, exactly as [`push`](Self::push) left them. With
+    /// [`from_parts`](Self::from_parts) it lets a codec store a summary
+    /// bit for bit.
+    pub fn parts(&self) -> (u64, f64, f64, f64, f64) {
+        let Self {
+            n,
+            mean,
+            m2,
+            min,
+            max,
+        } = *self;
+        (n, mean, m2, min, max)
+    }
+
+    /// The summary whose [`parts`](Self::parts) are the given ones.
+    pub fn from_parts(n: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
+        Self {
+            n,
+            mean,
+            m2,
+            min,
+            max,
+        }
+    }
+
     /// Builds a summary from a slice in one pass.
     pub fn from_slice(values: &[f64]) -> Self {
         let mut s = Self::new();

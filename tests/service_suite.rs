@@ -13,7 +13,13 @@
 //! * **journal robustness** — a journal truncated or corrupted at an
 //!   *arbitrary byte offset* still resumes to the golden digest
 //!   (proptest), because recovery keeps exactly the longest valid
-//!   record prefix and recomputes the rest.
+//!   record prefix and recomputes the rest;
+//! * **cache robustness** — a damaged, stale-version or misplaced cache
+//!   entry is recomputed, never served;
+//! * **fold records** — every cell's stored fold decodes to the bits
+//!   the grid computed, re-encodes to the same bytes, and rejects every
+//!   truncation and every flipped byte (proptest over cells, seeds and
+//!   VR modes).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -22,10 +28,12 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pckpt::core::run_grid_filtered;
+use pckpt::core::frames::{seal, FRAME_VERSION};
+use pckpt::core::{campaign_fingerprints, parse_vr_spec, run_grid_filtered, run_grid_with_cell_sink};
 use pckpt::prelude::*;
 use pckpt_service::{
-    grid_digest, parse_request, respond, serve_unix, submit_unix, Service, ServiceConfig,
+    decode_fold_record, encode_fold_record, grid_digest, parse_request, respond, serve_unix,
+    submit_unix, Service, ServiceConfig,
 };
 
 static SCRATCH: AtomicU64 = AtomicU64::new(0);
@@ -358,4 +366,108 @@ fn respond_reports_errors_without_panicking() {
         assert!(!body.contains("OK"));
     }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Six cells, so damaging four cache entries leaves two intact.
+const WIDE: &str = r#"{"name":"wide","apps":["XGC","POP","VULCAN"],"scales":[1.2,0.6],
+                      "models":["B","P2"],"runs":6,"seed":61,"threads":1}"#;
+
+#[test]
+fn damaged_cache_entries_degrade_to_recompute() {
+    let root = scratch_root("damaged-cache");
+    let req = parse_request(WIDE).unwrap();
+    let leads = LeadTimeModel::desh_default();
+    let golden = grid_digest(&run_grid_filtered(&req.cells, &leads, &req.config, None)).hex();
+    let cold = service_in(&root).execute(&req).expect("cold request");
+    assert_eq!(cold.meta.computed_cells, 6);
+
+    let (fps, _) = campaign_fingerprints(&req.cells, leads.digest(), &req.config, None);
+    let entry = |i: usize| root.join("cache").join(format!("{}.cell", fps[i].hex()));
+    let read = |i: usize| std::fs::read(entry(i)).expect("cache entry");
+    // A record is a 30-byte header, the fold, and an 8-byte seal.
+    let mut flipped = read(0);
+    let inside_fold = 30 + (flipped.len() - 38) / 2;
+    flipped[inside_fold] ^= 0x10;
+    std::fs::write(entry(0), flipped).unwrap();
+    let whole = read(1);
+    std::fs::write(entry(1), &whole[..whole.len() / 2]).unwrap();
+    // An otherwise valid record of the previous frame version.
+    let current = read(2);
+    let mut old = current[..current.len() - 8].to_vec();
+    old[4..6].copy_from_slice(&(FRAME_VERSION - 1).to_le_bytes());
+    std::fs::write(entry(2), seal(old)).unwrap();
+    // Another cell's valid record under this cell's name.
+    std::fs::copy(entry(5), entry(3)).unwrap();
+
+    let mut cfg = ServiceConfig::in_dirs(Some(root.join("cache")), Some(root.join("fresh-state")));
+    cfg.sync = pckpt_service::SyncPolicy::Off;
+    let warm = Service::open(cfg).expect("open service").execute(&req).expect("warm request");
+    assert_eq!(grid_digest(&warm.grid).hex(), golden, "a damaged entry was served");
+    assert_eq!(warm.meta.computed_cells, 4, "each damaged entry is recomputed");
+    assert_eq!(warm.meta.cache_hits, 2, "the intact entries are served");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The fold record of every cell a grid sink sees: decoding it and
+    /// re-encoding gives the same bytes, a grid assembled from the
+    /// decoded folds has the direct grid's digest, and every strict
+    /// prefix and every single-byte flip of the record is rejected.
+    #[test]
+    fn fold_records_are_exact_and_reject_every_damage(
+        apps in proptest::collection::vec(0usize..4, 1..3),
+        scale in 0.4f64..1.6,
+        with_m2 in any::<bool>(),
+        runs in 2usize..6,
+        seed in any::<u64>(),
+        vr in 0usize..4,
+    ) {
+        let names = ["XGC", "POP", "CHIMERA", "VULCAN"];
+        let models: Vec<ModelKind> = if with_m2 {
+            vec![ModelKind::B, ModelKind::M2, ModelKind::P2]
+        } else {
+            vec![ModelKind::P1]
+        };
+        let cells: Vec<GridCell> = apps
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let app = Application::by_name(names[a]).expect("table app");
+                let mut params = SimParams::paper_defaults(ModelKind::B, app);
+                params.lead_scale = scale;
+                GridCell::new(params, &models).with_label(format!("{i}:{}", names[a]))
+            })
+            .collect();
+        let mut config = RunnerConfig::new(runs, seed);
+        config.threads = 1;
+        let vr_specs = ["off", "antithetic", "stratified:2", "antithetic,stratified:2"];
+        config.vr = parse_vr_spec(vr_specs[vr]).expect("valid VR spec");
+        let leads = LeadTimeModel::desh_default();
+        let (fps, _) = campaign_fingerprints(&cells, leads.digest(), &config, None);
+
+        let mut records = Vec::new();
+        let mut grid = run_grid_with_cell_sink(&cells, &leads, &config, &mut |done| {
+            let fold = (done.campaign, done.ci);
+            records.push(encode_fold_record(fps[done.cell], runs as u64, &fold));
+        });
+        let direct = run_grid_filtered(&cells, &leads, &config, None);
+        prop_assert_eq!(records.len(), cells.len());
+        for (i, bytes) in records.iter().enumerate() {
+            let fold = decode_fold_record(bytes, fps[i], &models, runs).expect("record decodes");
+            prop_assert_eq!(&encode_fold_record(fps[i], runs as u64, &fold), bytes);
+            grid.cells[i] = CampaignResult { threads: grid.threads, ..fold.0 };
+            grid.cell_ci_rel[i] = fold.1;
+            for cut in 0..bytes.len() {
+                prop_assert!(decode_fold_record(&bytes[..cut], fps[i], &models, runs).is_err());
+            }
+            for at in 0..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[at] ^= 0x01;
+                prop_assert!(decode_fold_record(&bad, fps[i], &models, runs).is_err());
+            }
+        }
+        prop_assert_eq!(grid_digest(&grid).hex(), grid_digest(&direct).hex());
+    }
 }
