@@ -191,7 +191,8 @@ fn variance_reduction_headline(leads: &LeadTimeModel) {
         })
         .collect();
 
-    let fixed_cfg = RunnerConfig::new(FIXED_BUDGET, seed());
+    // The bins' seed and threads, at the headline's own budgets and estimators.
+    let fixed_cfg = RunnerConfig { runs: FIXED_BUDGET, vr: VrConfig::default(), ..runner() };
     let started = Instant::now();
     let fixed = run_grid(&cells, leads, &fixed_cfg);
     let fixed_wall = started.elapsed().as_secs_f64();
@@ -203,7 +204,7 @@ fn variance_reduction_headline(leads: &LeadTimeModel) {
     let worst_need = (0..cells.len()).map(fixed_need).fold(0.0, f64::max);
     let fixed_provisioned = cells.len() as f64 * worst_need;
 
-    let mut vr_cfg = RunnerConfig::new(4096, seed());
+    let mut vr_cfg = RunnerConfig { runs: 4096, ..fixed_cfg };
     vr_cfg.vr = VrConfig {
         antithetic: true,
         strata: 8,
@@ -256,8 +257,7 @@ fn variance_reduction_headline(leads: &LeadTimeModel) {
         vr.cell_ci_rel.iter().map(|c| (c * 1e4).round() / 1e4).collect::<Vec<_>>(),
     );
     for (name, vrc) in strategies {
-        let mut cfg = RunnerConfig::new(FIXED_BUDGET, seed());
-        cfg.vr = vrc;
+        let cfg = RunnerConfig { vr: vrc, ..fixed_cfg };
         let g = run_grid(&one_cell, leads, &cfg);
         let ci = g.worst_ci_rel();
         println!("    {name:<22} ci_rel @ {FIXED_BUDGET} runs: {ci:.5}");

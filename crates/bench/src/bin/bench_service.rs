@@ -20,8 +20,8 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use pckpt_bench::{figure_apps, runs, seed, sweep_cell};
-use pckpt_core::{run_grid_filtered, GridCell, RunnerConfig};
+use pckpt_bench::{figure_apps, runner, runs, sweep_cell};
+use pckpt_core::{run_grid_filtered, GridCell, RunnerConfig, VrConfig};
 use pckpt_failure::{FailureDistribution, LeadTimeModel};
 use pckpt_service::{grid_digest, CampaignRequest, Service, ServiceConfig, SyncPolicy};
 
@@ -57,7 +57,7 @@ fn main() {
     // pins its own budget (still `PCKPT_RUNS`-scalable for smokes).
     let budget = runs().min(1024);
     let cells = fig4_cells();
-    let config = RunnerConfig::new(budget, seed());
+    let config = RunnerConfig { runs: budget, vr: VrConfig::default(), ..runner() };
     let req = CampaignRequest {
         name: "service_fig4".into(),
         cells: cells.clone(),

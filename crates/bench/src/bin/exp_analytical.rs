@@ -17,6 +17,7 @@ use pckpt_failure::{LeadTimeModel, Predictor};
 use pckpt_workloads::TABLE_I;
 
 fn main() {
+    pckpt_bench::knobs();
     // The σ sweep of the paper band, 0 ≤ σ ≤ 0.60 < SIGMA_MAX.
     let mut t = Table::new(vec![
         "sigma",

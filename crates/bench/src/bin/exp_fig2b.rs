@@ -8,6 +8,7 @@ use pckpt_analysis::Table;
 use pckpt_ioperf::{NodeIoModel, GB, MB};
 
 fn main() {
+    pckpt_bench::knobs();
     let model = NodeIoModel::summit();
     let tasks = [1u32, 2, 4, 8, 16, 28, 42];
     let sizes = [

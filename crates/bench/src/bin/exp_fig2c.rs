@@ -7,6 +7,7 @@ use pckpt_analysis::HeatMap;
 use pckpt_ioperf::{PfsModel, GB, TB};
 
 fn main() {
+    pckpt_bench::knobs();
     let pfs = PfsModel::summit();
     let nodes: Vec<u64> = (0..=12).map(|e| 1u64 << e).collect(); // 1..4096
     let sizes: Vec<f64> = [0.5, 2.0, 8.0, 32.0, 128.0, 512.0]

@@ -7,6 +7,7 @@ use pckpt_ioperf::GB;
 use pckpt_workloads::TABLE_I;
 
 fn main() {
+    pckpt_bench::knobs();
     let mut t = Table::new(vec![
         "application",
         "nodes",

@@ -41,6 +41,7 @@ fn record(params: &SimParams, leads: &LeadTimeModel, seed: u64) -> Recording {
 }
 
 fn main() {
+    pckpt_bench::knobs();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let get = |i: usize, default: &str| -> String {
         args.get(i).cloned().unwrap_or_else(|| default.to_string())

@@ -25,18 +25,37 @@
 //! set `PCKPT_RUNS` to trade fidelity for speed, and `PCKPT_SEED` to try
 //! another stream.
 
+use std::sync::OnceLock;
+
 use pckpt_core::{
-    parse_runs_spec, run_grid, run_models, CampaignResult, GridCell, GridResult, ModelKind,
+    run_grid_filtered, run_models, CampaignResult, GridCell, GridResult, Knobs, ModelKind,
     RunnerConfig, RunsSpec, SimParams,
 };
 use pckpt_failure::{FailureDistribution, LeadTimeModel};
 use pckpt_workloads::Application;
 
+/// The `PCKPT_*` variables the experiment bins read, on first use.
+const READS: [&str; 5] =
+    ["PCKPT_RUNS", "PCKPT_SEED", "PCKPT_VR", "PCKPT_THREADS", "PCKPT_PREFILTER"];
+
+/// The bins' knobs: a malformed value prints one error line and exits.
+/// A bin that reads none still calls this first, so a misspelt
+/// variable gets its warning there too.
+pub fn knobs() -> &'static Knobs {
+    static KNOBS: OnceLock<Knobs> = OnceLock::new();
+    KNOBS.get_or_init(|| {
+        Knobs::from_env(&READS).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
+    })
+}
+
 /// Monte-Carlo runs per configuration (`PCKPT_RUNS`, default 1000). In
 /// adaptive mode (`PCKPT_RUNS=auto[:target[:cap]]`) this is the per-cell
 /// run cap; the stopping rule usually spends far fewer.
 pub fn runs() -> usize {
-    match std::env::var("PCKPT_RUNS").ok().and_then(|v| parse_runs_spec(&v)) {
+    match knobs().runs {
         Some(RunsSpec::Fixed(n)) => n,
         Some(RunsSpec::Auto(a)) => a.max_runs,
         None => 1000,
@@ -46,17 +65,14 @@ pub fn runs() -> usize {
 /// Master seed (`PCKPT_SEED`, default 20220530 — the paper's IPDPS
 /// presentation date).
 pub fn seed() -> u64 {
-    std::env::var("PCKPT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_220_530)
+    knobs().seed.unwrap_or(20_220_530)
 }
 
 /// The runner configuration used by all experiments: `PCKPT_RUNS` runs
-/// from `PCKPT_SEED`, with the `PCKPT_VR` / `PCKPT_RUNS=auto`
-/// variance-reduction knobs applied on top.
+/// from `PCKPT_SEED` on `PCKPT_THREADS` workers, with the `PCKPT_VR` /
+/// `PCKPT_RUNS=auto` variance-reduction knobs applied on top.
 pub fn runner() -> RunnerConfig {
-    RunnerConfig::new(runs(), seed()).with_env_vr()
+    knobs().runner(runs(), seed())
 }
 
 /// The three applications whose per-app curves the paper shows
@@ -103,11 +119,12 @@ pub fn sweep_cell(
 
 /// Runs a whole bin's sweep — every cell × model × run — through one
 /// work-stealing pool with cross-cell failure-trace sharing (see
-/// `pckpt_core::run_grid`). All cells share one Desh lead-time model and
-/// the experiment-wide [`runner`] configuration.
+/// `pckpt_core::run_grid`). All cells share one Desh lead-time model,
+/// the experiment-wide [`runner`] configuration and `PCKPT_PREFILTER`'s
+/// analytic pre-filter.
 pub fn run_cells(cells: &[GridCell]) -> GridResult {
     let leads = LeadTimeModel::desh_default();
-    run_grid(cells, &leads, &runner())
+    run_grid_filtered(cells, &leads, &runner(), knobs().prefilter.as_ref())
 }
 
 /// Prints a sweep's execution metadata: one `METRICS_JSON` line with the
@@ -263,12 +280,5 @@ mod tests {
         assert_eq!(apps.len(), 3);
         assert_eq!(apps[0].name, "CHIMERA");
         assert_eq!(apps[2].name, "POP");
-    }
-
-    #[test]
-    fn env_defaults() {
-        // Defaults apply when the env vars are unset in the test runner.
-        assert!(runs() > 0);
-        let _ = seed();
     }
 }

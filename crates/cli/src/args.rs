@@ -4,6 +4,8 @@
 use pckpt_core::ModelKind;
 use pckpt_failure::FailureDistribution;
 
+use crate::flags::{self, value};
+
 /// CLI usage text.
 pub const USAGE: &str = "\
 usage:
@@ -28,9 +30,13 @@ common options:
   --fn-rate <F>       predictor false-negative rate (default 0.15)
   --alpha <F>         LM transfer factor (default 3.0)
 
-environment:
+environment (simulate, compare and grid; a malformed value is an error):
   PCKPT_RUNS=auto[:target[:cap]]  adaptive CI-driven run allocation
-  PCKPT_VR=antithetic,stratified[:K]  variance-reduced trace generation";
+                      (a fixed count comes from --runs)
+  PCKPT_VR=antithetic,stratified[:K]  variance-reduced trace generation
+  PCKPT_THREADS=<N>   worker threads (0 = one per core, the default)
+  PCKPT_PREFILTER=analytic[:margin]  answer decidable crossover cells
+                      analytically";
 
 /// Options shared by the simulation subcommands.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,8 +189,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if opts.app.is_empty() {
                 return Err("trace requires --app".into());
             }
-            let run = extract_kv(&given, "--run")?.unwrap_or(0);
-            let verbose = extract_kv::<bool>(&given, "--verbose")?.unwrap_or(false);
+            let run = value(&given, "--run")?.unwrap_or(0);
+            let verbose = value(&given, "--verbose")?.unwrap_or(false);
             Ok(Command::Trace(model, opts, run, verbose))
         }
         other => Err(format!("unknown subcommand {other:?}")),
@@ -195,26 +201,18 @@ fn parse_logs<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<Command, S
     let action = it.next().ok_or("logs requires generate|analyze")?;
     match action.as_str() {
         "generate" => {
-            let mut opts = LogGenOptions {
-                out: String::new(),
-                nodes: 400,
-                failures: 900,
-                months: 6.0,
-                seed: 42,
+            let known = ["--out", "--nodes", "--failures", "--months", "--seed"];
+            let given = flags::pairs(it, &known)?;
+            let opts = LogGenOptions {
+                out: value(&given, "--out")?.unwrap_or_default(),
+                nodes: value(&given, "--nodes")?.unwrap_or(400),
+                failures: value(&given, "--failures")?.unwrap_or(900),
+                months: match value::<String>(&given, "--months")? {
+                    Some(m) => parse_float("--months", &m, 0.1, 120.0)?,
+                    None => 6.0,
+                },
+                seed: value(&given, "--seed")?.unwrap_or(42),
             };
-            while let Some(key) = it.next() {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("option {key} requires a value"))?;
-                match key.as_str() {
-                    "--out" => opts.out = value.clone(),
-                    "--nodes" => opts.nodes = parse_num(key, value)?,
-                    "--failures" => opts.failures = parse_num(key, value)?,
-                    "--months" => opts.months = parse_float(key, value, 0.1, 120.0)?,
-                    "--seed" => opts.seed = parse_num(key, value)?,
-                    other => return Err(format!("unknown option {other:?}")),
-                }
-            }
             if opts.out.is_empty() {
                 return Err("logs generate requires --out".into());
             }
@@ -224,16 +222,7 @@ fn parse_logs<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<Command, S
             Ok(Command::LogsGenerate(opts))
         }
         "analyze" => {
-            let mut input = String::new();
-            while let Some(key) = it.next() {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("option {key} requires a value"))?;
-                match key.as_str() {
-                    "--in" => input = value.clone(),
-                    other => return Err(format!("unknown option {other:?}")),
-                }
-            }
+            let input: String = value(&flags::pairs(it, &["--in"])?, "--in")?.unwrap_or_default();
             if input.is_empty() {
                 return Err("logs analyze requires --in".into());
             }
@@ -250,7 +239,7 @@ fn parse_grid<'a>(it: impl Iterator<Item = &'a String>) -> Result<GridOptions, S
     }
     // The sweep's lead scales come from `--scales`, or else from the one
     // `--lead-scale`; it never reads both.
-    let scale_option = if value_of(&given, "--scales").is_some() {
+    let scale_option = if given.iter().any(|&(k, _)| k == "--scales") {
         "--scales"
     } else {
         "--lead-scale"
@@ -266,14 +255,14 @@ fn parse_grid<'a>(it: impl Iterator<Item = &'a String>) -> Result<GridOptions, S
         scale_option,
     ];
     reject_unused(&given, &reads)?;
-    let scales = match extract_kv::<String>(&given, "--scales")? {
+    let scales = match value::<String>(&given, "--scales")? {
         None => vec![opts.lead_scale],
         Some(csv) => csv
             .split(',')
             .map(|s| parse_float("--scales", s.trim(), 0.01, 10.0))
             .collect::<Result<Vec<_>, _>>()?,
     };
-    let models = match extract_kv::<String>(&given, "--models")? {
+    let models = match value::<String>(&given, "--models")? {
         None => vec![ModelKind::B, ModelKind::P2],
         Some(csv) => csv
             .split(',')
@@ -300,27 +289,20 @@ fn expect_end<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<(), String
     }
 }
 
-/// Parses `--key value` pairs; returns the common options plus every
-/// pair as given, in order. The caller reads its subcommand-specific
-/// options (`--model`, `--run`, ...) from the pairs and must reject
-/// every option it does not read with [`reject_unused`]. A key given
-/// twice is an error, so no option has two values to choose between.
+/// Reads the `--key value` pairs (see [`flags::pairs`]); returns the
+/// common options plus every pair as given, in order. The caller reads
+/// its subcommand-specific options (`--model`, `--run`, ...) from the
+/// pairs and must reject every option it does not read with
+/// [`reject_unused`].
 fn parse_options<'a>(
-    mut it: impl Iterator<Item = &'a String>,
-) -> Result<(SimOptions, Vec<String>), String> {
+    it: impl Iterator<Item = &'a String>,
+) -> Result<(SimOptions, flags::Pairs<'a>), String> {
+    let specific = ["--model", "--run", "--verbose", "--scales", "--models"];
+    let given = flags::pairs(it, &[COMMON, &specific].concat())?;
     let mut opts = SimOptions::default();
-    let mut given: Vec<String> = Vec::new();
-    while let Some(key) = it.next() {
-        let value = it
-            .next()
-            .ok_or_else(|| format!("option {key} requires a value"))?;
-        if given.iter().step_by(2).any(|k| k == key) {
-            return Err(format!("option {key} given twice"));
-        }
-        given.push(key.clone());
-        given.push(value.clone());
-        match key.as_str() {
-            "--app" => opts.app = value.clone(),
+    for &(key, value) in &given {
+        match key {
+            "--app" => opts.app = value.to_string(),
             "--runs" => opts.runs = parse_num(key, value)?,
             "--seed" => opts.seed = parse_num(key, value)?,
             "--lead-scale" => opts.lead_scale = parse_float(key, value, 0.01, 10.0)?,
@@ -330,8 +312,7 @@ fn parse_options<'a>(
                 opts.dist = FailureDistribution::by_name(value)
                     .ok_or_else(|| format!("unknown distribution {value:?}"))?
             }
-            "--model" | "--run" | "--verbose" | "--scales" | "--models" => {}
-            other => return Err(format!("unknown option {other:?}")),
+            _ => {}
         }
     }
     if opts.runs == 0 {
@@ -342,43 +323,19 @@ fn parse_options<'a>(
 
 /// Rejects the first given option (see [`parse_options`]) that is not in
 /// `used`, the options the subcommand reads.
-fn reject_unused(given: &[String], used: &[&str]) -> Result<(), String> {
-    match given
-        .iter()
-        .step_by(2)
-        .find(|k| !used.contains(&k.as_str()))
-    {
-        Some(k) => Err(format!("unexpected option {k}")),
+fn reject_unused(given: &[(&str, &str)], used: &[&str]) -> Result<(), String> {
+    match given.iter().find(|(k, _)| !used.contains(k)) {
+        Some((k, _)) => Err(format!("unexpected option {k}")),
         None => Ok(()),
     }
 }
 
-/// The value of the first `key` among the given pairs (see
-/// [`parse_options`]), if present.
-fn value_of<'a>(given: &'a [String], key: &str) -> Option<&'a String> {
-    given
-        .chunks_exact(2)
-        .find(|pair| pair[0] == key)
-        .map(|pair| &pair[1])
-}
-
-/// Pulls an optional `--key value` pair out of the given pairs.
-fn extract_kv<T: std::str::FromStr>(given: &[String], key: &str) -> Result<Option<T>, String> {
-    match value_of(given, key) {
-        None => Ok(None),
-        Some(value) => value
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{key}: cannot parse {value:?}")),
-    }
-}
-
-fn extract_model(given: &[String], subcommand: &str) -> Result<ModelKind, String> {
-    let value =
-        value_of(given, "--model").ok_or_else(|| format!("{subcommand} requires --model"))?;
+fn extract_model(given: &[(&str, &str)], subcommand: &str) -> Result<ModelKind, String> {
+    let value: String =
+        value(given, "--model")?.ok_or_else(|| format!("{subcommand} requires --model"))?;
     ModelKind::ALL
         .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(value))
+        .find(|m| m.name().eq_ignore_ascii_case(&value))
         .ok_or_else(|| format!("unknown model {value:?} (use B, M1, M2, P1 or P2)"))
 }
 
@@ -446,6 +403,21 @@ mod tests {
         let err = parse(&v(&["grid", "--app", "XGC", "--scales", "1", "--scales", "2"]))
             .unwrap_err();
         assert_eq!(err, "option --scales given twice");
+    }
+
+    #[test]
+    fn logs_reject_repeated_unknown_and_valueless_flags() {
+        let err = parse(&v(&["logs", "analyze", "--in", "/a", "--in", "/b"])).unwrap_err();
+        assert_eq!(err, "option --in given twice");
+        let err = parse(&v(&[
+            "logs", "generate", "--out", "a", "--seed", "1", "--out", "b",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "option --out given twice");
+        let err = parse(&v(&["logs", "analyze", "--in", "f.log", "--out", "x"])).unwrap_err();
+        assert_eq!(err, r#"unknown option "--out""#);
+        let err = parse(&v(&["logs", "generate", "--out"])).unwrap_err();
+        assert_eq!(err, "option --out requires a value");
     }
 
     #[test]

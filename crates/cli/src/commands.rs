@@ -3,25 +3,25 @@
 use pckpt_analysis::Table;
 use pckpt_core::obs::kind;
 use pckpt_core::sim::state_name;
-use pckpt_core::{record_run, run_grid, Aggregate, GridCell, ModelKind, RunnerConfig, SimParams};
+use pckpt_core::{record_run, run_grid_filtered, Aggregate, GridCell, Knobs, ModelKind, SimParams};
 use pckpt_desim::SimTime;
 use pckpt_failure::LeadTimeModel;
 use pckpt_workloads::{Application, TABLE_I};
 
 use crate::args::{Command, GridOptions, LogGenOptions, SimOptions};
 
-/// Executes a parsed command.
-pub fn run(cmd: Command) -> Result<(), String> {
+/// Executes a parsed command under the environment's `knobs`.
+pub fn run(cmd: Command, knobs: &Knobs) -> Result<(), String> {
     match cmd {
-        Command::Simulate(model, opts) => simulate(&[model], &opts),
-        Command::Compare(opts) => simulate(&ModelKind::ALL, &opts),
+        Command::Simulate(model, opts) => simulate(&[model], &opts, knobs),
+        Command::Compare(opts) => simulate(&ModelKind::ALL, &opts, knobs),
         Command::Leads => leads(),
         Command::Io(app) => io(&app),
         Command::Apps => apps(),
         Command::LogsGenerate(opts) => logs_generate(&opts),
         Command::LogsAnalyze(path) => logs_analyze(&path),
         Command::Trace(model, opts, run, verbose) => trace_run(model, &opts, run, verbose),
-        Command::Grid(g) => grid(&g),
+        Command::Grid(g) => grid(&g, knobs),
     }
 }
 
@@ -39,11 +39,11 @@ fn build_grid_cells(g: &GridOptions) -> Result<Vec<GridCell>, String> {
     Ok(cells)
 }
 
-fn grid(g: &GridOptions) -> Result<(), String> {
+fn grid(g: &GridOptions, knobs: &Knobs) -> Result<(), String> {
     let cells = build_grid_cells(g)?;
     let leads = LeadTimeModel::desh_default();
-    let config = RunnerConfig::new(g.opts.runs, g.opts.seed).with_env_vr();
-    let result = run_grid(&cells, &leads, &config);
+    let config = knobs.runner(g.opts.runs, g.opts.seed);
+    let result = run_grid_filtered(&cells, &leads, &config, knobs.prefilter.as_ref());
     let mut t = Table::new(vec!["cell", "model", "total (h)", "vs B", "FT ratio"]).with_title(
         format!(
             "{} sweep on {} — {} runs/cell, seed {}",
@@ -246,7 +246,7 @@ fn build_params(opts: &SimOptions) -> Result<SimParams, String> {
     Ok(params)
 }
 
-fn simulate(models: &[ModelKind], opts: &SimOptions) -> Result<(), String> {
+fn simulate(models: &[ModelKind], opts: &SimOptions, knobs: &Knobs) -> Result<(), String> {
     let params = build_params(opts)?;
     let leads = LeadTimeModel::desh_default();
     println!(
@@ -261,10 +261,11 @@ fn simulate(models: &[ModelKind], opts: &SimOptions) -> Result<(), String> {
         opts.alpha,
     );
     let cells = [GridCell::new(params.clone(), models)];
-    let grid = run_grid(
+    let grid = run_grid_filtered(
         &cells,
         &leads,
-        &RunnerConfig::new(opts.runs, opts.seed).with_env_vr(),
+        &knobs.runner(opts.runs, opts.seed),
+        knobs.prefilter.as_ref(),
     );
     let campaign = grid.cell(0);
     if let Some(v) = grid.analytic_verdicts[0] {
@@ -474,7 +475,7 @@ mod tests {
             scales: vec![1.0, 0.5],
             models: vec![ModelKind::B, ModelKind::P2],
         };
-        grid(&g).unwrap();
+        grid(&g, &Knobs::default()).unwrap();
     }
 
     #[test]
@@ -534,7 +535,7 @@ wall 241.1 h (ideal 240 h) | ckpt 1.11 h, recomp 0.00 h, recovery 0.02 h | FT 1.
             runs: 2,
             ..Default::default()
         };
-        simulate(&[ModelKind::B], &opts).unwrap();
-        simulate(&ModelKind::ALL, &opts).unwrap();
+        simulate(&[ModelKind::B], &opts, &Knobs::default()).unwrap();
+        simulate(&ModelKind::ALL, &opts, &Knobs::default()).unwrap();
     }
 }

@@ -17,13 +17,23 @@
 //! the response verbatim.
 //!
 //! Environment: `PCKPT_CACHE_DIR`, `PCKPT_CACHE_MAX`,
-//! `PCKPT_JOURNAL_SYNC=always|off` (flags override the environment).
+//! `PCKPT_JOURNAL_SYNC=always|off` (flags override the environment) and
+//! `PCKPT_SERVICE_FAIL=crash:<k>`, parsed once by
+//! [`Knobs::from_env`]. A request names its own `threads`, so
+//! `PCKPT_THREADS` is not read here.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use pckpt_service::{respond, serve_unix, submit_unix, Service, ServiceConfig};
+use pckpt_core::Knobs;
+use pckpt_service::{crash_after, respond, serve_unix, submit_unix, Service, ServiceConfig};
+
+mod flags;
+
+/// The `PCKPT_*` variables `pckptd` reads.
+const READS: [&str; 4] =
+    ["PCKPT_CACHE_DIR", "PCKPT_CACHE_MAX", "PCKPT_JOURNAL_SYNC", "PCKPT_SERVICE_FAIL"];
 
 const USAGE: &str = "\
 usage:
@@ -32,63 +42,29 @@ usage:
   pckptd once   --request <FILE-or-DIR> [--cache-dir <DIR>] [--state-dir <DIR>]
   pckptd submit --socket <PATH> --request <FILE>
 
-environment:
+environment (a malformed value is an error):
   PCKPT_CACHE_DIR      persistent cell-cache directory
   PCKPT_CACHE_MAX      on-disk cell retention cap (default 4096)
-  PCKPT_JOURNAL_SYNC   always (default) | off";
+  PCKPT_JOURNAL_SYNC   always (default) | off
+  PCKPT_SERVICE_FAIL   crash:<k>: exit after the k-th journal append
+                       (crash/resume tests)
+A request sets its own worker count (\"threads\"); PCKPT_THREADS is not
+read.";
 
-struct Flags {
-    socket: Option<PathBuf>,
-    request: Option<PathBuf>,
-    cache_dir: Option<PathBuf>,
-    state_dir: Option<PathBuf>,
-    max_requests: Option<usize>,
-}
-
-fn parse_flags(argv: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags {
-        socket: None,
-        request: None,
-        cache_dir: None,
-        state_dir: None,
-        max_requests: None,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--socket" => flags.socket = Some(PathBuf::from(value("--socket")?)),
-            "--request" => flags.request = Some(PathBuf::from(value("--request")?)),
-            "--cache-dir" => flags.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--state-dir" => flags.state_dir = Some(PathBuf::from(value("--state-dir")?)),
-            "--max-requests" => {
-                flags.max_requests = Some(
-                    value("--max-requests")?
-                        .parse()
-                        .map_err(|_| "--max-requests needs an integer".to_string())?,
-                )
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(flags)
-}
+/// The flags `pckptd`'s modes read.
+const FLAGS: [&str; 5] = ["--socket", "--request", "--cache-dir", "--state-dir", "--max-requests"];
 
 /// Builds the service config: environment defaults, flag overrides.
-fn service_config(flags: &Flags) -> ServiceConfig {
-    let mut cfg = ServiceConfig::from_env();
-    if let Some(dir) = flags.cache_dir.clone() {
+fn service_config(given: &[(&str, &str)], knobs: &Knobs) -> Result<ServiceConfig, String> {
+    let mut cfg = ServiceConfig::from_knobs(knobs);
+    if let Some(dir) = flags::value::<PathBuf>(given, "--cache-dir")? {
         cfg.state_dir = Some(dir.join("journal"));
         cfg.cache_dir = Some(dir);
     }
-    if let Some(dir) = flags.state_dir.clone() {
+    if let Some(dir) = flags::value(given, "--state-dir")? {
         cfg.state_dir = Some(dir);
     }
-    cfg
+    Ok(cfg)
 }
 
 fn request_files(path: &Path) -> Result<Vec<PathBuf>, String> {
@@ -108,20 +84,24 @@ fn request_files(path: &Path) -> Result<Vec<PathBuf>, String> {
     }
 }
 
-fn run(argv: &[String]) -> Result<(), String> {
+fn run(argv: &[String], knobs: &Knobs) -> Result<(), String> {
     let Some(mode) = argv.first() else {
         return Err("missing subcommand".into());
     };
-    let flags = parse_flags(&argv[1..])?;
+    let given = flags::pairs(&argv[1..], &FLAGS)?;
+    let path = |key: &str| flags::value::<PathBuf>(&given, key);
+    if let Some(k) = knobs.service_fail {
+        crash_after(k);
+    }
     match mode.as_str() {
         "serve" => {
-            let socket = flags.socket.clone().ok_or("serve needs --socket")?;
-            let service = Arc::new(Service::open(service_config(&flags))?);
-            serve_unix(&socket, service, flags.max_requests)
+            let socket = path("--socket")?.ok_or("serve needs --socket")?;
+            let service = Arc::new(Service::open(service_config(&given, knobs)?)?);
+            serve_unix(&socket, service, flags::value(&given, "--max-requests")?)
         }
         "once" => {
-            let request = flags.request.clone().ok_or("once needs --request")?;
-            let service = Service::open(service_config(&flags))?;
+            let request = path("--request")?.ok_or("once needs --request")?;
+            let service = Service::open(service_config(&given, knobs)?)?;
             for file in request_files(&request)? {
                 let text = std::fs::read_to_string(&file)
                     .map_err(|e| format!("read {}: {e}", file.display()))?;
@@ -130,8 +110,8 @@ fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "submit" => {
-            let socket = flags.socket.ok_or("submit needs --socket")?;
-            let request = flags.request.ok_or("submit needs --request")?;
+            let socket = path("--socket")?.ok_or("submit needs --socket")?;
+            let request = path("--request")?.ok_or("submit needs --request")?;
             let text = std::fs::read_to_string(&request)
                 .map_err(|e| format!("read {}: {e}", request.display()))?;
             let body = submit_unix(&socket, text.trim())?;
@@ -144,11 +124,34 @@ fn run(argv: &[String]) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(&argv) {
+    let usage = |e| format!("{e}\n\n{USAGE}");
+    match Knobs::from_env(&READS).and_then(|knobs| run(&argv, &knobs).map_err(usage)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn v(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn repeated_unknown_and_valueless_flags_are_rejected() {
+        let error = |args: &[&str]| flags::pairs(&v(args), &FLAGS).unwrap_err();
+        let repeated = ["--request", "/nonexistent.json", "--request", "r1.json"];
+        assert_eq!(error(&repeated), "option --request given twice");
+        let threads = ["--request", "r1.json", "--threads", "2"];
+        assert_eq!(error(&threads), r#"unknown option "--threads""#);
+        assert_eq!(error(&["--socket"]), "option --socket requires a value");
+        let argv = v(&["--request", "r1.json", "--max-requests", "3"]);
+        let given = flags::pairs(&argv, &FLAGS).unwrap();
+        assert_eq!(flags::value(&given, "--max-requests"), Ok(Some(3)));
     }
 }

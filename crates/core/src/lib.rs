@@ -15,6 +15,8 @@
 //! Module map:
 //!
 //! * [`config`] — model selection and all tunable parameters;
+//! * [`knobs`] — the environment contract: every `PCKPT_*` variable,
+//!   parsed once and strictly at a binary's boundary;
 //! * [`oci`] — optimal checkpoint intervals: Young's formula (Eq. 1) and
 //!   the LM-adjusted variant (Eq. 2) with the σ lead-time analysis;
 //! * [`prefilter`] — the analytic pre-filter: grid cells whose
@@ -37,6 +39,7 @@ pub mod config;
 pub mod fingerprint;
 pub mod frames;
 pub mod iosim;
+pub mod knobs;
 pub mod metrics;
 pub mod oci;
 pub mod prefilter;
@@ -48,30 +51,15 @@ pub use config::{ModelKind, SimParams};
 pub use fingerprint::{
     campaign_fingerprint, campaign_fingerprints, cell_fingerprint, Canon, Fingerprint,
 };
+pub use knobs::{Knobs, RunsSpec, SyncPolicy};
 pub use metrics::{Aggregate, OverheadLedger, RunResult};
 pub use prefilter::{AnalyticVerdict, Prefilter, DEFAULT_MARGIN};
 pub use runner::{
-    parse_runs_spec, parse_vr_spec, record_run, run_grid, run_grid_filtered,
-    run_grid_with_cell_sink, run_many, run_models, splice_pruned, AdaptiveConfig, CampaignResult,
-    CellFold, CellResults, GridCell, GridPlan, GridResult, GridWorker, RunnerConfig, RunsSpec,
-    ShardMeta, VrConfig,
+    parse_vr_spec, record_run, run_grid, run_grid_filtered, run_grid_with_cell_sink, run_many,
+    run_models, splice_pruned, AdaptiveConfig, CampaignResult, CellFold, CellResults, GridCell,
+    GridPlan, GridResult, GridWorker, RunnerConfig, ShardMeta, VrConfig,
 };
 pub use sim::CrSim;
-
-/// Test-only serialization of process-global environment mutation.
-///
-/// `std::env::set_var` is process-global while `cargo test` runs tests
-/// concurrently, so two tests that mutate the same variable (or one that
-/// mutates while another reads) race. Every test that calls `set_var` /
-/// `remove_var` must hold this lock for its whole mutate–assert–restore
-/// span. Not part of the public API.
-#[doc(hidden)]
-pub fn env_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    // A panic while holding the lock poisons it, but the env state it
-    // guards is restored by each test's own cleanup; keep going.
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Re-export of the structured observability layer (recorders, metrics,
 /// trace exporters) so downstream bins need only depend on `pckpt-core`.

@@ -64,10 +64,11 @@ pub struct AnalyticVerdict {
     pub clearance: f64,
 }
 
-/// Configuration of the analytic pre-filter (tentpole: the opt-in
-/// `PCKPT_PREFILTER=analytic[:margin]` tier of [`run_grid`]).
+/// Configuration of the analytic pre-filter: the opt-in tier of
+/// [`run_grid_filtered`] that `PCKPT_PREFILTER=analytic[:margin]` turns
+/// on in the binaries that read it.
 ///
-/// [`run_grid`]: crate::runner::run_grid
+/// [`run_grid_filtered`]: crate::runner::run_grid_filtered
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prefilter {
     /// Relative α-margin a verdict must clear (see [`DEFAULT_MARGIN`]).
@@ -91,47 +92,20 @@ impl Prefilter {
         Self { margin }
     }
 
-    /// Reads `PCKPT_PREFILTER` from the environment: unset, empty or
-    /// `off` → `None` (simulate everything, the default); `analytic` →
-    /// the default margin; `analytic:<margin>` → an explicit margin.
-    /// Anything else panics with [`Self::parse`]'s error, so a typo fails
-    /// a sweep loudly instead of silently simulating every cell.
-    // simlint: config — PCKPT_PREFILTER is the sanctioned sweep-config
-    // entry point; the parsed margin changes which cells are simulated,
-    // never the per-cell results.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("PCKPT_PREFILTER") {
-            Ok(spec) => Self::parse(&spec).unwrap_or_else(|e| panic!("{e}")),
-            Err(_) => None,
-        }
-    }
-
-    /// Parses a `PCKPT_PREFILTER` value (see [`Self::from_env`]). `Err`
-    /// names the accepted grammar, or why the margin is unusable.
-    pub fn parse(spec: &str) -> Result<Option<Self>, String> {
+    /// Parses a `PCKPT_PREFILTER` value: empty or `off` → `Some(None)`
+    /// (simulate everything, the default); `analytic` → the default
+    /// margin; `analytic:<margin>` → a finite, non-negative margin.
+    /// `None` for anything else.
+    pub fn parse(spec: &str) -> Option<Option<Self>> {
         let spec = spec.trim();
         if spec.is_empty() || spec == "off" {
-            return Ok(None);
+            return Some(None);
         }
         if spec == "analytic" {
-            return Ok(Some(Self::default()));
+            return Some(Some(Self::default()));
         }
-        let Some(rest) = spec.strip_prefix("analytic:") else {
-            return Err(format!(
-                "unrecognized PCKPT_PREFILTER value {spec:?} \
-                 (expected \"off\", \"analytic\", or \"analytic:<margin>\")"
-            ));
-        };
-        let margin: f64 = rest
-            .trim()
-            .parse()
-            .map_err(|_| format!("PCKPT_PREFILTER margin must be a number, got {rest:?}"))?;
-        if !(margin.is_finite() && margin >= 0.0) {
-            return Err(format!(
-                "prefilter margin must be finite and non-negative, got {margin}"
-            ));
-        }
-        Ok(Some(Self::new(margin)))
+        let margin: f64 = spec.strip_prefix("analytic:")?.trim().parse().ok()?;
+        (margin.is_finite() && margin >= 0.0).then(|| Some(Self::new(margin)))
     }
 
     /// Renders this filter as a `PCKPT_PREFILTER` value that
@@ -203,33 +177,33 @@ mod tests {
 
     #[test]
     fn parse_accepts_the_documented_grammar() {
-        assert_eq!(Prefilter::parse(""), Ok(None));
-        assert_eq!(Prefilter::parse("off"), Ok(None));
-        assert_eq!(Prefilter::parse(" off "), Ok(None));
+        assert_eq!(Prefilter::parse(""), Some(None));
+        assert_eq!(Prefilter::parse("off"), Some(None));
+        assert_eq!(Prefilter::parse(" off "), Some(None));
         assert_eq!(
             Prefilter::parse("analytic"),
-            Ok(Some(Prefilter::new(DEFAULT_MARGIN)))
+            Some(Some(Prefilter::new(DEFAULT_MARGIN)))
         );
         assert_eq!(
             Prefilter::parse("analytic:0.3"),
-            Ok(Some(Prefilter::new(0.3)))
+            Some(Some(Prefilter::new(0.3)))
         );
-        assert_eq!(Prefilter::parse("analytic:0"), Ok(Some(Prefilter::new(0.0))));
+        assert_eq!(
+            Prefilter::parse("analytic:0"),
+            Some(Some(Prefilter::new(0.0)))
+        );
     }
 
     #[test]
-    fn parse_rejects_typos() {
-        let err = Prefilter::parse("analytics").unwrap_err();
-        assert!(err.contains("unrecognized PCKPT_PREFILTER"), "{err}");
-    }
-
-    #[test]
-    fn parse_rejects_bad_margins() {
-        let err = Prefilter::parse("analytic:lots").unwrap_err();
-        assert!(err.contains("margin must be a number"), "{err}");
-        for bad in ["analytic:-1", "analytic:NaN", "analytic:inf"] {
-            let err = Prefilter::parse(bad).unwrap_err();
-            assert!(err.contains("finite and non-negative"), "{bad}: {err}");
+    fn parse_rejects_typos_and_bad_margins() {
+        for bad in [
+            "analytics",
+            "analytic:lots",
+            "analytic:-1",
+            "analytic:NaN",
+            "analytic:inf",
+        ] {
+            assert_eq!(Prefilter::parse(bad), None, "{bad}");
         }
     }
 
@@ -287,17 +261,5 @@ mod tests {
         let c = cell("CHIMERA", CROSSOVER);
         assert!(Prefilter::new(0.15).cell_verdict(&c, &leads).is_some());
         assert_eq!(Prefilter::new(0.50).cell_verdict(&c, &leads), None);
-    }
-
-    #[test]
-    fn from_env_reads_the_documented_variable() {
-        // The environment is process-global: hold the shared env lock
-        // across the mutate–assert–restore span so this cannot race the
-        // runner's env tests.
-        let _env = crate::env_test_lock();
-        std::env::set_var("PCKPT_PREFILTER", "analytic:0.2");
-        assert_eq!(Prefilter::from_env(), Some(Prefilter::new(0.2)));
-        std::env::remove_var("PCKPT_PREFILTER");
-        assert_eq!(Prefilter::from_env(), None);
     }
 }

@@ -109,12 +109,10 @@ impl VrConfig {
 /// Parameters of the adaptive (sequential) run-allocation procedure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
-    /// Stop a cell when every lane's Student-t CI half-width on the
+    /// Stop a cell when every lane's Student-t 95% CI half-width on the
     /// primary metric (total overhead hours) is below this fraction of
     /// its mean.
     pub rel_target: f64,
-    /// Confidence level of the stopping CI (one of 0.90 / 0.95 / 0.99).
-    pub confidence: f64,
     /// Runs per sequential batch; stopping is re-evaluated on the
     /// main-thread fold after each batch.
     pub batch: usize,
@@ -126,52 +124,20 @@ impl Default for AdaptiveConfig {
     fn default() -> Self {
         Self {
             rel_target: 0.01,
-            confidence: 0.95,
             batch: 32,
             max_runs: 4096,
         }
     }
 }
 
-/// How a `PCKPT_RUNS` value resolves: a fixed count or adaptive
-/// CI-driven allocation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RunsSpec {
-    /// A plain positive run count.
-    Fixed(usize),
-    /// `auto[:target[:cap]]` — sequential allocation to a relative CI
-    /// target with a hard cap.
-    Auto(AdaptiveConfig),
-}
-
-/// Parses a `PCKPT_RUNS` value: a positive integer (`"500"`), or
-/// `"auto"` / `"auto:0.02"` / `"auto:0.02:8192"` for adaptive allocation
-/// with an optional relative CI target and run cap. Returns `None` for
-/// anything unparsable (callers fall back to their defaults).
-pub fn parse_runs_spec(s: &str) -> Option<RunsSpec> {
-    let s = s.trim();
-    if let Some(rest) = s.strip_prefix("auto") {
-        let mut a = AdaptiveConfig::default();
-        let mut parts = rest.strip_prefix(':').map(|r| r.split(':')).into_iter().flatten();
-        if let Some(t) = parts.next() {
-            a.rel_target = t.parse::<f64>().ok().filter(|&t| t > 0.0 && t < 1.0)?;
-        }
-        if let Some(c) = parts.next() {
-            a.max_runs = c.parse::<usize>().ok().filter(|&n| n >= a.batch)?;
-        }
-        if parts.next().is_some() || (!rest.is_empty() && !rest.starts_with(':')) {
-            return None;
-        }
-        return Some(RunsSpec::Auto(a));
-    }
-    s.parse::<usize>().ok().filter(|&n| n > 0).map(RunsSpec::Fixed)
-}
+/// Confidence level of every reported CI and of the adaptive stopping
+/// rule.
+const CONFIDENCE: f64 = 0.95;
 
 /// Parses a `PCKPT_VR` value: a comma-separated subset of `antithetic`
-/// and `stratified[:K]` (K defaults to 8). Returns `None` — leaving the
-/// caller's config untouched — when any token is unknown, so a typo
-/// cannot silently half-enable a mode. `adaptive` is never set here;
-/// that lives in `PCKPT_RUNS`.
+/// and `stratified[:K]` (K defaults to 8). Returns `None` when any token
+/// is unknown, so a typo cannot silently half-enable a mode. `adaptive`
+/// is never set here; that lives in `PCKPT_RUNS`.
 pub fn parse_vr_spec(s: &str) -> Option<VrConfig> {
     let mut vr = VrConfig::default();
     for token in s.split(',') {
@@ -214,60 +180,14 @@ impl RunnerConfig {
         }
     }
 
-    /// Applies the `PCKPT_VR` and `PCKPT_RUNS=auto` environment knobs on
-    /// top of this config (a plain numeric `PCKPT_RUNS` is the caller's
-    /// business and is ignored here; unset or unparsable values leave
-    /// the config untouched).
-    // simlint: config — PCKPT_VR / PCKPT_RUNS are the sanctioned
-    // variance-reduction config reads: they select the estimator and the
-    // run-allocation procedure, which are part of the experiment
-    // definition (like the seed), never a hidden input to any single
-    // run's computation.
-    pub fn with_env_vr(mut self) -> Self {
-        if let Some(spec) = std::env::var("PCKPT_VR")
-            .ok()
-            .and_then(|v| parse_vr_spec(&v))
-        {
-            self.vr.antithetic = spec.antithetic;
-            self.vr.strata = spec.strata;
-        }
-        if let Some(RunsSpec::Auto(a)) = std::env::var("PCKPT_RUNS")
-            .ok()
-            .and_then(|v| parse_runs_spec(&v))
-        {
-            self.runs = a.max_runs;
-            self.vr.adaptive = Some(a);
-        }
-        self
-    }
-
-    /// Worker count for a plain `runs`-item campaign (kept for tests;
-    /// [`run_grid`] sizes by the full grid item space).
-    #[cfg(test)]
-    fn effective_threads(&self) -> usize {
-        self.effective_threads_for(self.runs)
-    }
-
     /// Worker count for an item space of `items` independent work units
     /// (a lone campaign has one item per run; a grid has
-    /// `runs × execution units`). Public so the campaign service can
-    /// report a thread count for fully cache-served sweeps.
-    // simlint: config — PCKPT_THREADS is a sanctioned execution-config
-    // read: it sizes the worker pool and never reaches a result digest
-    // (fold order is lane-major regardless of thread count).
+    /// `runs × execution units`): `threads`, or with 0 one per
+    /// available core, at most one per item. Public so the campaign
+    /// service can report a thread count for fully cache-served sweeps.
     pub fn effective_threads_for(&self, items: usize) -> usize {
         let t = if self.threads == 0 {
-            // `PCKPT_THREADS` overrides auto-detection (containers and CI
-            // runners often report the host's core count, not the cgroup
-            // quota); an unset/unparsable value falls through to the
-            // detected parallelism.
-            let from_env = std::env::var("PCKPT_THREADS")
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0);
-            from_env.unwrap_or_else(|| {
-                thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            })
+            thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
             self.threads
         };
@@ -282,9 +202,8 @@ pub struct CampaignResult {
     pub models: Vec<ModelKind>,
     /// One aggregate per model (index-aligned with `models`).
     pub aggregates: Vec<Aggregate>,
-    /// Worker threads the campaign actually ran on (after the
-    /// `PCKPT_THREADS` override, core auto-detection, and the
-    /// items-per-thread clamp).
+    /// Worker threads the campaign actually ran on (after core
+    /// auto-detection and the items-per-thread clamp).
     pub threads: usize,
 }
 
@@ -1060,18 +979,15 @@ impl GridResult {
 /// redundant* work — regenerating an identical trace, re-running an
 /// identical simulation — never changes what is computed.
 ///
-/// With `PCKPT_PREFILTER=analytic[:margin]` set, crossover cells the
-/// analytic tier decides confidently are answered from Eqs. (4)–(8) and
-/// never simulated — see [`run_grid_filtered`] and
-/// [`Prefilter`](crate::prefilter::Prefilter). The surviving cells'
-/// aggregates stay bit-identical to an unfiltered sweep.
+/// Every cell is simulated; [`run_grid_filtered`] answers the
+/// crossover cells an analytic [`Prefilter`] decides confidently from
+/// Eqs. (4)–(8) instead.
 pub fn run_grid(cells: &[GridCell], leads: &LeadTimeModel, config: &RunnerConfig) -> GridResult {
-    run_grid_filtered(cells, leads, config, Prefilter::from_env().as_ref())
+    run_grid_filtered(cells, leads, config, None)
 }
 
-/// [`run_grid`] with an explicit analytic pre-filter (`None` = simulate
-/// every cell; this is what [`run_models`] always uses, so standalone
-/// campaigns are never pruned).
+/// [`run_grid`] with an analytic pre-filter (`None` = simulate every
+/// cell, which is [`run_grid`]; [`run_models`] never prunes either).
 ///
 /// Pruned cells keep their slot in the result (input order, labels,
 /// model lists) but carry an empty aggregate vector and a `Some`
@@ -1232,13 +1148,13 @@ impl LaneFold {
     /// Relative CI half-width of the primary metric (total overhead
     /// hours), 0 when degenerate: the VR estimator's when VR is on, the
     /// plain aggregate's otherwise.
-    fn rel_ci(&self, confidence: f64) -> f64 {
+    fn rel_ci(&self) -> f64 {
         if let Some(t) = &self.tracker {
-            return t.rel_ci(confidence);
+            return t.rel_ci();
         }
         let m = self.agg.total_hours.mean().abs();
         if m > 0.0 {
-            self.agg.total_hours.ci_half_width(confidence) / m
+            self.agg.total_hours.ci_half_width(CONFIDENCE) / m
         } else {
             0.0
         }
@@ -1246,10 +1162,8 @@ impl LaneFold {
 
     /// Has this lane's CI cleared the adaptive target? Adaptive runs
     /// always carry a tracker (adaptive allocation is a VR mode).
-    fn converged(&self, rel_target: f64, confidence: f64) -> bool {
-        self.tracker
-            .as_ref()
-            .is_some_and(|t| t.converged(rel_target, confidence))
+    fn converged(&self, rel_target: f64) -> bool {
+        self.tracker.as_ref().is_some_and(|t| t.converged(rel_target))
     }
 }
 
@@ -1259,12 +1173,11 @@ fn finish_cell(
     cell: &GridCell,
     lanes: impl Iterator<Item = LaneFold>,
     threads: usize,
-    confidence: f64,
 ) -> (CampaignResult, f64) {
     let mut ci = 0.0f64;
     let aggregates = lanes
         .map(|lane| {
-            ci = ci.max(lane.rel_ci(confidence));
+            ci = ci.max(lane.rel_ci());
             lane.agg
         })
         .collect();
@@ -1337,7 +1250,7 @@ impl<'a> CellFold<'a> {
             (self.lanes.len(), 0),
             "fold incomplete: expected models × runs results"
         );
-        finish_cell(self.cell, self.lanes.into_iter(), self.threads, 0.95)
+        finish_cell(self.cell, self.lanes.into_iter(), self.threads)
     }
 }
 
@@ -1443,13 +1356,13 @@ impl CiTracker {
     /// CI half-width of the mean, or `None` while the estimator lacks
     /// the observations to state one (e.g. a stratum with fewer than two
     /// pairs).
-    fn half_width(&self, confidence: f64) -> Option<f64> {
+    fn half_width(&self) -> Option<f64> {
         match self {
-            Self::Plain(s) => (s.count() >= 2).then(|| s.ci_half_width(confidence)),
-            Self::Paired(p) => (p.pairs() >= 2).then(|| p.ci_half_width(confidence)),
+            Self::Plain(s) => (s.count() >= 2).then(|| s.ci_half_width(CONFIDENCE)),
+            Self::Paired(p) => (p.pairs() >= 2).then(|| p.ci_half_width(CONFIDENCE)),
             Self::Strat(s) => {
                 let ready = (0..s.strata()).all(|j| s.stratum(j).count() >= 2);
-                ready.then(|| s.ci_half_width(confidence))
+                ready.then(|| s.ci_half_width(CONFIDENCE))
             }
             Self::StratPaired(v) => {
                 if v.iter().any(|p| p.pairs() < 2) {
@@ -1458,25 +1371,25 @@ impl CiTracker {
                 let w = 1.0 / v.len() as f64;
                 let var: f64 = v.iter().map(|p| w * w * p.std_err() * p.std_err()).sum();
                 let df: u64 = v.iter().map(|p| p.pairs() - 1).sum();
-                Some(t_critical(df, confidence) * var.sqrt())
+                Some(t_critical(df, CONFIDENCE) * var.sqrt())
             }
         }
     }
 
     /// Relative CI half-width (`half_width / |mean|`), 0 when not yet
     /// statable or degenerate.
-    fn rel_ci(&self, confidence: f64) -> f64 {
+    fn rel_ci(&self) -> f64 {
         let m = self.mean().abs();
-        match self.half_width(confidence) {
+        match self.half_width() {
             Some(hw) if m > 0.0 => hw / m,
             _ => 0.0,
         }
     }
 
     /// Has this lane's CI cleared the relative target?
-    fn converged(&self, rel_target: f64, confidence: f64) -> bool {
+    fn converged(&self, rel_target: f64) -> bool {
         let m = self.mean().abs();
-        match self.half_width(confidence) {
+        match self.half_width() {
             Some(hw) => m > 0.0 && hw <= rel_target * m,
             None => false,
         }
@@ -1720,7 +1633,7 @@ fn run_grid_simulated(
                 // is complete here. Only a sink pays for the lane
                 // clones; the grid below finishes the lanes themselves.
                 let done = lanes[lane0..lane0 + cell.models.len()].iter().cloned();
-                let (campaign, ci) = finish_cell(cell, done, workers.len(), 0.95);
+                let (campaign, ci) = finish_cell(cell, done, workers.len());
                 sink(CellResults { cell: c, campaign, ci });
             }
             cell_runs[c] += n_batch;
@@ -1735,7 +1648,7 @@ fn run_grid_simulated(
                 let lane0 = plan.lane(c, 0);
                 let done = lanes[lane0..lane0 + cell.models.len()]
                     .iter()
-                    .all(|lane| lane.converged(a.rel_target, a.confidence));
+                    .all(|lane| lane.converged(a.rel_target));
                 if done {
                     cell_active[c] = false;
                 }
@@ -1743,7 +1656,7 @@ fn run_grid_simulated(
         }
     }
 
-    let mut grid = simulated_grid(&plan, &vr, lanes, cell_runs, workers.len());
+    let mut grid = simulated_grid(&plan, lanes, cell_runs, workers.len());
     for w in &workers {
         grid.trace_generations += w.trace_generations;
         grid.trace_reuses += w.trace_reuses;
@@ -1753,21 +1666,19 @@ fn run_grid_simulated(
 
 /// The result of simulating every cell of `plan` from its lane folds
 /// (indexed by plan lane) and per-cell run counts: campaigns, worst-lane
-/// CIs under `vr`'s estimator, and the plan accounting. The trace-cache
-/// counters are the caller's to fill in.
+/// CIs under the lanes' estimator, and the plan accounting. The
+/// trace-cache counters are the caller's to fill in.
 fn simulated_grid(
     plan: &GridPlan,
-    vr: &VrConfig,
     lanes: Vec<LaneFold>,
     cell_runs: Vec<usize>,
     threads: usize,
 ) -> GridResult {
-    let confidence = vr.adaptive.map_or(0.95, |a| a.confidence);
     let mut lanes = lanes.into_iter();
     let (cells, cell_ci_rel) = plan
         .cells
         .iter()
-        .map(|cell| finish_cell(cell, lanes.by_ref().take(cell.models.len()), threads, confidence))
+        .map(|cell| finish_cell(cell, lanes.by_ref().take(cell.models.len()), threads))
         .unzip();
     GridResult {
         cells,
@@ -1913,55 +1824,6 @@ mod tests {
     }
 
     #[test]
-    fn pckpt_threads_env_overrides_auto_detection() {
-        // Auto mode (threads = 0) honors PCKPT_THREADS. The variable is
-        // process-global, so hold the env lock for the whole
-        // mutate–assert–restore span and restore before the test ends.
-        let _env = crate::env_test_lock();
-        std::env::set_var("PCKPT_THREADS", "2");
-        let cfg = RunnerConfig::new(5, 9);
-        assert_eq!(cfg.effective_threads(), 2);
-        std::env::set_var("PCKPT_THREADS", "not-a-number");
-        assert!(cfg.effective_threads() >= 1, "garbage falls back to cores");
-        std::env::remove_var("PCKPT_THREADS");
-        let mut pinned = cfg;
-        pinned.threads = 7;
-        std::env::set_var("PCKPT_THREADS", "2");
-        assert_eq!(pinned.effective_threads(), 5, "explicit threads win (clamped to runs)");
-        std::env::remove_var("PCKPT_THREADS");
-    }
-
-    #[test]
-    fn runs_spec_parses_fixed_and_auto() {
-        assert_eq!(parse_runs_spec("500"), Some(RunsSpec::Fixed(500)));
-        assert_eq!(parse_runs_spec(" 12 "), Some(RunsSpec::Fixed(12)));
-        assert_eq!(parse_runs_spec("0"), None);
-        assert_eq!(parse_runs_spec("banana"), None);
-        assert_eq!(
-            parse_runs_spec("auto"),
-            Some(RunsSpec::Auto(AdaptiveConfig::default()))
-        );
-        match parse_runs_spec("auto:0.02") {
-            Some(RunsSpec::Auto(a)) => {
-                assert!((a.rel_target - 0.02).abs() < 1e-12);
-                assert_eq!(a.max_runs, AdaptiveConfig::default().max_runs);
-            }
-            other => panic!("expected auto spec, got {other:?}"),
-        }
-        match parse_runs_spec("auto:0.05:512") {
-            Some(RunsSpec::Auto(a)) => {
-                assert!((a.rel_target - 0.05).abs() < 1e-12);
-                assert_eq!(a.max_runs, 512);
-            }
-            other => panic!("expected auto spec, got {other:?}"),
-        }
-        assert_eq!(parse_runs_spec("auto:1.5"), None, "target must be < 1");
-        assert_eq!(parse_runs_spec("auto:0.01:4"), None, "cap below batch");
-        assert_eq!(parse_runs_spec("autox"), None);
-        assert_eq!(parse_runs_spec("auto:0.01:64:9"), None);
-    }
-
-    #[test]
     fn vr_spec_parses_modes_and_rejects_typos() {
         assert_eq!(parse_vr_spec(""), Some(VrConfig::default()));
         let a = parse_vr_spec("antithetic").unwrap();
@@ -1973,28 +1835,6 @@ mod tests {
         assert_eq!(both.strata, 4);
         assert_eq!(parse_vr_spec("stratified:0"), None);
         assert_eq!(parse_vr_spec("antithetc"), None, "typos must not half-apply");
-    }
-
-    #[test]
-    fn with_env_vr_reads_the_documented_variables() {
-        let _env = crate::env_test_lock();
-        std::env::set_var("PCKPT_VR", "antithetic,stratified:4");
-        std::env::set_var("PCKPT_RUNS", "auto:0.02:256");
-        let cfg = RunnerConfig::new(10, 7).with_env_vr();
-        std::env::remove_var("PCKPT_VR");
-        std::env::remove_var("PCKPT_RUNS");
-        assert!(cfg.vr.antithetic);
-        assert_eq!(cfg.vr.strata, 4);
-        let a = cfg.vr.adaptive.expect("auto enables adaptive allocation");
-        assert!((a.rel_target - 0.02).abs() < 1e-12);
-        assert_eq!(a.max_runs, 256);
-        assert_eq!(cfg.runs, 256, "runs becomes the adaptive cap");
-        // A plain numeric PCKPT_RUNS is the caller's business.
-        std::env::set_var("PCKPT_RUNS", "77");
-        let cfg = RunnerConfig::new(10, 7).with_env_vr();
-        std::env::remove_var("PCKPT_RUNS");
-        assert_eq!(cfg.runs, 10);
-        assert!(cfg.vr.adaptive.is_none());
     }
 
     #[test]
@@ -2357,7 +2197,6 @@ mod tests {
                     rel_target: 0.05,
                     batch: 8,
                     max_runs: 48,
-                    ..AdaptiveConfig::default()
                 }),
                 ..VrConfig::default()
             },
@@ -2412,7 +2251,6 @@ mod tests {
                 rel_target: 0.5,
                 batch: 8,
                 max_runs: 64,
-                ..AdaptiveConfig::default()
             }),
             ..VrConfig::default()
         };
@@ -2433,7 +2271,6 @@ mod tests {
                 rel_target: 1e-6,
                 batch: 8,
                 max_runs: 24,
-                ..AdaptiveConfig::default()
             }),
             ..VrConfig::default()
         };

@@ -28,7 +28,8 @@
 //! writes) and record seals (content rot). The journal itself never
 //! interprets a payload; the service decodes each recovered record once.
 //!
-//! Sync policy: `PCKPT_JOURNAL_SYNC=always` (default) issues
+//! Sync policy: [`SyncPolicy::Always`] (the default;
+//! `PCKPT_JOURNAL_SYNC=always` in `pckptd`) issues
 //! `sync_data` after every append — a killed *machine* loses at most
 //! the in-flight cell. `off` leaves flushing to the OS — a killed
 //! *process* still loses nothing (the bytes are in the page cache),
@@ -51,32 +52,13 @@ const KIND_CELL: u8 = 1;
 /// Fixed record overhead: magic + kind + len + digest.
 const REC_OVERHEAD: usize = 4 + 1 + 8 + 8;
 
-/// When appended records reach the disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// `sync_data` after every record (default; survives power cut).
-    Always,
-    /// Leave flushing to the OS (survives process kill only).
-    Off,
-}
-
-impl SyncPolicy {
-    /// Reads `PCKPT_JOURNAL_SYNC` (`always` | `off`).
-    pub fn from_env() -> SyncPolicy {
-        // simlint: config
-        match std::env::var("PCKPT_JOURNAL_SYNC").as_deref() {
-            Ok("off") => SyncPolicy::Off,
-            _ => SyncPolicy::Always,
-        }
-    }
-}
+/// When appended records reach the disk (`PCKPT_JOURNAL_SYNC`).
+pub use pckpt_core::knobs::SyncPolicy;
 
 /// An open, append-position journal for one campaign.
 pub struct Journal {
     file: File,
     sync: SyncPolicy,
-    /// Records appended through this handle (crash-injection hook).
-    appended: u64,
 }
 
 /// Cells recovered from an existing journal: survivor index → sealed
@@ -199,11 +181,7 @@ impl Journal {
             .map_err(|e| format!("truncate {}: {e}", path.display()))?;
         file.seek(SeekFrom::End(0)).map_err(|e| e.to_string())?;
 
-        let mut journal = Journal {
-            file,
-            sync,
-            appended: 0,
-        };
+        let mut journal = Journal { file, sync };
         if good_end == 0 {
             journal.append_record(KIND_HEADER, &header_payload(campaign_fp, n_cells))?;
         }
@@ -228,15 +206,7 @@ impl Journal {
         let mut payload = Vec::with_capacity(8 + record.len());
         put_u64(&mut payload, cell_idx as u64);
         payload.extend_from_slice(record);
-        self.append_record(KIND_CELL, &payload)?;
-        self.appended += 1;
-        Ok(())
-    }
-
-    /// Cell records appended through this handle (the header does not
-    /// count). Drives the `PCKPT_SERVICE_FAIL=crash:<k>` hook.
-    pub fn cells_appended(&self) -> u64 {
-        self.appended
+        self.append_record(KIND_CELL, &payload)
     }
 }
 

@@ -37,9 +37,9 @@ pub use cache::CellStore;
 pub use cellframe::{decode_fold_record, encode_fold_record, CellFrame, CellFrameReader, Fold};
 pub use flight::{Claim, SingleFlight};
 pub use journal::{Journal, SyncPolicy};
-pub use request::{parse_request, CampaignRequest};
-pub use server::{respond, serve_unix, submit_unix, MAX_REQUEST_LINE_BYTES};
-pub use service::{Service, ServiceConfig, ServiceMeta, ServiceOutcome};
+pub use request::{parse_request, CampaignRequest, MAX_REQUEST_LANES, MAX_REQUEST_LANE_RUNS};
+pub use server::{respond, serve_unix, submit_unix, MAX_CONNECTIONS, MAX_REQUEST_LINE_BYTES};
+pub use service::{crash_after, Service, ServiceConfig, ServiceMeta, ServiceOutcome};
 
 use pckpt_core::{Canon, Fingerprint, GridResult};
 

@@ -21,7 +21,9 @@
 //! }
 //! ```
 //!
-//! Only `apps` (or singular `app`) is required. A key not shown here,
+//! Only `apps` (or singular `app`) is required. A sweep wider than
+//! [`MAX_REQUEST_LANES`] lanes or [`MAX_REQUEST_LANE_RUNS`] lane-runs
+//! is rejected before anything is allocated for it. A key not shown here,
 //! a key given twice, a singular key beside its plural (`app`/`apps`,
 //! `model`/`models`, `scale`/`scales`), a value of another JSON type,
 //! and a `runs`, `seed` or `threads` that is not an integer in
@@ -58,6 +60,21 @@ const KEYS: [&str; 15] = [
     "name", "app", "apps", "scale", "scales", "model", "models", "runs", "seed", "vr",
     "prefilter", "dist", "fn_rate", "lm_alpha", "threads",
 ];
+
+/// The most lanes (cells × models) one request may sweep. The widest
+/// bench grid, `exp_sensitivity`, is 56 lanes (`exp_fig4` and
+/// `exp_fig7` are 45) and pbench's requests are 12, so 256 admits every
+/// real sweep with room to spare while capping the simulators a worker
+/// may build (one per execution unit).
+pub const MAX_REQUEST_LANES: usize = 256;
+
+/// The most lane-runs (lanes × runs) one request may ask for. The pool
+/// allocates one result slot (about 140 B) per lane-run before it runs
+/// anything. `exp_sensitivity` at its default 1000 runs is 56,000
+/// lane-runs and pbench's requests are 12 × 64 = 768; 2^18 = 262,144
+/// admits the widest bin at up to 4,681 runs and caps the slab at about
+/// 37 MB.
+pub const MAX_REQUEST_LANE_RUNS: usize = 1 << 18;
 
 /// 2^53: every integer below it is exactly representable as a JSON
 /// number (an `f64`); at or above it a literal may already have been
@@ -193,6 +210,22 @@ pub fn parse_request(text: &str) -> Result<CampaignRequest, String> {
     if runs == 0 {
         return Err("'runs' must be at least 1".into());
     }
+    let lanes = apps
+        .len()
+        .saturating_mul(scales.len())
+        .saturating_mul(models.len());
+    if lanes > MAX_REQUEST_LANES {
+        return Err(format!(
+            "request sweeps {lanes} lanes (cells x models); the limit is {MAX_REQUEST_LANES}"
+        ));
+    }
+    let lane_runs = lanes.saturating_mul(runs);
+    if lane_runs > MAX_REQUEST_LANE_RUNS {
+        return Err(format!(
+            "request asks for {lane_runs} lane-runs (lanes x runs); the limit is \
+             {MAX_REQUEST_LANE_RUNS}"
+        ));
+    }
     let seed = integer(&doc, "seed")?.unwrap_or(20_220_530);
     let mut config = RunnerConfig::new(runs, seed);
     if let Some(threads) = integer(&doc, "threads")? {
@@ -204,7 +237,8 @@ pub fn parse_request(text: &str) -> Result<CampaignRequest, String> {
     }
 
     let prefilter = match string(&doc, "prefilter")? {
-        Some(spec) => Prefilter::parse(spec)?,
+        Some(spec) => Prefilter::parse(spec)
+            .ok_or("'prefilter' must be off, analytic or analytic:<margin> (margin >= 0)")?,
         None => None,
     };
 
@@ -332,6 +366,25 @@ mod tests {
         assert!(parse_request(r#"{"app":"POP","seed":9007199254740992}"#).is_err());
         let req = parse_request(r#"{"app":"POP","runs":3.0,"threads":0}"#).unwrap();
         assert_eq!((req.config.runs, req.config.threads), (3, 0));
+    }
+
+    #[test]
+    fn oversized_sweeps_are_rejected_naming_the_limit() {
+        let err = parse_request(r#"{"app":"POP","runs":1099511627776}"#).unwrap_err();
+        assert!(err.contains("2199023255552 lane-runs"), "{err}");
+        assert!(err.contains(&MAX_REQUEST_LANE_RUNS.to_string()), "{err}");
+        let scales = vec!["1"; 129].join(",");
+        let err = parse_request(&format!(r#"{{"app":"POP","scales":[{scales}]}}"#)).unwrap_err();
+        assert!(err.contains("258 lanes"), "{err}");
+        assert!(err.contains(&MAX_REQUEST_LANES.to_string()), "{err}");
+        // A sweep as wide as the widest bench grid (56 lanes) fits at
+        // its default 1000 runs.
+        let scales = vec!["1"; 28].join(",");
+        let req = parse_request(&format!(
+            r#"{{"app":"POP","scales":[{scales}],"runs":1000}}"#
+        ))
+        .unwrap();
+        assert_eq!(req.cells.len() * req.cells[0].models.len(), 56);
     }
 
     #[test]

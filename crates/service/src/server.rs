@@ -21,6 +21,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::json::escape;
 use crate::request::parse_request;
@@ -77,14 +78,25 @@ fn respond_inner(req_text: &str, service: &Service) -> Result<String, String> {
     Ok(out)
 }
 
+/// The most connections served at once. A connection beyond it gets
+/// `ERR` and is closed at once, so a flood of clients cannot make the
+/// daemon spawn a thread (and build simulators) per connection.
+pub const MAX_CONNECTIONS: usize = 32;
+
+/// How long a connection may send nothing before its request line is
+/// complete. An idle client is answered `ERR` and dropped, so it cannot
+/// hold one of the [`MAX_CONNECTIONS`] slots.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Accepts connections on `socket_path` until `max_requests` (if any)
-/// have been served. Each connection carries one request line; the
+/// have been accepted. Each connection carries one request line; the
 /// response is streamed back and the connection closed. Connections
-/// are handled on their own threads so identical concurrent requests
-/// actually exercise single-flight coalescing. Each accept first joins
-/// the connection threads that have finished: an exited thread that is
-/// never joined keeps its stack mapped, and a daemon without a request
-/// cap would pile those up until thread spawning fails.
+/// are handled on their own threads, at most [`MAX_CONNECTIONS`] at
+/// once, so identical concurrent requests actually exercise
+/// single-flight coalescing. Each accept first joins the connection
+/// threads that have finished: an exited thread that is never joined
+/// keeps its stack mapped, and a daemon without a request cap would
+/// pile those up until thread spawning fails.
 pub fn serve_unix(
     socket_path: &Path,
     service: Arc<Service>,
@@ -108,8 +120,13 @@ pub fn serve_unix(
                 i += 1;
             }
         }
-        let service = Arc::clone(&service);
-        workers.push(std::thread::spawn(move || handle(stream, &service)));
+        if workers.len() < MAX_CONNECTIONS {
+            let service = Arc::clone(&service);
+            workers.push(std::thread::spawn(move || handle(stream, &service)));
+        } else {
+            let msg = format!("ERR more than {MAX_CONNECTIONS} connections at once\n");
+            let _ = (&stream).write_all(msg.as_bytes());
+        }
         served += 1;
         if let Some(cap) = max_requests {
             if served >= cap {
@@ -130,6 +147,7 @@ pub fn serve_unix(
 pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 
 fn handle(stream: UnixStream, service: &Service) {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let mut line = Vec::new();
     let read = BufReader::new((&stream).take(MAX_REQUEST_LINE_BYTES as u64 + 1))
         .read_until(b'\n', &mut line);
@@ -148,7 +166,15 @@ fn handle(stream: UnixStream, service: &Service) {
     }
     let text = match (read, String::from_utf8(line)) {
         (Ok(_), Ok(text)) if !text.trim().is_empty() => text,
-        _ => {
+        (Err(e), _) => {
+            let _ = (&stream).write_all(format!("ERR reading the request: {e}\n").as_bytes());
+            return;
+        }
+        (Ok(_), Err(_)) => {
+            let _ = (&stream).write_all(b"ERR request is not UTF-8\n");
+            return;
+        }
+        (Ok(_), Ok(_)) => {
             let _ = (&stream).write_all(b"ERR empty request\n");
             return;
         }

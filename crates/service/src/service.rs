@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use pckpt_core::{
     campaign_fingerprints, run_grid_filtered, run_grid_with_cell_sink, splice_pruned,
-    AnalyticVerdict, CampaignResult, Fingerprint, GridCell, GridResult, RunnerConfig,
+    AnalyticVerdict, CampaignResult, Fingerprint, GridCell, GridResult, Knobs, RunnerConfig,
 };
 use pckpt_failure::LeadTimeModel;
 
@@ -39,9 +39,16 @@ use crate::flight::{Claim, LeaderGuard, SingleFlight};
 use crate::journal::{Journal, SyncPolicy};
 use crate::request::CampaignRequest;
 
-/// Journal appends performed by this process, across all campaigns —
-/// the `PCKPT_SERVICE_FAIL=crash:<k>` hook counts against this.
-static APPENDS: AtomicU64 = AtomicU64::new(0);
+/// Journal appends left before the process exits ([`crash_after`]);
+/// every append counts it down, and unarmed it outlasts any run.
+static CRASH_AFTER: AtomicU64 = AtomicU64::new(u64::MAX);
+
+/// Arms crash injection: the process exits (status 13) right after its
+/// `appends`-th journal append, so the resume tests can kill a daemon
+/// mid-campaign. `pckptd` arms it from `PCKPT_SERVICE_FAIL=crash:<k>`.
+pub fn crash_after(appends: u64) {
+    CRASH_AFTER.store(appends, Ordering::SeqCst);
+}
 
 /// Service configuration (directories and retention).
 #[derive(Debug, Clone)]
@@ -59,36 +66,26 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Reads `PCKPT_CACHE_DIR`, `PCKPT_CACHE_MAX`, and
-    /// `PCKPT_JOURNAL_SYNC`. The journal lives beside the cache
-    /// (`<cache>/journal/`) unless the caller overrides `state_dir`.
-    // simlint: config — sanctioned execution-config reads; directory
-    // placement and retention never reach a result digest.
-    pub fn from_env() -> ServiceConfig {
-        let cache_dir = std::env::var("PCKPT_CACHE_DIR").ok().map(PathBuf::from);
-        let cache_max = std::env::var("PCKPT_CACHE_MAX")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(4096);
-        let state_dir = cache_dir.as_ref().map(|d| d.join("journal"));
+    /// The config of `knobs`' `PCKPT_CACHE_DIR`, `PCKPT_CACHE_MAX`
+    /// (default 4096) and `PCKPT_JOURNAL_SYNC`. The journal lives beside
+    /// the cache (`<cache>/journal/`) unless the caller overrides
+    /// `state_dir`.
+    pub fn from_knobs(knobs: &Knobs) -> ServiceConfig {
         ServiceConfig {
-            cache_dir,
-            state_dir,
-            cache_max,
+            cache_dir: knobs.cache_dir.clone(),
+            state_dir: knobs.cache_dir.as_ref().map(|d| d.join("journal")),
+            cache_max: knobs.cache_max.unwrap_or(4096),
             mem_max: 256,
-            sync: SyncPolicy::from_env(),
+            sync: knobs.journal_sync,
         }
     }
 
-    /// A config rooted at explicit directories (tests and `pckptd`
-    /// flags).
+    /// The default config rooted at explicit directories.
     pub fn in_dirs(cache_dir: Option<PathBuf>, state_dir: Option<PathBuf>) -> ServiceConfig {
         ServiceConfig {
             cache_dir,
             state_dir,
-            cache_max: 4096,
-            mem_max: 256,
-            sync: SyncPolicy::from_env(),
+            ..Self::from_knobs(&Knobs::default())
         }
     }
 }
@@ -144,22 +141,6 @@ impl ServiceOutcome {
             self.meta.pruned,
             self.meta.uncached,
         )
-    }
-}
-
-/// Crash-injection hook: `PCKPT_SERVICE_FAIL=crash:<k>` kills the
-/// process (exit 13) immediately after the `k`-th journal append it
-/// performs, so the resume tests can kill a daemon mid-campaign.
-// simlint: config — test-only fault injection; never set in production runs.
-fn crash_hook_after_append() {
-    let Ok(spec) = std::env::var("PCKPT_SERVICE_FAIL") else {
-        return;
-    };
-    let Some(k) = spec.strip_prefix("crash:").and_then(|s| s.trim().parse::<u64>().ok()) else {
-        return;
-    };
-    if APPENDS.load(Ordering::SeqCst) >= k {
-        std::process::exit(13);
     }
 }
 
@@ -444,8 +425,9 @@ impl Service {
                     return;
                 }
                 appended += 1;
-                APPENDS.fetch_add(1, Ordering::SeqCst);
-                crash_hook_after_append();
+                if CRASH_AFTER.fetch_sub(1, Ordering::SeqCst) <= 1 {
+                    std::process::exit(13);
+                }
             }
             if let Err(e) = self.store.put(fp, &bytes) {
                 sink_err = Some(e);

@@ -1,12 +1,16 @@
 //! The wire layer under hostile or endless traffic: a request line
-//! nested far past any real request gets `ERR`, not a stack overflow,
-//! one longer than the line cap gets `ERR` without being buffered and
-//! the daemon keeps serving, a request's name reaches `SERVICE_JSON`
-//! escaped, a crossover request outside the analytic model's domain is
-//! simulated instead of panicking the prefilter, and a daemon serving
-//! connection after connection does not keep the finished connection
-//! threads' stacks mapped.
+//! nested far past any real request gets `ERR`, not a stack overflow;
+//! one longer than the line cap, one 65 levels deep, one that is not
+//! UTF-8 and a sweep past the lane-run cap each get `ERR` (the first
+//! without being buffered) and the daemon keeps serving; a connection
+//! past the cap gets `ERR` while the held ones are served; a request's
+//! name reaches `SERVICE_JSON` escaped; a crossover request outside the
+//! analytic model's domain is simulated instead of panicking the
+//! prefilter; and a daemon serving connection after connection does not
+//! keep the finished connection threads' stacks mapped.
 
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -14,7 +18,7 @@ use pckpt_core::run_grid_filtered;
 use pckpt_failure::LeadTimeModel;
 use pckpt_service::{
     grid_digest, parse_request, respond, serve_unix, submit_unix, Service, ServiceConfig,
-    MAX_REQUEST_LINE_BYTES,
+    MAX_CONNECTIONS, MAX_REQUEST_LANE_RUNS, MAX_REQUEST_LINE_BYTES,
 };
 
 fn memory_only_service() -> Service {
@@ -39,9 +43,23 @@ fn wait_for_socket(socket: &Path) {
     }
 }
 
+/// Sends `bytes` on a fresh connection, closes the write half and reads
+/// the whole response.
+#[cfg(target_os = "linux")]
+fn exchange(socket: &Path, bytes: &[u8]) -> String {
+    let mut stream = UnixStream::connect(socket).expect("connect");
+    stream.write_all(bytes).expect("send");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("shutdown");
+    let mut body = String::new();
+    stream.read_to_string(&mut body).expect("recv");
+    body
+}
+
 #[cfg(target_os = "linux")]
 #[test]
-fn oversize_request_line_gets_err_and_daemon_keeps_serving() {
+fn hostile_request_lines_get_err_and_daemon_keeps_serving() {
     const REQ: &str = r#"{"name":"cap","app":"POP","models":["B","P2"],"runs":2,"threads":1}"#;
     let dir = std::env::temp_dir().join(format!("pckpt-service-linecap-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -50,15 +68,36 @@ fn oversize_request_line_gets_err_and_daemon_keeps_serving() {
     let server = {
         let socket = socket.clone();
         let service = Arc::new(memory_only_service());
-        std::thread::spawn(move || serve_unix(&socket, service, Some(3)))
+        std::thread::spawn(move || serve_unix(&socket, service, Some(6)))
     };
     wait_for_socket(&socket);
     // A valid request behind leading blanks: only its length can fail it.
     let padded = |len: usize| format!("{}{REQ}", " ".repeat(len - REQ.len()));
-    assert_eq!(
-        submit_unix(&socket, &padded(MAX_REQUEST_LINE_BYTES + 1)).expect("oversize request"),
-        format!("ERR request line longer than {MAX_REQUEST_LINE_BYTES} bytes\n")
-    );
+    let nested = format!("{}{}", "[".repeat(65), "]".repeat(65));
+    let oversized_sweep = r#"{"app":"POP","runs":1099511627776}"#;
+    for (line, err) in [
+        (
+            padded(MAX_REQUEST_LINE_BYTES + 1).into_bytes(),
+            format!("ERR request line longer than {MAX_REQUEST_LINE_BYTES} bytes\n"),
+        ),
+        (
+            nested.into_bytes(),
+            "ERR nesting deeper than 64 at byte 64\n".to_string(),
+        ),
+        (
+            b"\xff\xfe{\"app\":\x80}\n".to_vec(),
+            "ERR request is not UTF-8\n".to_string(),
+        ),
+        (
+            oversized_sweep.as_bytes().to_vec(),
+            format!(
+                "ERR request asks for 2199023255552 lane-runs (lanes x runs); \
+                 the limit is {MAX_REQUEST_LANE_RUNS}\n"
+            ),
+        ),
+    ] {
+        assert_eq!(exchange(&socket, &line), err);
+    }
     let req = parse_request(REQ).expect("request parses");
     let leads = LeadTimeModel::desh_default();
     let direct = run_grid_filtered(&req.cells, &leads, &req.config, req.prefilter.as_ref());
@@ -66,6 +105,49 @@ fn oversize_request_line_gets_err_and_daemon_keeps_serving() {
     for line in [padded(MAX_REQUEST_LINE_BYTES), REQ.to_string()] {
         let body = submit_unix(&socket, &line).expect("valid request");
         assert!(body.ends_with("OK\n"), "{body}");
+        assert!(body.lines().any(|l| l == want), "{body}");
+    }
+    server.join().expect("server thread").expect("serve_unix");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn connection_past_the_cap_gets_err_and_the_held_ones_are_served() {
+    const REQ: &str = r#"{"name":"cap","app":"POP","models":["B","P2"],"runs":2,"threads":1}"#;
+    let dir = std::env::temp_dir().join(format!("pckpt-service-conncap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let socket = dir.join("pckptd.sock");
+    let server = {
+        let socket = socket.clone();
+        let service = Arc::new(memory_only_service());
+        std::thread::spawn(move || serve_unix(&socket, service, Some(MAX_CONNECTIONS + 1)))
+    };
+    wait_for_socket(&socket);
+    // Clients that have not sent their line yet fill every slot: each
+    // holds its connection thread in its read.
+    let held: Vec<UnixStream> = (0..MAX_CONNECTIONS)
+        .map(|_| UnixStream::connect(&socket).expect("held connection"))
+        .collect();
+    let mut over = UnixStream::connect(&socket).expect("connection past the cap");
+    let mut body = String::new();
+    over.read_to_string(&mut body).expect("recv");
+    assert_eq!(
+        body,
+        format!("ERR more than {MAX_CONNECTIONS} connections at once\n")
+    );
+    // The held connections are still served, with the direct digest.
+    let req = parse_request(REQ).expect("request parses");
+    let leads = LeadTimeModel::desh_default();
+    let direct = run_grid_filtered(&req.cells, &leads, &req.config, None);
+    let want = format!("DIGEST {}", grid_digest(&direct).hex());
+    for mut stream in held {
+        stream
+            .write_all(format!("{REQ}\n").as_bytes())
+            .expect("send");
+        let mut body = String::new();
+        stream.read_to_string(&mut body).expect("recv");
         assert!(body.lines().any(|l| l == want), "{body}");
     }
     server.join().expect("server thread").expect("serve_unix");

@@ -87,7 +87,8 @@ pub struct AllocSite {
 /// A determinism-taint source kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaintKind {
-    /// `std::env::var` / `var_os` — process environment.
+    /// `std::env::var` / `var_os` / `vars` / `vars_os` — process
+    /// environment.
     EnvVar,
     /// `Instant` / `SystemTime` — wall clock.
     WallClock,
@@ -482,10 +483,11 @@ fn scan_bodies(lexed: &Lexed, items: &mut FileItems) {
             i += 1;
             continue;
         }
-        // `env::var` / `env::var_os`, `thread::current`.
+        // `env::var` / `env::var_os` / `env::vars` / `env::vars_os`,
+        // `thread::current`.
         if next(1) == "::" {
             let seq_taint = match (tok.text.as_str(), next(2)) {
-                ("env", "var") | ("env", "var_os") => Some(TaintKind::EnvVar),
+                ("env", "var" | "var_os" | "vars" | "vars_os") => Some(TaintKind::EnvVar),
                 ("thread", "current") => Some(TaintKind::ThreadId),
                 _ => None,
             };
@@ -754,6 +756,11 @@ mod tests {
         assert!(kinds.contains(&TaintKind::RandomizedMap));
         assert!(kinds.contains(&TaintKind::ThreadId));
         assert!(kinds.contains(&TaintKind::PtrFormat));
+        // Reading the whole environment is as nondeterministic as one
+        // variable.
+        let items = parse_src("fn g() { let all = std::env::vars_os(); }");
+        assert_eq!(items.taints.len(), 1);
+        assert_eq!(items.taints[0].kind, TaintKind::EnvVar);
     }
 
     #[test]

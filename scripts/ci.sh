@@ -7,7 +7,8 @@
 #
 #   1. scripts/lint.sh        simlint, release build, root test suite,
 #                             1-run bench smoke (exp_fig4 METRICS_JSON,
-#                             prefilter accounting)
+#                             prefilter accounting), bad-knob smoke
+#                             (a malformed PCKPT_* value is an error)
 #   2. cargo test --workspace every crate's unit tests (trace off)
 #   3. examples build         the examples compile against the current
 #                             API (they are not test targets, so

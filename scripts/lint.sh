@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The single tier-1 gate: determinism lint, release build, test suite.
+# The single tier-1 gate: determinism lint, release build, test suite,
+# and the bench, service and bad-knob smokes.
 # Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -113,5 +114,29 @@ assert journal == 1, "missing service_journal_fig4 GRID_JSON line"
 print("service smoke ok (warm pass fully cache-served, crash resume "
       "digest-identical)")
 '
+
+echo "== bad-knob smoke (strict PCKPT_* parse) =="
+# A malformed PCKPT_* value stops a binary that reads it with an error
+# naming the variable (exit 1, not a panic's 101), and a valid value
+# keeps its meaning.
+expect_knob_error() { # VAR=value, then the command to run
+    local knob=$1 code=0 err
+    shift
+    err=$(env "$knob" "$@" 2>&1 >/dev/null) || code=$?
+    if [ "$code" -eq 0 ] || [ "$code" -eq 101 ] || [[ "$err" != *"${knob%%=*}"* ]]; then
+        echo "$knob $*: exit $code, stderr: $err" >&2
+        exit 1
+    fi
+}
+expect_knob_error PCKPT_SEED=12x cargo run --release -q -p pckpt-bench --bin exp_fig2a
+req=$(mktemp)
+printf '{"app":"POP","models":["B"],"runs":1,"threads":1}\n' > "$req"
+expect_knob_error PCKPT_JOURNAL_SYNC=of \
+    cargo run --release -q -p pckpt-cli --bin pckptd -- once --request "$req"
+rm -f "$req"
+PCKPT_SEED=20220530 cargo run --release -q -p pckpt-bench --bin exp_fig2a > target/ci/fig2a-seed.txt
+cargo run --release -q -p pckpt-bench --bin exp_fig2a > target/ci/fig2a-default.txt
+cmp target/ci/fig2a-seed.txt target/ci/fig2a-default.txt
+echo "bad-knob smoke ok (PCKPT_SEED=12x, PCKPT_JOURNAL_SYNC=of rejected; the default seed spelled out prints the same)"
 
 echo "lint.sh: all gates passed"

@@ -124,7 +124,7 @@ fn reports_are_identical_across_hasher_states() {
     // mismatch *between processes* even though in-process repetition
     // (campaigns_are_bit_reproducible) passes. The test re-invokes its
     // own binary twice and compares the childrens' digests.
-    if std::env::var_os("PCKPT_DIGEST_CHILD").is_some() {
+    if std::env::var_os("DETERMINISM_DIGEST_CHILD").is_some() {
         println!("DIGEST={}", campaign_digest());
         return;
     }
@@ -137,7 +137,7 @@ fn reports_are_identical_across_hasher_states() {
                 "--nocapture",
                 "--test-threads=1",
             ])
-            .env("PCKPT_DIGEST_CHILD", label)
+            .env("DETERMINISM_DIGEST_CHILD", label)
             .output()
             .expect("spawn child campaign");
         assert!(out.status.success(), "child run failed: {out:?}");

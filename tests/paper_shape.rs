@@ -206,28 +206,20 @@ fn observation9_false_negatives_erode_all_models() {
 //
 // Each test below pins one published artifact (Table II, Table IV,
 // Fig. 4, Fig. 8) to the bands EXPERIMENTS.md records for this
-// implementation. The campaigns are larger (default 200 runs,
-// `PCKPT_RUNS` to override) and seeded, so the bands can be tighter
-// than the shape tests above without flaking.
+// implementation. The campaigns are larger (200 runs) and seeded, so
+// the bands can be tighter than the shape tests above without flaking.
 // ---------------------------------------------------------------------
 
-/// Conformance-campaign size: `PCKPT_RUNS` if set, else 200 (the
-/// EXPERIMENTS.md numbers come from 400+-run sweeps; 200 keeps CI
-/// honest but fast).
-fn conf_runs() -> usize {
-    std::env::var("PCKPT_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(200)
-}
+/// Conformance-campaign size (the EXPERIMENTS.md numbers come from
+/// 400+-run sweeps; 200 keeps CI honest but fast).
+const CONF_RUNS: usize = 200;
 
 fn conf_campaign(app: &str, models: &[ModelKind], lead_scale: f64) -> CampaignResult {
     let app = Application::by_name(app).expect("Table I app");
     let mut params = SimParams::paper_defaults(ModelKind::B, app);
     params.lead_scale = lead_scale;
     let leads = LeadTimeModel::desh_default();
-    run_models(&params, models, &leads, &RunnerConfig::new(conf_runs(), SEED))
+    run_models(&params, models, &leads, &RunnerConfig::new(CONF_RUNS, SEED))
 }
 
 #[test]
@@ -357,11 +349,11 @@ fn campaign_aggregates_carry_observability_metrics() {
             &params,
             &[ModelKind::B, ModelKind::P2],
             &leads,
-            &RunnerConfig::new(conf_runs(), SEED),
+            &RunnerConfig::new(CONF_RUNS, SEED),
         );
         for (m, agg) in c.models.iter().zip(&c.aggregates) {
             let obs = &agg.obs;
-            assert_eq!(obs.runs as usize, conf_runs());
+            assert_eq!(obs.runs as usize, CONF_RUNS);
             assert!(obs.events_handled > 0, "{mode:?} {m:?}: no events recorded");
             assert!(
                 obs.events_scheduled >= obs.events_handled,

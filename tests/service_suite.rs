@@ -16,6 +16,9 @@
 //!   record prefix and recomputes the rest;
 //! * **cache robustness** — a damaged, stale-version or misplaced cache
 //!   entry is recomputed, never served;
+//! * **request parsing** — arbitrary bytes, and a canonical request
+//!   with one byte flipped, parse to a request or an error, never a
+//!   panic (proptest);
 //! * **fold records** — every cell's stored fold decodes to the bits
 //!   the grid computed, re-encodes to the same bytes, and rejects every
 //!   truncation and every flipped byte (proptest over cells, seeds and
@@ -208,14 +211,16 @@ fn socket_roundtrip_serves_and_coalesces() {
 }
 
 /// Child entry for the kill test: when the driver environment is
-/// present, runs the suite request against the given directories
-/// (crashing at the injected append via `PCKPT_SERVICE_FAIL`) instead
-/// of asserting anything.
+/// present, arms the crash hook from `PCKPT_SERVICE_FAIL`, as `pckptd`
+/// does, and runs the suite request against the given directories
+/// (crashing at the injected append) instead of asserting anything.
 #[test]
 fn service_child_entry() {
-    let Ok(root) = std::env::var("PCKPT_SERVICE_SUITE_ROOT") else {
+    let Ok(root) = std::env::var("SERVICE_SUITE_CHILD_ROOT") else {
         return;
     };
+    let knobs = pckpt::core::Knobs::from_env(&["PCKPT_SERVICE_FAIL"]).unwrap();
+    pckpt_service::crash_after(knobs.service_fail.expect("PCKPT_SERVICE_FAIL set"));
     let root = PathBuf::from(root);
     let req = parse_request(REQ).unwrap();
     // Crash hook fires inside execute(); reaching the end means the
@@ -232,7 +237,7 @@ fn killed_daemon_resumes_to_identical_digest_recomputing_only_the_tail() {
     const CRASH_AFTER: u64 = 2;
     let status = Command::new(&exe)
         .args(["service_child_entry", "--exact", "--nocapture", "--test-threads=1"])
-        .env("PCKPT_SERVICE_SUITE_ROOT", &root)
+        .env("SERVICE_SUITE_CHILD_ROOT", &root)
         .env("PCKPT_SERVICE_FAIL", format!("crash:{CRASH_AFTER}"))
         .status()
         .expect("spawn service child");
@@ -337,7 +342,6 @@ fn adaptive_requests_bypass_the_reuse_layers() {
     let mut req = parse_request(adaptive).unwrap();
     req.config.vr.adaptive = Some(pckpt::core::AdaptiveConfig {
         rel_target: 0.5,
-        confidence: 0.95,
         batch: 4,
         max_runs: 8,
     });
@@ -469,5 +473,33 @@ proptest! {
             }
         }
         prop_assert_eq!(grid_digest(&grid).hex(), grid_digest(&direct).hex());
+    }
+}
+
+/// A request naming every key the format documents.
+const FULL_REQ: &str = r#"{"name":"fig4","apps":["CHIMERA","XGC"],"scales":[1.5,0.5],
+    "models":["B","M2","P1"],"runs":6,"seed":61,"vr":"antithetic,stratified:4",
+    "prefilter":"analytic:0.15","dist":"titan","fn_rate":0.15,"lm_alpha":1.0,"threads":1}"#;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The request parser answers anything a client can send with a
+    /// request or an error: arbitrary bytes (read as lossy UTF-8) and a
+    /// canonical request with one byte flipped never panic it.
+    #[test]
+    fn request_parser_never_panics(
+        bytes in proptest::collection::vec(any::<u8>(), 0..160),
+        at in 0usize..4096,
+        flip in 1u8..=255,
+    ) {
+        let _ = parse_request(&String::from_utf8_lossy(&bytes));
+        for canonical in [REQ, FULL_REQ] {
+            prop_assert!(parse_request(canonical).is_ok());
+            let mut damaged = canonical.as_bytes().to_vec();
+            let i = at % damaged.len();
+            damaged[i] ^= flip;
+            let _ = parse_request(&String::from_utf8_lossy(&damaged));
+        }
     }
 }

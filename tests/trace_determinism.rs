@@ -181,7 +181,6 @@ fn adaptive_grid_digest_matches_golden_with_and_without_trace() {
                 rel_target: 0.2,
                 batch: 8,
                 max_runs: 64,
-                ..AdaptiveConfig::default()
             }),
         };
         let grid = run_grid(&cells, &leads, &cfg);

@@ -206,7 +206,6 @@ fn every_vr_mode_is_thread_count_invariant_end_to_end() {
                 rel_target: 0.02,
                 batch: 16,
                 max_runs: 64,
-                ..AdaptiveConfig::default()
             }),
             ..VrConfig::default()
         },
@@ -307,7 +306,6 @@ fn adaptive_allocation_spends_fewer_runs_than_the_fixed_budget() {
             rel_target: 0.25,
             batch: 8,
             max_runs: 96,
-            ..AdaptiveConfig::default()
         }),
         ..VrConfig::default()
     };
