@@ -4,7 +4,7 @@
 use pckpt_core::ModelKind;
 use pckpt_failure::FailureDistribution;
 
-use crate::flags::{self, value};
+use crate::flags::{self, reject_unused, value};
 
 /// CLI usage text.
 pub const USAGE: &str = "\
@@ -319,15 +319,6 @@ fn parse_options<'a>(
         return Err("--runs must be at least 1".into());
     }
     Ok((opts, given))
-}
-
-/// Rejects the first given option (see [`parse_options`]) that is not in
-/// `used`, the options the subcommand reads.
-fn reject_unused(given: &[(&str, &str)], used: &[&str]) -> Result<(), String> {
-    match given.iter().find(|(k, _)| !used.contains(k)) {
-        Some((k, _)) => Err(format!("unexpected option {k}")),
-        None => Ok(()),
-    }
 }
 
 fn extract_model(given: &[(&str, &str)], subcommand: &str) -> Result<ModelKind, String> {

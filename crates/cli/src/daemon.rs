@@ -14,7 +14,8 @@
 //! journal directories a daemon would use, so a cold `once`, a crashed
 //! daemon, and a resumed daemon all share state. `submit` is the thin
 //! client: it sends one request file to a running daemon and prints
-//! the response verbatim.
+//! the response verbatim. Each mode reads only the flags its line above
+//! shows; any other flag is an error naming the flag and the mode.
 //!
 //! Environment: `PCKPT_CACHE_DIR`, `PCKPT_CACHE_MAX`,
 //! `PCKPT_JOURNAL_SYNC=always|off` (flags override the environment) and
@@ -90,16 +91,21 @@ fn run(argv: &[String], knobs: &Knobs) -> Result<(), String> {
     };
     let given = flags::pairs(&argv[1..], &FLAGS)?;
     let path = |key: &str| flags::value::<PathBuf>(&given, key);
+    let reads = |used: &[&str]| {
+        flags::reject_unused(&given, used).map_err(|e| format!("{e} for pckptd {mode}"))
+    };
     if let Some(k) = knobs.service_fail {
         crash_after(k);
     }
     match mode.as_str() {
         "serve" => {
+            reads(&["--socket", "--cache-dir", "--state-dir", "--max-requests"])?;
             let socket = path("--socket")?.ok_or("serve needs --socket")?;
             let service = Arc::new(Service::open(service_config(&given, knobs)?)?);
             serve_unix(&socket, service, flags::value(&given, "--max-requests")?)
         }
         "once" => {
+            reads(&["--request", "--cache-dir", "--state-dir"])?;
             let request = path("--request")?.ok_or("once needs --request")?;
             let service = Service::open(service_config(&given, knobs)?)?;
             for file in request_files(&request)? {
@@ -110,6 +116,7 @@ fn run(argv: &[String], knobs: &Knobs) -> Result<(), String> {
             Ok(())
         }
         "submit" => {
+            reads(&["--socket", "--request"])?;
             let socket = path("--socket")?.ok_or("submit needs --socket")?;
             let request = path("--request")?.ok_or("submit needs --request")?;
             let text = std::fs::read_to_string(&request)
@@ -153,5 +160,59 @@ mod tests {
         let argv = v(&["--request", "r1.json", "--max-requests", "3"]);
         let given = flags::pairs(&argv, &FLAGS).unwrap();
         assert_eq!(flags::value(&given, "--max-requests"), Ok(Some(3)));
+    }
+
+    /// The error `run` returns for `args` with no `PCKPT_*` variable set.
+    fn run_error(args: &[&str]) -> String {
+        run(&v(args), &Knobs::default()).unwrap_err()
+    }
+
+    #[test]
+    fn serve_rejects_the_flags_it_does_not_read() {
+        let args = [
+            "serve",
+            "--socket",
+            "/nonexistent/d.sock",
+            "--request",
+            "r1.json",
+        ];
+        assert_eq!(
+            run_error(&args),
+            "unexpected option --request for pckptd serve"
+        );
+    }
+
+    #[test]
+    fn once_rejects_the_flags_it_does_not_read() {
+        let args = [
+            "once",
+            "--request",
+            "/nonexistent/r1.json",
+            "--socket",
+            "/nonexistent/d.sock",
+            "--max-requests",
+            "3",
+        ];
+        assert_eq!(
+            run_error(&args),
+            "unexpected option --socket for pckptd once"
+        );
+    }
+
+    #[test]
+    fn submit_rejects_the_flags_it_does_not_read() {
+        let args = [
+            "submit",
+            "--socket",
+            "/nonexistent/d.sock",
+            "--request",
+            "/nonexistent/r1.json",
+            "--cache-dir",
+            "/nonexistent/cache",
+        ];
+        assert_eq!(
+            run_error(&args),
+            "unexpected option --cache-dir for pckptd submit"
+        );
     }
 }

@@ -1,5 +1,6 @@
 //! The `--key value` pair reader every front end shares: `pckpt`'s
-//! options, `pckpt logs`' flags and `pckptd`'s flags.
+//! options, `pckpt logs`' flags and `pckptd`'s flags, with the check
+//! that a command reads every option it was given.
 
 /// `--key value` pairs, in the order given.
 pub type Pairs<'a> = Vec<(&'a str, &'a str)>;
@@ -27,6 +28,15 @@ pub fn pairs<'a>(
         pairs.push((key, value));
     }
     Ok(pairs)
+}
+
+/// Rejects the first given option that is not in `used`, the options
+/// the command reads, so none is silently ignored.
+pub fn reject_unused(given: &[(&str, &str)], used: &[&str]) -> Result<(), String> {
+    match given.iter().find(|(k, _)| !used.contains(k)) {
+        Some((k, _)) => Err(format!("unexpected option {k}")),
+        None => Ok(()),
+    }
 }
 
 /// The value given for `key`, parsed; `None` when `key` was not given.

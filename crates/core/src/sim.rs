@@ -79,8 +79,6 @@ pub enum Ev {
     CkptDue(u32),
     /// The synchronous BB write finished (epoch-guarded).
     BbWriteDone(u32),
-    /// An asynchronous BB→PFS drain finished (drain-generation-guarded).
-    DrainDone(u32),
     /// All useful work is done (epoch-guarded).
     WorkComplete(u32),
     /// A prediction is delivered. `Some(idx)` = genuine failure index,
@@ -137,10 +135,12 @@ pub struct CrSim {
     t_pfs_all_write: f64,
     t_pfs_all_read: f64,
     t_pfs_single: f64,
-    t_drain: f64,
     t_barrier: f64,
     theta: f64,
     sigma: f64,
+    /// The analytic BB→PFS drain time, converted to clock nanoseconds once;
+    /// each periodic checkpoint adds it to `now` to arm its drain.
+    drain_dur: SimDuration,
 
     // Application progress.
     state: AppState,
@@ -155,7 +155,14 @@ pub struct CrSim {
     oci_secs: f64,
     next_ckpt_work: f64,
     inflight_bb_level: f64,
-    drain_gen: u32,
+    /// When the analytic BB→PFS drain of `drain_level` completes; `None`
+    /// when no drain is pending. [`Model::handle`] settles it (see
+    /// [`CrSim::settle_drain`]), so it costs no queue event. Fluid mode
+    /// never sets it: its drain is a `PfsOp::Drain` transfer.
+    drain_done_at: Option<SimTime>,
+    /// `lm_seq` when the pending analytic drain was armed: an `LmDone`
+    /// with a seq at or below it was queued before the drain.
+    drain_lm_mark: u64,
     drain_level: f64,
 
     // Checkpoint store: best recoverable work levels per path.
@@ -250,10 +257,12 @@ impl CrSim {
             t_pfs_all_write: io.pfs.write_secs(n, per_node),
             t_pfs_all_read: io.pfs.read_secs(n, per_node),
             t_pfs_single: io.pfs.single_node_write_secs(per_node),
-            t_drain: n as f64 * per_node / io.pfs.aggregate_write_bw(drain_nodes, per_node),
             t_barrier: io.net.collective_secs(n as usize),
             theta,
             sigma,
+            drain_dur: SimDuration::from_secs(
+                n as f64 * per_node / io.pfs.aggregate_write_bw(drain_nodes, per_node),
+            ),
             state: AppState::Computing,
             state_entered: SimTime::ZERO,
             epoch: 0,
@@ -264,7 +273,8 @@ impl CrSim {
             oci_secs: oci0,
             next_ckpt_work: oci0,
             inflight_bb_level: 0.0,
-            drain_gen: 0,
+            drain_done_at: None,
+            drain_lm_mark: 0,
             drain_level: 0.0,
             best_bb_pfs: 0.0,
             best_pfs_all: 0.0,
@@ -328,7 +338,8 @@ impl CrSim {
         self.oci_secs = self.oci0;
         self.next_ckpt_work = self.oci0;
         self.inflight_bb_level = 0.0;
-        self.drain_gen = 0;
+        self.drain_done_at = None;
+        self.drain_lm_mark = 0;
         self.drain_level = 0.0;
         self.best_bb_pfs = 0.0;
         self.best_pfs_all = 0.0;
@@ -530,6 +541,12 @@ impl CrSim {
     /// The LM latency θ, seconds.
     pub fn theta_secs(&self) -> f64 {
         self.theta
+    }
+
+    /// The analytic BB→PFS drain time, seconds: a periodic checkpoint
+    /// becomes PFS-durable this long after its BB write completes.
+    pub fn drain_secs(&self) -> f64 {
+        self.drain_dur.as_secs()
     }
 
     /// The OCI currently in force, seconds.
@@ -1123,8 +1140,8 @@ impl CrSim {
             .lat_bb
             .record(ctx.now().since(self.state_entered).as_nanos());
         self.rec.emit(ctx.now().as_nanos(), obskind::BB_CKPT, 0, 0);
-        // Kick off (or supersede) the asynchronous drain.
-        self.drain_gen += 1;
+        // Kick off (or supersede) the asynchronous drain. `handle` has
+        // already settled a pending drain that was due.
         self.drain_level = self.inflight_bb_level;
         if self.fluid.is_some() {
             // Any previous drain (active or suspended) is superseded by
@@ -1136,10 +1153,8 @@ impl CrSim {
             let weight = self.drain_weight;
             self.fluid_start(ctx, crate::iosim::PfsOp::Drain, bytes, weight);
         } else {
-            ctx.schedule_uncancellable_in(
-                SimDuration::from_secs(self.t_drain),
-                Ev::DrainDone(self.drain_gen),
-            );
+            self.drain_done_at = Some(ctx.now() + self.drain_dur);
+            self.drain_lm_mark = self.lm_seq;
         }
         // Refresh the OCI with the windowed failure-rate estimate.
         if self.p.dynamic_oci {
@@ -1150,12 +1165,39 @@ impl CrSim {
         self.resume_computing(ctx);
     }
 
-    fn on_drain_done(&mut self, now: SimTime, gen: u32) {
-        if gen != self.drain_gen {
-            return; // superseded or cancelled drain
+    /// Settles the pending analytic drain, due at `at`, if a completion
+    /// event queued when the drain was armed would pop before `event`,
+    /// which pops at `now`: makes the drained checkpoint recoverable and
+    /// records `DRAIN_DONE` at the drain's own instant.
+    ///
+    /// In the queue's `(time, seq)` order such an event precedes
+    /// everything later than `at` and, at `at` itself, everything queued
+    /// after the arming (higher seq). Three kinds of event can be queued
+    /// before the arming and still be live at `at`: a `Failure` or a
+    /// `Prediction` (both from `init`), and an `LmDone` of a migration
+    /// that started before the arming (its seq is at most
+    /// `drain_lm_mark`; the seq, not the epoch, guards it, so it outlives
+    /// the `BbWriteDone`). They dispatch first and the drain settles
+    /// before the next event; a failure voids it instead. Every other
+    /// event queued before the arming is guarded by an epoch that
+    /// `on_bb_write_done` retired through `leave_state`: it dispatches as
+    /// a no-op that records nothing, so which side of the settle it falls
+    /// on cannot be observed.
+    #[inline]
+    fn settle_drain(&mut self, now: SimTime, event: &Ev) {
+        let Some(at) = self.drain_done_at else {
+            return;
+        };
+        let queued_before = |event: &Ev| match *event {
+            Ev::Failure(_) | Ev::Prediction(..) => true,
+            Ev::LmDone(_, seq) => seq <= self.drain_lm_mark,
+            _ => false,
+        };
+        if at < now || (at == now && !queued_before(event)) {
+            self.drain_done_at = None;
+            self.rec.emit(at.as_nanos(), obskind::DRAIN_DONE, 0, 0);
+            self.best_bb_pfs = self.best_bb_pfs.max(self.drain_level);
         }
-        self.rec.emit(now.as_nanos(), obskind::DRAIN_DONE, 0, 0);
-        self.best_bb_pfs = self.best_bb_pfs.max(self.drain_level);
     }
 
     // ------------------------------------------------------------------
@@ -1193,7 +1235,7 @@ impl CrSim {
         // Fig. 1(B): a BB→PFS drain interrupted by a failure is void — the
         // failed node's staged data never reaches the PFS, so that
         // checkpoint can never serve a replacement node.
-        self.drain_gen += 1;
+        self.drain_done_at = None;
         if let Some(fluid) = self.fluid.as_mut() {
             let now = ctx.now();
             fluid.void_drain(now);
@@ -1394,9 +1436,9 @@ impl Model for CrSim {
     fn init(&mut self, ctx: &mut Ctx<'_, Ev>) {
         // Schedule the fate of the run. This batch stays cancellable
         // (live migration cancels a failure event). Everything the
-        // handlers schedule is guarded instead, by the epoch, the drain
-        // generation or the migration seq, and goes through the queue's
-        // uncancellable lane.
+        // handlers schedule is guarded instead, by the epoch, the fluid
+        // link's epoch or the migration seq, and goes through the
+        // queue's uncancellable lane.
         for (idx, f) in self.trace.failures.iter().enumerate() {
             let t_fail = SimTime::from_hours(f.time_hours);
             let ev = ctx.schedule_at(t_fail, Ev::Failure(idx));
@@ -1415,6 +1457,7 @@ impl Model for CrSim {
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, event: Ev) {
+        self.settle_drain(ctx.now(), &event);
         match event {
             Ev::CkptDue(e) if e == self.epoch => self.on_ckpt_due(ctx),
             Ev::BbWriteDone(e) if e == self.epoch => self.on_bb_write_done(ctx),
@@ -1423,10 +1466,6 @@ impl Model for CrSim {
             Ev::Phase1WriterDone(e) if e == self.epoch => self.on_phase1_writer_done(ctx),
             Ev::Phase2Done(e) if e == self.epoch => self.on_phase2_done(ctx),
             Ev::RecoveryDone(e) if e == self.epoch => self.on_recovery_done(ctx),
-            Ev::DrainDone(gen) => {
-                let now = ctx.now();
-                self.on_drain_done(now, gen);
-            }
             Ev::PfsTick(epoch) => self.on_pfs_tick(ctx, epoch),
             Ev::Prediction(fail_idx, fp_idx) => self.on_prediction(ctx, fail_idx, fp_idx),
             Ev::Failure(idx) => self.on_failure(ctx, idx),
@@ -2442,18 +2481,22 @@ mod tests {
 
     #[test]
     fn failure_free_run_handles_no_stale_threshold_events() {
-        // Each periodic checkpoint is CkptDue + BbWriteDone + the drain's
-        // completion, and WorkComplete ends the run: nothing scheduled is
-        // left unhandled, in particular no superseded WorkComplete per
-        // segment.
-        for mode in [crate::iosim::PfsMode::Analytic, crate::iosim::PfsMode::Fluid] {
+        // Each periodic checkpoint is CkptDue + BbWriteDone, plus the
+        // drain's PfsTick in fluid mode (the analytic drain is settled
+        // without an event), and WorkComplete ends the run: nothing
+        // scheduled is left unhandled, in particular no superseded
+        // WorkComplete per segment.
+        for (mode, per_ckpt) in [
+            (crate::iosim::PfsMode::Analytic, 2),
+            (crate::iosim::PfsMode::Fluid, 3),
+        ] {
             let mut p = params(ModelKind::B, "POP");
             p.pfs_mode = mode;
             let mut sim = Simulation::new(CrSim::new(p, FailureTrace::default(), &leads()));
             assert_eq!(sim.run(), pckpt_desim::engine::StopReason::Requested);
             let ckpts = sim.model().result().ledger.periodic_ckpts;
             assert!(ckpts > 100, "{mode:?}: only {ckpts} periodic checkpoints");
-            assert_eq!(sim.events_handled(), 3 * ckpts + 1, "{mode:?}");
+            assert_eq!(sim.events_handled(), per_ckpt * ckpts + 1, "{mode:?}");
             assert_eq!(sim.queue().scheduled_total(), sim.events_handled(), "{mode:?}");
         }
     }
@@ -2476,6 +2519,215 @@ mod tests {
         let r = sim.model().result();
         assert_eq!(r.ledger.periodic_ckpts, 0);
         assert_eq!(r.wall_secs, r.ideal_secs);
+    }
+
+    // Protocol-stream digests (`protocol_digest`) of the crafted tie runs
+    // below, taken when the drain's completion was still a queued event:
+    // settling it in `handle` must keep every record and its order.
+    const TIE_FAILURE_STREAM: &str = "25e2991073caec10";
+    const LATE_FAILURE_STREAM: &str = "ffd1832716b85ad9";
+    const TIE_FALSE_POSITIVE_STREAM: &str = "79aea68c552274b6";
+    const TIE_LATE_MIGRATION_STREAM: &str = "075fae878bf6b9d8";
+    const TIE_EARLY_MIGRATION_STREAM: &str = "f0b788c1c95f8dda";
+
+    /// Runs `trace` under `p` with a recorder installed: the result and
+    /// the protocol records, every record except the queue's own
+    /// SCHED/POP/CANCEL (which only the `trace` feature adds).
+    fn run_recorded(p: SimParams, trace: FailureTrace) -> (RunResult, Vec<pckpt_simobs::Record>) {
+        let rec = Recorder::enabled(1 << 20);
+        let mut sim = CrSim::new(p, trace, &leads());
+        sim.set_recorder(rec.clone());
+        let result = sim.run();
+        let recording = rec.take();
+        assert_eq!(recording.dropped, 0);
+        let queue = [obskind::SCHED, obskind::POP, obskind::CANCEL];
+        let records = recording
+            .records
+            .into_iter()
+            .filter(|r| !queue.contains(&r.kind));
+        (result, records.collect())
+    }
+
+    /// FNV-1a over `(t, kind, a, b)` of each protocol record, then their
+    /// count: the fold `GOLDEN_PROTOCOL_STREAM` pins.
+    fn protocol_digest(records: &[pckpt_simobs::Record]) -> String {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for r in records {
+            fold(r.t);
+            fold(u64::from(r.kind));
+            fold(r.a);
+            fold(r.b);
+        }
+        fold(records.len() as u64);
+        format!("{h:016x}")
+    }
+
+    /// The first periodic checkpoint of a failure-free run of `p`: when
+    /// it reached the burst buffers and when its drain completed, ns.
+    fn first_checkpoint_ns(p: &SimParams) -> (u64, u64) {
+        let (_, records) = run_recorded(p.clone(), FailureTrace::default());
+        let first = |kind| {
+            records
+                .iter()
+                .find(|r| r.kind == kind)
+                .expect("a checkpoint")
+                .t
+        };
+        let (bb, drained) = (first(obskind::BB_CKPT), first(obskind::DRAIN_DONE));
+        let drain = CrSim::new(p.clone(), FailureTrace::default(), &leads()).drain_secs();
+        assert_eq!(drained, bb + SimDuration::from_secs(drain).as_nanos());
+        (bb, drained)
+    }
+
+    /// An `f64` hour that `SimTime::from_hours` maps onto `ns` exactly.
+    fn hours_at(ns: u64) -> f64 {
+        let mut h = ns as f64 / 3.6e12;
+        for _ in 0..100_000 {
+            let got = SimTime::from_hours(h).as_nanos();
+            if got == ns {
+                return h;
+            }
+            let bits = h.to_bits();
+            h = f64::from_bits(if got < ns { bits + 1 } else { bits - 1 });
+        }
+        panic!("no f64 hour maps onto {ns} ns");
+    }
+
+    /// The kinds of the protocol records stamped `t`, in order.
+    fn kinds_at(records: &[pckpt_simobs::Record], t: u64) -> Vec<u16> {
+        records
+            .iter()
+            .filter(|r| r.t == t)
+            .map(|r| r.kind)
+            .collect()
+    }
+
+    #[test]
+    fn failure_at_the_drain_instant_voids_the_drain() {
+        // The first checkpoint's drain completes at `at`. A failure at
+        // exactly `at` was queued first, so it pops first and voids the
+        // drain: the run restarts from scratch. A failure 1 ns later
+        // finds the checkpoint PFS-durable and loses one OCI less.
+        let p = params(ModelKind::B, "CHIMERA");
+        let oci = CrSim::new(p.clone(), FailureTrace::default(), &leads()).oci_secs();
+        let (_, at) = first_checkpoint_ns(&p);
+        let fail_at = |ns| FailureTrace {
+            failures: vec![failure(hours_at(ns), 3, 10.0, false)],
+            false_positives: vec![],
+        };
+        let (tie, tie_records) = run_recorded(p.clone(), fail_at(at));
+        assert_eq!(
+            kinds_at(&tie_records, at),
+            [obskind::FAILURE, obskind::RECOVERY_START, obskind::STATE]
+        );
+        let (late, late_records) = run_recorded(p, fail_at(at + 1));
+        assert_eq!(kinds_at(&late_records, at), [obskind::DRAIN_DONE]);
+        let lost_checkpoint = tie.ledger.recomp_secs - late.ledger.recomp_secs;
+        assert!(
+            (lost_checkpoint - oci).abs() < 1e-3,
+            "{lost_checkpoint} vs OCI {oci}"
+        );
+        assert_eq!(protocol_digest(&tie_records), TIE_FAILURE_STREAM);
+        assert_eq!(protocol_digest(&late_records), LATE_FAILURE_STREAM);
+    }
+
+    #[test]
+    fn false_positive_at_the_drain_instant_is_recorded_before_it() {
+        // A prediction is queued at `init`, before any drain: at a tie it
+        // dispatches first (here opening a p-ckpt round), then the drain
+        // completes.
+        let p = params(ModelKind::P1, "CHIMERA");
+        let (_, at) = first_checkpoint_ns(&p);
+        let trace = FailureTrace {
+            failures: vec![],
+            false_positives: vec![Prediction {
+                node: 5,
+                at_hours: hours_at(at),
+                lead_secs: 30.0,
+                sequence_id: 2,
+                genuine: false,
+            }],
+        };
+        let (r, records) = run_recorded(p, trace);
+        assert_eq!(r.ledger.pckpt_rounds, 1);
+        assert_eq!(
+            kinds_at(&records, at),
+            [
+                obskind::PREDICTION,
+                obskind::STATE,
+                obskind::ROUND_START,
+                obskind::DRAIN_DONE
+            ]
+        );
+        assert_eq!(protocol_digest(&records), TIE_FALSE_POSITIVE_STREAM);
+    }
+
+    /// A false positive at `lm_start_ns` that makes M2 migrate node 5.
+    fn migration_from(lm_start_ns: u64, theta: f64) -> FailureTrace {
+        FailureTrace {
+            failures: vec![],
+            false_positives: vec![Prediction {
+                node: 5,
+                at_hours: hours_at(lm_start_ns),
+                lead_secs: theta + 30.0,
+                sequence_id: 2,
+                genuine: false,
+            }],
+        }
+    }
+
+    #[test]
+    fn migration_started_after_the_drain_commits_behind_it() {
+        // The migration starts while the drain is in flight and commits
+        // at its instant: queued after the drain, it is recorded after it.
+        let p = params(ModelKind::M2, "XGC");
+        let theta = p.theta_secs();
+        let (bb, at) = first_checkpoint_ns(&p);
+        let start = at - SimDuration::from_secs(theta).as_nanos();
+        assert!(start > bb, "the migration must start after the checkpoint");
+        let (r, records) = run_recorded(p, migration_from(start, theta));
+        assert_eq!(r.ledger.lm_started, 1);
+        assert_eq!(
+            kinds_at(&records, start),
+            [obskind::PREDICTION, obskind::LM_START]
+        );
+        assert_eq!(
+            kinds_at(&records, at),
+            [obskind::DRAIN_DONE, obskind::LM_COMMIT]
+        );
+        assert_eq!(protocol_digest(&records), TIE_LATE_MIGRATION_STREAM);
+    }
+
+    #[test]
+    fn migration_started_before_the_drain_commits_ahead_of_it() {
+        // Stretch θ past the drain so a migration started during the BB
+        // write commits exactly when the drain completes: queued before
+        // the drain, it is recorded before it.
+        let mut p = params(ModelKind::M2, "XGC");
+        let (bb, at) = first_checkpoint_ns(&p);
+        let drain = (at - bb) as f64 / 1e9;
+        p.lm_precopy_factor *= (drain + p.bb_write_secs() / 2.0) / p.theta_secs();
+        let theta = p.theta_secs();
+        let (bb, at) = first_checkpoint_ns(&p);
+        let start = at - SimDuration::from_secs(theta).as_nanos();
+        let bb_start = bb - SimDuration::from_secs(p.bb_write_secs()).as_nanos();
+        assert!(
+            (bb_start..bb).contains(&start),
+            "the migration must start during the BB write"
+        );
+        let (r, records) = run_recorded(p, migration_from(start, theta));
+        assert_eq!(r.ledger.lm_started, 1);
+        assert_eq!(
+            kinds_at(&records, at),
+            [obskind::LM_COMMIT, obskind::DRAIN_DONE]
+        );
+        assert_eq!(protocol_digest(&records), TIE_EARLY_MIGRATION_STREAM);
     }
 
     #[test]

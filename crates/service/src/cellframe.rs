@@ -22,6 +22,15 @@
 //! A record is about 16 B per run and lane plus a fixed part: a
 //! 1000-run, 2-lane cell is about 20 KB.
 //!
+//! Each aggregate's observability block carries the queue counters
+//! (`events_handled`, `events_scheduled`, `queue_depth_hwm`) of the
+//! build that computed the cell. A build that queues fewer events per
+//! run (the analytic drain settled inside `CrSim` instead of queued)
+//! stores other counters for the same cell, and nothing else differs:
+//! no response prints them and no result or `DIGEST` reads them. Such a
+//! change keeps `FRAME_VERSION` and `FINGERPRINT_VERSION`, and a cache
+//! an older build filled keeps serving the same answers.
+//!
 //! **Per-run frames.** A [`CellFrame`] holds every `RunResult` for one
 //! grid cell (all model lanes × all runs, lane-major, ascending run —
 //! the order `pckpt_core::CellFold` replays), about 260 B per result. The

@@ -11,10 +11,13 @@
 # paths differ in length can differ in code layout; the script warns.
 #
 # It prints every run's four end-to-end metrics with correct/failed,
-# then each side's median and quartiles, the change's op_p50_ms wins
-# (ties count for neither side), and whether the gain rule holds: the
-# change wins at least 9/10 of the pairs and its op_p50_ms median is
-# lower than the parent's by more than the parent's interquartile range.
+# then each side's median and quartiles, each side's exact counts from
+# pbench's DETAIL line (events per lane-run, lanes, units: the same in
+# every run of one build) marked `same` or `differs` as `pbench compare`
+# marks a snapshot's, the change's op_p50_ms wins (ties count for
+# neither side), and whether the gain rule holds: the change wins at
+# least 9/10 of the pairs and its op_p50_ms median is lower than the
+# parent's by more than the parent's interquartile range.
 #
 # Usage: scripts/pbench_pairs.sh PARENT CHANGE WORKLOAD [PAIRS=10] [SECONDS=20] [SEED]
 #        (SEED defaults to pbench's own default seed)
@@ -51,7 +54,8 @@ if [ ${#PARENT} -ne ${#CHANGE} ]; then
 fi
 
 RESULTS=$(mktemp)
-trap 'rm -f "$RESULTS"' EXIT
+DETAILS=$(mktemp)
+trap 'rm -f "$RESULTS" "$DETAILS"' EXIT
 
 # Prints one "SIDE PAIR JSON" line as a row of metrics.
 PRINT_RUN=$(cat <<'EOF'
@@ -66,12 +70,18 @@ print(f"pair {int(pair):>2}  {side:<6}  op_p50_ms {m['op_p50_ms']:10.3f}  "
 EOF
 )
 
-# measure SIDE DIR PAIR: one pbench measure run; appends "SIDE PAIR JSON".
+# measure SIDE DIR PAIR: one pbench measure run; appends "SIDE PAIR JSON"
+# (its last stdout line) to RESULTS and "SIDE PAIR DETAIL-JSON" (the
+# DETAIL line just above it) to DETAILS.
 measure() {
-    local line
-    line=$(cd "$2" && "$2/$BIN" measure --workload "$WORKLOAD" "${SEED_ARGS[@]}" \
-        --seconds "$SECONDS_PER_RUN" --trace 0 2>/dev/null | tail -n 1)
+    local out line detail
+    out=$(cd "$2" && "$2/$BIN" measure --workload "$WORKLOAD" "${SEED_ARGS[@]}" \
+        --seconds "$SECONDS_PER_RUN" --trace 0 2>/dev/null | tail -n 2)
+    line=${out##*$'\n'}
+    detail=${out%%$'\n'*}
+    [[ $detail == "DETAIL "* ]] || detail="DETAIL {}"
     echo "$1 $3 $line" >> "$RESULTS"
+    echo "$1 $3 ${detail#DETAIL }" >> "$DETAILS"
     echo "$1 $3 $line" | python3 -c "$PRINT_RUN"
 }
 
@@ -89,7 +99,7 @@ for ((i = 0; i < PAIRS; i++)); do
     fi
 done
 
-python3 - "$RESULTS" <<'EOF'
+python3 - "$RESULTS" "$DETAILS" <<'EOF'
 import json, statistics, sys
 
 runs = {"parent": {}, "change": {}}
@@ -115,6 +125,25 @@ for metric in ["op_p50_ms", "lane_runs_per_s", "setup_s", "peak_rss_mb"]:
         q1, med, q3 = quartiles([m[metric] for m in runs[side].values()])
         print(f"{metric:<16} {side:<6} {med:12.4f} {q1:12.4f} {q3:12.4f}")
 print(f"correct {str(correct).lower()}  failed parent {failed['parent']} change {failed['change']}")
+
+counts = {"parent": {}, "change": {}}
+for line in open(sys.argv[2]):
+    side, _, doc = line.rstrip("\n").split(" ", 2)
+    for key, value in json.loads(doc).get("counts", {}).items():
+        counts[side].setdefault(key, set()).add(value)
+
+def show(values):
+    if not values:
+        return "-"
+    text = " / ".join(f"{v:.4f}".rstrip("0").rstrip(".") for v in sorted(values))
+    return text + (" (varies)" if len(values) > 1 else "")
+
+print()
+print(f"{'count':<22} {'parent':>18} {'change':>18}")
+for key in sorted(set(counts["parent"]) | set(counts["change"])):
+    p, c = counts["parent"].get(key, set()), counts["change"].get(key, set())
+    mark = "same" if p == c and len(p) == 1 else "differs"
+    print(f"{key:<22} {show(p):>18} {show(c):>18}  {mark}")
 
 pairs = sorted(set(runs["parent"]) & set(runs["change"]))
 wins = sum(runs["change"][p]["op_p50_ms"] < runs["parent"][p]["op_p50_ms"] for p in pairs)

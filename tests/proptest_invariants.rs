@@ -159,6 +159,74 @@ proptest! {
         prop_assert_eq!(reused, fresh);
     }
 
+    /// The analytic BB→PFS drain, stated on the recording alone. With
+    /// `d` the drain time, a periodic checkpoint recorded at `T` becomes
+    /// PFS-durable (`DRAIN_DONE` at exactly `T + d`) unless, after it, a
+    /// failure strikes at or before `T + d` (it voids the drain, and at
+    /// `T + d` itself it was queued first), or a newer checkpoint or the
+    /// end of the run comes strictly before `T + d` (at `T + d` itself
+    /// the drain completes first). CHIMERA's 19-minute drain gives the
+    /// failures a fair chance to land inside one.
+    #[test]
+    fn drains_complete_exactly_when_nothing_intervenes(
+        trace in arb_trace(12),
+        model in arb_model(),
+    ) {
+        use pckpt::core::iosim::PfsMode;
+        use pckpt::core::obs::{kind, Recorder};
+        use pckpt::desim::SimDuration;
+        let app = Application::by_name("CHIMERA").unwrap();
+        let mut params = SimParams::paper_defaults(model, app);
+        params.pfs_mode = PfsMode::Analytic;
+        let leads = LeadTimeModel::desh_default();
+        let rec = Recorder::enabled(1 << 20);
+        let mut sim = CrSim::new(params, trace, &leads);
+        sim.set_recorder(rec.clone());
+        let d = SimDuration::from_secs(sim.drain_secs()).as_nanos();
+        sim.run();
+        let recording = rec.take();
+        prop_assert_eq!(recording.dropped, 0);
+        // The protocol records: under the `trace` feature the queue's POP
+        // of the event a drain settles in front of precedes the DRAIN_DONE
+        // it causes, at the event's own (later) instant.
+        let records: Vec<_> = recording
+            .records
+            .iter()
+            .filter(|r| !matches!(r.kind, kind::SCHED | kind::POP | kind::CANCEL))
+            .collect();
+        for pair in records.windows(2) {
+            prop_assert!(pair[0].t <= pair[1].t, "time runs backwards: {:?}", pair);
+        }
+        let mut latest_ckpt = None;
+        for r in &records {
+            match r.kind {
+                kind::BB_CKPT => latest_ckpt = Some(r.t),
+                kind::DRAIN_DONE => prop_assert_eq!(Some(r.t), latest_ckpt.map(|t| t + d)),
+                _ => {}
+            }
+        }
+        for (i, ckpt) in records.iter().enumerate().filter(|(_, r)| r.kind == kind::BB_CKPT) {
+            let due = ckpt.t + d;
+            let after = &records[i + 1..];
+            let intervened = after.iter().any(|r| match r.kind {
+                kind::FAILURE => r.t <= due,
+                kind::BB_CKPT | kind::COMPLETE => r.t < due,
+                _ => false,
+            });
+            let drained = after
+                .iter()
+                .take_while(|r| r.kind != kind::BB_CKPT)
+                .any(|r| r.kind == kind::DRAIN_DONE);
+            prop_assert_eq!(
+                drained,
+                !intervened,
+                "checkpoint at {} ns (drain due {} ns)",
+                ckpt.t,
+                due
+            );
+        }
+    }
+
     /// OCI formulas: positive, monotone in their arguments, Eq. 2 ≥ Eq. 1.
     #[test]
     fn oci_properties(

@@ -312,7 +312,7 @@ mod trace_on {
 
     /// Golden FNV digests of the structured event stream of run 0,
     /// seed 61, XGC/P2, per PFS mode.
-    const GOLDEN_STREAM_ANALYTIC: &str = "1d18a3ffa502dae9";
+    const GOLDEN_STREAM_ANALYTIC: &str = "bd91868a1d43e8bb";
     const GOLDEN_STREAM_FLUID: &str = "9b5aeac747ae87b9";
 
     fn record(mode: PfsMode, seed: u64) -> Recording {
