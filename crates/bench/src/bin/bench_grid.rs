@@ -280,6 +280,6 @@ fn variance_reduction_headline(leads: &LeadTimeModel) {
     println!("METRICS_JSON {}", vr.meta_json("variance_reduction_fig4_grid"));
     println!(
         "METRICS_JSON {}",
-        pckpt_core::obs::allocation_json("variance_reduction_fig4_alloc", &vr.allocations())
+        vr.allocation_json("variance_reduction_fig4_alloc")
     );
 }

@@ -141,7 +141,7 @@ pub fn print_grid_metrics(name: &str, grid: &GridResult) {
     if grid.cell_runs.iter().any(|&r| r != grid.runs_per_cell) {
         println!(
             "METRICS_JSON {}",
-            pckpt_core::obs::allocation_json(&format!("{name}_alloc"), &grid.allocations())
+            grid.allocation_json(&format!("{name}_alloc"))
         );
     }
 }

@@ -128,16 +128,6 @@ impl ModelKind {
         matches!(self, ModelKind::M2 | ModelKind::P2)
     }
 
-    /// Does the model use p-ckpt rounds?
-    pub fn uses_pckpt(&self) -> bool {
-        matches!(self, ModelKind::P1 | ModelKind::P2)
-    }
-
-    /// Does the model use safeguard (all-nodes just-in-time) checkpoints?
-    pub fn uses_safeguard(&self) -> bool {
-        matches!(self, ModelKind::M1)
-    }
-
     /// Does the model's OCI account for LM-avoided failures (Eq. 2)?
     pub fn oci_uses_sigma(&self) -> bool {
         self.uses_lm()
@@ -275,16 +265,6 @@ impl SimParams {
         }
     }
 
-    /// Switches the failure distribution, re-deriving the projection.
-    pub fn set_distribution(&mut self, distribution: FailureDistribution) {
-        self.distribution = distribution;
-        self.projection = if self.app.nodes <= distribution.system_nodes {
-            Projection::Thinning
-        } else {
-            Projection::MinStability
-        };
-    }
-
     /// Checkpoint bytes per node.
     pub fn per_node_bytes(&self) -> f64 {
         self.app.checkpoint_per_node()
@@ -345,11 +325,10 @@ mod tests {
     #[test]
     fn model_capability_flags() {
         assert!(!ModelKind::B.uses_prediction());
-        assert!(ModelKind::M1.uses_safeguard());
         assert!(!ModelKind::M1.uses_lm());
-        assert!(ModelKind::M2.uses_lm() && !ModelKind::M2.uses_pckpt());
-        assert!(ModelKind::P1.uses_pckpt() && !ModelKind::P1.uses_lm());
-        assert!(ModelKind::P2.uses_pckpt() && ModelKind::P2.uses_lm());
+        assert!(ModelKind::M2.uses_lm());
+        assert!(!ModelKind::P1.uses_lm());
+        assert!(ModelKind::P2.uses_lm());
         assert!(ModelKind::P2.oci_uses_sigma() && !ModelKind::P1.oci_uses_sigma());
         assert_eq!(ModelKind::ALL.len(), 5);
         assert_eq!(format!("{}", ModelKind::P2), "P2");

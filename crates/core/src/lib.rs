@@ -55,9 +55,10 @@ pub use knobs::{Knobs, RunsSpec, SyncPolicy};
 pub use metrics::{Aggregate, OverheadLedger, RunResult};
 pub use prefilter::{AnalyticVerdict, Prefilter, DEFAULT_MARGIN};
 pub use runner::{
-    parse_vr_spec, record_run, run_grid, run_grid_filtered, run_grid_with_cell_sink, run_many,
-    run_models, splice_pruned, AdaptiveConfig, CampaignResult, CellFold, CellResults, GridCell,
-    GridPlan, GridResult, GridWorker, RunnerConfig, ShardMeta, VrConfig,
+    parse_vr_spec, prefilter_split, record_run, run_grid, run_grid_filtered,
+    run_grid_with_cell_sink, run_many, run_models, AdaptiveConfig, CampaignResult, CellFold,
+    CellResults, GridCell, GridPlan, GridResult, GridWorker, PoolCounts, RunnerConfig, ShardMeta,
+    VrConfig,
 };
 pub use sim::CrSim;
 

@@ -98,11 +98,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Overhead as a percentage of the ideal compute time.
-    pub fn overhead_pct(&self) -> f64 {
-        100.0 * self.ledger.total_overhead_secs() / self.ideal_secs
-    }
-
     /// Consistency check: wall time must equal ideal + overheads (up to
     /// numeric slack). The simulator's accounting is validated against
     /// this in tests and (in debug builds) at the end of every run.
@@ -289,7 +284,6 @@ mod tests {
         assert!((r.ledger.ft_ratio() - 0.7).abs() < 1e-12);
         assert_eq!(r.ledger.ckpt_bucket_secs(), 3636.0);
         assert_eq!(r.ledger.total_overhead_secs(), 5796.0);
-        assert!((r.overhead_pct() - 5.796).abs() < 1e-9);
         assert!(r.accounting_residual_secs().abs() < 1e-9);
     }
 

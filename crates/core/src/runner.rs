@@ -69,6 +69,7 @@ use std::thread;
 
 use pckpt_desim::{run_with_queue, EventQueue};
 use pckpt_failure::{FailureTrace, LeadTimeModel, Predictor, TraceConfig, TraceCore};
+use pckpt_simobs::json::{self, Arr, Fixed, Hex, Writer};
 use pckpt_simobs::{ObsAggregate, Recorder, Recording};
 use pckpt_simrng::{t_critical, PairedSummary, SimRng, StratifiedSummary, Summary};
 
@@ -183,9 +184,8 @@ impl RunnerConfig {
     /// Worker count for an item space of `items` independent work units
     /// (a lone campaign has one item per run; a grid has
     /// `runs × execution units`): `threads`, or with 0 one per
-    /// available core, at most one per item. Public so the campaign
-    /// service can report a thread count for fully cache-served sweeps.
-    pub fn effective_threads_for(&self, items: usize) -> usize {
+    /// available core, at most one per item.
+    fn effective_threads_for(&self, items: usize) -> usize {
         let t = if self.threads == 0 {
             thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
@@ -914,58 +914,179 @@ impl GridResult {
         self.cell_ci_rel.iter().cloned().fold(0.0, f64::max)
     }
 
-    /// Per-cell run-allocation records (label, runs executed, attained
-    /// relative CI) for the observability layer — see
-    /// [`pckpt_simobs::allocation_json`].
-    pub fn allocations(&self) -> Vec<pckpt_simobs::CellAllocation> {
-        self.labels
-            .iter()
-            .zip(&self.cell_runs)
-            .zip(&self.cell_ci_rel)
-            .map(|((label, &runs), &ci_rel)| pckpt_simobs::CellAllocation {
-                label: label.clone(),
-                runs,
-                ci_rel,
-            })
-            .collect()
-    }
-
-    /// Campaign-style execution metadata as a JSON object (the grid
-    /// counterpart of the `METRICS_JSON` payload: cell/lane/unit counts,
-    /// thread count, trace-sharing accounting, and the run-allocation
-    /// summary).
-    pub fn meta_json(&self, name: &str) -> String {
-        let runs_min = self
-            .cell_runs
+    /// Fewest runs any simulated cell executed (0 when every cell was
+    /// answered analytically).
+    pub fn runs_min(&self) -> usize {
+        self.cell_runs
             .iter()
             .zip(&self.analytic_verdicts)
             .filter(|(_, v)| v.is_none())
             .map(|(&r, _)| r)
             .min()
-            .unwrap_or(0);
-        format!(
-            "{{\"name\":\"{name}\",\"cells\":{},\"lanes\":{},\"units\":{},\"runs_per_cell\":{},\
-             \"threads\":{},\"trace_groups\":{},\"trace_generations\":{},\"trace_reuses\":{},\
-             \"trace_cache_hit_rate\":{:.4},\"leads_digest\":\"{:016x}\",\
-             \"prefilter_pruned\":{},\"prefilter_simulated\":{},\
-             \"total_runs\":{},\"runs_min\":{},\"worst_ci_rel\":{:.6}}}",
-            self.cells.len(),
-            self.lanes,
-            self.units,
-            self.runs_per_cell,
-            self.threads,
-            self.trace_groups,
-            self.trace_generations,
-            self.trace_reuses,
-            self.trace_cache_hit_rate(),
-            self.leads_digest,
-            self.cells_pruned,
-            self.cells_simulated(),
-            self.total_runs(),
-            runs_min,
-            self.worst_ci_rel(),
-        )
+            .unwrap_or(0)
     }
+
+    /// The pool's execution counts, as [`assemble`](Self::assemble) takes them.
+    pub fn pool_counts(&self) -> PoolCounts {
+        PoolCounts {
+            threads: self.threads,
+            trace_groups: self.trace_groups,
+            units: self.units,
+            trace_generations: self.trace_generations,
+            trace_reuses: self.trace_reuses,
+        }
+    }
+
+    /// Writes the grid's execution metadata, named `name`, into the open
+    /// object `o`: cell/lane/unit and thread counts, trace sharing, the
+    /// pre-filter split and the run-allocation summary.
+    pub fn write_meta(&self, o: &mut Writer, name: &str) {
+        let hit_rate = Fixed(self.trace_cache_hit_rate(), 4);
+        o.field("name", name)
+            .field("cells", self.cells.len())
+            .field("lanes", self.lanes)
+            .field("units", self.units)
+            .field("runs_per_cell", self.runs_per_cell)
+            .field("threads", self.threads)
+            .field("trace_groups", self.trace_groups)
+            .field("trace_generations", self.trace_generations)
+            .field("trace_reuses", self.trace_reuses)
+            .field("trace_cache_hit_rate", hit_rate)
+            .field("leads_digest", Hex(self.leads_digest))
+            .field("prefilter_pruned", self.cells_pruned)
+            .field("prefilter_simulated", self.cells_simulated())
+            .field("total_runs", self.total_runs())
+            .field("runs_min", self.runs_min())
+            .field("worst_ci_rel", Fixed(self.worst_ci_rel(), 6));
+    }
+
+    /// [`write_meta`](Self::write_meta) as a one-line JSON object (the
+    /// grid counterpart of the `METRICS_JSON` payload).
+    pub fn meta_json(&self, name: &str) -> String {
+        let mut s = String::new();
+        json::object(&mut s, |o| self.write_meta(o, name));
+        s
+    }
+
+    /// The per-cell run allocation as a one-line JSON object: total,
+    /// fewest and most runs, the worst attained relative CI, and one
+    /// `[label, runs, ci_rel]` row per cell (0 runs when pruned).
+    pub fn allocation_json(&self, name: &str) -> String {
+        let mut s = String::new();
+        let runs_max = self.cell_runs.iter().copied().max().unwrap_or(0);
+        json::object(&mut s, |o| {
+            o.field("name", name)
+                .field("total_runs", self.total_runs())
+                .field("runs_min", self.runs_min())
+                .field("runs_max", runs_max)
+                .field("worst_ci_rel", Fixed(self.worst_ci_rel(), 6));
+            let cells = self.labels.iter().zip(&self.cell_runs);
+            let rows = Arr(|rows| {
+                for ((label, &runs), &ci) in cells.zip(&self.cell_ci_rel) {
+                    rows.item(Arr(|row| {
+                        row.item(label).item(runs).item(Fixed(ci, 6));
+                    }));
+                }
+            });
+            o.field("cells", rows);
+        });
+        s
+    }
+
+    /// Builds a grid's result in input order from each cell's pre-filter
+    /// verdict, the survivors' folded `(campaign, ci, runs)` in input
+    /// order and the pool's execution counts (`None`: no cell reached
+    /// the pool, which reports one thread). The in-process sweep and the
+    /// campaign service both build their grids here. A pruned cell keeps
+    /// its label and models with no aggregates, runs or CI; `lanes`
+    /// counts the survivors' lanes and `runs_per_cell` is their most
+    /// runs (`config.runs` when none survived).
+    pub fn assemble(
+        cells: &[GridCell],
+        leads: &LeadTimeModel,
+        config: &RunnerConfig,
+        verdicts: Vec<Option<AnalyticVerdict>>,
+        survivors: Vec<(CampaignResult, f64, usize)>,
+        pool: Option<PoolCounts>,
+    ) -> GridResult {
+        let pool = pool.unwrap_or_default();
+        let threads = pool.threads.max(1);
+        let mut grid = GridResult {
+            cells: Vec::with_capacity(cells.len()),
+            labels: cells.iter().map(|c| c.label.clone()).collect(),
+            runs_per_cell: survivors.iter().map(|s| s.2).max().unwrap_or(config.runs),
+            cell_runs: Vec::with_capacity(cells.len()),
+            cell_ci_rel: Vec::with_capacity(cells.len()),
+            threads,
+            trace_groups: pool.trace_groups,
+            lanes: 0,
+            units: pool.units,
+            trace_generations: pool.trace_generations,
+            trace_reuses: pool.trace_reuses,
+            leads_digest: leads.digest(),
+            analytic_verdicts: Vec::new(),
+            cells_pruned: 0,
+            shard_meta: None,
+        };
+        let mut survivors = survivors.into_iter();
+        for (cell, verdict) in cells.iter().zip(&verdicts) {
+            let (mut campaign, ci, runs) = if verdict.is_some() {
+                grid.cells_pruned += 1;
+                let campaign = CampaignResult {
+                    models: cell.models.clone(),
+                    aggregates: Vec::new(),
+                    threads: 0,
+                };
+                (campaign, 0.0, 0)
+            } else {
+                grid.lanes += cell.models.len();
+                // One fold per surviving cell, in order. simlint: allow(no-unwrap-in-lib)
+                survivors.next().expect("one fold per surviving cell")
+            };
+            campaign.threads = threads;
+            grid.cells.push(campaign);
+            grid.cell_ci_rel.push(ci);
+            grid.cell_runs.push(runs);
+        }
+        grid.analytic_verdicts = verdicts;
+        grid
+    }
+}
+
+/// What the pool did for a grid: the execution counts a [`GridResult`]
+/// reports beside its results (see [`GridResult::assemble`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PoolCounts {
+    /// Worker threads the pool ran on.
+    pub threads: usize,
+    /// Distinct trace groups among the cells the pool ran.
+    pub trace_groups: usize,
+    /// Execution units per run after prediction-blind deduplication.
+    pub units: usize,
+    /// Trace generations performed across all workers.
+    pub trace_generations: u64,
+    /// Unit executions that hit a worker's per-run trace cache.
+    pub trace_reuses: u64,
+}
+
+/// The analytic pre-filter's verdict for each cell (all `None` without
+/// a pre-filter) and the cells it leaves to simulate, in input order.
+pub fn prefilter_split(
+    cells: &[GridCell],
+    leads: &LeadTimeModel,
+    prefilter: Option<&Prefilter>,
+) -> (Vec<Option<AnalyticVerdict>>, Vec<GridCell>) {
+    let verdicts: Vec<Option<AnalyticVerdict>> = cells
+        .iter()
+        .map(|c| prefilter.and_then(|pf| pf.cell_verdict(c, leads)))
+        .collect();
+    let survivors = cells
+        .iter()
+        .zip(&verdicts)
+        .filter(|(_, v)| v.is_none())
+        .map(|(c, _)| c.clone())
+        .collect();
+    (verdicts, survivors)
 }
 
 /// Runs an entire sweep — every cell × model × run — through one
@@ -1005,112 +1126,12 @@ pub fn run_grid_filtered(
     config: &RunnerConfig,
     prefilter: Option<&Prefilter>,
 ) -> GridResult {
-    let verdicts: Vec<Option<AnalyticVerdict>> = match prefilter {
-        Some(pf) => cells.iter().map(|c| pf.cell_verdict(c, leads)).collect(),
-        None => vec![None; cells.len()],
-    };
-    let pruned = verdicts.iter().filter(|v| v.is_some()).count();
-    if pruned == 0 {
-        let mut grid = run_grid_simulated(cells, leads, config, None);
-        grid.analytic_verdicts = verdicts;
-        return grid;
-    }
-
-    let survivors: Vec<GridCell> = cells
-        .iter()
-        .zip(&verdicts)
-        .filter(|(_, v)| v.is_none())
-        .map(|(c, _)| c.clone())
-        .collect();
-    let simulated = if survivors.is_empty() {
-        None
-    } else {
-        Some(run_grid_simulated(&survivors, leads, config, None))
-    };
-    splice_pruned(cells, leads, config, verdicts, simulated)
-}
-
-/// Splices a simulated survivor-grid result back into the full input
-/// cell order: pruned cells get an empty campaign (their answer lives in
-/// `analytic_verdicts`), zero runs, and a zero CI. The campaign service
-/// reuses this so a cache-served prefiltered sweep splices exactly like
-/// an in-process one.
-pub fn splice_pruned(
-    cells: &[GridCell],
-    leads: &LeadTimeModel,
-    config: &RunnerConfig,
-    verdicts: Vec<Option<AnalyticVerdict>>,
-    simulated: Option<GridResult>,
-) -> GridResult {
-    let pruned = verdicts.iter().filter(|v| v.is_some()).count();
-    let threads = simulated
-        .as_ref()
-        .map(|g| g.threads)
-        .unwrap_or_else(|| config.effective_threads_for(0));
-
-    // Splice simulated campaigns back into input order; pruned cells get
-    // an empty campaign (their answer lives in `analytic_verdicts`).
-    let mut sim_cells = simulated
-        .as_ref()
-        .map(|g| g.cells.iter().cloned())
-        .into_iter()
-        .flatten();
-    let results: Vec<CampaignResult> = cells
-        .iter()
-        .zip(&verdicts)
-        .map(|(cell, verdict)| {
-            if verdict.is_some() {
-                CampaignResult {
-                    models: cell.models.clone(),
-                    aggregates: Vec::new(),
-                    threads,
-                }
-            } else {
-                // One simulated campaign per surviving cell, in order.
-                // simlint: allow(no-unwrap-in-lib)
-                sim_cells.next().expect("one campaign per surviving cell")
-            }
-        })
-        .collect();
-
-    // Per-cell run counts and attained CIs splice like the campaigns:
-    // pruned cells executed nothing and report a zero CI.
-    let mut sim_runs = simulated
-        .as_ref()
-        .map(|g| g.cell_runs.iter().copied().zip(g.cell_ci_rel.iter().copied()))
-        .into_iter()
-        .flatten();
-    let mut cell_runs = Vec::with_capacity(cells.len());
-    let mut cell_ci_rel = Vec::with_capacity(cells.len());
-    for verdict in &verdicts {
-        let (r, ci) = if verdict.is_some() {
-            (0, 0.0)
-        } else {
-            // One simulated cell per surviving cell, in order.
-            // simlint: allow(no-unwrap-in-lib)
-            sim_runs.next().expect("one run count per surviving cell")
-        };
-        cell_runs.push(r);
-        cell_ci_rel.push(ci);
-    }
-
-    GridResult {
-        cells: results,
-        labels: cells.iter().map(|c| c.label.clone()).collect(),
-        runs_per_cell: simulated.as_ref().map_or(config.runs, |g| g.runs_per_cell),
-        cell_runs,
-        cell_ci_rel,
-        threads,
-        trace_groups: simulated.as_ref().map_or(0, |g| g.trace_groups),
-        lanes: simulated.as_ref().map_or(0, |g| g.lanes),
-        units: simulated.as_ref().map_or(0, |g| g.units),
-        trace_generations: simulated.as_ref().map_or(0, |g| g.trace_generations),
-        trace_reuses: simulated.as_ref().map_or(0, |g| g.trace_reuses),
-        leads_digest: leads.digest(),
-        analytic_verdicts: verdicts,
-        cells_pruned: pruned,
-        shard_meta: None,
-    }
+    let (verdicts, survivors) = prefilter_split(cells, leads, prefilter);
+    let simulated =
+        (!survivors.is_empty()).then(|| run_grid_simulated(&survivors, leads, config, None));
+    let (folds, pool) = simulated.unzip();
+    let folds = folds.unwrap_or_default();
+    GridResult::assemble(cells, leads, config, verdicts, folds, pool)
 }
 
 /// One lane's running fold: its [`Aggregate`], plus the CI estimator of
@@ -1293,7 +1314,9 @@ pub fn run_grid_with_cell_sink(
         "per-cell sinks require a fixed run count: adaptive allocation's \
          grid-pooled feedback makes cell results depend on pool composition"
     );
-    run_grid_simulated(cells, leads, config, Some(sink))
+    let (folds, pool) = run_grid_simulated(cells, leads, config, Some(sink));
+    let verdicts = vec![None; cells.len()];
+    GridResult::assemble(cells, leads, config, verdicts, folds, Some(pool))
 }
 
 /// One lane's running CI estimator under the active VR mode.
@@ -1547,12 +1570,13 @@ fn run_pool(
 /// of its member lanes' cells). `sink` sees each cell once its batch is
 /// folded, so it requires the one-batch schedule (see
 /// [`run_grid_with_cell_sink`]).
+/// Returns each cell's `(campaign, ci, runs)` and the pool's counts.
 fn run_grid_simulated(
     cells: &[GridCell],
     leads: &LeadTimeModel,
     config: &RunnerConfig,
     mut sink: Option<&mut CellSink<'_>>,
-) -> GridResult {
+) -> (Vec<(CampaignResult, f64, usize)>, PoolCounts) {
     assert!(config.runs > 0, "at least one run required");
     debug_assert!(sink.is_none() || config.vr.adaptive.is_none());
     let vr = config.vr;
@@ -1656,47 +1680,24 @@ fn run_grid_simulated(
         }
     }
 
-    let mut grid = simulated_grid(&plan, lanes, cell_runs, workers.len());
-    for w in &workers {
-        grid.trace_generations += w.trace_generations;
-        grid.trace_reuses += w.trace_reuses;
-    }
-    grid
-}
-
-/// The result of simulating every cell of `plan` from its lane folds
-/// (indexed by plan lane) and per-cell run counts: campaigns, worst-lane
-/// CIs under the lanes' estimator, and the plan accounting. The
-/// trace-cache counters are the caller's to fill in.
-fn simulated_grid(
-    plan: &GridPlan,
-    lanes: Vec<LaneFold>,
-    cell_runs: Vec<usize>,
-    threads: usize,
-) -> GridResult {
+    let threads = workers.len();
     let mut lanes = lanes.into_iter();
-    let (cells, cell_ci_rel) = plan
-        .cells
+    let folds = cells
         .iter()
-        .map(|cell| finish_cell(cell, lanes.by_ref().take(cell.models.len()), threads))
-        .unzip();
-    GridResult {
-        cells,
-        labels: plan.cells.iter().map(|c| c.label.clone()).collect(),
-        runs_per_cell: cell_runs.iter().copied().max().unwrap_or(0),
-        cell_runs,
-        cell_ci_rel,
+        .zip(cell_runs)
+        .map(|(cell, runs)| {
+            let (campaign, ci) = finish_cell(cell, lanes.by_ref().take(cell.models.len()), threads);
+            (campaign, ci, runs)
+        })
+        .collect();
+    let pool = PoolCounts {
         threads,
         trace_groups: plan.trace_groups(),
-        lanes: plan.lanes(),
         units: plan.units(),
-        trace_generations: 0,
-        trace_reuses: 0,
-        leads_digest: plan.leads.digest(),
-        analytic_verdicts: vec![None; plan.cells.len()],
-        cells_pruned: 0,
-        shard_meta: None,
-    }
+        trace_generations: workers.iter().map(|w| w.trace_generations).sum(),
+        trace_reuses: workers.iter().map(|w| w.trace_reuses).sum(),
+    };
+    (folds, pool)
 }
 
 #[cfg(test)]
@@ -2140,6 +2141,51 @@ mod tests {
         let meta = filtered.meta_json("prefilter_test");
         assert!(meta.contains("\"prefilter_pruned\":1"), "{meta}");
         assert!(meta.contains("\"prefilter_simulated\":1"), "{meta}");
+    }
+
+    #[test]
+    fn allocation_json_reports_totals_and_rows() {
+        let leads = LeadTimeModel::desh_default();
+        let cells = [
+            GridCell::new(app_params(ModelKind::B, "POP"), &[ModelKind::B]).with_label("POP@1.5"),
+            GridCell::new(app_params(ModelKind::B, "POP"), &[ModelKind::B]).with_label("POP@0.5"),
+            GridCell::new(app_params(ModelKind::B, "POP"), &[ModelKind::B]).with_label("pruned"),
+        ];
+        let campaign = || CampaignResult {
+            models: vec![ModelKind::B],
+            aggregates: vec![Aggregate::new()],
+            threads: 1,
+        };
+        let verdict = AnalyticVerdict {
+            pckpt_wins: false,
+            sigma: 0.9,
+            alpha: 4.0,
+            clearance: 0.5,
+        };
+        let grid = GridResult::assemble(
+            &cells,
+            &leads,
+            &RunnerConfig::new(256, 1),
+            vec![None, None, Some(verdict)],
+            vec![(campaign(), 0.008, 64), (campaign(), 0.010, 256)],
+            None,
+        );
+        let j = grid.allocation_json("adaptive_pop");
+        assert!(j.contains("\"total_runs\":320"), "{j}");
+        assert!(j.contains("\"runs_min\":64"), "{j}");
+        assert!(j.contains("\"runs_max\":256"), "{j}");
+        assert!(j.contains("\"worst_ci_rel\":0.010000"), "{j}");
+        assert!(j.contains("[\"POP@0.5\",256,0.010000]"), "{j}");
+        assert!(j.contains("[\"pruned\",0,0.000000]"), "{j}");
+        // The grid metadata reports the same allocation summary.
+        let meta = grid.meta_json("adaptive_pop_grid");
+        for key in [
+            "\"total_runs\":320",
+            "\"runs_min\":64",
+            "\"worst_ci_rel\":0.010000",
+        ] {
+            assert!(meta.contains(key), "{meta}");
+        }
     }
 
     #[test]

@@ -138,6 +138,9 @@ pub struct CrSim {
     t_barrier: f64,
     theta: f64,
     sigma: f64,
+    /// The BB write time, converted to clock nanoseconds once; each
+    /// periodic checkpoint schedules its `BbWriteDone` this far ahead.
+    bb_write_dur: SimDuration,
     /// The analytic BB→PFS drain time, converted to clock nanoseconds once;
     /// each periodic checkpoint adds it to `now` to arm its drain.
     drain_dur: SimDuration,
@@ -260,6 +263,7 @@ impl CrSim {
             t_barrier: io.net.collective_secs(n as usize),
             theta,
             sigma,
+            bb_write_dur: SimDuration::from_secs(t_bb_write),
             drain_dur: SimDuration::from_secs(
                 n as f64 * per_node / io.pfs.aggregate_write_bw(drain_nodes, per_node),
             ),
@@ -1127,10 +1131,7 @@ impl CrSim {
         self.leave_state(ctx.now());
         self.inflight_bb_level = self.work_done;
         self.enter_state(ctx, AppState::BbCkpt);
-        ctx.schedule_uncancellable_in(
-            SimDuration::from_secs(self.t_bb_write),
-            Ev::BbWriteDone(self.epoch),
-        );
+        ctx.schedule_uncancellable_in(self.bb_write_dur, Ev::BbWriteDone(self.epoch));
     }
 
     fn on_bb_write_done(&mut self, ctx: &mut Ctx<'_, Ev>) {

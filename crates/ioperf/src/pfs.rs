@@ -224,12 +224,6 @@ impl PfsModel {
         bytes / self.single_node_write_bw(bytes)
     }
 
-    /// Seconds for one node to read `bytes` alone (replacement-node
-    /// recovery path).
-    pub fn single_node_read_secs(&self, bytes: f64) -> f64 {
-        self.single_node_write_secs(bytes)
-    }
-
     /// Seconds for `nodes` nodes to each read `per_node_bytes`
     /// (post-proactive-checkpoint recovery, all nodes restore from PFS).
     pub fn read_secs(&self, nodes: u64, per_node_bytes: f64) -> f64 {

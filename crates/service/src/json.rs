@@ -1,4 +1,6 @@
-//! A minimal, dependency-free JSON reader for campaign requests.
+//! A minimal, dependency-free JSON reader for campaign requests. (The
+//! service writes its replies through `pckpt_core::obs::json`, whose
+//! [`escape`] is re-exported here.)
 //!
 //! The build environment has no registry access, so the request format
 //! is parsed by a small recursive-descent reader instead of `serde`.
@@ -258,22 +260,9 @@ fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// The report writer's string escape, kept at this path for callers
+/// that write JSON by hand.
+pub use pckpt_core::obs::json::escape;
 
 #[cfg(test)]
 mod tests {

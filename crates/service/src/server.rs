@@ -23,10 +23,11 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::json::escape;
+use pckpt_core::obs::json::{self, Fixed, Hex, Seq};
+
+use crate::grid_digest;
 use crate::request::parse_request;
 use crate::service::Service;
-use crate::grid_digest;
 
 /// Serves one request text, in-process.
 pub fn respond(req_text: &str, service: &Service) -> String {
@@ -42,39 +43,29 @@ fn respond_inner(req_text: &str, service: &Service) -> Result<String, String> {
     let grid = &outcome.grid;
     let mut out = String::new();
     for (i, campaign) in grid.cells.iter().enumerate() {
-        let pruned = grid.analytic_verdicts[i].is_some();
-        let models: Vec<String> = campaign
-            .models
-            .iter()
-            .map(|m| format!("\"{}\"", m.name()))
-            .collect();
-        let mut hours = Vec::new();
-        let mut ratios = Vec::new();
-        let mut bits = Vec::new();
-        for agg in &campaign.aggregates {
-            hours.push(format!("{:.6}", agg.total_hours.mean()));
-            ratios.push(format!("{:.6}", agg.ft_ratio_pooled()));
-            bits.push(format!("\"{:016x}\"", agg.total_hours.mean().to_bits()));
-        }
-        out.push_str(&format!(
-            "CELL_JSON {{\"label\":\"{}\",\"pruned\":{pruned},\"models\":[{}],\
-             \"runs\":{},\"ci_rel\":{:.6},\"total_hours\":[{}],\"ft_ratio\":[{}],\
-             \"hours_bits\":[{}]}}\n",
-            escape(&grid.labels[i]),
-            models.join(","),
-            grid.cell_runs[i],
-            grid.cell_ci_rel[i],
-            hours.join(","),
-            ratios.join(","),
-            bits.join(","),
-        ));
+        let aggs = &campaign.aggregates;
+        let models = Seq(campaign.models.iter().map(|m| m.name()));
+        let hours = Seq(aggs.iter().map(|a| Fixed(a.total_hours.mean(), 6)));
+        let ratios = Seq(aggs.iter().map(|a| Fixed(a.ft_ratio_pooled(), 6)));
+        let bits = Seq(aggs.iter().map(|a| Hex(a.total_hours.mean().to_bits())));
+        out.push_str("CELL_JSON ");
+        json::object(&mut out, |o| {
+            o.field("label", &grid.labels[i])
+                .field("pruned", grid.analytic_verdicts[i].is_some())
+                .field("models", models)
+                .field("runs", grid.cell_runs[i])
+                .field("ci_rel", Fixed(grid.cell_ci_rel[i], 6))
+                .field("total_hours", hours)
+                .field("ft_ratio", ratios)
+                .field("hours_bits", bits);
+        });
+        out.push('\n');
     }
     out.push_str(&format!(
-        "SERVICE_JSON {}\n",
-        outcome.meta_json(&escape(&req.name))
+        "SERVICE_JSON {}\nDIGEST {}\nOK\n",
+        outcome.meta_json(&req.name),
+        grid_digest(grid).hex()
     ));
-    out.push_str(&format!("DIGEST {}\n", grid_digest(grid).hex()));
-    out.push_str("OK\n");
     Ok(out)
 }
 

@@ -27,9 +27,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use pckpt_core::obs::json;
 use pckpt_core::{
-    campaign_fingerprints, run_grid_filtered, run_grid_with_cell_sink, splice_pruned,
-    AnalyticVerdict, CampaignResult, Fingerprint, GridCell, GridResult, Knobs, RunnerConfig,
+    campaign_fingerprints, prefilter_split, run_grid_filtered, run_grid_with_cell_sink,
+    Fingerprint, GridCell, GridResult, Knobs, PoolCounts, RunnerConfig,
 };
 use pckpt_failure::LeadTimeModel;
 
@@ -106,8 +107,6 @@ pub struct ServiceMeta {
     pub journal_recovered: u64,
     /// Cells appended to the journal by this request.
     pub journal_appended: u64,
-    /// Cells answered analytically (never simulated, never cached).
-    pub pruned: u64,
     /// Whether the request bypassed the reuse layers entirely
     /// (adaptive allocation).
     pub uncached: bool,
@@ -122,25 +121,24 @@ pub struct ServiceOutcome {
 }
 
 impl ServiceOutcome {
-    /// The grid's `meta_json` with the service accounting fields
-    /// injected (same object, extra keys), e.g.
+    /// One JSON object: the grid's metadata members
+    /// ([`GridResult::write_meta`]), then the service accounting, e.g.
     /// `..,"cache_hits":3,"cache_misses":1,..,"uncached":false}`.
+    /// `service_pruned` repeats the grid's `prefilter_pruned`.
     pub fn meta_json(&self, name: &str) -> String {
-        let base = self.grid.meta_json(name);
-        let open = base.strip_suffix('}').unwrap_or(&base);
-        format!(
-            "{open},\"cache_hits\":{},\"cache_misses\":{},\"coalesced\":{},\
-             \"computed_cells\":{},\"journal_recovered\":{},\"journal_appended\":{},\
-             \"service_pruned\":{},\"uncached\":{}}}",
-            self.meta.cache_hits,
-            self.meta.cache_misses,
-            self.meta.coalesced,
-            self.meta.computed_cells,
-            self.meta.journal_recovered,
-            self.meta.journal_appended,
-            self.meta.pruned,
-            self.meta.uncached,
-        )
+        let mut s = String::new();
+        json::object(&mut s, |o| {
+            self.grid.write_meta(o, name);
+            o.field("cache_hits", self.meta.cache_hits)
+                .field("cache_misses", self.meta.cache_misses)
+                .field("coalesced", self.meta.coalesced)
+                .field("computed_cells", self.meta.computed_cells)
+                .field("journal_recovered", self.meta.journal_recovered)
+                .field("journal_appended", self.meta.journal_appended)
+                .field("service_pruned", self.grid.cells_pruned)
+                .field("uncached", self.meta.uncached);
+        });
+        s
     }
 }
 
@@ -208,7 +206,6 @@ impl Service {
             // addressable. Run uncached.
             let grid = run_grid_filtered(&req.cells, &self.leads, &req.config, req.prefilter.as_ref());
             let meta = ServiceMeta {
-                pruned: grid.cells_pruned as u64,
                 computed_cells: grid.cells_simulated() as u64,
                 uncached: true,
                 ..ServiceMeta::default()
@@ -217,25 +214,12 @@ impl Service {
         }
 
         let config = &req.config;
-        let leads_digest = self.leads.digest();
-        let verdicts: Vec<Option<AnalyticVerdict>> = match req.prefilter.as_ref() {
-            Some(pf) => req.cells.iter().map(|c| pf.cell_verdict(c, &self.leads)).collect(),
-            None => vec![None; req.cells.len()],
-        };
-        let survivors: Vec<GridCell> = req
-            .cells
-            .iter()
-            .zip(&verdicts)
-            .filter(|(_, v)| v.is_none())
-            .map(|(c, _)| c.clone())
-            .collect();
-        let mut meta = ServiceMeta {
-            pruned: (req.cells.len() - survivors.len()) as u64,
-            ..ServiceMeta::default()
-        };
+        let prefilter = req.prefilter.as_ref();
+        let (verdicts, survivors) = prefilter_split(&req.cells, &self.leads, prefilter);
+        let mut meta = ServiceMeta::default();
 
         let (fps, campaign_fp) =
-            campaign_fingerprints(&survivors, leads_digest, config, req.prefilter.as_ref());
+            campaign_fingerprints(&survivors, self.leads.digest(), config, prefilter);
 
         // Serialize identical concurrent campaigns on their journal.
         let lock = self.campaign_lock(campaign_fp);
@@ -296,10 +280,11 @@ impl Service {
             }
         }
 
-        // Compute everything this request leads as one pooled grid.
-        let mut computed_grid: Option<GridResult> = None;
+        // Compute everything this request leads as one pooled grid. The
+        // grid reports the execution counts of the first pool it ran.
+        let mut pool: Option<PoolCounts> = None;
         if !to_compute.is_empty() {
-            computed_grid = Some(self.compute_batch(
+            pool = Some(self.compute_batch(
                 &survivors,
                 &fps,
                 &to_compute,
@@ -326,7 +311,7 @@ impl Service {
                     Claim::Pending => continue,
                     Claim::Leader => {
                         let solo = [i];
-                        let grid = self.compute_batch(
+                        let counts = self.compute_batch(
                             &survivors,
                             &fps,
                             &solo,
@@ -335,64 +320,32 @@ impl Service {
                             &mut resolved,
                             &mut meta,
                         )?;
-                        if computed_grid.is_none() {
-                            computed_grid = Some(grid);
-                        }
+                        pool.get_or_insert(counts);
                         break;
                     }
                 }
             }
         }
 
-        // Assemble the survivor grid from the folds, in canonical order.
-        let threads = computed_grid
-            .as_ref()
-            .map(|g| g.threads)
-            .unwrap_or_else(|| config.effective_threads_for(0));
-        let mut campaigns = Vec::with_capacity(survivors.len());
-        let mut cell_ci_rel = Vec::with_capacity(survivors.len());
-        for (i, fold) in resolved.iter().enumerate() {
-            let (campaign, ci) = fold
-                .as_deref()
-                .ok_or_else(|| format!("cell {i} unresolved after compute/wait"))?;
-            campaigns.push(CampaignResult {
-                threads,
-                ..campaign.clone()
-            });
-            cell_ci_rel.push(*ci);
-        }
-
-        let simulated = if survivors.is_empty() {
-            None
-        } else {
-            let lanes: usize = survivors.iter().map(|c| c.models.len()).sum();
-            Some(GridResult {
-                cells: campaigns,
-                labels: survivors.iter().map(|c| c.label.clone()).collect(),
-                runs_per_cell: config.runs,
-                cell_runs: vec![config.runs; survivors.len()],
-                cell_ci_rel,
-                threads,
-                trace_groups: computed_grid.as_ref().map_or(0, |g| g.trace_groups),
-                lanes,
-                units: computed_grid.as_ref().map_or(0, |g| g.units),
-                trace_generations: computed_grid.as_ref().map_or(0, |g| g.trace_generations),
-                trace_reuses: computed_grid.as_ref().map_or(0, |g| g.trace_reuses),
-                leads_digest,
-                analytic_verdicts: vec![None; survivors.len()],
-                cells_pruned: 0,
-                shard_meta: None,
+        // Hand the folds, in survivor order, to the core's grid assembly.
+        let folds = resolved
+            .iter()
+            .enumerate()
+            .map(|(i, fold)| {
+                let (campaign, ci) = fold
+                    .as_deref()
+                    .ok_or_else(|| format!("cell {i} unresolved after compute/wait"))?;
+                Ok((campaign.clone(), *ci, config.runs))
             })
-        };
-
-        let grid = splice_pruned(&req.cells, &self.leads, config, verdicts, simulated);
+            .collect::<Result<Vec<_>, String>>()?;
+        let grid = GridResult::assemble(&req.cells, &self.leads, config, verdicts, folds, pool);
         Ok(ServiceOutcome { grid, meta })
     }
 
     /// Runs the `indices` subset of `survivors` as one pooled grid,
     /// journaling, caching, and publishing each cell's fold record as
-    /// the grid folds the cell, and resolving the cell to its fold. The
-    /// returned grid keeps the execution accounting.
+    /// the grid folds the cell, and resolving the cell to its fold.
+    /// Returns the pool's execution counts.
     #[allow(clippy::too_many_arguments)]
     fn compute_batch(
         &self,
@@ -403,7 +356,7 @@ impl Service {
         mut journal: Option<&mut Journal>,
         resolved: &mut [Option<Arc<Fold>>],
         meta: &mut ServiceMeta,
-    ) -> Result<GridResult, String> {
+    ) -> Result<PoolCounts, String> {
         let subset: Vec<GridCell> = indices.iter().map(|&i| survivors[i].clone()).collect();
         let mut guard = LeaderGuard::new(
             &self.flight,
@@ -443,6 +396,6 @@ impl Service {
         }
         meta.computed_cells += indices.len() as u64;
         meta.journal_appended += appended;
-        Ok(grid)
+        Ok(grid.pool_counts())
     }
 }

@@ -19,11 +19,18 @@
 //!    recordings ([`diff_report`]) that turns "campaign digest mismatch"
 //!    into "these two runs first diverged *here*".
 //!
+//! [`json`] is the one JSON writer every report line goes through, here
+//! and in the crates above (the grid and service metadata, `CELL_JSON`).
+//!
 //! The crate deliberately has no dependencies (not even on `desim`):
 //! sim-time crosses the boundary as raw nanoseconds, so any layer of the
 //! stack can report into it without cycles.
 
 use std::sync::{Arc, Mutex};
+
+pub mod json;
+
+use json::{Arr, Fixed, Obj, Seq, Writer};
 
 /// Sentinel parent id for records with no causal parent (e.g. the events
 /// scheduled before the simulation loop starts).
@@ -186,34 +193,43 @@ impl Recording {
         format!("{:016x}", self.digest())
     }
 
-    /// Serializes the recording as Chrome-trace JSON (instant events,
-    /// microsecond timestamps). Load in `chrome://tracing` or
-    /// [ui.perfetto.dev](https://ui.perfetto.dev).
+    /// Serializes the recording as one line of Chrome-trace JSON
+    /// (instant events, microsecond timestamps). Load in
+    /// `chrome://tracing` or [ui.perfetto.dev](https://ui.perfetto.dev).
     pub fn to_chrome_trace(&self, label: &str) -> String {
-        let mut s = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        s.push_str(&format!(
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"{label}\"}}}}"
-        ));
-        for r in &self.records {
-            let parent = if r.parent == NO_PARENT {
-                -1
-            } else {
-                r.parent as i64
-            };
-            s.push_str(",\n");
-            s.push_str(&format!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"s\":\"t\",\"ts\":{:.3},\
-                 \"name\":\"{}\",\"args\":{{\"seq\":{},\"parent\":{parent},\
-                 \"a\":{},\"b\":{}}}}}",
-                r.t as f64 / 1_000.0,
-                kind::name(r.kind),
-                r.seq,
-                r.a,
-                r.b,
-            ));
-        }
-        s.push_str("\n]}\n");
+        let process = Obj(|m| {
+            m.field("ph", "M").field("pid", 1u64).field("tid", 1u64);
+            let args = Obj(|a| {
+                a.field("name", label);
+            });
+            m.field("name", "process_name").field("args", args);
+        });
+        let events = Arr(|events| {
+            events.item(process);
+            for r in &self.records {
+                let parent = if r.parent == NO_PARENT {
+                    -1
+                } else {
+                    r.parent as i64
+                };
+                let args = Obj(|a| {
+                    a.field("seq", r.seq).field("parent", parent);
+                    a.field("a", r.a).field("b", r.b);
+                });
+                events.item(Obj(|e| {
+                    e.field("ph", "i").field("pid", 1u64).field("tid", 1u64);
+                    e.field("s", "t");
+                    e.field("ts", Fixed(r.t as f64 / 1_000.0, 3));
+                    e.field("name", kind::name(r.kind)).field("args", args);
+                }));
+            }
+        });
+        let mut s = String::new();
+        json::object(&mut s, |top| {
+            top.field("displayTimeUnit", "ms");
+            top.field("traceEvents", events);
+        });
+        s.push('\n');
         s
     }
 
@@ -554,15 +570,6 @@ impl FixedHist {
         &self.buckets
     }
 
-    /// Inclusive lower bound of bucket `i`.
-    pub fn bucket_lo(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            1u64 << (i - 1)
-        }
-    }
-
     /// Adds another histogram's counts into this one.
     pub fn merge(&mut self, other: &FixedHist) {
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
@@ -638,26 +645,13 @@ impl FixedHist {
         Ok(())
     }
 
-    /// Appends `{"count":..,"mean":..,"buckets":[[i,n],..]}` (sparse:
-    /// only non-empty buckets) to `out`.
-    fn json_into(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"count\":{},\"mean\":{:.1},\"buckets\":[",
-            self.count(),
-            self.mean()
-        ));
-        let mut first = true;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("[{i},{n}]"));
-        }
-        out.push_str("]}");
+    /// Writes `"count":..,"mean":..,"buckets":[[i,n],..]` (sparse: only
+    /// non-empty buckets) into the open object `o`.
+    fn write_json(&self, o: &mut Writer) {
+        o.field("count", self.count())
+            .field("mean", Fixed(self.mean(), 1));
+        let buckets = self.buckets.iter().enumerate().filter(|(_, &n)| n != 0);
+        o.field("buckets", Seq(buckets.map(|(i, &n)| Seq([i as u64, n]))));
     }
 }
 
@@ -825,102 +819,30 @@ impl ObsAggregate {
     /// `[log2-index, count]` pairs with bucket `i` covering
     /// `[2^(i-1), 2^i)` ns.
     pub fn to_json(&self, name: &str) -> String {
-        let mut s = format!(
-            "{{\"name\":\"{name}\",\"runs\":{},\"events_handled\":{},\
-             \"events_scheduled\":{},\"events_per_run\":{:.1},\
-             \"queue_depth_hwm\":{}",
-            self.runs,
-            self.events_handled,
-            self.events_scheduled,
-            self.events_per_run(),
-            self.queue_depth_hwm,
-        );
-        for (key, hist) in [
-            ("lat_bb_ns", &self.lat_bb),
-            ("lat_phase1_ns", &self.lat_phase1),
-            ("lat_pfs_full_ns", &self.lat_pfs_full),
-            ("recomp_ns", &self.recomp),
-        ] {
-            s.push_str(&format!(",\"{key}\":"));
-            hist.json_into(&mut s);
-        }
-        s.push('}');
+        let mut s = String::new();
+        json::object(&mut s, |o| {
+            o.field("name", name)
+                .field("runs", self.runs)
+                .field("events_handled", self.events_handled)
+                .field("events_scheduled", self.events_scheduled)
+                .field("events_per_run", Fixed(self.events_per_run(), 1))
+                .field("queue_depth_hwm", self.queue_depth_hwm);
+            for (key, hist) in [
+                ("lat_bb_ns", &self.lat_bb),
+                ("lat_phase1_ns", &self.lat_phase1),
+                ("lat_pfs_full_ns", &self.lat_pfs_full),
+                ("recomp_ns", &self.recomp),
+            ] {
+                o.field(key, Obj(|h| hist.write_json(h)));
+            }
+        });
         s
     }
-}
-
-/// One cell's run-allocation observability record: how many Monte-Carlo
-/// runs the sweep actually spent on the cell and the relative CI
-/// half-width it attained on the primary metric. Fixed-run sweeps report
-/// a uniform count; adaptive sweeps (`PCKPT_RUNS=auto`) report the
-/// per-cell counts the stopping rule settled on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellAllocation {
-    /// Cell display label.
-    pub label: String,
-    /// Runs executed for this cell (0 when answered analytically).
-    pub runs: usize,
-    /// Attained relative CI half-width of the cell's primary metric
-    /// under the estimator the sweep used (0 when not statable).
-    pub ci_rel: f64,
-}
-
-/// Renders per-cell run allocations as a one-line `METRICS_JSON`-style
-/// document: total/min/max run counts, the worst attained relative CI,
-/// and the per-cell `[label, runs, ci_rel]` rows.
-pub fn allocation_json(name: &str, cells: &[CellAllocation]) -> String {
-    let total: usize = cells.iter().map(|c| c.runs).sum();
-    let executed: Vec<&CellAllocation> = cells.iter().filter(|c| c.runs > 0).collect();
-    let min = executed.iter().map(|c| c.runs).min().unwrap_or(0);
-    let max = executed.iter().map(|c| c.runs).max().unwrap_or(0);
-    let worst = cells.iter().map(|c| c.ci_rel).fold(0.0, f64::max);
-    let mut s = format!(
-        "{{\"name\":\"{name}\",\"total_runs\":{total},\"runs_min\":{min},\
-         \"runs_max\":{max},\"worst_ci_rel\":{worst:.6},\"cells\":["
-    );
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "[\"{}\",{},{:.6}]",
-            c.label, c.runs, c.ci_rel
-        ));
-    }
-    s.push_str("]}");
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allocation_json_reports_totals_and_rows() {
-        let cells = [
-            CellAllocation {
-                label: "POP@1.5".into(),
-                runs: 64,
-                ci_rel: 0.008,
-            },
-            CellAllocation {
-                label: "POP@0.5".into(),
-                runs: 256,
-                ci_rel: 0.010,
-            },
-            CellAllocation {
-                label: "pruned".into(),
-                runs: 0,
-                ci_rel: 0.0,
-            },
-        ];
-        let j = allocation_json("adaptive_pop", &cells);
-        assert!(j.contains("\"total_runs\":320"), "{j}");
-        assert!(j.contains("\"runs_min\":64"), "{j}");
-        assert!(j.contains("\"runs_max\":256"), "{j}");
-        assert!(j.contains("\"worst_ci_rel\":0.010000"), "{j}");
-        assert!(j.contains("[\"POP@0.5\",256,0.010000]"), "{j}");
-    }
 
     #[test]
     fn hist_bucket_edges() {
@@ -937,9 +859,6 @@ mod tests {
         assert_eq!(h.buckets()[3], 1);
         assert_eq!(h.buckets()[63], 1);
         assert_eq!(h.count(), 6);
-        assert_eq!(FixedHist::bucket_lo(0), 0);
-        assert_eq!(FixedHist::bucket_lo(1), 1);
-        assert_eq!(FixedHist::bucket_lo(3), 4);
     }
 
     #[test]

@@ -323,18 +323,6 @@ impl StratifiedSummary {
         }
     }
 
-    /// Creates a stratified summary with explicit stratum weights
-    /// (must sum to ≈ 1).
-    pub fn with_weights(weights: Vec<f64>) -> Self {
-        assert!(!weights.is_empty(), "at least one stratum");
-        let total: f64 = weights.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "weights must sum to 1");
-        Self {
-            strata: vec![Summary::new(); weights.len()],
-            weights,
-        }
-    }
-
     /// Adds one observation to stratum `j`.
     pub fn push(&mut self, j: usize, x: f64) {
         self.strata[j].push(x);

@@ -1,52 +1,18 @@
-//! `pckpt-workloads` — HPC application characteristics and platform models.
+//! `pckpt-workloads` — HPC application characteristics.
 //!
 //! Table I of the paper lists the six real-world applications the
 //! evaluation simulates, with checkpoint sizes already rescaled from their
 //! original OLCF-Titan characterization to Summit via Eq. (3)
-//! (DRAM-proportional scaling). This crate carries that table, the scaling
-//! rule itself, and the platform parameter sets (node counts, DRAM sizes)
-//! the rule needs.
+//! (DRAM-proportional scaling: Titan's 32 GB per node to Summit's
+//! 512 GB). This crate carries that table with the sizes stored as
+//! scaled; a unit test checks that reversing Eq. (3) puts every
+//! application's per-node size within Titan's DRAM.
 
 #![warn(missing_docs)]
 
 pub mod app;
-pub mod platform;
 
 pub use app::{Application, TABLE_I};
-pub use platform::Platform;
 
 /// One gigabyte in bytes (decimal, consistently with `pckpt-ioperf`).
 pub const GB: f64 = 1e9;
-
-/// Rescales a checkpoint size between platforms (Eq. 3):
-/// `new = old · (nodes_new · dram_new) / (nodes_old · dram_old)`.
-///
-/// The rationale: these applications size their state to the memory
-/// available to them, so moving a job to a machine with more DRAM per node
-/// (Titan 32 GB → Summit 512 GB) grows its checkpoint proportionally.
-pub fn scale_checkpoint_size(
-    old_size: f64,
-    old_nodes: u64,
-    old_dram_per_node: f64,
-    new_nodes: u64,
-    new_dram_per_node: f64,
-) -> f64 {
-    assert!(old_size >= 0.0 && old_nodes > 0 && new_nodes > 0);
-    assert!(old_dram_per_node > 0.0 && new_dram_per_node > 0.0);
-    old_size * (new_nodes as f64 * new_dram_per_node) / (old_nodes as f64 * old_dram_per_node)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn eq3_identity_and_proportionality() {
-        // Same platform → unchanged.
-        assert_eq!(scale_checkpoint_size(100.0, 10, 32.0, 10, 32.0), 100.0);
-        // Doubling DRAM doubles the checkpoint.
-        assert_eq!(scale_checkpoint_size(100.0, 10, 32.0, 10, 64.0), 200.0);
-        // Titan→Summit at equal node count: ×16 (32 GB → 512 GB).
-        assert_eq!(scale_checkpoint_size(1.0, 5, 32.0, 5, 512.0), 16.0);
-    }
-}

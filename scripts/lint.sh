@@ -55,17 +55,21 @@ print("bench smoke ok (fig4: 45 runs, {} events handled, {:.3f} per BB checkpoin
 
 echo "== bench smoke (1-run grid + prefilter + VR) =="
 # One-run grid sweep: the grid METRICS_JSON must carry the analytic
-# pre-filter accounting (pruned + simulated == cells on every grid), the
-# POP crossover sweep must actually prune at least half its cells, and
-# the variance-reduction headline (which runs at its own fixed budgets,
+# pre-filter accounting (pruned + simulated == cells on every grid), every
+# X_alloc line must report the run totals of its X_grid line, the POP
+# crossover sweep must actually prune at least half its cells, and the
+# variance-reduction headline (which runs at its own fixed budgets,
 # independent of PCKPT_RUNS) must beat fixed provisioning.
 PCKPT_RUNS=1 cargo run --release -q -p pckpt-bench --bin bench_grid \
     | python3 -c '
 import json, sys
 grids = prefilter = vr = 0
+metrics = {}
 for line in sys.stdin:
-    if line.startswith("METRICS_JSON ") and "\"prefilter_pruned\"" in line:
+    if line.startswith("METRICS_JSON "):
         rec = json.loads(line[len("METRICS_JSON "):])
+        metrics[rec["name"]] = rec
+    if line.startswith("METRICS_JSON ") and "\"prefilter_pruned\"" in line:
         assert rec["prefilter_pruned"] + rec["prefilter_simulated"] == rec["cells"], rec
         grids += 1
     if line.startswith("GRID_JSON "):
@@ -81,15 +85,23 @@ for line in sys.stdin:
 assert grids == 5, f"expected 5 grid METRICS_JSON lines, saw {grids}"
 assert prefilter == 1, "missing grid_prefilter_pop GRID_JSON line"
 assert vr == 1, "missing variance_reduction_fig4 GRID_JSON line"
-print("grid smoke ok (5 grids, prefilter prunes >= 50%, VR speedup > 1.5x)")
+allocs = [n for n in metrics if n.endswith("_alloc")]
+assert "variance_reduction_fig4_alloc" in allocs, f"missing the VR alloc line: {sorted(metrics)}"
+for name in allocs:
+    alloc, grid = metrics[name], metrics[name[:-len("_alloc")] + "_grid"]
+    for key in ("total_runs", "runs_min", "worst_ci_rel"):
+        assert alloc[key] == grid[key], (key, alloc, grid)
+print("grid smoke ok (5 grids, alloc lines match their grids, prefilter prunes >= 50%, "
+      "VR speedup > 1.5x)")
 '
 
 echo "== bench smoke (1-run campaign service: cache + journal) =="
 # One-run pass through the campaign service bench: cold compute, warm
 # content-addressed replay, torn-journal resume, full-journal replay.
 # Asserts the cache accounting reaches meta_json (cache_hits covers the
-# whole warm sweep, zero cells simulated, uncached=false) and that both
-# GRID_JSON lines report digest-identical replays. No speedup floor at
+# whole warm sweep, zero cells simulated, uncached=false, service_pruned
+# equal to the grid's prefilter_pruned) and that both GRID_JSON lines
+# report digest-identical replays. No speedup floor at
 # smoke budgets — bench_service only asserts >= 50x at real budgets.
 PCKPT_RUNS=1 cargo run --release -q -p pckpt-bench --bin bench_service \
     | python3 -c '
@@ -101,6 +113,7 @@ for line in sys.stdin:
         assert rec["name"] == "service_fig4_grid", rec
         assert rec["cache_hits"] + rec["journal_recovered"] == rec["cells"], rec
         assert rec["computed_cells"] == 0 and rec["uncached"] is False, rec
+        assert rec["service_pruned"] == rec["prefilter_pruned"], rec
         metrics += 1
     if line.startswith("GRID_JSON "):
         rec = json.loads(line[len("GRID_JSON "):])

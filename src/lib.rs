@@ -36,7 +36,7 @@
 //! | [`desim`] | `pckpt-desim` | discrete-event simulation engine |
 //! | [`ioperf`] | `pckpt-ioperf` | Summit-style I/O performance model |
 //! | [`failure`] | `pckpt-failure` | failure generation, chain mining, prediction |
-//! | [`workloads`] | `pckpt-workloads` | Table-I applications and platforms |
+//! | [`workloads`] | `pckpt-workloads` | Table-I applications |
 //! | [`core`] | `pckpt-core` | the five C/R models and the p-ckpt protocol |
 //! | [`analysis`] | `pckpt-analysis` | Eqs. 4–8 and report rendering |
 //!
@@ -67,7 +67,7 @@ pub mod prelude {
     };
     pub use pckpt_ioperf::IoHierarchy;
     pub use pckpt_simrng::SimRng;
-    pub use pckpt_workloads::{Application, Platform, TABLE_I};
+    pub use pckpt_workloads::{Application, TABLE_I};
 }
 
 #[cfg(test)]
