@@ -9,7 +9,7 @@
 //! ### State machine
 //!
 //! ```text
-//!            CkptDue                     BbWriteDone
+//!          checkpoint due                BbWriteDone
 //! Computing ─────────► BbCkpt ──────────────────────────► Computing
 //!     │  prediction (P1/P2, short lead)                       ▲
 //!     ├────────────► Round (phase 1 ► phase 2) ───────────────┤
@@ -22,6 +22,13 @@
 //! Live migration runs *concurrently* with any state (the application
 //! keeps executing at a small slowdown); a p-ckpt round aborts in-flight
 //! migrations per the Fig. 5 state diagram.
+//!
+//! Two transitions cost no queue event. A computing segment that ends in
+//! a periodic checkpoint queues only that checkpoint's `BbWriteDone`; the
+//! checkpoint's start (Computing → BbCkpt) is an instant that
+//! [`Model::handle`] settles before the first event it precedes (see
+//! [`CrSim::segment_queued_before`]). The analytic BB→PFS drain's
+//! completion is settled the same way (see [`CrSim::drain_queued_before`]).
 //!
 //! ### Accounting invariant
 //!
@@ -75,9 +82,7 @@ pub fn state_name(code: u64) -> &'static str {
 /// Events of the C/R simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Ev {
-    /// Periodic checkpoint is due (epoch-guarded).
-    CkptDue(u32),
-    /// The synchronous BB write finished (epoch-guarded).
+    /// The synchronous BB write finished (epoch- and state-guarded).
     BbWriteDone(u32),
     /// All useful work is done (epoch-guarded).
     WorkComplete(u32),
@@ -96,9 +101,10 @@ pub enum Ev {
     Phase2Done(u32),
     /// Recovery finished (epoch-guarded).
     RecoveryDone(u32),
-    /// A fluid-mode PFS transfer may have completed (stamped with the
-    /// fluid link's epoch; stale ticks are dropped).
-    PfsTick(u64),
+    /// A fluid-mode PFS transfer may have completed: the fluid link's
+    /// epoch (stale ticks are dropped) and the tick's serial, which tells
+    /// whether it was queued before the pending checkpoint's segment.
+    PfsTick(u64, u64),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -139,8 +145,11 @@ pub struct CrSim {
     theta: f64,
     sigma: f64,
     /// The BB write time, converted to clock nanoseconds once; each
-    /// periodic checkpoint schedules its `BbWriteDone` this far ahead.
+    /// periodic checkpoint's `BbWriteDone` pops this long after its start.
     bb_write_dur: SimDuration,
+    /// `bb_write_dur` in seconds: what each BB write adds to the
+    /// checkpoint bucket.
+    bb_write_secs: f64,
     /// The analytic BB→PFS drain time, converted to clock nanoseconds once;
     /// each periodic checkpoint adds it to `now` to arm its drain.
     drain_dur: SimDuration,
@@ -156,7 +165,22 @@ pub struct CrSim {
 
     // Periodic checkpointing.
     oci_secs: f64,
+    /// The failure-rate estimate `oci_secs` was computed from: the OCI is
+    /// recomputed only when the estimate's bits change.
+    oci_rate: f64,
+    /// The prior failure rate, which `oci0` was computed from.
+    prior_rate: f64,
     next_ckpt_work: f64,
+    /// When the pending computing segment's periodic checkpoint starts;
+    /// `None` when the segment ends in `WorkComplete` or no segment is
+    /// pending. [`Model::handle`] settles it (see
+    /// [`CrSim::settle_checkpoint`]), so it costs no queue event.
+    ckpt_due_at: Option<SimTime>,
+    /// `pfs_ticks` when the pending checkpoint's segment began: a
+    /// `PfsTick` with a serial at or below it was queued before it.
+    ckpt_tick_mark: u64,
+    /// `PfsTick`s queued this run; the latest one's serial.
+    pfs_ticks: u64,
     inflight_bb_level: f64,
     /// When the analytic BB→PFS drain of `drain_level` completes; `None`
     /// when no drain is pending. [`Model::handle`] settles it (see
@@ -254,6 +278,7 @@ impl CrSim {
         let oci0 = Self::compute_oci(&params, t_bb_write, prior_rate, sigma);
         let drain_nodes = params.drain_concurrency.min(n);
         let failure_count = trace.failures.len();
+        let bb_write_dur = SimDuration::from_secs(t_bb_write);
         Self {
             t_bb_write,
             t_bb_read: io.bb.read_secs(per_node),
@@ -263,7 +288,8 @@ impl CrSim {
             t_barrier: io.net.collective_secs(n as usize),
             theta,
             sigma,
-            bb_write_dur: SimDuration::from_secs(t_bb_write),
+            bb_write_dur,
+            bb_write_secs: bb_write_dur.as_secs(),
             drain_dur: SimDuration::from_secs(
                 n as f64 * per_node / io.pfs.aggregate_write_bw(drain_nodes, per_node),
             ),
@@ -275,7 +301,12 @@ impl CrSim {
             seg_start: SimTime::ZERO,
             seg_rate: 1.0,
             oci_secs: oci0,
+            oci_rate: prior_rate,
+            prior_rate,
             next_ckpt_work: oci0,
+            ckpt_due_at: None,
+            ckpt_tick_mark: 0,
+            pfs_ticks: 0,
             inflight_bb_level: 0.0,
             drain_done_at: None,
             drain_lm_mark: 0,
@@ -340,7 +371,11 @@ impl CrSim {
         self.seg_start = SimTime::ZERO;
         self.seg_rate = 1.0;
         self.oci_secs = self.oci0;
+        self.oci_rate = self.prior_rate;
         self.next_ckpt_work = self.oci0;
+        self.ckpt_due_at = None;
+        self.ckpt_tick_mark = 0;
+        self.pfs_ticks = 0;
         self.inflight_bb_level = 0.0;
         self.drain_done_at = None;
         self.drain_lm_mark = 0;
@@ -405,12 +440,29 @@ impl CrSim {
     // ------------------------------------------------------------------
 
     /// Reschedules the completion tick after any fluid mutation.
+    ///
+    /// A tick queued while a checkpoint is pending lands behind that
+    /// checkpoint's `BbWriteDone`, which the segment queued when it
+    /// began. While the checkpoint's start was a queued event, the write
+    /// was queued only at the start, behind such a tick. So a tick that
+    /// lands on the write's own nanosecond re-queues the write behind it
+    /// under a fresh epoch, and a drain completing there still completes
+    /// before the write supersedes it. (Only the drain can be in flight
+    /// while computing.)
     fn fluid_reschedule(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let Some(fluid) = self.fluid.as_ref() else {
             return;
         };
-        if let Some(at) = fluid.next_completion(ctx.now()) {
-            ctx.schedule_uncancellable_at(at.max(ctx.now()), Ev::PfsTick(fluid.epoch()));
+        let Some(at) = fluid.next_completion(ctx.now()) else {
+            return;
+        };
+        let at = at.max(ctx.now());
+        let epoch = fluid.epoch();
+        self.pfs_ticks += 1;
+        ctx.schedule_uncancellable_at(at, Ev::PfsTick(epoch, self.pfs_ticks));
+        if self.ckpt_due_at.is_some_and(|due| at == due + self.bb_write_dur) {
+            self.epoch += 1;
+            ctx.schedule_uncancellable_at(at, Ev::BbWriteDone(self.epoch));
         }
     }
 
@@ -562,14 +614,6 @@ impl CrSim {
     // Compute-segment bookkeeping.
     // ------------------------------------------------------------------
 
-    fn current_rate(&self) -> f64 {
-        if self.active_lms.is_empty() {
-            1.0
-        } else {
-            1.0 - self.p.lm_slowdown
-        }
-    }
-
     fn close_segment(&mut self, now: SimTime) {
         debug_assert_eq!(self.state, AppState::Computing);
         let dt = now.since(self.seg_start).as_secs();
@@ -581,28 +625,38 @@ impl CrSim {
     /// Opens a computing segment and schedules the one event that ends it.
     ///
     /// A segment ends at the first work threshold it reaches: the next
-    /// periodic checkpoint (`CkptDue`) or the end of the job
-    /// (`WorkComplete`). Either handler bumps the epoch (`on_ckpt_due`
-    /// through `leave_state`), so the later threshold could only ever pop
-    /// as an epoch-stale no-op and is not scheduled at all. `CkptDue` is
-    /// chosen only when its rounded delay is strictly shorter: at a tie
-    /// `WorkComplete` wins, as it did when both were scheduled and it
-    /// held the lower seq. Rate changes and failures still supersede the
-    /// pending event through the epoch.
+    /// periodic checkpoint or the end of the job (`WorkComplete`). Either
+    /// ends the segment, so the later threshold is never scheduled. The
+    /// checkpoint is chosen only when its rounded delay is strictly
+    /// shorter: at a tie `WorkComplete` wins, as it did when both were
+    /// scheduled and it held the lower seq. A checkpoint's start is not
+    /// an event: the segment records it in `ckpt_due_at`, for `handle` to
+    /// settle, and queues the checkpoint's `BbWriteDone` at the instant
+    /// the write completes. Rate changes and failures supersede both
+    /// through the epoch, and `leave_state`/`rate_changed` clear or
+    /// replace `ckpt_due_at`.
     fn schedule_compute_events(&mut self, ctx: &mut Ctx<'_, Ev>) {
         debug_assert_eq!(self.state, AppState::Computing);
-        self.seg_start = ctx.now();
-        self.seg_rate = self.current_rate();
-        let rate = self.seg_rate;
-        let to_target = SimDuration::from_secs((self.target - self.work_done).max(0.0) / rate);
+        let now = ctx.now();
+        self.seg_start = now;
+        // Full speed unless a migration is in flight; x / 1.0 == x, so the
+        // division is skipped there.
+        let full_speed = self.active_lms.is_empty();
+        let rate = if full_speed { 1.0 } else { 1.0 - self.p.lm_slowdown };
+        self.seg_rate = rate;
+        let span = |work: f64| SimDuration::from_secs(if full_speed { work } else { work / rate });
+        let to_target = span((self.target - self.work_done).max(0.0));
         if self.next_ckpt_work < self.target {
-            let to_ckpt =
-                SimDuration::from_secs((self.next_ckpt_work - self.work_done).max(0.0) / rate);
+            let to_ckpt = span((self.next_ckpt_work - self.work_done).max(0.0));
             if to_ckpt < to_target {
-                ctx.schedule_uncancellable_in(to_ckpt, Ev::CkptDue(self.epoch));
+                let at = now + to_ckpt;
+                self.ckpt_due_at = Some(at);
+                self.ckpt_tick_mark = self.pfs_ticks;
+                ctx.schedule_uncancellable_at(at + self.bb_write_dur, Ev::BbWriteDone(self.epoch));
                 return;
             }
         }
+        self.ckpt_due_at = None;
         ctx.schedule_uncancellable_in(to_target, Ev::WorkComplete(self.epoch));
     }
 
@@ -621,7 +675,10 @@ impl CrSim {
     fn leave_state(&mut self, now: SimTime) {
         let dt = now.since(self.state_entered).as_secs();
         match self.state {
-            AppState::Computing => self.close_segment(now),
+            AppState::Computing => {
+                self.ckpt_due_at = None;
+                self.close_segment(now);
+            }
             AppState::BbCkpt | AppState::Round | AppState::Safeguard => {
                 self.ledger.ckpt_secs += dt;
             }
@@ -1126,78 +1183,152 @@ impl CrSim {
     // Periodic checkpointing.
     // ------------------------------------------------------------------
 
-    fn on_ckpt_due(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        debug_assert_eq!(self.state, AppState::Computing);
-        self.leave_state(ctx.now());
+    /// Starts the pending segment's periodic checkpoint at its due
+    /// instant `at`: closes the segment and enters BbCkpt there. The
+    /// segment's `BbWriteDone`, already queued under the same epoch,
+    /// completes it.
+    fn settle_checkpoint(&mut self, at: SimTime) {
+        self.ckpt_due_at = None;
+        self.close_segment(at);
         self.inflight_bb_level = self.work_done;
-        self.enter_state(ctx, AppState::BbCkpt);
-        ctx.schedule_uncancellable_in(self.bb_write_dur, Ev::BbWriteDone(self.epoch));
+        self.rec
+            .emit(at.as_nanos(), obskind::STATE, AppState::BbCkpt.code(), 0);
+        self.state = AppState::BbCkpt;
+        self.state_entered = at;
     }
 
     fn on_bb_write_done(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        let now = ctx.now();
         debug_assert_eq!(self.state, AppState::BbCkpt);
+        debug_assert_eq!(now.since(self.state_entered), self.bb_write_dur);
         self.ledger.periodic_ckpts += 1;
-        self.obs
-            .lat_bb
-            .record(ctx.now().since(self.state_entered).as_nanos());
-        self.rec.emit(ctx.now().as_nanos(), obskind::BB_CKPT, 0, 0);
+        self.obs.lat_bb.record(self.bb_write_dur.as_nanos());
+        self.rec.emit(now.as_nanos(), obskind::BB_CKPT, 0, 0);
         // Kick off (or supersede) the asynchronous drain. `handle` has
         // already settled a pending drain that was due.
         self.drain_level = self.inflight_bb_level;
         if self.fluid.is_some() {
             // Any previous drain (active or suspended) is superseded by
             // the fresher checkpoint.
-            let now = ctx.now();
             // is_some() checked by the enclosing if. simlint: allow(no-unwrap-in-lib)
             self.fluid.as_mut().expect("checked").void_drain(now);
             let bytes = self.p.app.nodes as f64 * self.p.per_node_bytes();
             let weight = self.drain_weight;
             self.fluid_start(ctx, crate::iosim::PfsOp::Drain, bytes, weight);
         } else {
-            self.drain_done_at = Some(ctx.now() + self.drain_dur);
+            self.drain_done_at = Some(now + self.drain_dur);
             self.drain_lm_mark = self.lm_seq;
         }
-        // Refresh the OCI with the windowed failure-rate estimate.
+        // Refresh the OCI with the windowed failure-rate estimate; the
+        // OCI is a function of the rate alone, so an unchanged estimate
+        // keeps it.
         if self.p.dynamic_oci {
-            let rate = self.estimator.rate(ctx.now().as_hours());
-            self.oci_secs = Self::compute_oci(&self.p, self.t_bb_write, rate, self.sigma);
+            let rate = self.estimator.rate(now.as_hours());
+            if rate.to_bits() != self.oci_rate.to_bits() {
+                self.oci_rate = rate;
+                self.oci_secs = Self::compute_oci(&self.p, self.t_bb_write, rate, self.sigma);
+            }
         }
-        self.leave_state(ctx.now());
+        // Leave BbCkpt: the state lasted exactly the write.
+        self.ledger.ckpt_secs += self.bb_write_secs;
+        self.epoch += 1;
         self.resume_computing(ctx);
     }
 
-    /// Settles the pending analytic drain, due at `at`, if a completion
-    /// event queued when the drain was armed would pop before `event`,
-    /// which pops at `now`: makes the drained checkpoint recoverable and
-    /// records `DRAIN_DONE` at the drain's own instant.
+    /// Whether `event`, popped at the pending analytic drain's instant
+    /// `at`, was queued before the drain was armed, so that a completion
+    /// event queued at the arming would pop after it.
     ///
-    /// In the queue's `(time, seq)` order such an event precedes
-    /// everything later than `at` and, at `at` itself, everything queued
-    /// after the arming (higher seq). Three kinds of event can be queued
-    /// before the arming and still be live at `at`: a `Failure` or a
-    /// `Prediction` (both from `init`), and an `LmDone` of a migration
-    /// that started before the arming (its seq is at most
+    /// In the queue's `(time, seq)` order such a completion event
+    /// precedes everything later than `at` and, at `at` itself,
+    /// everything queued after the arming (higher seq). Three kinds of
+    /// event can be queued before the arming and still be live at `at`:
+    /// a `Failure` or a `Prediction` (both from `init`), and an `LmDone`
+    /// of a migration that started before the arming (its seq is at most
     /// `drain_lm_mark`; the seq, not the epoch, guards it, so it outlives
     /// the `BbWriteDone`). They dispatch first and the drain settles
     /// before the next event; a failure voids it instead. Every other
     /// event queued before the arming is guarded by an epoch that
-    /// `on_bb_write_done` retired through `leave_state`: it dispatches as
-    /// a no-op that records nothing, so which side of the settle it falls
-    /// on cannot be observed.
-    #[inline]
-    fn settle_drain(&mut self, now: SimTime, event: &Ev) {
-        let Some(at) = self.drain_done_at else {
-            return;
-        };
-        let queued_before = |event: &Ev| match *event {
+    /// `on_bb_write_done` retired: it dispatches as a no-op that records
+    /// nothing, so which side of the settle it falls on cannot be
+    /// observed.
+    fn drain_queued_before(&self, event: &Ev) -> bool {
+        match *event {
             Ev::Failure(_) | Ev::Prediction(..) => true,
             Ev::LmDone(_, seq) => seq <= self.drain_lm_mark,
             _ => false,
-        };
-        if at < now || (at == now && !queued_before(event)) {
-            self.drain_done_at = None;
-            self.rec.emit(at.as_nanos(), obskind::DRAIN_DONE, 0, 0);
-            self.best_bb_pfs = self.best_bb_pfs.max(self.drain_level);
+        }
+    }
+
+    /// Whether `event`, popped at the pending checkpoint's due instant
+    /// `at`, was queued before the checkpoint's segment began, so that a
+    /// start event queued with the segment would pop after it.
+    ///
+    /// In `(time, seq)` order such a start event precedes everything
+    /// later than `at` and, at `at` itself, everything queued after the
+    /// segment began. Four kinds of event can be queued before the
+    /// segment and still be live at `at`:
+    /// - a `Failure` or a `Prediction`, both queued by `init`;
+    /// - an `LmDone`: a migration starts only in `start_lm`, which
+    ///   restarts a computing segment (`rate_changed`), so every
+    ///   migration in flight during a segment started before it;
+    /// - in fluid mode, a `PfsTick` with a serial at most
+    ///   `ckpt_tick_mark`. Serials grow with each queued tick, so these
+    ///   are exactly the ticks queued before the segment began. The
+    ///   link's epoch cannot tell: the tick `on_pfs_tick` queues after a
+    ///   completion handler resumed computing carries the epoch the
+    ///   segment began under.
+    ///
+    /// They dispatch first, and the checkpoint starts before the next
+    /// event unless one of them ended the segment (a failure, a
+    /// safeguard, a round) or restarted it (a migration's start or
+    /// commit, which replaces `ckpt_due_at`). Every other event queued
+    /// before the segment is guarded by an epoch that the segment's own
+    /// retired, since each segment opens under a fresh epoch: it
+    /// dispatches as a no-op that records nothing, so which side of the
+    /// settle it falls on cannot be observed.
+    fn segment_queued_before(&self, event: &Ev) -> bool {
+        match *event {
+            Ev::Failure(_) | Ev::Prediction(..) | Ev::LmDone(..) => true,
+            Ev::PfsTick(_, serial) => serial <= self.ckpt_tick_mark,
+            _ => false,
+        }
+    }
+
+    /// Completes the pending analytic drain at its instant `at`: makes
+    /// the drained checkpoint recoverable and records `DRAIN_DONE` there.
+    fn settle_drain(&mut self, at: SimTime) {
+        self.drain_done_at = None;
+        self.rec.emit(at.as_nanos(), obskind::DRAIN_DONE, 0, 0);
+        self.best_bb_pfs = self.best_bb_pfs.max(self.drain_level);
+    }
+
+    /// Settles, before `event` dispatches at `now`, each pending instant
+    /// that a queue event armed with it would have popped before `event`:
+    /// the analytic drain's completion and the periodic checkpoint's
+    /// start. When both are due, the earlier instant settles first, and
+    /// at a tie the drain, which was armed before the segment began.
+    #[inline]
+    fn settle(&mut self, now: SimTime, event: &Ev) {
+        let drain = self
+            .drain_done_at
+            .filter(|&at| at < now || (at == now && !self.drain_queued_before(event)));
+        let ckpt = self
+            .ckpt_due_at
+            .filter(|&at| at < now || (at == now && !self.segment_queued_before(event)));
+        match (drain, ckpt) {
+            (Some(d), Some(c)) if c < d => {
+                self.settle_checkpoint(c);
+                self.settle_drain(d);
+            }
+            _ => {
+                if let Some(d) = drain {
+                    self.settle_drain(d);
+                }
+                if let Some(c) = ckpt {
+                    self.settle_checkpoint(c);
+                }
+            }
         }
     }
 
@@ -1458,22 +1589,24 @@ impl Model for CrSim {
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, event: Ev) {
-        self.settle_drain(ctx.now(), &event);
+        self.settle(ctx.now(), &event);
         match event {
-            Ev::CkptDue(e) if e == self.epoch => self.on_ckpt_due(ctx),
-            Ev::BbWriteDone(e) if e == self.epoch => self.on_bb_write_done(ctx),
+            // The epoch is the segment's, so only its settled checkpoint
+            // is in BbCkpt under it.
+            Ev::BbWriteDone(e) if e == self.epoch && self.state == AppState::BbCkpt => {
+                self.on_bb_write_done(ctx)
+            }
             Ev::WorkComplete(e) if e == self.epoch => self.on_work_complete(ctx),
             Ev::SafeguardDone(e) if e == self.epoch => self.on_safeguard_done(ctx),
             Ev::Phase1WriterDone(e) if e == self.epoch => self.on_phase1_writer_done(ctx),
             Ev::Phase2Done(e) if e == self.epoch => self.on_phase2_done(ctx),
             Ev::RecoveryDone(e) if e == self.epoch => self.on_recovery_done(ctx),
-            Ev::PfsTick(epoch) => self.on_pfs_tick(ctx, epoch),
+            Ev::PfsTick(epoch, _) => self.on_pfs_tick(ctx, epoch),
             Ev::Prediction(fail_idx, fp_idx) => self.on_prediction(ctx, fail_idx, fp_idx),
             Ev::Failure(idx) => self.on_failure(ctx, idx),
             Ev::LmDone(node, seq) => self.on_lm_done(ctx, node, seq),
             // Epoch-guarded events from a superseded state: drop.
-            Ev::CkptDue(_)
-            | Ev::BbWriteDone(_)
+            Ev::BbWriteDone(_)
             | Ev::WorkComplete(_)
             | Ev::SafeguardDone(_)
             | Ev::Phase1WriterDone(_)
@@ -2482,14 +2615,14 @@ mod tests {
 
     #[test]
     fn failure_free_run_handles_no_stale_threshold_events() {
-        // Each periodic checkpoint is CkptDue + BbWriteDone, plus the
-        // drain's PfsTick in fluid mode (the analytic drain is settled
-        // without an event), and WorkComplete ends the run: nothing
-        // scheduled is left unhandled, in particular no superseded
-        // WorkComplete per segment.
+        // Each periodic checkpoint is one BbWriteDone (its start is
+        // settled without an event), plus the drain's PfsTick in fluid
+        // mode (the analytic drain is settled too), and WorkComplete ends
+        // the run: nothing scheduled is left unhandled, in particular no
+        // superseded WorkComplete per segment.
         for (mode, per_ckpt) in [
-            (crate::iosim::PfsMode::Analytic, 2),
-            (crate::iosim::PfsMode::Fluid, 3),
+            (crate::iosim::PfsMode::Analytic, 1),
+            (crate::iosim::PfsMode::Fluid, 2),
         ] {
             let mut p = params(ModelKind::B, "POP");
             p.pfs_mode = mode;
@@ -2588,9 +2721,15 @@ mod tests {
 
     /// An `f64` hour that `SimTime::from_hours` maps onto `ns` exactly.
     fn hours_at(ns: u64) -> f64 {
-        let mut h = ns as f64 / 3.6e12;
+        hours_mapped_to(ns, ns as f64 / 3.6e12, |h| h)
+    }
+
+    /// An `f64` hour `h`, searched from `h`, for which
+    /// `SimTime::from_hours(map(h))` is `ns` exactly; `map` must be
+    /// increasing.
+    fn hours_mapped_to(ns: u64, mut h: f64, map: impl Fn(f64) -> f64) -> f64 {
         for _ in 0..100_000 {
-            let got = SimTime::from_hours(h).as_nanos();
+            let got = SimTime::from_hours(map(h)).as_nanos();
             if got == ns {
                 return h;
             }
@@ -2598,6 +2737,20 @@ mod tests {
             h = f64::from_bits(if got < ns { bits + 1 } else { bits - 1 });
         }
         panic!("no f64 hour maps onto {ns} ns");
+    }
+
+    /// The time of the first record of `kind` (with payload `a`, if
+    /// given) stamped at or after `from`.
+    fn first_at(
+        records: &[pckpt_simobs::Record],
+        from: u64,
+        kind: u16,
+        a: Option<u64>,
+    ) -> Option<u64> {
+        records
+            .iter()
+            .find(|r| r.t >= from && r.kind == kind && a.is_none_or(|a| r.a == a))
+            .map(|r| r.t)
     }
 
     /// The kinds of the protocol records stamped `t`, in order.
@@ -2729,6 +2882,224 @@ mod tests {
             [obskind::LM_COMMIT, obskind::DRAIN_DONE]
         );
         assert_eq!(protocol_digest(&records), TIE_EARLY_MIGRATION_STREAM);
+    }
+
+
+    // Protocol-stream digests of the crafted runs below, each of which
+    // puts an event on a periodic checkpoint's exact due nanosecond,
+    // taken when the checkpoint's start was still a queued event:
+    // settling it in `handle` must keep every record and its order.
+    const TIE_CKPT_FAILURE_STREAM: &str = "aa06e4110003eaed";
+    const TIE_CKPT_SAFEGUARD_STREAM: &str = "76486a6adca33159";
+    const TIE_CKPT_ROUND_STREAM: &str = "2a5806c29f4d99e7";
+    const TIE_CKPT_MIGRATION_STREAM: &str = "fd20a8fa5abeea66";
+    const TIE_CKPT_DRAIN_TICK_STREAM: &str = "0e99d6f5b03bd38a";
+    const TIE_WRITE_DRAIN_TICK_STREAM: &str = "e7413b35caac8eb3";
+
+    /// The instant the first periodic checkpoint of a failure-free run of
+    /// `p` starts (its STATE(BbCkpt) record), ns.
+    fn first_checkpoint_due_ns(p: &SimParams) -> u64 {
+        let (_, records) = run_recorded(p.clone(), FailureTrace::default());
+        first_at(&records, 0, obskind::STATE, Some(AppState::BbCkpt.code())).expect("a checkpoint")
+    }
+
+
+    /// Asserts that the checkpoint due at `at` never started: the record
+    /// of the state entered at `at` is not BbCkpt.
+    fn assert_no_checkpoint_at(records: &[pckpt_simobs::Record], at: u64) {
+        assert!(
+            !records
+                .iter()
+                .any(|r| r.t == at && r.kind == obskind::STATE && r.a == AppState::BbCkpt.code()),
+            "a checkpoint started at {at}"
+        );
+    }
+
+    #[test]
+    fn failure_at_the_checkpoint_instant_preempts_it() {
+        // The failure was queued by `init`, before any segment: at the
+        // checkpoint's due nanosecond it strikes first and the checkpoint
+        // never starts.
+        let p = params(ModelKind::B, "CHIMERA");
+        let at = first_checkpoint_due_ns(&p);
+        let trace = FailureTrace {
+            failures: vec![failure(hours_at(at), 3, 10.0, false)],
+            false_positives: vec![],
+        };
+        let (r, records) = run_recorded(p, trace);
+        assert_eq!(r.ledger.failures_total, 1);
+        assert_eq!(
+            kinds_at(&records, at),
+            [obskind::FAILURE, obskind::RECOVERY_START, obskind::STATE]
+        );
+        assert_no_checkpoint_at(&records, at);
+        assert_eq!(protocol_digest(&records), TIE_CKPT_FAILURE_STREAM);
+    }
+
+    #[test]
+    fn safeguard_at_the_checkpoint_instant_preempts_it() {
+        // An M1 false positive at the due nanosecond: its safeguard
+        // starts, and the periodic checkpoint never does.
+        let p = params(ModelKind::M1, "POP");
+        let at = first_checkpoint_due_ns(&p);
+        let trace = FailureTrace {
+            failures: vec![],
+            false_positives: vec![Prediction {
+                node: 5,
+                at_hours: hours_at(at),
+                lead_secs: 60.0,
+                sequence_id: 2,
+                genuine: false,
+            }],
+        };
+        let (r, records) = run_recorded(p, trace);
+        assert_eq!(r.ledger.safeguard_ckpts, 1);
+        assert_eq!(
+            kinds_at(&records, at),
+            [obskind::PREDICTION, obskind::STATE, obskind::SAFEGUARD_START]
+        );
+        assert_no_checkpoint_at(&records, at);
+        assert_eq!(protocol_digest(&records), TIE_CKPT_SAFEGUARD_STREAM);
+    }
+
+    #[test]
+    fn round_at_the_checkpoint_instant_preempts_it() {
+        // A genuine P1 prediction delivered at the due nanosecond opens a
+        // p-ckpt round instead of the periodic checkpoint.
+        let p = params(ModelKind::P1, "CHIMERA");
+        let at = first_checkpoint_due_ns(&p);
+        let lead = 60.0;
+        let t_fail = hours_mapped_to(at, hours_at(at) + lead / 3600.0, |h| {
+            (h - lead / 3600.0).max(0.0)
+        });
+        let trace = FailureTrace {
+            failures: vec![failure(t_fail, 3, lead, true)],
+            false_positives: vec![],
+        };
+        let (r, records) = run_recorded(p, trace);
+        assert_eq!(r.ledger.pckpt_rounds, 1);
+        assert_eq!(
+            kinds_at(&records, at),
+            [obskind::PREDICTION, obskind::STATE, obskind::ROUND_START]
+        );
+        assert_no_checkpoint_at(&records, at);
+        assert_eq!(protocol_digest(&records), TIE_CKPT_ROUND_STREAM);
+    }
+
+    #[test]
+    fn migration_commit_at_the_checkpoint_instant_is_recorded_first() {
+        // An M2 migration whose commit lands on the due nanosecond of the
+        // slowed segment it runs in. Its `LmDone` was queued before that
+        // segment began, so the commit is recorded first; the full-speed
+        // segment it opens is due at once, and the checkpoint starts at
+        // the same nanosecond.
+        let p = params(ModelKind::M2, "XGC");
+        let theta = p.theta_secs();
+        let theta_ns = SimDuration::from_secs(theta).as_nanos();
+        // Slide the migration's start until its commit meets the first
+        // checkpoint's start; the checkpoint moves ~1% as fast as the
+        // commit, so the gap closes in a few steps.
+        let mut start = first_checkpoint_due_ns(&p) - theta_ns;
+        let mut found = None;
+        for _ in 0..64 {
+            let (_, records) = run_recorded(p.clone(), migration_from(start, theta));
+            let commit = first_at(&records, 0, obskind::LM_COMMIT, None).expect("a commit");
+            let ckpt = first_at(&records, 0, obskind::STATE, Some(AppState::BbCkpt.code()))
+                .expect("a checkpoint");
+            if commit == ckpt {
+                found = Some((records, commit));
+                break;
+            }
+            let step = ckpt as i64 - commit as i64;
+            start = (start as i64 + step.signum() * step.abs().max(1)) as u64;
+        }
+        let (records, at) = found.expect("no migration start commits at the checkpoint");
+        assert_eq!(
+            kinds_at(&records, at),
+            [obskind::LM_COMMIT, obskind::STATE]
+        );
+        assert_eq!(protocol_digest(&records), TIE_CKPT_MIGRATION_STREAM);
+    }
+
+    /// M1 on CHIMERA in fluid mode, its drain slowed (fewer drain
+    /// writers) until it outlasts a checkpoint interval, and a false
+    /// positive after the first checkpoint: the safeguard it starts
+    /// contends with the drain, and when it completes, computing
+    /// resumes inside `on_pfs_tick`, whose tick for the drain is queued
+    /// after the new segment began. Slides the false positive until the
+    /// drain completes `offset` after the next checkpoint starts, and
+    /// returns the recording and that instant.
+    fn drain_tick_behind_a_resumed_segment(offset: u64) -> (Vec<pckpt_simobs::Record>, u64) {
+        let mut p = params(ModelKind::M1, "CHIMERA");
+        p.pfs_mode = crate::iosim::PfsMode::Fluid;
+        let oci = CrSim::new(p.clone(), FailureTrace::default(), &leads()).oci_secs();
+        // The largest drain width whose drain outlasts 1.5 intervals.
+        let drain_secs = |mut q: SimParams, k| {
+            q.drain_concurrency = k;
+            CrSim::new(q, FailureTrace::default(), &leads()).drain_secs()
+        };
+        p.drain_concurrency = (1..=512)
+            .rev()
+            .find(|&k| drain_secs(p.clone(), k) > 1.5 * oci)
+            .expect("a drain width");
+        let drain = drain_secs(p.clone(), p.drain_concurrency);
+        let (_, first) = run_recorded(p.clone(), FailureTrace::default());
+        let drain_start = first_at(&first, 0, obskind::BB_CKPT, None).expect("a checkpoint");
+        // The next checkpoint starts one interval after the safeguard.
+        let mut fp = drain_start + SimDuration::from_secs(drain - oci).as_nanos();
+        for _ in 0..64 {
+            let trace = FailureTrace {
+                failures: vec![],
+                false_positives: vec![Prediction {
+                    node: 5,
+                    at_hours: hours_at(fp),
+                    lead_secs: 3600.0,
+                    sequence_id: 2,
+                    genuine: false,
+                }],
+            };
+            let (r, records) = run_recorded(p.clone(), trace);
+            assert_eq!(r.ledger.safeguard_ckpts, 1);
+            let resumed = first_at(&records, fp, obskind::SAFEGUARD_DONE, None).expect("a commit");
+            let ckpt = first_at(&records, resumed, obskind::STATE, Some(AppState::BbCkpt.code()))
+                .expect("a checkpoint");
+            let drained = first_at(&records, drain_start, obskind::DRAIN_DONE, None)
+                .expect("the first drain completes");
+            assert!(drained >= resumed, "the drain must outlast the safeguard");
+            if drained == ckpt + offset {
+                return (records, drained);
+            }
+            fp = (fp as i64 + drained as i64 - (ckpt + offset) as i64) as u64;
+        }
+        panic!("no false positive puts the drain {offset} ns after the checkpoint");
+    }
+
+    #[test]
+    fn drain_tick_queued_in_a_segment_completes_after_its_checkpoint_starts() {
+        // The drain's tick carries the link epoch the segment began
+        // under but was queued after it: at the checkpoint's due
+        // nanosecond the checkpoint starts first.
+        let (records, at) = drain_tick_behind_a_resumed_segment(0);
+        assert_eq!(
+            kinds_at(&records, at),
+            [obskind::STATE, obskind::FLOW_WAVE, obskind::DRAIN_DONE]
+        );
+        assert_eq!(protocol_digest(&records), TIE_CKPT_DRAIN_TICK_STREAM);
+    }
+
+    #[test]
+    fn drain_tick_queued_in_a_segment_completes_before_its_bb_write() {
+        // The same tick landing on the checkpoint's BB write completion:
+        // it was queued before the write's event used to be, so the
+        // drain completes first instead of being voided by the write.
+        let p = params(ModelKind::M1, "CHIMERA");
+        let write = SimDuration::from_secs(p.bb_write_secs()).as_nanos();
+        let (records, at) = drain_tick_behind_a_resumed_segment(write);
+        assert_eq!(
+            kinds_at(&records, at)[..3],
+            [obskind::FLOW_WAVE, obskind::DRAIN_DONE, obskind::BB_CKPT]
+        );
+        assert_eq!(protocol_digest(&records), TIE_WRITE_DRAIN_TICK_STREAM);
     }
 
     #[test]

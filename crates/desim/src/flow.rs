@@ -230,7 +230,7 @@ impl FlowLink {
         if w <= 0.0 {
             return 0.0;
         }
-        let writers = w.ceil() as usize;
+        let writers = crate::time::ceil_to_u64(w) as usize;
         let cap = (self.capacity)(writers);
         assert!(
             cap > 0.0 && cap.is_finite(),

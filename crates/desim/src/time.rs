@@ -120,13 +120,12 @@ impl SimDuration {
             secs.is_finite() && secs >= 0.0,
             "time values must be finite and non-negative, got {secs}"
         );
-        let ns = (secs * NANOS_PER_SEC).ceil();
+        let ns = secs * NANOS_PER_SEC;
         assert!(
             ns <= u64::MAX as f64,
             "time value {secs}s overflows the simulation clock"
         );
-        // The assertions above establish the range. simlint: allow(no-lossy-time-cast)
-        SimDuration(ns as u64)
+        SimDuration(ceil_to_u64(ns))
     }
 
     /// Checked nanosecond → f64-seconds conversion; the inverse of
@@ -190,8 +189,40 @@ fn secs_to_nanos(secs: f64) -> u64 {
         ns <= u64::MAX as f64,
         "time value {secs}s overflows the simulation clock"
     );
-    // The assertions above establish the range. simlint: allow(no-lossy-time-cast)
-    ns.round() as u64
+    round_to_u64(ns)
+}
+
+/// `x.round() as u64` (half away from zero) for an `x` in `[0, 2^64]`,
+/// without the libm call `f64::round` costs on an SSE2 baseline.
+///
+/// Truncation gives `t`; the remainder `x − t` decides. Below 2^52 both
+/// `t as f64` and the subtraction are exact (Sterbenz: `x/2 ≤ t ≤ x`
+/// once `x ≥ 1`, and `t = 0` below), so the remainder is the true
+/// fraction. From 2^52 up every f64 is an integer, the remainder is 0
+/// and `t` is `x` itself; at `x = 2^64` the cast saturates to
+/// `u64::MAX`, as `x.round() as u64` does.
+#[inline]
+pub(crate) fn round_to_u64(x: f64) -> u64 {
+    debug_assert!((0.0..=u64::MAX as f64).contains(&x), "{x} is out of range");
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t + 1
+    } else {
+        t
+    }
+}
+
+/// `x.ceil() as u64` for an `x` in `[0, 2^64]`, without libm; exact by
+/// the argument on [`round_to_u64`].
+#[inline]
+pub(crate) fn ceil_to_u64(x: f64) -> u64 {
+    debug_assert!((0.0..=u64::MAX as f64).contains(&x), "{x} is out of range");
+    let t = x as u64;
+    if x - t as f64 > 0.0 {
+        t + 1
+    } else {
+        t
+    }
 }
 
 /// The blessed nanosecond → f64-seconds conversion. Debug builds check
@@ -314,6 +345,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::Strategy;
 
     #[test]
     fn conversions_roundtrip() {
@@ -409,6 +441,53 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn ceil_rejects_negative() {
         let _ = SimDuration::from_secs_f64_ceil(-1e-9);
+    }
+
+    /// The libm-free helpers against `f64::round`/`f64::ceil` and the
+    /// saturating cast, at the edges of their exactness argument.
+    #[test]
+    fn rounding_helpers_match_libm_at_the_edges() {
+        let p52 = (1u64 << 52) as f64;
+        let edges = [
+            0.0,
+            0.5,
+            0.499_999_999_999_999_94,
+            1.0,
+            1.5,
+            2.5,
+            p52 - 0.5,
+            p52,
+            p52 + 0.5,
+            p52 + 1.0,
+            (1u64 << 53) as f64 + 2.0,
+            (1u64 << 63) as f64,
+            u64::MAX as f64,
+        ];
+        for x in edges {
+            assert_eq!(round_to_u64(x), x.round() as u64, "round {x}");
+            assert_eq!(ceil_to_u64(x), x.ceil() as u64, "ceil {x}");
+        }
+        assert_eq!(round_to_u64(u64::MAX as f64), u64::MAX);
+    }
+
+    proptest::proptest! {
+        /// Arbitrary finite inputs in `[0, 2^64]`: raw bit patterns (every
+        /// binade, subnormals included) and uniform draws below 1e3, below
+        /// 2^52 and up to 2^64.
+        #[test]
+        fn rounding_helpers_match_libm(
+            x in proptest::prop_oneof![
+                proptest::prelude::any::<u64>()
+                    .prop_map(f64::from_bits)
+                    .prop_filter("in [0, 2^64]", |x| (0.0..=u64::MAX as f64).contains(x)),
+                0.0f64..1e3,
+                0.0f64..4_503_599_627_370_496.0,
+                0.0f64..=18_446_744_073_709_551_616.0,
+            ],
+        ) {
+            proptest::prop_assert_eq!(round_to_u64(x), x.round() as u64);
+            proptest::prop_assert_eq!(ceil_to_u64(x), x.ceil() as u64);
+        }
     }
 
     #[test]

@@ -188,13 +188,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (requests are valid UTF-8:
-                // they arrive as &str).
+                // Copy the run of plain bytes up to the next quote or
+                // backslash in one piece. Both are ASCII, so the run of a
+                // valid UTF-8 request (it arrives as &str) ends on a char
+                // boundary.
                 let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                let ch = s.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                let run = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                let s = std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?;
+                out.push_str(s);
+                *pos += run;
             }
         }
     }
@@ -282,6 +287,30 @@ mod tests {
         let apps = v.get("apps").and_then(Json::as_arr).unwrap();
         assert_eq!(apps.len(), 2);
         assert_eq!(v.get("scales").and_then(Json::as_arr).map(|a| a.len()), Some(2));
+    }
+
+    #[test]
+    fn a_mebibyte_string_parses_in_linear_time() {
+        // 1 MiB of ASCII, two-, three- and four-byte characters and
+        // escapes round-trips exactly. Each plain run is copied in one
+        // piece; decoding a char by validating the whole rest of the
+        // input made this quadratic (tens of seconds in release).
+        let pieces = ["plain ascii ", "é", "中文", "🦀", "\"", "\\", "\n", "x"];
+        let mut name = String::new();
+        for piece in pieces.iter().cycle() {
+            if name.len() >= 1 << 20 {
+                break;
+            }
+            name.push_str(piece);
+        }
+        let doc = format!("{{\"name\":\"{}\"}}", escape(&name));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(parse(&doc)));
+        let parsed = rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("parsing a 1 MiB string took over a second")
+            .unwrap();
+        assert_eq!(parsed.get("name").and_then(Json::as_str), Some(name.as_str()));
     }
 
     #[test]

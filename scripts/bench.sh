@@ -14,7 +14,12 @@
 #   nontest_loc  scripts/loc.sh's LOC_JSON
 #   compare      `pbench compare` of the newest earlier BENCH_pr<N>.json
 #                that holds a "pbench" run against this one, under
-#                BENCHMARK.json's bounds; a worse row fails the step
+#                BENCHMARK.json's bounds. The step reads its rows: a
+#                `worse` or `missing` row fails it, and so does a count
+#                that `differs` unless it is named on the command line as
+#                an expected move (WORKLOAD/COUNT, e.g.
+#                lanl_panel/events_per_lane_run), and a named count that
+#                reads `same`. The snapshot records the names.
 #
 # Every step runs even when an earlier one fails. The snapshot records
 # each step's exit status and is written either way; the script then
@@ -22,15 +27,20 @@
 # defaults, so the script refuses to start while any PCKPT_* variable
 # is set.
 #
-# Usage: scripts/bench.sh OUT.json
+# Usage: scripts/bench.sh OUT.json [WORKLOAD/COUNT ...]
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-if [ $# -ne 1 ]; then
-    echo "usage: scripts/bench.sh OUT.json" >&2
+usage() {
+    echo "usage: scripts/bench.sh OUT.json [WORKLOAD/COUNT ...]" >&2
     exit 2
-fi
+}
+[ $# -ge 1 ] || usage
 OUT=$1
+shift
+for moved in "$@"; do
+    [[ $moved =~ ^[a-z0-9_]+/[a-z0-9_]+$ ]] || usage
+done
 
 knobs=$(compgen -e | grep '^PCKPT_' | tr '\n' ' ')
 if [ -n "$knobs" ]; then
@@ -92,7 +102,7 @@ step loc "${PIPESTATUS[0]}"
 
 echo
 echo "== [5/5] pbench compare against the previous snapshot =="
-python3 - "$LOG" "$RUN" "$OUT" "$PBENCH" <<'PYEOF'
+python3 - "$LOG" "$RUN" "$OUT" "$PBENCH" "$@" <<'PYEOF'
 import json
 import os
 import re
@@ -100,6 +110,7 @@ import subprocess
 import sys
 
 log, run_path, out_path, pbench = sys.argv[1:5]
+expected = sys.argv[5:]
 
 
 def lines(name):
@@ -159,7 +170,11 @@ for _, name in reversed(candidates):
         baseline = (name, prev["pbench"])
         break
 
-compare = {"baseline": baseline[0] if baseline else None, "report": None}
+compare = {
+    "baseline": baseline[0] if baseline else None,
+    "report": None,
+    "expected_count_moves": expected,
+}
 if baseline is None:
     compare["verdict"] = "no baseline"
     steps["compare"] = 0
@@ -174,8 +189,27 @@ else:
                          capture_output=True, text=True)
     print(res.stdout + res.stderr, end="")
     compare["report"] = res.stdout + res.stderr
-    compare["verdict"] = "worse" if res.returncode else "no worse"
-    steps["compare"] = res.returncode
+    # One row per WORKLOAD METRIC VERDICT ...; the first line is the header.
+    rows = {}
+    for line in res.stdout.splitlines()[1:]:
+        fields = line.split()
+        if len(fields) >= 3:
+            rows[f"{fields[0]}/{fields[1]}"] = fields[2]
+    problems = [] if rows else [f"pbench compare printed no rows (exit {res.returncode})"]
+    for key, verdict in rows.items():
+        if verdict in ("worse", "missing"):
+            problems.append(f"{key} reads {verdict}")
+        elif verdict == "differs" and key not in expected:
+            problems.append(f"{key} differs but was not named as an expected move")
+    for key in expected:
+        if rows.get(key) != "differs":
+            problems.append(f"{key} was named as an expected move but reads "
+                            f"{rows.get(key, 'no row')}")
+    for problem in problems:
+        print(f"compare: {problem}")
+    compare["problems"] = problems
+    compare["verdict"] = "worse" if problems else "no worse"
+    steps["compare"] = 1 if problems else 0
 print(f"compare: {compare['verdict']}"
       + (f" (baseline {baseline[0]})" if baseline else ""))
 doc["compare"] = compare

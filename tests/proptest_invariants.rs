@@ -227,6 +227,61 @@ proptest! {
         }
     }
 
+    /// A periodic checkpoint, stated on the recording alone: its start
+    /// (a STATE(BbCkpt) record) is settled rather than queued, yet every
+    /// `BB_CKPT` lies exactly one BB write after the latest such start,
+    /// with no `FAILURE` and no other STATE record between them, and
+    /// protocol-record timestamps never decrease; all five models, both
+    /// PFS modes.
+    #[test]
+    fn checkpoints_complete_one_write_after_they_start(
+        trace in arb_trace(12),
+        model in arb_model(),
+        fluid in any::<bool>(),
+    ) {
+        use pckpt::core::iosim::PfsMode;
+        use pckpt::core::obs::{kind, Recorder};
+        use pckpt::core::sim::state_name;
+        use pckpt::desim::SimDuration;
+        let app = Application::by_name("POP").unwrap();
+        let mut params = SimParams::paper_defaults(model, app);
+        params.pfs_mode = if fluid { PfsMode::Fluid } else { PfsMode::Analytic };
+        let write = SimDuration::from_secs(params.bb_write_secs()).as_nanos();
+        let leads = LeadTimeModel::desh_default();
+        let rec = Recorder::enabled(1 << 20);
+        let mut sim = CrSim::new(params, trace, &leads);
+        sim.set_recorder(rec.clone());
+        let result = sim.run();
+        let recording = rec.take();
+        prop_assert_eq!(recording.dropped, 0);
+        // The protocol records: under the `trace` feature a settled start
+        // follows the queue's POP (at a later instant) of the event it
+        // was settled in front of.
+        let records: Vec<_> = recording
+            .records
+            .iter()
+            .filter(|r| !matches!(r.kind, kind::SCHED | kind::POP | kind::CANCEL))
+            .collect();
+        for pair in records.windows(2) {
+            prop_assert!(pair[0].t <= pair[1].t, "time runs backwards: {:?}", pair);
+        }
+        let mut started = None;
+        let mut completed = 0u64;
+        for r in &records {
+            match r.kind {
+                kind::STATE if state_name(r.a) == "bb-checkpoint" => started = Some(r.t),
+                kind::STATE | kind::FAILURE => started = None,
+                kind::BB_CKPT => {
+                    prop_assert_eq!(started.map(|t| t + write), Some(r.t));
+                    started = None;
+                    completed += 1;
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(completed, result.ledger.periodic_ckpts);
+    }
+
     /// OCI formulas: positive, monotone in their arguments, Eq. 2 ≥ Eq. 1.
     #[test]
     fn oci_properties(
