@@ -11,17 +11,34 @@
 //! the paper's assumption is sound, the two modes should agree closely —
 //! with the gap concentrated in M1 (the uncoordinated safeguard is the
 //! one model whose commits race its own drain).
+//!
+//! The three fluid campaigns run as one grid and print its
+//! `METRICS_JSON` lines (`fluid`, `fluid_grid`); `scripts/lint.sh`
+//! checks the fluid events handled per BB checkpoint from them.
 
 use pckpt_analysis::Table;
+use pckpt_bench::{print_grid_metrics, run_cells};
 use pckpt_core::iosim::PfsMode;
-use pckpt_core::{run_models, ModelKind, SimParams};
+use pckpt_core::{run_models, GridCell, ModelKind, SimParams};
 use pckpt_failure::LeadTimeModel;
 use pckpt_workloads::Application;
+
+const APPS: [&str; 3] = ["CHIMERA", "XGC", "POP"];
 
 fn main() {
     let leads = LeadTimeModel::desh_default();
     let runner = pckpt_bench::runner();
     let models = ModelKind::ALL;
+    let fluid_cells: Vec<GridCell> = APPS
+        .iter()
+        .map(|name| {
+            let app = Application::by_name(name).unwrap();
+            let mut pf = SimParams::paper_defaults(ModelKind::B, app);
+            pf.pfs_mode = PfsMode::Fluid;
+            GridCell::new(pf, &models).with_label(name.to_string())
+        })
+        .collect();
+    let fluid_grid = run_cells(&fluid_cells);
     let mut t = Table::new(vec![
         "app",
         "model",
@@ -35,7 +52,7 @@ fn main() {
         "Fluid vs analytic PFS timing ({} runs, paired traces)",
         pckpt_bench::runs()
     ));
-    for app_name in ["CHIMERA", "XGC", "POP"] {
+    for (i, app_name) in APPS.iter().enumerate() {
         let app = Application::by_name(app_name).unwrap();
         let analytic = run_models(
             &SimParams::paper_defaults(ModelKind::B, app),
@@ -43,9 +60,7 @@ fn main() {
             &leads,
             &runner,
         );
-        let mut pf = SimParams::paper_defaults(ModelKind::B, app);
-        pf.pfs_mode = PfsMode::Fluid;
-        let fluid = run_models(&pf, &models, &leads, &runner);
+        let fluid = fluid_grid.cell(i);
         for m in models {
             let a = analytic.get(m).unwrap();
             let f = fluid.get(m).unwrap();
@@ -69,4 +84,5 @@ fn main() {
          suspends the drain, reproducing 'contention-free access' literally. Any\n\
          FT-ratio loss concentrates in M1, whose safeguard commit races the drain."
     );
+    print_grid_metrics("fluid", &fluid_grid);
 }

@@ -27,8 +27,12 @@
 //! a periodic checkpoint queues only that checkpoint's `BbWriteDone`; the
 //! checkpoint's start (Computing → BbCkpt) is an instant that
 //! [`Model::handle`] settles before the first event it precedes (see
-//! [`CrSim::segment_queued_before`]). The analytic BB→PFS drain's
-//! completion is settled the same way (see [`CrSim::drain_queued_before`]).
+//! [`CrSim::segment_queued_before`]). The BB→PFS drain's completion is
+//! settled the same way (see [`CrSim::drain_queued_before`]): in analytic
+//! mode always, and in fluid mode while the drain has the PFS link to
+//! itself, which it does unless a safeguard commit overlaps it (a round
+//! suspends it, a failure voids it). Only a drain that shares the link
+//! completes through a `PfsTick`.
 //!
 //! ### Accounting invariant
 //!
@@ -150,9 +154,14 @@ pub struct CrSim {
     /// `bb_write_dur` in seconds: what each BB write adds to the
     /// checkpoint bucket.
     bb_write_secs: f64,
-    /// The analytic BB→PFS drain time, converted to clock nanoseconds once;
-    /// each periodic checkpoint adds it to `now` to arm its drain.
-    drain_dur: SimDuration,
+    /// The BB→PFS drain time of a periodic checkpoint that has the PFS to
+    /// itself, converted to clock nanoseconds once; each periodic
+    /// checkpoint adds it to `now` to arm its drain. From the bandwidth
+    /// matrix in analytic mode, and from the fluid link's own arithmetic
+    /// in fluid mode ([`crate::iosim::FluidPfs::lone_duration`]), where
+    /// it is `None` if the link's first tick would not retire the drain:
+    /// every drain then runs through the link.
+    drain_dur: Option<SimDuration>,
 
     // Application progress.
     state: AppState,
@@ -182,13 +191,16 @@ pub struct CrSim {
     /// `PfsTick`s queued this run; the latest one's serial.
     pfs_ticks: u64,
     inflight_bb_level: f64,
-    /// When the analytic BB→PFS drain of `drain_level` completes; `None`
-    /// when no drain is pending. [`Model::handle`] settles it (see
-    /// [`CrSim::settle_drain`]), so it costs no queue event. Fluid mode
-    /// never sets it: its drain is a `PfsOp::Drain` transfer.
+    /// When the BB→PFS drain of `drain_level` completes; `None` when no
+    /// drain is pending or, in fluid mode, when the pending one runs
+    /// through the link. [`Model::handle`] settles it (see
+    /// [`CrSim::settle_drain`]), so it costs no queue event. In fluid
+    /// mode it is set exactly while the link holds a lone drain
+    /// ([`crate::iosim::FluidPfs::start_drain`]); whatever puts that
+    /// drain into the link clears it.
     drain_done_at: Option<SimTime>,
-    /// `lm_seq` when the pending analytic drain was armed: an `LmDone`
-    /// with a seq at or below it was queued before the drain.
+    /// `lm_seq` when the pending drain was armed: an `LmDone` with a seq
+    /// at or below it was queued before the drain.
     drain_lm_mark: u64,
     drain_level: f64,
 
@@ -279,6 +291,19 @@ impl CrSim {
         let drain_nodes = params.drain_concurrency.min(n);
         let failure_count = trace.failures.len();
         let bb_write_dur = SimDuration::from_secs(t_bb_write);
+        let drain_bytes = n as f64 * per_node;
+        let fluid = match params.pfs_mode {
+            crate::iosim::PfsMode::Analytic => None,
+            crate::iosim::PfsMode::Fluid => {
+                Some(crate::iosim::FluidPfs::new(&params.io.pfs, per_node))
+            }
+        };
+        let drain_dur = match &fluid {
+            None => Some(SimDuration::from_secs(
+                drain_bytes / io.pfs.aggregate_write_bw(drain_nodes, per_node),
+            )),
+            Some(fluid) => fluid.lone_duration(drain_bytes, drain_nodes as f64),
+        };
         Self {
             t_bb_write,
             t_bb_read: io.bb.read_secs(per_node),
@@ -290,9 +315,7 @@ impl CrSim {
             sigma,
             bb_write_dur,
             bb_write_secs: bb_write_dur.as_secs(),
-            drain_dur: SimDuration::from_secs(
-                n as f64 * per_node / io.pfs.aggregate_write_bw(drain_nodes, per_node),
-            ),
+            drain_dur,
             state: AppState::Computing,
             state_entered: SimTime::ZERO,
             epoch: 0,
@@ -326,12 +349,7 @@ impl CrSim {
             ledger: OverheadLedger::default(),
             finished_at: None,
             bg_rng: pckpt_simrng::SimRng::seed_from(0x0BAC_6007),
-            fluid: match params.pfs_mode {
-                crate::iosim::PfsMode::Analytic => None,
-                crate::iosim::PfsMode::Fluid => {
-                    Some(crate::iosim::FluidPfs::new(&params.io.pfs, per_node))
-                }
-            },
+            fluid,
             drain_weight: drain_nodes as f64,
             recovery_started: SimTime::ZERO,
             recovery_floor: SimTime::ZERO,
@@ -466,6 +484,9 @@ impl CrSim {
         }
     }
 
+    /// Starts a fluid operation and schedules the link's next tick. A
+    /// lone drain goes into the link first, so the tick path completes it
+    /// from here on.
     fn fluid_start(
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
@@ -474,6 +495,7 @@ impl CrSim {
         weight: f64,
     ) {
         let now = ctx.now();
+        self.drain_done_at = None;
         self.fluid
             .as_mut()
             // Callers are gated on fluid mode. simlint: allow(no-unwrap-in-lib)
@@ -599,10 +621,13 @@ impl CrSim {
         self.theta
     }
 
-    /// The analytic BB→PFS drain time, seconds: a periodic checkpoint
-    /// becomes PFS-durable this long after its BB write completes.
-    pub fn drain_secs(&self) -> f64 {
-        self.drain_dur.as_secs()
+    /// The BB→PFS drain time, seconds: a periodic checkpoint becomes
+    /// PFS-durable this long after its BB write completes when nothing
+    /// intervenes (in fluid mode, when its drain has the link to itself).
+    /// `None` in fluid mode when the link's first tick would not retire
+    /// such a drain.
+    pub fn drain_secs(&self) -> Option<f64> {
+        self.drain_dur.map(SimDuration::as_secs)
     }
 
     /// The OCI currently in force, seconds.
@@ -1032,6 +1057,7 @@ impl CrSim {
                 // begin with).
                 if let Some(fluid) = self.fluid.as_mut() {
                     fluid.suspend_drain(ctx.now());
+                    self.drain_done_at = None;
                     self.fluid_reschedule(ctx);
                 }
                 self.advance_round(ctx);
@@ -1139,10 +1165,10 @@ impl CrSim {
             .emit(ctx.now().as_nanos(), obskind::ROUND_COMPLETE, 0, 0);
         self.spare_round = Some(round);
         self.leave_state(ctx.now());
-        // The round is over: a suspended drain resumes.
+        // The round is over: a suspended drain resumes, alone on the link.
         if let Some(fluid) = self.fluid.as_mut() {
-            fluid.resume_drain(ctx.now(), self.drain_weight);
-            self.fluid_reschedule(ctx);
+            let at = fluid.resume_drain(ctx.now(), self.drain_weight);
+            self.arm_drain(ctx, at);
         }
         self.resume_computing(ctx);
     }
@@ -1207,18 +1233,17 @@ impl CrSim {
         // Kick off (or supersede) the asynchronous drain. `handle` has
         // already settled a pending drain that was due.
         self.drain_level = self.inflight_bb_level;
-        if self.fluid.is_some() {
-            // Any previous drain (active or suspended) is superseded by
-            // the fresher checkpoint.
-            // is_some() checked by the enclosing if. simlint: allow(no-unwrap-in-lib)
-            self.fluid.as_mut().expect("checked").void_drain(now);
-            let bytes = self.p.app.nodes as f64 * self.p.per_node_bytes();
-            let weight = self.drain_weight;
-            self.fluid_start(ctx, crate::iosim::PfsOp::Drain, bytes, weight);
-        } else {
-            self.drain_done_at = Some(now + self.drain_dur);
-            self.drain_lm_mark = self.lm_seq;
-        }
+        let at = match self.fluid.as_mut() {
+            None => self.drain_dur.map(|d| now + d),
+            Some(fluid) => {
+                // Any previous drain (active, lone or suspended) is
+                // superseded by the fresher checkpoint.
+                fluid.void_drain(now);
+                let bytes = self.p.app.nodes as f64 * self.p.per_node_bytes();
+                fluid.start_drain(now, bytes, self.drain_weight, self.drain_dur)
+            }
+        };
+        self.arm_drain(ctx, at);
         // Refresh the OCI with the windowed failure-rate estimate; the
         // OCI is a function of the rate alone, so an unchanged estimate
         // keeps it.
@@ -1235,9 +1260,22 @@ impl CrSim {
         self.resume_computing(ctx);
     }
 
-    /// Whether `event`, popped at the pending analytic drain's instant
-    /// `at`, was queued before the drain was armed, so that a completion
-    /// event queued at the arming would pop after it.
+    /// Arms the drain just started (or resumed) to complete at `at`, for
+    /// `handle` to settle; `None` hands a fluid drain to the link's tick
+    /// (and leaves nothing pending in analytic mode, which always arms).
+    fn arm_drain(&mut self, ctx: &mut Ctx<'_, Ev>, at: Option<SimTime>) {
+        self.drain_done_at = at;
+        self.drain_lm_mark = self.lm_seq;
+        if at.is_none() {
+            self.fluid_reschedule(ctx);
+        }
+    }
+
+    /// Whether `event`, popped at the pending drain's instant `at`, was
+    /// queued before the drain was armed, so that a completion event
+    /// queued at the arming would pop after it. In fluid mode that event
+    /// is the `PfsTick` a lone drain no longer queues: it was queued
+    /// where `arm_drain` now runs.
     ///
     /// In the queue's `(time, seq)` order such a completion event
     /// precedes everything later than `at` and, at `at` itself,
@@ -1248,10 +1286,12 @@ impl CrSim {
     /// `drain_lm_mark`; the seq, not the epoch, guards it, so it outlives
     /// the `BbWriteDone`). They dispatch first and the drain settles
     /// before the next event; a failure voids it instead. Every other
-    /// event queued before the arming is guarded by an epoch that
-    /// `on_bb_write_done` retired: it dispatches as a no-op that records
-    /// nothing, so which side of the settle it falls on cannot be
-    /// observed.
+    /// event queued before the arming is guarded by an epoch that was
+    /// retired since: the application's, by `on_bb_write_done` or by
+    /// `on_phase2_done` for a resumed drain, or the fluid link's, which
+    /// the lone drain's start moved. It dispatches as a no-op that
+    /// records nothing, so which side of the settle it falls on cannot
+    /// be observed.
     fn drain_queued_before(&self, event: &Ev) -> bool {
         match *event {
             Ev::Failure(_) | Ev::Prediction(..) => true,
@@ -1295,19 +1335,23 @@ impl CrSim {
         }
     }
 
-    /// Completes the pending analytic drain at its instant `at`: makes
-    /// the drained checkpoint recoverable and records `DRAIN_DONE` there.
+    /// Completes the pending drain at its instant `at`: makes the drained
+    /// checkpoint recoverable and records `DRAIN_DONE` there, after the
+    /// fluid link's `FLOW_WAVE` for a lone drain, as its tick did.
     fn settle_drain(&mut self, at: SimTime) {
         self.drain_done_at = None;
+        if let Some(fluid) = self.fluid.as_mut() {
+            fluid.settle_lone_drain(at);
+        }
         self.rec.emit(at.as_nanos(), obskind::DRAIN_DONE, 0, 0);
         self.best_bb_pfs = self.best_bb_pfs.max(self.drain_level);
     }
 
     /// Settles, before `event` dispatches at `now`, each pending instant
     /// that a queue event armed with it would have popped before `event`:
-    /// the analytic drain's completion and the periodic checkpoint's
-    /// start. When both are due, the earlier instant settles first, and
-    /// at a tie the drain, which was armed before the segment began.
+    /// the drain's completion and the periodic checkpoint's start. When
+    /// both are due, the earlier instant settles first, and at a tie the
+    /// drain, which was armed before the segment began.
     #[inline]
     fn settle(&mut self, now: SimTime, event: &Ev) {
         let drain = self
@@ -2615,14 +2659,14 @@ mod tests {
 
     #[test]
     fn failure_free_run_handles_no_stale_threshold_events() {
-        // Each periodic checkpoint is one BbWriteDone (its start is
-        // settled without an event), plus the drain's PfsTick in fluid
-        // mode (the analytic drain is settled too), and WorkComplete ends
-        // the run: nothing scheduled is left unhandled, in particular no
-        // superseded WorkComplete per segment.
+        // Each periodic checkpoint is one BbWriteDone (its start and its
+        // drain, which has the fluid link to itself, are settled without
+        // an event) in both modes, and WorkComplete ends the run: nothing
+        // scheduled is left unhandled, in particular no superseded
+        // WorkComplete per segment.
         for (mode, per_ckpt) in [
             (crate::iosim::PfsMode::Analytic, 1),
-            (crate::iosim::PfsMode::Fluid, 2),
+            (crate::iosim::PfsMode::Fluid, 1),
         ] {
             let mut p = params(ModelKind::B, "POP");
             p.pfs_mode = mode;
@@ -2668,8 +2712,12 @@ mod tests {
     /// the protocol records, every record except the queue's own
     /// SCHED/POP/CANCEL (which only the `trace` feature adds).
     fn run_recorded(p: SimParams, trace: FailureTrace) -> (RunResult, Vec<pckpt_simobs::Record>) {
+        record_sim(CrSim::new(p, trace, &leads()))
+    }
+
+    /// [`run_recorded`] for a model built by the caller.
+    fn record_sim(mut sim: CrSim) -> (RunResult, Vec<pckpt_simobs::Record>) {
         let rec = Recorder::enabled(1 << 20);
-        let mut sim = CrSim::new(p, trace, &leads());
         sim.set_recorder(rec.clone());
         let result = sim.run();
         let recording = rec.take();
@@ -2714,7 +2762,9 @@ mod tests {
                 .t
         };
         let (bb, drained) = (first(obskind::BB_CKPT), first(obskind::DRAIN_DONE));
-        let drain = CrSim::new(p.clone(), FailureTrace::default(), &leads()).drain_secs();
+        let drain = CrSim::new(p.clone(), FailureTrace::default(), &leads())
+            .drain_secs()
+            .expect("a lone drain time");
         assert_eq!(drained, bb + SimDuration::from_secs(drain).as_nanos());
         (bb, drained)
     }
@@ -3036,7 +3086,9 @@ mod tests {
         // The largest drain width whose drain outlasts 1.5 intervals.
         let drain_secs = |mut q: SimParams, k| {
             q.drain_concurrency = k;
-            CrSim::new(q, FailureTrace::default(), &leads()).drain_secs()
+            CrSim::new(q, FailureTrace::default(), &leads())
+                .drain_secs()
+                .expect("a lone drain time")
         };
         p.drain_concurrency = (1..=512)
             .rev()
@@ -3100,6 +3152,223 @@ mod tests {
             [obskind::FLOW_WAVE, obskind::DRAIN_DONE, obskind::BB_CKPT]
         );
         assert_eq!(protocol_digest(&records), TIE_WRITE_DRAIN_TICK_STREAM);
+    }
+
+    // Protocol-stream digests of the crafted fluid runs below, taken
+    // while every fluid drain still ran through the flow link and
+    // completed on a `PfsTick`: holding a lone drain outside the link
+    // must keep every record, its order and every `FLOW_WAVE` id.
+    const LONE_TIE_FAILURE_STREAM: &str = "9962e8282ee884d2";
+    const LONE_LATE_FAILURE_STREAM: &str = "83777f49306d3b45";
+    const LONE_TIE_BB_WRITE_STREAM: &str = "5e19278d729a2333";
+    const LONE_SAFEGUARD_STREAM: &str = "fc33f8e9efa53129";
+    const LONE_ROUND_STREAM: &str = "b0c68532ac826563";
+    const LONE_FAILURE_STREAM: &str = "326353e20523e0e2";
+
+    /// `p` in fluid PFS mode.
+    fn fluid(mut p: SimParams) -> SimParams {
+        p.pfs_mode = crate::iosim::PfsMode::Fluid;
+        p
+    }
+
+    /// The first periodic checkpoint of a failure-free fluid run of `p`:
+    /// when it reached the burst buffers and when its drain, alone on
+    /// the link, completed, ns.
+    fn first_lone_drain_ns(p: &SimParams) -> (u64, u64) {
+        let (_, records) = run_recorded(p.clone(), FailureTrace::default());
+        let bb = first_at(&records, 0, obskind::BB_CKPT, None).expect("a checkpoint");
+        let drained = first_at(&records, bb, obskind::DRAIN_DONE, None).expect("a drain");
+        let lone = CrSim::new(p.clone(), FailureTrace::default(), &leads())
+            .drain_secs()
+            .expect("a lone drain time");
+        assert_eq!(drained - bb, SimDuration::from_secs(lone).as_nanos());
+        (bb, drained)
+    }
+
+    /// The `(t, id)` of each `FLOW_WAVE` record stamped at or after `from`.
+    fn waves_from(records: &[pckpt_simobs::Record], from: u64) -> Vec<(u64, u64)> {
+        records
+            .iter()
+            .filter(|r| r.t >= from && r.kind == obskind::FLOW_WAVE)
+            .map(|r| (r.t, r.a))
+            .collect()
+    }
+
+    #[test]
+    fn failure_at_a_lone_fluid_drain_instant_voids_it() {
+        // As in analytic mode: the failure was queued by `init`, before
+        // the drain was armed, so at the drain's instant it strikes
+        // first and voids the drain; 1 ns later the drain has completed,
+        // its wave recorded just before it.
+        let p = fluid(params(ModelKind::B, "CHIMERA"));
+        let oci = CrSim::new(p.clone(), FailureTrace::default(), &leads()).oci_secs();
+        let (_, at) = first_lone_drain_ns(&p);
+        let fail_at = |ns| FailureTrace {
+            failures: vec![failure(hours_at(ns), 3, 10.0, false)],
+            false_positives: vec![],
+        };
+        let (tie, tie_records) = run_recorded(p.clone(), fail_at(at));
+        assert_eq!(
+            kinds_at(&tie_records, at),
+            [obskind::FAILURE, obskind::RECOVERY_START, obskind::STATE]
+        );
+        let (late, late_records) = run_recorded(p, fail_at(at + 1));
+        assert_eq!(
+            kinds_at(&late_records, at),
+            [obskind::FLOW_WAVE, obskind::DRAIN_DONE]
+        );
+        let lost_checkpoint = tie.ledger.recomp_secs - late.ledger.recomp_secs;
+        assert!(
+            (lost_checkpoint - oci).abs() < 1e-3,
+            "{lost_checkpoint} vs OCI {oci}"
+        );
+        assert_eq!(protocol_digest(&tie_records), LONE_TIE_FAILURE_STREAM);
+        assert_eq!(protocol_digest(&late_records), LONE_LATE_FAILURE_STREAM);
+    }
+
+    #[test]
+    fn bb_write_at_a_lone_fluid_drain_instant_finds_it_done() {
+        // An OCI one BB write shorter than the drain: the next
+        // checkpoint's BbWriteDone lands on the drain's instant. It was
+        // queued after the drain was armed, so the drain completes first
+        // and the checkpoint is PFS-durable before the next one
+        // supersedes its drain.
+        let p = fluid(params(ModelKind::B, "CHIMERA"));
+        let (bb, drained) = first_lone_drain_ns(&p);
+        let drain = drained - bb;
+        let write = SimDuration::from_secs(p.bb_write_secs()).as_nanos();
+        let mut oci = (drain - write) as f64 / 1e9;
+        for _ in 0..64 {
+            let mut sim = CrSim::new(p.clone(), FailureTrace::default(), &leads());
+            (sim.oci0, sim.oci_secs, sim.next_ckpt_work) = (oci, oci, oci);
+            let (_, records) = record_sim(sim);
+            let first = first_at(&records, 0, obskind::BB_CKPT, None).expect("a checkpoint");
+            let second =
+                first_at(&records, first + 1, obskind::BB_CKPT, None).expect("a checkpoint");
+            let gap = second as i64 - first as i64 - drain as i64;
+            if gap == 0 {
+                let at = second;
+                assert_eq!(
+                    kinds_at(&records, at)[..3],
+                    [obskind::FLOW_WAVE, obskind::DRAIN_DONE, obskind::BB_CKPT]
+                );
+                assert_eq!(protocol_digest(&records), LONE_TIE_BB_WRITE_STREAM);
+                return;
+            }
+            let next = oci - gap as f64 / 1e9;
+            oci = if next != oci {
+                next
+            } else {
+                let step = |bits: u64| if gap > 0 { bits - 1 } else { bits + 1 };
+                f64::from_bits(step(oci.to_bits()))
+            };
+        }
+        panic!("no OCI puts the next BB write on the drain's instant");
+    }
+
+    #[test]
+    fn safeguard_half_way_through_a_lone_drain_shares_the_link_with_it() {
+        // An M1 false positive half-way through the first drain: the
+        // safeguard's start puts the drain into the link at its original
+        // start under its reserved id (wave 0), and the two contend, as
+        // they did while every drain ran through the link.
+        let p = fluid(params(ModelKind::M1, "CHIMERA"));
+        let (bb, drained) = first_lone_drain_ns(&p);
+        let half = bb + (drained - bb) / 2;
+        let trace = FailureTrace {
+            failures: vec![],
+            false_positives: vec![Prediction {
+                node: 5,
+                at_hours: hours_at(half),
+                lead_secs: 60.0,
+                sequence_id: 2,
+                genuine: false,
+            }],
+        };
+        let (r, records) = run_recorded(p, trace);
+        assert_eq!(r.ledger.safeguard_ckpts, 1);
+        assert_eq!(
+            kinds_at(&records, half),
+            [
+                obskind::PREDICTION,
+                obskind::STATE,
+                obskind::SAFEGUARD_START
+            ]
+        );
+        let waves = waves_from(&records, half);
+        let ids: Vec<u64> = waves.iter().take(2).map(|&(_, id)| id).collect();
+        assert!(ids.contains(&0) && ids.contains(&1), "waves {waves:?}");
+        let wave_of = |id| waves.iter().find(|w| w.1 == id).map(|w| w.0);
+        let drain_done = wave_of(0).expect("the drain's wave");
+        assert!(drain_done > drained, "sharing the link slows the drain");
+        assert_eq!(
+            first_at(&records, half, obskind::DRAIN_DONE, None),
+            Some(drain_done)
+        );
+        let committed = first_at(&records, half, obskind::SAFEGUARD_DONE, None).expect("a commit");
+        assert_eq!(Some(committed), wave_of(1), "the safeguard's wave");
+        assert_eq!(protocol_digest(&records), LONE_SAFEGUARD_STREAM);
+    }
+
+    #[test]
+    fn round_half_way_through_a_lone_drain_suspends_and_resumes_it() {
+        // A P1 false positive half-way through the first drain: the round
+        // suspends the drain (put into the link, then cancelled with its
+        // progress kept), phase 1 and phase 2 take waves 1 and 2, and the
+        // drain resumes alone on the idle link as wave 3, completing at
+        // the instant its tick did.
+        let p = fluid(params(ModelKind::P1, "CHIMERA"));
+        let (bb, drained) = first_lone_drain_ns(&p);
+        let half = bb + (drained - bb) / 2;
+        let trace = FailureTrace {
+            failures: vec![],
+            false_positives: vec![Prediction {
+                node: 5,
+                at_hours: hours_at(half),
+                lead_secs: 60.0,
+                sequence_id: 2,
+                genuine: false,
+            }],
+        };
+        let (r, records) = run_recorded(p, trace);
+        assert_eq!(r.ledger.pckpt_rounds, 1);
+        assert_eq!(
+            kinds_at(&records, half),
+            [obskind::PREDICTION, obskind::STATE, obskind::ROUND_START]
+        );
+        let resumed = first_at(&records, half, obskind::ROUND_COMPLETE, None).expect("a round");
+        let waves = waves_from(&records, half);
+        let ids: Vec<u64> = waves.iter().take(3).map(|&(_, id)| id).collect();
+        assert_eq!(ids, [1, 2, 3]);
+        let done = first_at(&records, half, obskind::DRAIN_DONE, None).expect("the drain");
+        assert_eq!(done, waves[2].0);
+        assert!(done > resumed && done > drained);
+        assert_eq!(protocol_digest(&records), LONE_ROUND_STREAM);
+    }
+
+    #[test]
+    fn failure_during_a_lone_drain_voids_it_and_keeps_wave_ids() {
+        // A failure half-way through the first drain voids it (put into
+        // the link and cancelled): no DRAIN_DONE, and the recovery's
+        // replacement read is the next transfer, wave 1.
+        let p = fluid(params(ModelKind::B, "CHIMERA"));
+        let (bb, drained) = first_lone_drain_ns(&p);
+        let half = bb + (drained - bb) / 2;
+        let trace = FailureTrace {
+            failures: vec![failure(hours_at(half), 3, 10.0, false)],
+            false_positives: vec![],
+        };
+        let (r, records) = run_recorded(p, trace);
+        assert_eq!(r.ledger.failures_total, 1);
+        let recovered = first_at(&records, half, obskind::RECOVERY_DONE, None).expect("a recovery");
+        // The voided drain never completes: the next DRAIN_DONE is a
+        // later checkpoint's.
+        let next_drain = first_at(&records, half, obskind::DRAIN_DONE, None).expect("a drain");
+        assert!(next_drain > recovered);
+        let waves = waves_from(&records, half);
+        assert_eq!(waves[0].1, 1, "waves {waves:?}");
+        assert!(waves[0].0 <= recovered);
+        assert_eq!(protocol_digest(&records), LONE_FAILURE_STREAM);
     }
 
     #[test]

@@ -41,6 +41,17 @@
 //! [`reference::ReferenceFlowLink`]; property tests assert the two are
 //! observationally equivalent (completion instants within 1 ns, identical
 //! completion order and byte accounting) on randomized workloads.
+//!
+//! # Lone transfers
+//!
+//! A transfer that has the link to itself from start to finish needs
+//! none of this: [`FlowLink::lone_duration`] gives, from the same
+//! arithmetic, the instant the owner's first tick would retire it. An
+//! owner may hold such a transfer outside the link: it takes its id and
+//! epoch bump at the start ([`FlowLink::reserve`]), and either retires
+//! there ([`FlowLink::retire_lone`]) or, once anything else touches the
+//! link first, starts in it at its original instant under its reserved
+//! id ([`FlowLink::start_reserved`]), as if it had been there all along.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -66,6 +77,28 @@ fn done_threshold(rate: f64) -> f64 {
     DONE_EPSILON + rate * 2e-9
 }
 
+/// The bound [`done_threshold`] puts on snap tags at virtual time `v`
+/// and rate per weight `rpw`: a flow whose snap tag is at or below it
+/// is done.
+fn done_bound(v: f64, rpw: f64) -> f64 {
+    v + rpw * 2e-9
+}
+
+/// How long from virtual time `v`, at rate per weight `rpw`, until the
+/// earliest of the flows with smallest snap tag `min_tag` and smallest
+/// finish tag `min_finish()` is done: zero when one already is, else
+/// the time to the finish tag, rounded *up* to the next nanosecond so
+/// the scheduled instant never undershoots the completion (undershooting
+/// by even 1 ns leaves bytes at multi-GB/s rates).
+fn until_done(min_tag: f64, v: f64, rpw: f64, min_finish: impl FnOnce() -> f64) -> SimDuration {
+    let dt = if min_tag <= done_bound(v, rpw) {
+        0.0 // some flow is already inside its done threshold
+    } else {
+        (min_finish() - v) / rpw
+    };
+    SimDuration::from_secs_f64_ceil(dt)
+}
+
 /// Totally-ordered finite float heap key (`f64::total_cmp`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Key(f64);
@@ -88,6 +121,18 @@ impl Ord for Key {
 /// order is deterministic.
 type HeapEntry = Reverse<(Key, TransferId)>;
 
+/// Rejects a transfer no start may carry.
+fn check_transfer(bytes: f64, weight: f64) {
+    assert!(
+        bytes >= 0.0 && bytes.is_finite(),
+        "transfer size must be finite and non-negative, got {bytes}"
+    );
+    assert!(
+        weight > 0.0 && weight.is_finite(),
+        "transfer weight must be positive, got {weight}"
+    );
+}
+
 #[derive(Debug, Clone)]
 struct VFlow {
     /// Virtual time at which the flow started.
@@ -100,6 +145,17 @@ struct VFlow {
 }
 
 impl VFlow {
+    /// A flow of `bytes` at `weight` starting at virtual time `v`.
+    fn new(v: f64, bytes: f64, weight: f64, started: SimTime) -> Self {
+        VFlow {
+            start_v: v,
+            finish_v: v + bytes / weight,
+            total: bytes,
+            weight,
+            started,
+        }
+    }
+
     /// Bytes delivered by virtual time `v` (never exceeds `total`).
     fn delivered(&self, v: f64) -> f64 {
         ((v - self.start_v) * self.weight).min(self.total)
@@ -226,7 +282,11 @@ impl FlowLink {
 
     /// Bandwidth of one unit of weight at the current membership.
     fn rate_per_weight(&self) -> f64 {
-        let w = self.total_weight;
+        self.rate_at(self.total_weight)
+    }
+
+    /// Bandwidth of one unit of weight while the flows hold `w` in all.
+    fn rate_at(&self, w: f64) -> f64 {
         if w <= 0.0 {
             return 0.0;
         }
@@ -264,32 +324,82 @@ impl FlowLink {
     /// Starts a transfer of `bytes` carrying `weight` units of bandwidth
     /// share (e.g. the number of nodes writing collectively).
     pub fn start_weighted(&mut self, now: SimTime, bytes: f64, weight: f64) -> TransferId {
-        assert!(
-            bytes >= 0.0 && bytes.is_finite(),
-            "transfer size must be finite and non-negative, got {bytes}"
-        );
-        assert!(
-            weight > 0.0 && weight.is_finite(),
-            "transfer weight must be positive, got {weight}"
-        );
-        self.advance(now);
-        self.audit.inject(bytes);
+        let id = self.reserve();
+        self.start_reserved(now, id, bytes, weight);
+        id
+    }
+
+    /// Hands out the next transfer id and bumps the epoch, as a start does,
+    /// without starting anything: the caller then either starts the
+    /// transfer under it ([`FlowLink::start_reserved`]) or, for one that
+    /// had the link to itself, retires it ([`FlowLink::retire_lone`]).
+    /// Later starts get later ids either way.
+    pub fn reserve(&mut self) -> TransferId {
         let id = TransferId(self.next_id);
         self.next_id += 1;
         self.epoch += 1;
-        let flow = VFlow {
-            start_v: self.v,
-            finish_v: self.v + bytes / weight,
-            total: bytes,
-            weight,
-            started: now,
-        };
+        id
+    }
+
+    /// Starts a transfer of `bytes` at `weight` under `id`, the latest id
+    /// [`FlowLink::reserve`] handed out, as of `now`. The epoch is not bumped
+    /// again: the reservation did that.
+    pub fn start_reserved(&mut self, now: SimTime, id: TransferId, bytes: f64, weight: f64) {
+        check_transfer(bytes, weight);
+        // The flow table stays sorted by id only if no later id started.
+        assert_eq!(id.0 + 1, self.next_id, "only the latest reservation starts");
+        self.advance(now);
+        self.audit.inject(bytes);
+        let flow = VFlow::new(self.v, bytes, weight, now);
         self.by_tag.push(Reverse((Key(flow.snap_tag()), id)));
         self.by_finish.push(Reverse((Key(flow.finish_v), id)));
         self.total_weight += weight;
         // Ids are monotone, so pushing keeps the table sorted.
         self.flows.push((id, flow));
-        id
+    }
+
+    /// How long after its start a transfer of `bytes` at `weight` that
+    /// has the link to itself is retired: started on an idle link, with
+    /// nothing else started, cancelled or completed before it is done.
+    ///
+    /// This is the instant [`FlowLink::next_completion`] answers right
+    /// after the start, provided [`FlowLink::take_completed_into`] there
+    /// finds the transfer inside its done threshold, with the virtual
+    /// time and rate those calls would use. `None` when it does not:
+    /// such a transfer needs a later tick and must run through the link.
+    /// On an idle link `v` is 0 (see `rebase_idle`), so the answer is
+    /// the same for every start instant and every idle link with this
+    /// capacity function.
+    pub fn lone_duration(&self, bytes: f64, weight: f64) -> Option<SimDuration> {
+        check_transfer(bytes, weight);
+        let flow = VFlow::new(0.0, bytes, weight, SimTime::ZERO);
+        let tag = flow.snap_tag();
+        // Alone, the flow holds all the weight (0 + weight is exact).
+        let rpw = self.rate_at(weight);
+        let dur = until_done(tag, 0.0, rpw, || flow.finish_v);
+        let dt = dur.as_secs();
+        let v = if dt > 0.0 { rpw * dt } else { 0.0 };
+        (tag <= done_bound(v, rpw)).then_some(dur)
+    }
+
+    /// Retires at `now` the transfer reserved as `id` that had the link
+    /// to itself and was never started in it: `now` is its start plus
+    /// [`FlowLink::lone_duration`]. Accounts for it exactly as
+    /// [`FlowLink::take_completed_into`] would have retired it there:
+    /// its bytes count as delivered, the epoch moves on and its
+    /// [`kind::FLOW_WAVE`] is recorded at `now`.
+    pub fn retire_lone(&mut self, now: SimTime, id: TransferId, bytes: f64) {
+        debug_assert!(
+            self.flows.is_empty(),
+            "a lone transfer had the link to itself"
+        );
+        self.advance(now);
+        self.audit.inject(bytes);
+        self.bytes_retired += bytes;
+        self.epoch += 1;
+        self.rec
+            .emit(now.as_nanos(), kind::FLOW_WAVE, id.0, bytes.to_bits());
+        self.audit.check_conserved(self.bytes_retired, || 0.0);
     }
 
     /// Aborts a transfer, returning the bytes it still had left, or `None`
@@ -329,18 +439,12 @@ impl FlowLink {
         // peeks see the minimum over active flows.
         // Non-empty checked above; tops are pruned live. simlint: allow(no-unwrap-in-lib)
         let Reverse((Key(min_tag), _)) = *self.by_tag.peek().expect("live flow in heap");
-        let min_dt = if min_tag <= v_proj + rpw * 2e-9 {
-            0.0 // some flow is already inside its done threshold
-        } else {
-            let Reverse((Key(min_finish), _)) =
-                // Non-empty checked above; tops are pruned live. simlint: allow(no-unwrap-in-lib)
-                *self.by_finish.peek().expect("live flow in heap");
-            (min_finish - v_proj) / rpw
-        };
-        // Round *up* to the next nanosecond so the scheduled instant never
-        // undershoots the completion (undershooting by even 1 ns leaves
-        // bytes at multi-GB/s rates).
-        Some(now + SimDuration::from_secs_f64_ceil(min_dt))
+        let dt = until_done(min_tag, v_proj, rpw, || {
+            // Non-empty checked above; tops are pruned live. simlint: allow(no-unwrap-in-lib)
+            let Reverse((Key(min_finish), _)) = *self.by_finish.peek().expect("live flow in heap");
+            min_finish
+        });
+        Some(now + dt)
     }
 
     /// Advances to `now` and removes every transfer that has finished,
@@ -371,7 +475,7 @@ impl FlowLink {
         // One threshold for the whole batch, from the pre-removal
         // membership — mirrors the reference implementation, which
         // computes `rpw` once before removing anything.
-        let bound = self.v + self.rate_per_weight() * 2e-9;
+        let bound = done_bound(self.v, self.rate_per_weight());
         while let Some(&Reverse((Key(tag), id))) = self.by_tag.peek() {
             let Some(idx) = self.flow_idx(id) else {
                 self.by_tag.pop(); // stale: cancelled earlier

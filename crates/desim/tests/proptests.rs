@@ -225,6 +225,64 @@ proptest! {
         );
     }
 
+    /// A lone transfer, held outside the link, against the same transfer
+    /// through it: `lone_duration` is `Some` exactly when the tick at
+    /// `next_completion` retires it, at that instant; retiring it with
+    /// `retire_lone` there leaves the epoch, the byte count and the next
+    /// id where `take_completed` leaves them; and `start_reserved` at its
+    /// start instant rebuilds the link the start built.
+    #[test]
+    fn lone_transfer_matches_the_tick_path(
+        bytes in prop_oneof![0.0f64..4.0, 1.0f64..1e12, 1e12f64..1e18],
+        weight in 1u64..=8192,
+        t0_ns in 0u64..1_000_000_000_000,
+        // At most 1e6 s per transfer: the clock reads exactly to 2^53 ns.
+        base_capacity in 1e12f64..1e15,
+        load_dependent in any::<bool>(),
+        contact_at in 0.0f64..1.0,
+    ) {
+        let cap = move |writers: usize| {
+            if load_dependent {
+                base_capacity * (writers as f64).sqrt().min(16.0)
+            } else {
+                base_capacity
+            }
+        };
+        let weight = weight as f64;
+        let t0 = SimTime::from_nanos(t0_ns);
+        let mut through = FlowLink::with_capacity_fn(cap);
+        let mut lone = FlowLink::with_capacity_fn(cap);
+        let id = through.start_weighted(t0, bytes, weight);
+        let at = through.next_completion(t0).expect("a live flow");
+        let retired = through.take_completed(at);
+        let dur = lone.lone_duration(bytes, weight);
+        prop_assert_eq!(dur.map(|d| t0 + d), (!retired.is_empty()).then_some(at));
+        prop_assert_eq!(lone.reserve(), id);
+        if dur.is_some() {
+            lone.retire_lone(at, id, bytes);
+            prop_assert_eq!(lone.epoch(), through.epoch());
+            prop_assert_eq!(lone.bytes_moved(), through.bytes_moved());
+            prop_assert!(lone.is_idle() && through.is_idle());
+            prop_assert_eq!(lone.reserve(), through.reserve());
+        }
+        // Contact part-way: the reserved transfer started at t0 matches
+        // the one started there.
+        let mut fresh = FlowLink::with_capacity_fn(cap);
+        let mut held = FlowLink::with_capacity_fn(cap);
+        let a = fresh.start_weighted(t0, bytes, weight);
+        let b = held.reserve();
+        let part = ((at.as_nanos() - t0_ns) as f64 * contact_at) as u64;
+        let later = SimTime::from_nanos(t0_ns + part);
+        held.start_reserved(t0, b, bytes, weight);
+        prop_assert_eq!(a, b);
+        let c = fresh.start_weighted(later, 1e9, 1.0);
+        let d = held.start_weighted(later, 1e9, 1.0);
+        prop_assert_eq!(c, d);
+        prop_assert_eq!(fresh.epoch(), held.epoch());
+        prop_assert_eq!(fresh.next_completion(later), held.next_completion(later));
+        prop_assert_eq!(fresh.remaining(a), held.remaining(b));
+    }
+
     /// Queue length accounting stays consistent under mixed operations.
     #[test]
     fn queue_len_is_consistent(

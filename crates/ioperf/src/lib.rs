@@ -35,7 +35,7 @@ pub mod pfs;
 pub use bb::BurstBuffer;
 pub use net::Network;
 pub use node::NodeIoModel;
-pub use pfs::{CapacityTable, PerfMatrix, PfsModel};
+pub use pfs::{CapacityCurve, PerfMatrix, PfsModel};
 
 /// One gigabyte in bytes (decimal, as used throughout the paper).
 pub const GB: f64 = 1e9;

@@ -25,6 +25,8 @@
 //!    (the paper's stated simplification, justified because recovery reads
 //!    are single-node and nowhere near aggregate limits).
 
+use std::cell::Cell;
+
 use crate::node::NodeIoModel;
 use crate::TB;
 
@@ -269,62 +271,69 @@ impl PfsModel {
         (*node_model, *ceiling, *contention_exponent)
     }
 
-    /// Precomputes the writer-count → aggregate-bandwidth curve at a
-    /// fixed per-node size. See [`CapacityTable`].
-    pub fn capacity_table(&self, per_node_bytes: f64, max_writers: usize) -> CapacityTable {
-        CapacityTable::new(self, per_node_bytes, max_writers)
+    /// The writer-count → aggregate-bandwidth curve at a fixed per-node
+    /// size, filled on demand. See [`CapacityCurve`].
+    pub fn capacity_curve(&self, per_node_bytes: f64, max_writers: usize) -> CapacityCurve {
+        CapacityCurve::new(self, per_node_bytes, max_writers)
     }
 }
 
 /// A memoized `writers → aggregate bandwidth` lookup at a fixed per-node
-/// transfer size.
+/// transfer size, filled lazily.
 ///
-/// The fluid-flow link consults its capacity function on *every* advance
-/// and completion query — the hottest call site in a campaign. The full
-/// [`PfsModel::aggregate_write_bw`] path does two binary searches plus a
-/// bilinear interpolation per call; for a fixed job the per-node size
-/// never changes and the writer count is a small integer, so the curve is
-/// precomputed once here and the hot path is a bounds-checked array index.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CapacityTable {
-    /// `bw[w-1]` = aggregate bandwidth for `w` writers; queries above the
-    /// table clamp to the last entry (the curve is ceiling-saturated
-    /// there anyway).
-    bw: Vec<f64>,
+/// The fluid-flow link consults its capacity function whenever its
+/// membership changes. The full [`PfsModel::aggregate_write_bw`] path
+/// does two binary searches plus a bilinear interpolation per call; for
+/// a fixed job the per-node size never changes and the writer count is a
+/// small integer, so each count's value is computed on its first query
+/// and read back from a flat array after that. A run queries only a
+/// handful of counts, so none is sampled up front.
+#[derive(Debug, Clone)]
+pub struct CapacityCurve {
+    pfs: PfsModel,
+    per_node_bytes: f64,
+    /// `bw[w-1]` = aggregate bandwidth for `w` writers once queried, 0
+    /// before (every bandwidth is positive); queries above the curve
+    /// clamp to the last entry (the curve is ceiling-saturated there
+    /// anyway).
+    bw: Box<[Cell<f64>]>,
 }
 
-impl CapacityTable {
-    /// Samples `pfs.aggregate_write_bw(w, per_node_bytes)` for
-    /// `w = 1..=max_writers`.
+impl CapacityCurve {
+    /// A curve answering `pfs.aggregate_write_bw(w, per_node_bytes)` for
+    /// `w = 1..=max_writers`, with nothing computed yet.
     pub fn new(pfs: &PfsModel, per_node_bytes: f64, max_writers: usize) -> Self {
-        assert!(max_writers >= 1, "table needs at least one writer count");
+        assert!(
+            max_writers >= 1,
+            "the curve needs at least one writer count"
+        );
         assert!(
             per_node_bytes > 0.0 && per_node_bytes.is_finite(),
             "per-node size must be positive"
         );
-        let bw = (1..=max_writers as u64)
-            .map(|w| pfs.aggregate_write_bw(w, per_node_bytes))
-            .collect();
-        Self { bw }
+        Self {
+            pfs: pfs.clone(),
+            per_node_bytes,
+            bw: vec![Cell::new(0.0); max_writers].into_boxed_slice(),
+        }
     }
 
-    /// Aggregate bandwidth (bytes/sec) for `writers` concurrent writers.
-    /// `writers = 0` is answered as 1 (the link never queries capacity
-    /// with no active weight, but callers clamp defensively).
+    /// Aggregate bandwidth (bytes/sec) for `writers` concurrent writers,
+    /// bit for bit [`PfsModel::aggregate_write_bw`]'s. `writers = 0` is
+    /// answered as 1 (the link never queries capacity with no active
+    /// weight, but callers clamp defensively).
     #[inline]
     pub fn capacity(&self, writers: usize) -> f64 {
         let idx = writers.clamp(1, self.bw.len()) - 1;
-        self.bw[idx]
-    }
-
-    /// Number of precomputed writer counts.
-    pub fn len(&self) -> usize {
-        self.bw.len()
-    }
-
-    /// Always false: the constructor rejects empty tables.
-    pub fn is_empty(&self) -> bool {
-        self.bw.is_empty()
+        let known = self.bw[idx].get();
+        if known > 0.0 {
+            return known;
+        }
+        let bw = self
+            .pfs
+            .aggregate_write_bw(idx as u64 + 1, self.per_node_bytes);
+        self.bw[idx].set(bw);
+        bw
     }
 }
 
@@ -441,23 +450,27 @@ mod tests {
     }
 
     #[test]
-    fn capacity_table_matches_direct_lookup() {
+    fn capacity_curve_matches_direct_lookup() {
         let pfs = PfsModel::summit();
         let per_node = 32.0 * GB;
-        let table = pfs.capacity_table(per_node, 4096);
-        for w in [1usize, 2, 7, 64, 513, 4096] {
-            assert_eq!(
-                table.capacity(w),
-                pfs.aggregate_write_bw(w as u64, per_node),
-                "writer count {w}"
-            );
+        let curve = pfs.capacity_curve(per_node, 8192);
+        let direct = |w: usize| pfs.aggregate_write_bw(w as u64, per_node).to_bits();
+        // Filled in a scattered order, then read back: bit for bit the
+        // direct lookup at every writer count, on first use and after.
+        for w in [513usize, 1, 8192, 64, 2, 7] {
+            assert_eq!(curve.capacity(w).to_bits(), direct(w), "writer count {w}");
         }
-        // Above the table: clamped to the last sampled count.
-        assert_eq!(table.capacity(10_000), table.capacity(4096));
+        for _ in 0..2 {
+            for w in 1..=8192 {
+                assert_eq!(curve.capacity(w).to_bits(), direct(w), "writer count {w}");
+            }
+        }
+        // Above the curve: clamped to the last count, filled or not.
+        assert_eq!(curve.capacity(10_000).to_bits(), direct(8192));
+        let fresh = pfs.capacity_curve(per_node, 4096);
+        assert_eq!(fresh.capacity(10_000).to_bits(), direct(4096));
         // Zero writers: defensively answered as one.
-        assert_eq!(table.capacity(0), table.capacity(1));
-        assert_eq!(table.len(), 4096);
-        assert!(!table.is_empty());
+        assert_eq!(curve.capacity(0), curve.capacity(1));
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //! file plus rename, so concurrent daemons sharing a directory see
 //! either the old state or a complete record. `index.log` only orders
 //! eviction: when entries exceed `PCKPT_CACHE_MAX`, the oldest are
-//! removed. It is rewritten only when it changes (an insert or an
-//! eviction), so re-putting a present entry touches no file.
+//! removed. An insert appends its one line; only an eviction rewrites
+//! the file (scratch file plus rename), and re-putting a present entry
+//! touches no file. A torn last line (a crash mid-append) is skipped on
+//! load, and the next append first ends it, so it cannot swallow the
+//! entry that follows.
 
 use std::fs;
 use std::io::Write;
@@ -37,8 +40,17 @@ static SCRATCH: AtomicU64 = AtomicU64::new(0);
 pub struct CellStore {
     dir: Option<PathBuf>,
     max_entries: usize,
-    /// Insertion-ordered fingerprints, mirroring `index.log`.
-    index: Mutex<Vec<Fingerprint>>,
+    index: Mutex<Index>,
+}
+
+/// The in-memory mirror of `index.log`.
+#[derive(Default)]
+struct Index {
+    /// Insertion-ordered fingerprints.
+    fps: Vec<Fingerprint>,
+    /// Whether the file may end without a newline: a torn line, or an
+    /// append that failed part-way.
+    torn: bool,
 }
 
 impl CellStore {
@@ -49,20 +61,21 @@ impl CellStore {
             return Ok(CellStore {
                 dir: None,
                 max_entries,
-                index: Mutex::new(Vec::new()),
+                index: Mutex::new(Index::default()),
             });
         };
         fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        let mut index = Vec::new();
+        let mut index = Index::default();
         let log = dir.join("index.log");
         if let Ok(text) = fs::read_to_string(&log) {
             for line in text.lines() {
                 if let Some(fp) = Fingerprint::from_hex(line.trim()) {
-                    if !index.contains(&fp) {
-                        index.push(fp);
+                    if !index.fps.contains(&fp) {
+                        index.fps.push(fp);
                     }
                 }
             }
+            index.torn = !text.is_empty() && !text.ends_with('\n');
         }
         Ok(CellStore {
             dir: Some(dir.to_path_buf()),
@@ -84,15 +97,15 @@ impl CellStore {
 
     /// Persists sealed record bytes under `fp`, evicting the oldest
     /// entries beyond the cap. Already-present entries are left alone
-    /// (content-addressed: same key ⇒ same bytes), and `index.log` is
-    /// rewritten only when an insert or an eviction changed it.
+    /// (content-addressed: same key ⇒ same bytes). An insert appends
+    /// its line to `index.log`; an eviction rewrites the file.
     pub fn put(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), String> {
         let Some(dir) = self.dir.as_ref() else {
             return Ok(());
         };
         let path = dir.join(format!("{}.cell", fp.hex()));
         let mut index = self.index.lock().unwrap_or_else(PoisonError::into_inner);
-        let indexed = index.contains(&fp);
+        let indexed = index.fps.contains(&fp);
         if indexed && path.exists() {
             return Ok(());
         }
@@ -103,18 +116,21 @@ impl CellStore {
         ));
         fs::write(&scratch, bytes).map_err(|e| format!("write {}: {e}", scratch.display()))?;
         fs::rename(&scratch, &path).map_err(|e| format!("rename {}: {e}", path.display()))?;
-        let mut changed = !indexed;
-        if changed {
-            index.push(fp);
+        if !indexed {
+            index.fps.push(fp);
         }
-        while index.len() > self.max_entries {
-            let oldest = index.remove(0);
+        let mut evicted = false;
+        while index.fps.len() > self.max_entries {
+            let oldest = index.fps.remove(0);
             let victim = dir.join(format!("{}.cell", oldest.hex()));
             let _ = fs::remove_file(victim);
-            changed = true;
+            evicted = true;
         }
-        if changed {
-            self.rewrite_index(dir, &index)?;
+        if evicted {
+            self.rewrite_index(dir, &index.fps)?;
+            index.torn = false;
+        } else if !indexed {
+            append_index(dir, fp, &mut index.torn)?;
         }
         Ok(())
     }
@@ -138,13 +154,35 @@ impl CellStore {
 
     /// Number of entries currently indexed.
     pub fn len(&self) -> usize {
-        self.index.lock().unwrap_or_else(PoisonError::into_inner).len()
+        self.index.lock().unwrap_or_else(PoisonError::into_inner).fps.len()
     }
 
     /// Whether the store currently indexes nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Appends `fp`'s line to `index.log` in one write, first ending a torn
+/// last line (`torn`) so it cannot swallow the entry.
+fn append_index(dir: &Path, fp: Fingerprint, torn: &mut bool) -> Result<(), String> {
+    let log = dir.join("index.log");
+    let mut line = String::with_capacity(34);
+    if *torn {
+        line.push('\n');
+    }
+    line.push_str(&fp.hex());
+    line.push('\n');
+    // Until the write is known whole, the file may end mid-line.
+    *torn = true;
+    fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&log)
+        .and_then(|mut f| f.write_all(line.as_bytes()))
+        .map_err(|e| format!("append {}: {e}", log.display()))?;
+    *torn = false;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -193,20 +231,69 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The fingerprints `store` indexes, oldest first.
+    fn order(store: &CellStore) -> Vec<Fingerprint> {
+        store.index.lock().unwrap().fps.clone()
+    }
+
     #[test]
     fn re_putting_an_indexed_entry_leaves_the_index_file_alone() {
         use std::os::unix::fs::MetadataExt;
         let dir = scratch_dir("reput");
         let store = CellStore::open(Some(&dir), 8).unwrap();
         store.put(fp(1), b"a").unwrap();
-        let inode = || fs::metadata(dir.join("index.log")).unwrap().ino();
-        let before = inode();
+        let stat = || {
+            let m = fs::metadata(dir.join("index.log")).unwrap();
+            (m.ino(), m.len())
+        };
+        let before = stat();
         // A rewrite renames a scratch file over index.log: a new inode.
         store.put(fp(1), b"a").unwrap();
-        assert_eq!(inode(), before, "second put of the same key rewrote index.log");
-        // An insert does rewrite it.
+        assert_eq!(stat(), before, "second put of the same key touched index.log");
+        // An insert appends its one 33-byte line in place.
         store.put(fp(2), b"b").unwrap();
-        assert_ne!(inode(), before);
+        assert_eq!(stat(), (before.0, before.1 + 33));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn evictions_rewrite_the_index_in_order_and_reopen_keeps_it() {
+        let dir = scratch_dir("reopen-evict");
+        let store = CellStore::open(Some(&dir), 2).unwrap();
+        for n in 1..=4 {
+            store.put(fp(n), b"x").unwrap();
+        }
+        assert_eq!(order(&store), [fp(3), fp(4)]);
+        let log = fs::read_to_string(dir.join("index.log")).unwrap();
+        assert_eq!(log, format!("{}\n{}\n", fp(3).hex(), fp(4).hex()));
+        // A reopened store evicts in the same order, and its appends
+        // land after the rewritten lines.
+        let again = CellStore::open(Some(&dir), 3).unwrap();
+        assert_eq!(order(&again), [fp(3), fp(4)]);
+        again.put(fp(5), b"x").unwrap();
+        again.put(fp(6), b"x").unwrap();
+        assert_eq!(order(&again), [fp(4), fp(5), fp(6)]);
+        assert!(again.get(fp(3)).is_none() && again.get(fp(4)).is_some());
+        let third = CellStore::open(Some(&dir), 3).unwrap();
+        assert_eq!(order(&third), [fp(4), fp(5), fp(6)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_last_line_does_not_swallow_the_next_entry() {
+        let dir = scratch_dir("torn");
+        let store = CellStore::open(Some(&dir), 8).unwrap();
+        store.put(fp(1), b"a").unwrap();
+        // A crash mid-append leaves half a line.
+        let log = dir.join("index.log");
+        let mut f = fs::OpenOptions::new().append(true).open(&log).unwrap();
+        f.write_all(&fp(2).hex().as_bytes()[..10]).unwrap();
+        drop(f);
+        let again = CellStore::open(Some(&dir), 8).unwrap();
+        assert_eq!(order(&again), [fp(1)], "the torn line is skipped");
+        again.put(fp(3), b"c").unwrap();
+        let third = CellStore::open(Some(&dir), 8).unwrap();
+        assert_eq!(order(&third), [fp(1), fp(3)]);
         let _ = fs::remove_dir_all(&dir);
     }
 

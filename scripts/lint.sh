@@ -53,6 +53,30 @@ print("bench smoke ok (fig4: 45 runs, {} events handled, {:.3f} per BB checkpoin
     obs["events_handled"], per_ckpt))
 '
 
+echo "== bench smoke (1-run fluid campaign) =="
+# The same gate in fluid PFS mode: CHIMERA, XGC and POP under all five
+# models, one run each. A drain that has the fluid link to itself is
+# settled inside CrSim like the analytic one, so a periodic checkpoint
+# still costs one queue event (about 1.08 per BB checkpoint here); a
+# drain completed by a PfsTick would read about 2.
+PCKPT_RUNS=1 cargo run --release -q -p pckpt-bench --bin exp_fluid \
+    | python3 -c '
+import json, sys
+seen = {}
+for line in sys.stdin:
+    if line.startswith("METRICS_JSON "):
+        rec = json.loads(line[len("METRICS_JSON "):])
+        seen[rec["name"]] = rec
+obs, grid = seen.get("fluid"), seen.get("fluid_grid")
+assert obs and grid, f"expected fluid and fluid_grid METRICS_JSON lines, saw {sorted(seen)}"
+assert obs["runs"] == 15 and obs["events_handled"] > 0, obs
+assert grid["cells"] == 3 and grid["lanes"] == 15, grid
+per_ckpt = obs["events_handled"] / obs["lat_bb_ns"]["count"]
+assert per_ckpt < 1.5, f"{per_ckpt:.3f} fluid events handled per BB checkpoint (limit 1.5)"
+print("fluid smoke ok (15 runs, {} events handled, {:.3f} per BB checkpoint)".format(
+    obs["events_handled"], per_ckpt))
+'
+
 echo "== bench smoke (1-run grid + prefilter + VR) =="
 # One-run grid sweep: the grid METRICS_JSON must carry the analytic
 # pre-filter accounting (pruned + simulated == cells on every grid), every

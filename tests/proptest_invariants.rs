@@ -159,30 +159,36 @@ proptest! {
         prop_assert_eq!(reused, fresh);
     }
 
-    /// The analytic BB→PFS drain, stated on the recording alone. With
-    /// `d` the drain time, a periodic checkpoint recorded at `T` becomes
+    /// The BB→PFS drain, stated on the recording alone. With `d` the
+    /// drain time, a periodic checkpoint recorded at `T` becomes
     /// PFS-durable (`DRAIN_DONE` at exactly `T + d`) unless, after it, a
     /// failure strikes at or before `T + d` (it voids the drain, and at
     /// `T + d` itself it was queued first), or a newer checkpoint or the
     /// end of the run comes strictly before `T + d` (at `T + d` itself
-    /// the drain completes first). CHIMERA's 19-minute drain gives the
-    /// failures a fair chance to land inside one.
+    /// the drain completes first). All five models in analytic mode; in
+    /// fluid mode B and M2, which have neither rounds nor safeguards, so
+    /// every drain has the link to itself and `d` is its lone time.
+    /// CHIMERA's 19-minute drain gives the failures a fair chance to
+    /// land inside one.
     #[test]
     fn drains_complete_exactly_when_nothing_intervenes(
         trace in arb_trace(12),
-        model in arb_model(),
+        (model, fluid) in prop_oneof![
+            arb_model().prop_map(|m| (m, false)),
+            prop_oneof![Just(ModelKind::B), Just(ModelKind::M2)].prop_map(|m| (m, true)),
+        ],
     ) {
         use pckpt::core::iosim::PfsMode;
         use pckpt::core::obs::{kind, Recorder};
         use pckpt::desim::SimDuration;
         let app = Application::by_name("CHIMERA").unwrap();
         let mut params = SimParams::paper_defaults(model, app);
-        params.pfs_mode = PfsMode::Analytic;
+        params.pfs_mode = if fluid { PfsMode::Fluid } else { PfsMode::Analytic };
         let leads = LeadTimeModel::desh_default();
         let rec = Recorder::enabled(1 << 20);
         let mut sim = CrSim::new(params, trace, &leads);
         sim.set_recorder(rec.clone());
-        let d = SimDuration::from_secs(sim.drain_secs()).as_nanos();
+        let d = SimDuration::from_secs(sim.drain_secs().expect("a lone drain time")).as_nanos();
         sim.run();
         let recording = rec.take();
         prop_assert_eq!(recording.dropped, 0);
