@@ -227,15 +227,21 @@ impl FluidPfs {
     }
 
     /// Suspends an in-flight drain (p-ckpt coordination), preserving its
-    /// progress. No-op without an active drain.
-    pub fn suspend_drain(&mut self, now: SimTime) {
+    /// progress. Returns `true` if the drain had at most one byte left:
+    /// it is complete at `now`, and nothing is kept to resume. No-op
+    /// (`false`) without an active drain.
+    pub fn suspend_drain(&mut self, now: SimTime) -> bool {
         self.materialize();
         if let Some(id) = self.drain_active.take() {
             if let Some(remaining) = self.link.cancel(now, id) {
                 self.ops.retain(|&(i, _)| i != id);
+                if remaining <= 1.0 {
+                    return true;
+                }
                 self.suspended_drain = Some(remaining);
             }
         }
+        false
     }
 
     /// Resumes a suspended drain with the original writer weight, as
@@ -243,7 +249,7 @@ impl FluidPfs {
     /// drain completes, `None` if it went into the link or there was
     /// nothing to resume.
     pub fn resume_drain(&mut self, now: SimTime, weight: f64) -> Option<SimTime> {
-        let remaining = self.suspended_drain.take().filter(|&r| r > 1.0)?;
+        let remaining = self.suspended_drain.take()?;
         let lone = self.lone_duration(remaining, weight);
         self.start_drain(now, remaining, weight, lone)
     }
@@ -365,10 +371,11 @@ mod tests {
         f.start(t(0.0), PfsOp::Drain, total, 100.0);
         let full = f.next_completion(t(0.0)).unwrap().as_secs();
         // Suspend halfway.
-        f.suspend_drain(t(full / 2.0));
+        assert!(!f.suspend_drain(t(full / 2.0)), "half the drain is left");
         assert!(f.drain_pending());
         assert_eq!(f.active(), 0);
         assert!(f.next_completion(t(full / 2.0)).is_none());
+        assert!(!f.suspend_drain(t(full / 2.0)), "nothing more to suspend");
         // A phase-1 commit now runs at full single-node speed.
         f.start(t(full / 2.0), PfsOp::Phase1, per_node, 1.0);
         let fin = f.next_completion(t(full / 2.0)).unwrap();
@@ -445,6 +452,23 @@ mod tests {
         assert_eq!(lone.active(), 0);
         lone.void_drain(clock + pckpt_desim::SimDuration::from_secs(2.0));
         assert!(!lone.drain_pending());
+    }
+
+    #[test]
+    fn a_drain_suspended_at_its_instant_is_complete() {
+        // A round that starts exactly when a lone drain completes finds
+        // nothing left to drain: the drain is complete there, and
+        // nothing is kept for the round's end to resume.
+        let mut f = fluid();
+        let (bytes, weight) = (100.0 * GB, 10.0);
+        let dur = f.lone_duration(bytes, weight);
+        let at = f
+            .start_drain(t(0.0), bytes, weight, dur)
+            .expect("a lone drain");
+        assert!(f.suspend_drain(at));
+        assert!(!f.drain_pending());
+        assert_eq!(f.active(), 0);
+        assert_eq!(f.resume_drain(at, weight), None);
     }
 
     #[test]

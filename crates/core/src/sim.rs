@@ -34,6 +34,13 @@
 //! suspends it, a failure voids it). Only a drain that shares the link
 //! completes through a `PfsTick`.
 //!
+//! In analytic mode a whole checkpoint cycle costs no queue event either
+//! when nothing can happen during it: while the application runs at full
+//! speed with no prediction pending, a cycle whose BB write completes
+//! strictly before the next queued event is settled where its segment
+//! opens, and so is the next one (see [`CrSim::open_segment`]). Between
+//! failures and predictions, analytic cycles never reach the queue.
+//!
 //! ### Accounting invariant
 //!
 //! Wall time decomposes exactly into ideal compute + checkpoint bucket +
@@ -49,6 +56,10 @@ use crate::config::{ModelKind, SimParams};
 use crate::metrics::{OverheadLedger, RunResult};
 use crate::oci;
 use crate::protocol::{Phase, PckptRound, Vulnerable};
+
+/// In-window failures the rate estimator needs before the OCI follows
+/// its empirical rate instead of the prior.
+const RATE_MIN_EVENTS: usize = 3;
 
 /// What blocks the application right now. The discriminants are the
 /// stable `a` payloads of [`obskind::STATE`] records.
@@ -180,6 +191,12 @@ pub struct CrSim {
     /// The prior failure rate, which `oci0` was computed from.
     prior_rate: f64,
     next_ckpt_work: f64,
+    /// The last work span [`CrSim::work_span`] converted to clock time:
+    /// the work's bits and its span.
+    span_memo: (u64, SimDuration),
+    /// The last segment length [`CrSim::segment_secs`] converted to
+    /// seconds: its nanoseconds and its seconds.
+    secs_memo: (u64, f64),
     /// When the pending computing segment's periodic checkpoint starts;
     /// `None` when the segment ends in `WorkComplete` or no segment is
     /// pending. [`Model::handle`] settles it (see
@@ -327,6 +344,8 @@ impl CrSim {
             oci_rate: prior_rate,
             prior_rate,
             next_ckpt_work: oci0,
+            span_memo: (0.0f64.to_bits(), SimDuration::ZERO),
+            secs_memo: (0, 0.0),
             ckpt_due_at: None,
             ckpt_tick_mark: 0,
             pfs_ticks: 0,
@@ -345,7 +364,7 @@ impl CrSim {
             failure_events: vec![None; failure_count],
             recovery_level: 0.0,
             recovery_dur: 0.0,
-            estimator: RateEstimator::new(params.rate_window_hours, prior_rate, 3),
+            estimator: RateEstimator::new(params.rate_window_hours, prior_rate, RATE_MIN_EVENTS),
             ledger: OverheadLedger::default(),
             finished_at: None,
             bg_rng: pckpt_simrng::SimRng::seed_from(0x0BAC_6007),
@@ -517,10 +536,7 @@ impl CrSim {
         fluid.take_completed_into(now, &mut done);
         for &op in &done {
             match op {
-                PfsOp::Drain => {
-                    self.rec.emit(now.as_nanos(), obskind::DRAIN_DONE, 0, 0);
-                    self.best_bb_pfs = self.best_bb_pfs.max(self.drain_level);
-                }
+                PfsOp::Drain => self.drain_done(now),
                 PfsOp::Safeguard => self.on_safeguard_done(ctx),
                 PfsOp::Phase1 => self.on_phase1_writer_done(ctx),
                 PfsOp::Phase2 => self.on_phase2_done(ctx),
@@ -641,13 +657,59 @@ impl CrSim {
 
     fn close_segment(&mut self, now: SimTime) {
         debug_assert_eq!(self.state, AppState::Computing);
-        let dt = now.since(self.seg_start).as_secs();
+        let dt = self.segment_secs(now.since(self.seg_start));
         self.work_done += dt * self.seg_rate;
         self.ledger.lm_slowdown_secs += dt * (1.0 - self.seg_rate);
         self.seg_start = now;
     }
 
-    /// Opens a computing segment and schedules the one event that ends it.
+    /// `d` in seconds, memoized on its nanoseconds: at full speed one
+    /// checkpoint interval's segments last the same nanoseconds, so the
+    /// conversion's division runs about once per OCI.
+    #[inline]
+    fn segment_secs(&mut self, d: SimDuration) -> f64 {
+        if d.as_nanos() != self.secs_memo.0 {
+            self.secs_memo = (d.as_nanos(), d.as_secs());
+        }
+        self.secs_memo.1
+    }
+
+    /// `SimDuration::from_secs(work)`, memoized on `work`'s bits: at full
+    /// speed the work left to the next checkpoint is the OCI rounded at
+    /// the magnitude of the work done, so its bits repeat from segment to
+    /// segment until the OCI or that magnitude changes.
+    #[inline]
+    fn work_span(&mut self, work: f64) -> SimDuration {
+        if work.to_bits() != self.span_memo.0 {
+            self.span_memo = (work.to_bits(), SimDuration::from_secs(work));
+        }
+        self.span_memo.1
+    }
+
+    /// Opens a computing segment and schedules the one event that ends it,
+    /// settling in place every periodic checkpoint cycle that can be (see
+    /// [`CrSim::open_segment`]).
+    ///
+    /// A cycle settled in place is the queued one, run where its
+    /// `BbWriteDone` would pop: `settle` for that event (the drain, then
+    /// the checkpoint's start, or the other way round if the start is
+    /// earlier), the body of `on_bb_write_done`, and the next segment,
+    /// opened at the write's instant.
+    fn schedule_compute_events(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        let mut now = ctx.now();
+        while let Some(done) = self.open_segment(ctx, now, true) {
+            self.settle(done, &Ev::BbWriteDone(self.epoch));
+            self.complete_bb_write(ctx, done);
+            self.reopen_computing(done);
+            now = done;
+        }
+    }
+
+    /// Opens a computing segment at `now` (the clock, or the end of a
+    /// cycle settled in place) and queues the one event that ends it, or,
+    /// if `in_place` allows and the segment's checkpoint cycle can be
+    /// settled in place, queues nothing and returns the instant that
+    /// checkpoint's BB write completes.
     ///
     /// A segment ends at the first work threshold it reaches: the next
     /// periodic checkpoint or the end of the job (`WorkComplete`). Either
@@ -660,9 +722,33 @@ impl CrSim {
     /// the write completes. Rate changes and failures supersede both
     /// through the epoch, and `leave_state`/`rate_changed` clear or
     /// replace `ckpt_due_at`.
-    fn schedule_compute_events(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    ///
+    /// The cycle is settled in place, in analytic mode, while:
+    /// - the application runs at full speed (no migration is in flight);
+    /// - no prediction is pending, so resuming after the write re-arms
+    ///   nothing;
+    /// - the segment adds work, so every cycle settled in place moves
+    ///   the job toward its end (a cycle that adds none is queued, and
+    ///   the event budget bounds a runaway);
+    /// - the BB write completes strictly before the next queued event.
+    ///
+    /// Then the queued `BbWriteDone`, which would take the highest seq,
+    /// would pop next, at `done`, and until then no event would dispatch
+    /// and nothing would be queued. So settling the cycle here leaves
+    /// the model and the queue exactly as that pop and its handler
+    /// would, except that the queue's clock stays and the event is
+    /// neither queued nor handled, provided nothing else runs in the
+    /// handler that opened the segment. That holds for every caller
+    /// (`resume_computing` re-arms only pending predictions) but one: a
+    /// failure that ends a migration restarts the segment only to end it
+    /// at its own instant, and passes `in_place = false`.
+    fn open_segment(
+        &mut self,
+        ctx: &mut Ctx<'_, Ev>,
+        now: SimTime,
+        in_place: bool,
+    ) -> Option<SimTime> {
         debug_assert_eq!(self.state, AppState::Computing);
-        let now = ctx.now();
         self.seg_start = now;
         // Full speed unless a migration is in flight; x / 1.0 == x, so the
         // division is skipped there.
@@ -672,17 +758,33 @@ impl CrSim {
         let span = |work: f64| SimDuration::from_secs(if full_speed { work } else { work / rate });
         let to_target = span((self.target - self.work_done).max(0.0));
         if self.next_ckpt_work < self.target {
-            let to_ckpt = span((self.next_ckpt_work - self.work_done).max(0.0));
+            let work = (self.next_ckpt_work - self.work_done).max(0.0);
+            let to_ckpt = if full_speed {
+                self.work_span(work)
+            } else {
+                span(work)
+            };
             if to_ckpt < to_target {
                 let at = now + to_ckpt;
+                let done = at + self.bb_write_dur;
                 self.ckpt_due_at = Some(at);
                 self.ckpt_tick_mark = self.pfs_ticks;
-                ctx.schedule_uncancellable_at(at + self.bb_write_dur, Ev::BbWriteDone(self.epoch));
-                return;
+                if in_place
+                    && full_speed
+                    && self.fluid.is_none()
+                    && self.pending.is_empty()
+                    && self.work_done + self.segment_secs(to_ckpt) > self.work_done
+                    && done < ctx.peek_time()
+                {
+                    return Some(done);
+                }
+                ctx.schedule_uncancellable_at(done, Ev::BbWriteDone(self.epoch));
+                return None;
             }
         }
         self.ckpt_due_at = None;
-        ctx.schedule_uncancellable_in(to_target, Ev::WorkComplete(self.epoch));
+        ctx.schedule_uncancellable_at(now + to_target, Ev::WorkComplete(self.epoch));
+        None
     }
 
     /// Rate changed while computing (LM started/stopped): close the
@@ -713,22 +815,26 @@ impl CrSim {
         self.epoch += 1;
     }
 
-    fn enter_state(&mut self, ctx: &mut Ctx<'_, Ev>, state: AppState) {
+    /// Enters `state` at `at` and records it there.
+    fn enter_state(&mut self, at: SimTime, state: AppState) {
         self.rec
-            .emit(ctx.now().as_nanos(), obskind::STATE, state.code(), 0);
+            .emit(at.as_nanos(), obskind::STATE, state.code(), 0);
         self.state = state;
-        self.state_entered = ctx.now();
-        if state == AppState::Computing {
-            self.schedule_compute_events(ctx);
-        }
+        self.state_entered = at;
     }
 
-    /// Transitions into Computing and re-arms any still-pending predicted
-    /// failures that never got a proactive action.
+    /// Transitions into Computing, opens its segment and re-arms any
+    /// still-pending predicted failures that never got a proactive action.
     fn resume_computing(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        self.next_ckpt_work = self.work_done + self.oci_secs;
-        self.enter_state(ctx, AppState::Computing);
+        self.reopen_computing(ctx.now());
+        self.schedule_compute_events(ctx);
         self.rearm_pending(ctx);
+    }
+
+    /// Enters Computing at `at`, the next checkpoint one OCI of work away.
+    fn reopen_computing(&mut self, at: SimTime) {
+        self.next_ckpt_work = self.work_done + self.oci_secs;
+        self.enter_state(at, AppState::Computing);
     }
 
     fn rearm_pending(&mut self, ctx: &mut Ctx<'_, Ev>) {
@@ -942,7 +1048,7 @@ impl CrSim {
             AppState::Computing | AppState::BbCkpt => {
                 self.leave_state(ctx.now());
                 self.safeguard_level = self.work_done;
-                self.enter_state(ctx, AppState::Safeguard);
+                self.enter_state(ctx.now(), AppState::Safeguard);
                 self.ledger.safeguard_ckpts += 1;
                 self.rec
                     .emit(ctx.now().as_nanos(), obskind::SAFEGUARD_START, 0, 0);
@@ -1037,13 +1143,10 @@ impl CrSim {
                 };
                 round.enqueue(entry);
                 self.round = Some(round);
-                let now = ctx.now().as_nanos();
-                self.rec
-                    .emit(now, obskind::STATE, AppState::Round.code(), 0);
-                self.state = AppState::Round;
-                self.state_entered = ctx.now();
+                self.enter_state(ctx.now(), AppState::Round);
                 self.ledger.pckpt_rounds += 1;
-                self.rec.emit(now, obskind::ROUND_START, 0, 0);
+                self.rec
+                    .emit(ctx.now().as_nanos(), obskind::ROUND_START, 0, 0);
                 if fail_idx.is_none() && !rearmed {
                     self.ledger.false_positive_actions += 1;
                 }
@@ -1056,7 +1159,11 @@ impl CrSim {
                 // the analytic mode has no cross-operation contention to
                 // begin with).
                 if let Some(fluid) = self.fluid.as_mut() {
-                    fluid.suspend_drain(ctx.now());
+                    if fluid.suspend_drain(ctx.now()) {
+                        // Nothing was left to drain: the checkpoint is on
+                        // the PFS here, where analytic mode completes it.
+                        self.drain_done(ctx.now());
+                    }
                     self.drain_done_at = None;
                     self.fluid_reschedule(ctx);
                 }
@@ -1179,7 +1286,7 @@ impl CrSim {
     fn begin_replacement_only_recovery(&mut self, ctx: &mut Ctx<'_, Ev>) {
         self.emit_recovery_start(ctx.now(), 0.0);
         self.recovery_level = self.work_done;
-        self.enter_state(ctx, AppState::Recovering);
+        self.enter_state(ctx.now(), AppState::Recovering);
         if self.fluid.is_some() {
             self.recovery_started = ctx.now();
             self.recovery_floor =
@@ -1217,14 +1324,20 @@ impl CrSim {
         self.ckpt_due_at = None;
         self.close_segment(at);
         self.inflight_bb_level = self.work_done;
-        self.rec
-            .emit(at.as_nanos(), obskind::STATE, AppState::BbCkpt.code(), 0);
-        self.state = AppState::BbCkpt;
-        self.state_entered = at;
+        self.enter_state(at, AppState::BbCkpt);
     }
 
     fn on_bb_write_done(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let now = ctx.now();
+        self.complete_bb_write(ctx, ctx.now());
+        self.resume_computing(ctx);
+    }
+
+    /// Completes the settled checkpoint's BB write at `now`: the
+    /// checkpoint is on the burst buffers, its drain starts, the OCI is
+    /// refreshed and BbCkpt ends. `on_bb_write_done` runs it at the
+    /// clock; [`CrSim::schedule_compute_events`] at the instant of a
+    /// cycle it settles in place, which is never in fluid mode.
+    fn complete_bb_write(&mut self, ctx: &mut Ctx<'_, Ev>, now: SimTime) {
         debug_assert_eq!(self.state, AppState::BbCkpt);
         debug_assert_eq!(now.since(self.state_entered), self.bb_write_dur);
         self.ledger.periodic_ckpts += 1;
@@ -1236,6 +1349,7 @@ impl CrSim {
         let at = match self.fluid.as_mut() {
             None => self.drain_dur.map(|d| now + d),
             Some(fluid) => {
+                debug_assert_eq!(now, ctx.now(), "fluid cycles are queued");
                 // Any previous drain (active, lone or suspended) is
                 // superseded by the fresher checkpoint.
                 fluid.void_drain(now);
@@ -1246,8 +1360,13 @@ impl CrSim {
         self.arm_drain(ctx, at);
         // Refresh the OCI with the windowed failure-rate estimate; the
         // OCI is a function of the rate alone, so an unchanged estimate
-        // keeps it.
-        if self.p.dynamic_oci {
+        // keeps it. While fewer than `min_events` failures sit in the
+        // window the estimate is the prior whatever the time, so an OCI
+        // computed from the prior stands without asking (skipping the
+        // call skips only an eviction the next call makes).
+        let prior_stands = self.estimator.in_window() < self.estimator.min_events()
+            && self.oci_rate.to_bits() == self.prior_rate.to_bits();
+        if self.p.dynamic_oci && !prior_stands {
             let rate = self.estimator.rate(now.as_hours());
             if rate.to_bits() != self.oci_rate.to_bits() {
                 self.oci_rate = rate;
@@ -1257,7 +1376,6 @@ impl CrSim {
         // Leave BbCkpt: the state lasted exactly the write.
         self.ledger.ckpt_secs += self.bb_write_secs;
         self.epoch += 1;
-        self.resume_computing(ctx);
     }
 
     /// Arms the drain just started (or resumed) to complete at `at`, for
@@ -1343,6 +1461,12 @@ impl CrSim {
         if let Some(fluid) = self.fluid.as_mut() {
             fluid.settle_lone_drain(at);
         }
+        self.drain_done(at);
+    }
+
+    /// The drain of `drain_level` completed at `at`: records it there and
+    /// makes that level recoverable from the PFS.
+    fn drain_done(&mut self, at: SimTime) {
         self.rec.emit(at.as_nanos(), obskind::DRAIN_DONE, 0, 0);
         self.best_bb_pfs = self.best_bb_pfs.max(self.drain_level);
     }
@@ -1429,9 +1553,14 @@ impl CrSim {
         let covered = pend.and_then(|pp| pp.covered);
         // Under lead-time estimation error a migration can still be in
         // flight when the failure strikes (the estimate was too long):
-        // the migration loses and the later LmDone is stale.
-        if self.active_lms.remove(&f.node).is_some() {
-            self.rate_changed(ctx);
+        // the migration loses and the later LmDone is stale. A computing
+        // segment restarts without it and ends below, at this instant,
+        // so no cycle of it is settled in place: its event is queued.
+        if self.active_lms.remove(&f.node).is_some() && self.state == AppState::Computing {
+            let now = ctx.now();
+            self.close_segment(now);
+            self.epoch += 1;
+            self.open_segment(ctx, now, false);
         }
 
         match self.state {
@@ -1506,7 +1635,7 @@ impl CrSim {
                     let level = self.recovery_level;
                     self.begin_recovery(ctx, level, all_pfs);
                 } else {
-                    self.enter_state(ctx, AppState::Recovering);
+                    self.enter_state(ctx.now(), AppState::Recovering);
                     ctx.schedule_uncancellable_in(
                         SimDuration::from_secs(self.recovery_dur),
                         Ev::RecoveryDone(self.epoch),
@@ -1547,7 +1676,7 @@ impl CrSim {
         self.work_done = level;
         self.recovery_level = level;
         self.recovery_all_pfs = all_from_pfs;
-        self.enter_state(ctx, AppState::Recovering);
+        self.enter_state(ctx.now(), AppState::Recovering);
         if self.fluid.is_some() {
             self.recovery_started = ctx.now();
             let per_node = self.p.per_node_bytes();
@@ -1597,10 +1726,8 @@ impl CrSim {
         debug_assert_eq!(self.state, AppState::Computing);
         self.close_segment(ctx.now());
         self.epoch += 1;
-        let now = ctx.now().as_nanos();
-        self.rec.emit(now, obskind::STATE, AppState::Done.code(), 0);
-        self.state = AppState::Done;
-        self.rec.emit(now, obskind::COMPLETE, 0, 0);
+        self.enter_state(ctx.now(), AppState::Done);
+        self.rec.emit(ctx.now().as_nanos(), obskind::COMPLETE, 0, 0);
         self.finished_at = Some(ctx.now());
         ctx.stop();
     }
@@ -1629,7 +1756,8 @@ impl Model for CrSim {
                 ctx.schedule_at(SimTime::from_hours(fp.at_hours), Ev::Prediction(None, fp_idx));
             }
         }
-        self.enter_state(ctx, AppState::Computing);
+        self.enter_state(SimTime::ZERO, AppState::Computing);
+        self.schedule_compute_events(ctx);
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, event: Ev) {
@@ -2659,13 +2787,14 @@ mod tests {
 
     #[test]
     fn failure_free_run_handles_no_stale_threshold_events() {
-        // Each periodic checkpoint is one BbWriteDone (its start and its
-        // drain, which has the fluid link to itself, are settled without
-        // an event) in both modes, and WorkComplete ends the run: nothing
+        // In fluid mode each periodic checkpoint is one BbWriteDone (its
+        // start and its drain, which has the link to itself, are settled
+        // without an event); in analytic mode, with nothing queued, every
+        // cycle is settled in place. WorkComplete ends the run: nothing
         // scheduled is left unhandled, in particular no superseded
         // WorkComplete per segment.
         for (mode, per_ckpt) in [
-            (crate::iosim::PfsMode::Analytic, 1),
+            (crate::iosim::PfsMode::Analytic, 0),
             (crate::iosim::PfsMode::Fluid, 1),
         ] {
             let mut p = params(ModelKind::B, "POP");
@@ -3347,6 +3476,48 @@ mod tests {
     }
 
     #[test]
+    fn round_at_a_lone_fluid_drain_instant_completes_it() {
+        // A P1 false positive at the first drain's exact nanosecond: it
+        // was queued by `init`, so its round starts first and suspends a
+        // drain with nothing left. The drain completes there, after the
+        // round's start, as analytic mode records it at such a tie, and
+        // its checkpoint is recoverable: a failure in the round's phase 1
+        // aborts the round and recomputes only the work done since that
+        // checkpoint.
+        let p = fluid(params(ModelKind::P1, "CHIMERA"));
+        let (bb, at) = first_lone_drain_ns(&p);
+        let struck = at + SimDuration::from_secs(5.0).as_nanos();
+        let trace = FailureTrace {
+            failures: vec![failure(hours_at(struck), 3, 10.0, false)],
+            false_positives: vec![Prediction {
+                node: 5,
+                at_hours: hours_at(at),
+                lead_secs: 60.0,
+                sequence_id: 2,
+                genuine: false,
+            }],
+        };
+        let (r, records) = run_recorded(p, trace);
+        assert_eq!(r.ledger.pckpt_rounds, 1);
+        assert_eq!(
+            kinds_at(&records, at),
+            [
+                obskind::PREDICTION,
+                obskind::STATE,
+                obskind::ROUND_START,
+                obskind::DRAIN_DONE
+            ]
+        );
+        assert_eq!(kinds_at(&records, struck)[0], obskind::FAILURE);
+        let since_checkpoint = (at - bb) as f64 / 1e9;
+        assert!(
+            (r.ledger.recomp_secs - since_checkpoint).abs() < 1e-6,
+            "recomputed {} s, {since_checkpoint} s since the drained checkpoint",
+            r.ledger.recomp_secs
+        );
+    }
+
+    #[test]
     fn failure_during_a_lone_drain_voids_it_and_keeps_wave_ids() {
         // A failure half-way through the first drain voids it (put into
         // the link and cancelled): no DRAIN_DONE, and the recovery's
@@ -3369,6 +3540,229 @@ mod tests {
         assert_eq!(waves[0].1, 1, "waves {waves:?}");
         assert!(waves[0].0 <= recovered);
         assert_eq!(protocol_digest(&records), LONE_FAILURE_STREAM);
+    }
+
+    // Protocol-stream digests of the crafted runs below, taken while
+    // every periodic checkpoint's `BbWriteDone` was a queued event. Each
+    // puts an event on an instant of the second checkpoint cycle of a
+    // failure-free run, where that cycle is settled in place, and 1 ns
+    // before it: rows are the checkpoint's start, its BB write's
+    // completion and its drain's, columns the instant and 1 ns before.
+    // The cycle the event meets must fall back to the queue and keep
+    // every record and its order.
+    const INLINE_FAILURE_STREAMS: [[&str; 2]; 3] = [
+        ["0165579414157ebd", "4c5cd70f69094aa4"],
+        ["05f9bf6a990d5e66", "dc66cd7bafc07514"],
+        ["b6b0cd0337fc2472", "f89c014353cbec2e"],
+    ];
+    const INLINE_SAFEGUARD_STREAMS: [[&str; 2]; 3] = [
+        ["3aa41ff396101c54", "c6e91d48996b0e33"],
+        ["abd44cccab905782", "fc09035c6fdaea83"],
+        ["5cbbf958fdef24e1", "14f5c95053e0b989"],
+    ];
+    const INLINE_ROUND_STREAMS: [[&str; 2]; 3] = [
+        ["2050ee59f56ecc57", "52a50561e93b9907"],
+        ["d73539d5f995c4e0", "de38debd0f031d2c"],
+        ["b83f800bee5f0108", "33cec6128a8dfb4e"],
+    ];
+    const INLINE_MIGRATION_STREAMS: [[&str; 2]; 3] = [
+        ["3fd0f4c183dabf42", "967a0ab7d8dc9f9b"],
+        ["eca197005909b9ac", "2ae33902670c9d8b"],
+        ["5b8b9233eb3d6fe5", "f5904bf1ecf275e4"],
+    ];
+
+    /// The `n`-th (from 0) periodic checkpoint cycle in `records`: when
+    /// its checkpoint started, when its BB write completed and when its
+    /// drain completed, ns.
+    fn cycle_ns(records: &[pckpt_simobs::Record], n: usize) -> [u64; 3] {
+        let nth = |kind, a: Option<u64>| {
+            records
+                .iter()
+                .filter(|r| r.kind == kind && a.is_none_or(|a| r.a == a))
+                .nth(n)
+                .expect("a checkpoint cycle")
+                .t
+        };
+        [
+            nth(obskind::STATE, Some(AppState::BbCkpt.code())),
+            nth(obskind::BB_CKPT, None),
+            nth(obskind::DRAIN_DONE, None),
+        ]
+    }
+
+    /// The second checkpoint cycle of a failure-free run of `p`.
+    fn second_cycle_ns(p: &SimParams) -> [u64; 3] {
+        let (_, records) = run_recorded(p.clone(), FailureTrace::default());
+        let cycle = cycle_ns(&records, 1);
+        assert!(cycle[0] < cycle[1] && cycle[1] < cycle[2], "{cycle:?}");
+        cycle
+    }
+
+    /// Runs `trace_at(t)` under `p` for `t` on each instant of the second
+    /// checkpoint cycle of a failure-free run, and 1 ns before it; asserts
+    /// that the run records `kind` first at `t`, and returns each run's
+    /// protocol-stream digest, in the order of the pinned tables.
+    fn digests_at_second_cycle(
+        p: &SimParams,
+        kind: u16,
+        trace_at: impl Fn(u64) -> FailureTrace,
+    ) -> Vec<[String; 2]> {
+        second_cycle_ns(p)
+            .iter()
+            .map(|&at| {
+                [at, at - 1].map(|t| {
+                    let (_, records) = run_recorded(p.clone(), trace_at(t));
+                    assert_eq!(kinds_at(&records, t).first(), Some(&kind), "at {t}");
+                    protocol_digest(&records)
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn failure_at_an_inline_cycles_instants() {
+        let p = params(ModelKind::B, "CHIMERA");
+        let digests = digests_at_second_cycle(&p, obskind::FAILURE, |t| FailureTrace {
+            failures: vec![failure(hours_at(t), 3, 10.0, false)],
+            false_positives: vec![],
+        });
+        assert_eq!(digests, INLINE_FAILURE_STREAMS);
+    }
+
+    #[test]
+    fn safeguard_at_an_inline_cycles_instants() {
+        let p = params(ModelKind::M1, "POP");
+        let digests = digests_at_second_cycle(&p, obskind::PREDICTION, |t| FailureTrace {
+            failures: vec![],
+            false_positives: vec![Prediction {
+                node: 5,
+                at_hours: hours_at(t),
+                lead_secs: 60.0,
+                sequence_id: 2,
+                genuine: false,
+            }],
+        });
+        assert_eq!(digests, INLINE_SAFEGUARD_STREAMS);
+    }
+
+    #[test]
+    fn round_at_an_inline_cycles_instants() {
+        let p = params(ModelKind::P1, "CHIMERA");
+        let lead = 60.0;
+        let digests = digests_at_second_cycle(&p, obskind::PREDICTION, |t| {
+            let t_fail = hours_mapped_to(t, hours_at(t) + lead / 3600.0, |h| {
+                (h - lead / 3600.0).max(0.0)
+            });
+            FailureTrace {
+                failures: vec![failure(t_fail, 3, lead, true)],
+                false_positives: vec![],
+            }
+        });
+        assert_eq!(digests, INLINE_ROUND_STREAMS);
+    }
+
+    #[test]
+    fn migration_commit_at_an_inline_cycles_instants() {
+        // An M2 migration whose commit lands on an instant of the second
+        // checkpoint cycle, or 1 ns before it, in the same run: the
+        // migration slows the segment it overlaps, so its start slides
+        // until the commit meets the instant, which moves far more slowly
+        // than the commit.
+        let p = params(ModelKind::M2, "XGC");
+        let theta = p.theta_secs();
+        let theta_ns = SimDuration::from_secs(theta).as_nanos();
+        let mut digests = Vec::new();
+        for (i, at) in second_cycle_ns(&p).into_iter().enumerate() {
+            digests.push([0, 1].map(|before| {
+                let mut start = at - before - theta_ns;
+                for _ in 0..64 {
+                    let (_, records) = run_recorded(p.clone(), migration_from(start, theta));
+                    let commit = first_at(&records, 0, obskind::LM_COMMIT, None).expect("a commit");
+                    let target = cycle_ns(&records, 1)[i] - before;
+                    if commit == target {
+                        return protocol_digest(&records);
+                    }
+                    start = (start as i64 + target as i64 - commit as i64) as u64;
+                }
+                panic!("no migration start commits {before} ns before instant {i}");
+            }));
+        }
+        assert_eq!(digests, INLINE_MIGRATION_STREAMS);
+    }
+
+    // Protocol-stream digests of the two crafted runs below, taken while
+    // every periodic checkpoint's `BbWriteDone` was a queued event.
+    const REARM_BEFORE_CYCLES_STREAM: &str = "be275c39c48bb821";
+    const FAILURE_ENDS_MIGRATION_STREAM: &str = "34104fb32a34b837";
+
+    #[test]
+    fn pending_prediction_rearms_before_any_cycle_settles() {
+        // A prediction delivered during a recovery, for a failure three
+        // hours out (several POP checkpoint intervals): M1 safeguards as
+        // computing resumes, at the recovery's end, before any of the
+        // cycles that the next queued event leaves room for. The recovery
+        // outlasts an interval, so the superseded `BbWriteDone` of the
+        // segment the first failure ended is no longer queued by then.
+        let mut p = params(ModelKind::M1, "POP");
+        p.replacement_delay_secs = 3000.0;
+        let t_a = 50.0;
+        let trace = FailureTrace {
+            failures: vec![
+                failure(t_a, 1, 5.0, false),
+                failure(t_a + 0.1 + 3.0, 2, 3.0 * 3600.0, true),
+            ],
+            false_positives: vec![],
+        };
+        let (r, records) = run_recorded(p, trace);
+        assert_eq!(r.ledger.mitigated_by_safeguard, 1);
+        let recovered = first_at(&records, 0, obskind::RECOVERY_DONE, None).expect("a recovery");
+        assert_eq!(
+            kinds_at(&records, recovered),
+            [
+                obskind::RECOVERY_DONE,
+                obskind::STATE,
+                obskind::STATE,
+                obskind::SAFEGUARD_START
+            ]
+        );
+        assert_eq!(protocol_digest(&records), REARM_BEFORE_CYCLES_STREAM);
+    }
+
+    #[test]
+    fn failure_that_ends_a_migration_settles_no_cycle_past_it() {
+        // An M2 migration of node 5 starts half-way through the first
+        // checkpoint's BB write, its θ stretched to commit after the
+        // second checkpoint's write would complete at full speed, so the
+        // segment after the write runs slowed. An unpredicted failure of
+        // node 5 strikes 10 s into that segment. The segment restarted
+        // without the migration ends at the failure's instant, so its
+        // cycle is never settled in place, although its write would
+        // complete before the next queued event (the slowed segment's
+        // superseded `BbWriteDone` and the stale `LmDone`).
+        let mut p = params(ModelKind::M2, "XGC");
+        let oci = CrSim::new(p.clone(), FailureTrace::default(), &leads()).oci_secs();
+        p.lm_precopy_factor *= (oci + 2.0 * p.bb_write_secs() + 60.0) / p.theta_secs();
+        let theta = p.theta_secs();
+        let (_, free) = run_recorded(p.clone(), FailureTrace::default());
+        let [due, written, _] = cycle_ns(&free, 0);
+        let start = due + (written - due) / 2;
+        let struck = written + SimDuration::from_secs(10.0).as_nanos();
+        let mut trace = migration_from(start, theta);
+        trace
+            .failures
+            .push(failure(hours_at(struck), 5, 10.0, false));
+        let (r, records) = run_recorded(p, trace);
+        assert_eq!(r.ledger.lm_started, 1);
+        assert_eq!(r.ledger.mitigated(), 0);
+        assert_eq!(
+            kinds_at(&records, struck),
+            [obskind::FAILURE, obskind::RECOVERY_START, obskind::STATE]
+        );
+        assert!(
+            records.windows(2).all(|w| w[0].t <= w[1].t),
+            "records out of order"
+        );
+        assert_eq!(protocol_digest(&records), FAILURE_ENDS_MIGRATION_STREAM);
     }
 
     #[test]

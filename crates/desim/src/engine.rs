@@ -103,6 +103,14 @@ impl<'a, E> Ctx<'a, E> {
         self.queue.cancel(id)
     }
 
+    /// The time of the next queued event, [`SimTime::MAX`] if none (see
+    /// [`EventQueue::peek_time`]). A model that knows nothing it would
+    /// schedule can happen before then may settle it without the queue.
+    #[inline]
+    pub fn peek_time(&mut self) -> SimTime {
+        self.queue.peek_time()
+    }
+
     /// Requests the loop to stop after the current event is handled.
     pub fn stop(&mut self) {
         *self.stop = true;

@@ -2,16 +2,18 @@
 //! event is cancellable or not, as its scheduler chooses.
 //!
 //! Events live in one of three places, chosen by the scheduling call and
-//! by whether the queue has popped yet:
+//! by whether the queue has been read yet:
 //!
 //! - **The sorted run.** Everything [`schedule_at`](EventQueue::schedule_at)
 //!   puts on a fresh or [`reset`](EventQueue::reset) queue, before its
-//!   first [`pop`](EventQueue::pop), is appended to a `Vec`. That batch is
-//!   what a model's `init` schedules: in the C/R simulation, the whole
-//!   failure trace, its predictions and false positives, most of which
-//!   lie past the job's end and never pop. The first pop sorts the `Vec`
-//!   once, in place, by the `(time, seq)` key, and from then on it is
-//!   consumed from its earliest end.
+//!   first [`pop`](EventQueue::pop) or
+//!   [`peek_time`](EventQueue::peek_time), is appended to a `Vec`. That
+//!   batch is what a model's `init` schedules: in the C/R simulation, the
+//!   whole failure trace, its predictions and false positives, most of
+//!   which lie past the job's end and never pop. The first pop or peek
+//!   seals the run: it sorts the `Vec` once, in place, by the
+//!   `(time, seq)` key, and from then on the run is consumed from its
+//!   earliest end.
 //! - **The heap.** Everything `schedule_at` puts on the queue after that
 //!   goes to a binary min-heap.
 //! - **The lane.** Everything
@@ -45,16 +47,17 @@
 //! already fired, so no lane entry can die. Its events set no liveness
 //! bit, and `pop` never tests one for them.
 //!
-//! `pop` caches the key of the earliest live entry across the run and
-//! the heap, so a run of lane pops neither tests a liveness bit nor
-//! compares the run's head with the heap's. Three things can change that
-//! entry once the run is sealed, and each drops the cache: a
+//! `pop` and `peek_time` cache the key of the earliest live entry across
+//! the run and the heap, so a run of lane pops neither tests a liveness
+//! bit nor compares the run's head with the heap's. Three things can
+//! change that entry once the run is sealed, and each drops the cache: a
 //! `schedule_at`, a `cancel` that clears a live bit, and a pop from the
 //! run or the heap. The sealing itself needs no rule: it comes before
 //! the first lookup, and `new` and `reset` leave the cache empty. Lane
-//! schedules and lane pops leave it be. `pop` and the lane's scheduling
-//! calls are `#[inline]`: left out of line, the calls themselves were a
-//! measurable part of a lane event's cost in the C/R simulation.
+//! schedules and lane pops leave it be. `pop`, `peek_time` and the
+//! lane's scheduling calls are `#[inline]`: left out of line, the calls
+//! themselves were a measurable part of a lane event's cost in the C/R
+//! simulation.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -129,12 +132,12 @@ fn bit_is_set(live: &[u64], seq: u64) -> bool {
 /// [`schedule_uncancellable_at`](Self::schedule_uncancellable_at) cannot.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Cancellable events scheduled before the first pop. In scheduling
-    /// order until `run_sorted` is set; then in descending `(time, seq)`
-    /// order, so the earliest event leaves by `Vec::pop`.
+    /// Cancellable events scheduled before the first pop or peek. In
+    /// scheduling order until `run_sorted` is set; then in descending
+    /// `(time, seq)` order, so the earliest event leaves by `Vec::pop`.
     run: Vec<Entry<E>>,
-    /// Set by the first `pop`, which sorts `run`; from then on new
-    /// cancellable events go to `heap`.
+    /// Set by the first `pop` or `peek_time`, which sorts `run`; from
+    /// then on new cancellable events go to `heap`.
     run_sorted: bool,
     heap: BinaryHeap<Reverse<Entry<E>>>,
     /// Uncancellable events, in descending `(time, seq)` order.
@@ -349,7 +352,7 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Sorts the run on the first pop; a no-op afterwards.
+    /// Sorts the run on the first pop or peek; a no-op afterwards.
     #[inline]
     fn seal_run(&mut self) {
         if !self.run_sorted {
@@ -418,6 +421,20 @@ impl<E> EventQueue<E> {
         };
         self.head = Some(key);
         key
+    }
+
+    /// The time of the event [`pop`](Self::pop) would return next, or
+    /// [`SimTime::MAX`] when the queue is exhausted; the clock stays.
+    /// Like a pop, it seals the sorted run, and it drops dead fronts of
+    /// the run and the heap on the way.
+    #[inline]
+    pub fn peek_time(&mut self) -> SimTime {
+        self.seal_run();
+        let head = self.head_key().0;
+        match self.lane.last() {
+            Some(e) => e.time.min(head),
+            None => head,
+        }
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -667,6 +684,28 @@ mod tests {
         q.schedule_uncancellable_at(secs(3.7), "l37");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
         assert_eq!(order, vec!["c", "l37", "b"]);
+    }
+
+    #[test]
+    fn peek_time_reads_the_next_pop_and_seals_the_run() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), SimTime::MAX);
+        let a = q.schedule_at(secs(2.0), "a");
+        q.schedule_at(secs(4.0), "b");
+        q.schedule_uncancellable_at(secs(3.0), "l3");
+        assert_eq!(q.peek_time(), secs(2.0));
+        // Peeking sealed the run: this event goes to the heap and still
+        // pops in order.
+        q.schedule_at(secs(1.0), "c");
+        assert_eq!(q.peek_time(), secs(1.0));
+        assert_eq!(q.pop().unwrap().2, "c");
+        assert!(q.cancel(a));
+        // The dead front is skipped; the lane's head is next.
+        assert_eq!(q.peek_time(), secs(3.0));
+        assert_eq!(q.now(), secs(1.0), "peeking leaves the clock");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        assert_eq!(order, vec!["l3", "b"]);
+        assert_eq!(q.peek_time(), SimTime::MAX);
     }
 
     #[test]

@@ -171,9 +171,19 @@ impl RateEstimator {
         k as f64 / span
     }
 
-    /// Number of failures currently inside the window.
+    /// Number of failures recorded and not yet evicted: those inside the
+    /// window as of the last `record` or `rate` call.
     pub fn in_window(&self) -> usize {
         self.events.len()
+    }
+
+    /// The number of in-window failures below which `rate` returns the
+    /// prior. While `in_window()` is below it, a `rate` call returns the
+    /// prior whatever its time, and skipping it changes nothing a later
+    /// call sees: eviction only moves forward in time, so the next
+    /// `record` or `rate` evicts whatever the skipped call would have.
+    pub fn min_events(&self) -> usize {
+        self.min_events
     }
 }
 

@@ -126,6 +126,41 @@ proptest! {
         }
     }
 
+    /// A `rate` call made while fewer than `min_events` failures sit in
+    /// the window returns the prior and can be skipped: an estimator that
+    /// drops every such call returns the same value from every `rate`
+    /// call it keeps, and reads the same `in_window` after every call it
+    /// keeps, as one that makes them all.
+    #[test]
+    fn rate_calls_below_min_events_can_be_skipped(
+        window in 1.0f64..100.0,
+        prior in 0.001f64..10.0,
+        min_events in 1usize..5,
+        ops in proptest::collection::vec((0.0f64..40.0, any::<bool>()), 0..60),
+    ) {
+        let mut all = RateEstimator::new(window, prior, min_events);
+        let mut kept = RateEstimator::new(window, prior, min_events);
+        prop_assert_eq!(kept.min_events(), min_events);
+        let mut t = 0.0;
+        let mut skipped = 0;
+        for &(gap, is_failure) in &ops {
+            t += gap;
+            if is_failure {
+                all.record(t);
+                kept.record(t);
+            } else {
+                let rate = all.rate(t);
+                if kept.in_window() < kept.min_events() {
+                    prop_assert_eq!(rate.to_bits(), prior.to_bits());
+                    skipped += 1;
+                    continue;
+                }
+                prop_assert_eq!(kept.rate(t).to_bits(), rate.to_bits());
+            }
+            prop_assert_eq!(kept.in_window(), all.in_window(), "after {} skipped", skipped);
+        }
+    }
+
     /// Lead-time mixture: scaled sampling matches scaled survival — the
     /// contract the variability experiments rely on.
     #[test]

@@ -12,14 +12,18 @@
 #                VR runs to a ±1% CI, adaptive runs saved, prefilter
 #                prune rate, cache hit rate)
 #   nontest_loc  scripts/loc.sh's LOC_JSON
-#   compare      `pbench compare` of the newest earlier BENCH_pr<N>.json
-#                that holds a "pbench" run against this one, under
-#                BENCHMARK.json's bounds. The step reads its rows: a
+#   compare      `pbench compare` of a baseline run against this one,
+#                under BENCHMARK.json's bounds. The baseline is the
+#                newest earlier BENCH_pr<N>.json that holds a "pbench"
+#                run or, with --parent DIR, a `pbench run` of DIR made in
+#                step 1 of this invocation, so that both runs meet the
+#                same host. The step reads its rows: a
 #                `worse` or `missing` row fails it, and so does a count
 #                that `differs` unless it is named on the command line as
 #                an expected move (WORKLOAD/COUNT, e.g.
 #                lanl_panel/events_per_lane_run), and a named count that
-#                reads `same`. The snapshot records the names.
+#                reads `same`. The snapshot records the names and the
+#                baseline (with --parent, the parent's commit and run).
 #
 # Every step runs even when an earlier one fails. The snapshot records
 # each step's exit status and is written either way; the script then
@@ -27,14 +31,31 @@
 # defaults, so the script refuses to start while any PCKPT_* variable
 # is set.
 #
-# Usage: scripts/bench.sh OUT.json [WORKLOAD/COUNT ...]
+# DIR for --parent is a checkout (the parent commit, say) whose pbench
+# is already built (cargo build --release --offline --manifest-path
+# crates/bench/pbench/Cargo.toml inside it).
+#
+# Usage: scripts/bench.sh [--parent DIR] OUT.json [WORKLOAD/COUNT ...]
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: scripts/bench.sh OUT.json [WORKLOAD/COUNT ...]" >&2
+    echo "usage: scripts/bench.sh [--parent DIR] OUT.json [WORKLOAD/COUNT ...]" >&2
     exit 2
 }
+PARENT=
+PARENT_DESC=
+if [ "${1:-}" = --parent ]; then
+    [ $# -ge 2 ] || usage
+    PARENT=$(cd "$2" && pwd -P) || usage
+    shift 2
+    if [ ! -x "$PARENT/crates/bench/pbench/target/release/pbench" ]; then
+        echo "bench.sh: $PARENT/crates/bench/pbench/target/release/pbench is missing;" \
+            "build pbench there first" >&2
+        exit 2
+    fi
+    PARENT_DESC="parent $(git -C "$PARENT" rev-parse HEAD 2>/dev/null || echo "checkout (no git)")"
+fi
 [ $# -ge 1 ] || usage
 OUT=$1
 shift
@@ -57,15 +78,21 @@ PBENCH=${CARGO_TARGET_DIR:-crates/bench/pbench/target}/release/pbench
 LOG=$(mktemp -d)
 trap 'rm -rf "$LOG"' EXIT
 RUN=target/pbench/bench-run.json
+PARENT_RUN=$PWD/target/pbench/bench-parent-run.json
 
 # step NAME STATUS: appends one step's exit status to the status log.
 step() { echo "$1 $2" >> "$LOG/steps"; }
 
 echo
 echo "== [1/5] pbench run =="
-rm -f "$RUN"
+rm -f "$RUN" "$PARENT_RUN"
 "$PBENCH" run --out "$RUN"
 step pbench $?
+if [ -n "$PARENT" ]; then
+    echo "== [1/5] pbench run of the parent checkout ($PARENT_DESC) =="
+    (cd "$PARENT" && crates/bench/pbench/target/release/pbench run --out "$PARENT_RUN")
+    step parent_pbench $?
+fi
 
 echo
 echo "== [2/5] paper bins at 1000 runs =="
@@ -101,16 +128,20 @@ scripts/loc.sh | tee "$LOG/loc.out"
 step loc "${PIPESTATUS[0]}"
 
 echo
-echo "== [5/5] pbench compare against the previous snapshot =="
-python3 - "$LOG" "$RUN" "$OUT" "$PBENCH" "$@" <<'PYEOF'
+if [ -n "$PARENT" ]; then
+    echo "== [5/5] pbench compare against the parent's run =="
+else
+    echo "== [5/5] pbench compare against the previous snapshot =="
+fi
+python3 - "$LOG" "$RUN" "$OUT" "$PBENCH" "$PARENT_DESC" "$PARENT_RUN" "$@" <<'PYEOF'
 import json
 import os
 import re
 import subprocess
 import sys
 
-log, run_path, out_path, pbench = sys.argv[1:5]
-expected = sys.argv[5:]
+log, run_path, out_path, pbench, parent_desc, parent_run = sys.argv[1:7]
+expected = sys.argv[7:]
 
 
 def lines(name):
@@ -151,31 +182,42 @@ doc["grid_json"] = {rec["name"]: rec for rec in tagged("grid.out", "GRID_JSON ")
 loc = tagged("loc.out", "LOC_JSON ")
 doc["nontest_loc"] = loc[0] if loc else None
 
-# The baseline: the newest BENCH_pr<N>.json holding a pbench run, older
-# than OUT when OUT is itself a BENCH_pr<N>.json.
+# The baseline: with --parent, the parent checkout's run from step 1;
+# otherwise the newest BENCH_pr<N>.json holding a pbench run, older than
+# OUT when OUT is itself a BENCH_pr<N>.json.
 def pr_number(path):
     m = re.fullmatch(r"BENCH_pr(\d+)\.json", os.path.basename(path))
     return int(m.group(1)) if m else None
 
-limit = pr_number(out_path)
 baseline = None
-candidates = sorted(
-    (n, f) for f in os.listdir(".")
-    if (n := pr_number(f)) is not None and (limit is None or n < limit)
-)
-for _, name in reversed(candidates):
-    with open(name) as f:
-        prev = json.load(f)
-    if prev.get("pbench"):
-        baseline = (name, prev["pbench"])
-        break
+if parent_desc:
+    if os.path.exists(parent_run):
+        with open(parent_run) as f:
+            baseline = (parent_desc, json.load(f))
+else:
+    limit = pr_number(out_path)
+    candidates = sorted(
+        (n, f) for f in os.listdir(".")
+        if (n := pr_number(f)) is not None and (limit is None or n < limit)
+    )
+    for _, name in reversed(candidates):
+        with open(name) as f:
+            prev = json.load(f)
+        if prev.get("pbench"):
+            baseline = (name, prev["pbench"])
+            break
 
 compare = {
     "baseline": baseline[0] if baseline else None,
     "report": None,
     "expected_count_moves": expected,
 }
-if baseline is None:
+if parent_desc:
+    compare["baseline_run"] = baseline[1] if baseline else None
+if parent_desc and baseline is None:
+    compare["verdict"] = "no parent run"
+    steps["compare"] = 1
+elif baseline is None:
     compare["verdict"] = "no baseline"
     steps["compare"] = 0
 elif doc["pbench"] is None:

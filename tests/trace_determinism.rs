@@ -312,7 +312,7 @@ mod trace_on {
 
     /// Golden FNV digests of the structured event stream of run 0,
     /// seed 61, XGC/P2, per PFS mode.
-    const GOLDEN_STREAM_ANALYTIC: &str = "3b00629b4a211114";
+    const GOLDEN_STREAM_ANALYTIC: &str = "e5254ffc4235aa6c";
     const GOLDEN_STREAM_FLUID: &str = "03156b04b0987508";
 
     fn record(mode: PfsMode, seed: u64) -> Recording {
