@@ -9,7 +9,7 @@
 //! ### State machine
 //!
 //! ```text
-//!          checkpoint due                BbWriteDone
+//!          checkpoint due               BB write done
 //! Computing ─────────► BbCkpt ──────────────────────────► Computing
 //!     │  prediction (P1/P2, short lead)                       ▲
 //!     ├────────────► Round (phase 1 ► phase 2) ───────────────┤
@@ -23,23 +23,23 @@
 //! keeps executing at a small slowdown); a p-ckpt round aborts in-flight
 //! migrations per the Fig. 5 state diagram.
 //!
-//! Two transitions cost no queue event. A computing segment that ends in
-//! a periodic checkpoint queues only that checkpoint's `BbWriteDone`; the
-//! checkpoint's start (Computing → BbCkpt) is an instant that
-//! [`Model::handle`] settles before the first event it precedes (see
-//! [`CrSim::segment_queued_before`]). The BB→PFS drain's completion is
-//! settled the same way (see [`CrSim::drain_queued_before`]): in analytic
-//! mode always, and in fluid mode while the drain has the PFS link to
-//! itself, which it does unless a safeguard commit overlaps it (a round
-//! suspends it, a failure voids it). Only a drain that shares the link
-//! completes through a `PfsTick`.
+//! ### Instants kept out of the queue
 //!
-//! In analytic mode a whole checkpoint cycle costs no queue event either
-//! when nothing can happen during it: while the application runs at full
-//! speed with no prediction pending, a cycle whose BB write completes
-//! strictly before the next queued event is settled where its segment
-//! opens, and so is the next one (see [`CrSim::open_segment`]). Between
-//! failures and predictions, analytic cycles never reach the queue.
+//! Three transitions of the periodic checkpoint cycle are not queue
+//! events: the computing segment's end (its checkpoint's start or the
+//! job's end), the BB write's completion and the BB→PFS drain's
+//! completion. Each is armed as a [`Due`]: its instant and the tie mark
+//! ([`Ctx::mark`]) of the moment it is armed, the seq an event scheduled
+//! then would have taken. At the end of `init` and of every handled
+//! event, [`CrSim::run_ahead`] claims them ([`Ctx::claim`]) in key order
+//! until the next queued event comes first. So each is taken exactly
+//! where a queued event armed at the same moment would have popped:
+//! after every event queued before the arming and due at the same
+//! nanosecond, before every one queued after it. One rule serves both
+//! PFS modes, slowed segments and pending predictions alike; a run
+//! handles queue events only for failures, predictions, the actions
+//! they start, and a fluid drain that shares the PFS link (its
+//! `PfsTick`).
 //!
 //! ### Accounting invariant
 //!
@@ -60,6 +60,12 @@ use crate::protocol::{Phase, PckptRound, Vulnerable};
 /// In-window failures the rate estimator needs before the OCI follows
 /// its empirical rate instead of the prior.
 const RATE_MIN_EVENTS: usize = 3;
+
+/// Checkpoint cycles adding no work that one run may take before it is
+/// stopped as a runaway. A migration that commits at a checkpoint's
+/// instant opens such a segment legitimately; a run of nothing else
+/// would never return to the queue.
+const NO_WORK_CYCLES: u32 = 1_000_000;
 
 /// What blocks the application right now. The discriminants are the
 /// stable `a` payloads of [`obskind::STATE`] records.
@@ -97,10 +103,6 @@ pub fn state_name(code: u64) -> &'static str {
 /// Events of the C/R simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Ev {
-    /// The synchronous BB write finished (epoch- and state-guarded).
-    BbWriteDone(u32),
-    /// All useful work is done (epoch-guarded).
-    WorkComplete(u32),
     /// A prediction is delivered. `Some(idx)` = genuine failure index,
     /// `None` = false positive `fp` index in the second field.
     Prediction(Option<usize>, usize),
@@ -117,9 +119,44 @@ pub enum Ev {
     /// Recovery finished (epoch-guarded).
     RecoveryDone(u32),
     /// A fluid-mode PFS transfer may have completed: the fluid link's
-    /// epoch (stale ticks are dropped) and the tick's serial, which tells
-    /// whether it was queued before the pending checkpoint's segment.
-    PfsTick(u64, u64),
+    /// epoch (stale ticks are dropped).
+    PfsTick(u64),
+}
+
+/// An instant [`CrSim`] keeps out of the event queue: when it falls due,
+/// and the tie mark ([`Ctx::mark`]) of the moment it was armed. It is
+/// ordered by `(at, mark)`, the queue's own key, and taken by
+/// [`Ctx::claim`].
+///
+/// The drain and the step share a mark when nothing was scheduled
+/// between their armings, and then the drain was armed first: it is
+/// armed only where a BB write completes or a round ends, before the
+/// segment that follows opens, and every later step carries that mark
+/// or a later one. So at an equal key the drain goes first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Due {
+    at: SimTime,
+    mark: u64,
+}
+
+/// The instant that ends the application's current phase, kept out of
+/// the queue.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// The computing segment reaches its periodic checkpoint.
+    Checkpoint(Due),
+    /// The checkpoint's BB write completes.
+    Write(Due),
+    /// The computing segment reaches the end of the job.
+    Complete(Due),
+}
+
+impl Step {
+    fn due(self) -> Due {
+        match self {
+            Step::Checkpoint(due) | Step::Write(due) | Step::Complete(due) => due,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -160,7 +197,7 @@ pub struct CrSim {
     theta: f64,
     sigma: f64,
     /// The BB write time, converted to clock nanoseconds once; each
-    /// periodic checkpoint's `BbWriteDone` pops this long after its start.
+    /// periodic checkpoint's BB write completes this long after its start.
     bb_write_dur: SimDuration,
     /// `bb_write_dur` in seconds: what each BB write adds to the
     /// checkpoint bucket.
@@ -197,28 +234,21 @@ pub struct CrSim {
     /// The last segment length [`CrSim::segment_secs`] converted to
     /// seconds: its nanoseconds and its seconds.
     secs_memo: (u64, f64),
-    /// When the pending computing segment's periodic checkpoint starts;
-    /// `None` when the segment ends in `WorkComplete` or no segment is
-    /// pending. [`Model::handle`] settles it (see
-    /// [`CrSim::settle_checkpoint`]), so it costs no queue event.
-    ckpt_due_at: Option<SimTime>,
-    /// `pfs_ticks` when the pending checkpoint's segment began: a
-    /// `PfsTick` with a serial at or below it was queued before it.
-    ckpt_tick_mark: u64,
-    /// `PfsTick`s queued this run; the latest one's serial.
-    pfs_ticks: u64,
+    /// The instant the application's current phase ends: in Computing,
+    /// its segment's end; in BbCkpt, the BB write's completion; `None` in
+    /// every other state. [`CrSim::run_ahead`] takes it.
+    step: Option<Step>,
+    /// Checkpoint cycles this run whose segment added no work, bounded by
+    /// [`NO_WORK_CYCLES`].
+    no_work_cycles: u32,
     inflight_bb_level: f64,
     /// When the BB→PFS drain of `drain_level` completes; `None` when no
     /// drain is pending or, in fluid mode, when the pending one runs
-    /// through the link. [`Model::handle`] settles it (see
-    /// [`CrSim::settle_drain`]), so it costs no queue event. In fluid
-    /// mode it is set exactly while the link holds a lone drain
+    /// through the link. [`CrSim::run_ahead`] takes it. In fluid mode it
+    /// is set exactly while the link holds a lone drain
     /// ([`crate::iosim::FluidPfs::start_drain`]); whatever puts that
     /// drain into the link clears it.
-    drain_done_at: Option<SimTime>,
-    /// `lm_seq` when the pending drain was armed: an `LmDone` with a seq
-    /// at or below it was queued before the drain.
-    drain_lm_mark: u64,
+    drain: Option<Due>,
     drain_level: f64,
 
     // Checkpoint store: best recoverable work levels per path.
@@ -346,12 +376,10 @@ impl CrSim {
             next_ckpt_work: oci0,
             span_memo: (0.0f64.to_bits(), SimDuration::ZERO),
             secs_memo: (0, 0.0),
-            ckpt_due_at: None,
-            ckpt_tick_mark: 0,
-            pfs_ticks: 0,
+            step: None,
+            no_work_cycles: 0,
             inflight_bb_level: 0.0,
-            drain_done_at: None,
-            drain_lm_mark: 0,
+            drain: None,
             drain_level: 0.0,
             best_bb_pfs: 0.0,
             best_pfs_all: 0.0,
@@ -410,12 +438,10 @@ impl CrSim {
         self.oci_secs = self.oci0;
         self.oci_rate = self.prior_rate;
         self.next_ckpt_work = self.oci0;
-        self.ckpt_due_at = None;
-        self.ckpt_tick_mark = 0;
-        self.pfs_ticks = 0;
+        self.step = None;
+        self.no_work_cycles = 0;
         self.inflight_bb_level = 0.0;
-        self.drain_done_at = None;
-        self.drain_lm_mark = 0;
+        self.drain = None;
         self.drain_level = 0.0;
         self.best_bb_pfs = 0.0;
         self.best_pfs_all = 0.0;
@@ -476,30 +502,14 @@ impl CrSim {
     // Fluid-mode plumbing.
     // ------------------------------------------------------------------
 
-    /// Reschedules the completion tick after any fluid mutation.
-    ///
-    /// A tick queued while a checkpoint is pending lands behind that
-    /// checkpoint's `BbWriteDone`, which the segment queued when it
-    /// began. While the checkpoint's start was a queued event, the write
-    /// was queued only at the start, behind such a tick. So a tick that
-    /// lands on the write's own nanosecond re-queues the write behind it
-    /// under a fresh epoch, and a drain completing there still completes
-    /// before the write supersedes it. (Only the drain can be in flight
-    /// while computing.)
-    fn fluid_reschedule(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    /// Schedules the link's next completion tick after any fluid
+    /// mutation.
+    fn fluid_reschedule(&self, ctx: &mut Ctx<'_, Ev>) {
         let Some(fluid) = self.fluid.as_ref() else {
             return;
         };
-        let Some(at) = fluid.next_completion(ctx.now()) else {
-            return;
-        };
-        let at = at.max(ctx.now());
-        let epoch = fluid.epoch();
-        self.pfs_ticks += 1;
-        ctx.schedule_uncancellable_at(at, Ev::PfsTick(epoch, self.pfs_ticks));
-        if self.ckpt_due_at.is_some_and(|due| at == due + self.bb_write_dur) {
-            self.epoch += 1;
-            ctx.schedule_uncancellable_at(at, Ev::BbWriteDone(self.epoch));
+        if let Some(at) = fluid.next_completion(ctx.now()) {
+            ctx.schedule_uncancellable_at(at.max(ctx.now()), Ev::PfsTick(fluid.epoch()));
         }
     }
 
@@ -514,7 +524,7 @@ impl CrSim {
         weight: f64,
     ) {
         let now = ctx.now();
-        self.drain_done_at = None;
+        self.drain = None;
         self.fluid
             .as_mut()
             // Callers are gated on fluid mode. simlint: allow(no-unwrap-in-lib)
@@ -686,69 +696,17 @@ impl CrSim {
         self.span_memo.1
     }
 
-    /// Opens a computing segment and schedules the one event that ends it,
-    /// settling in place every periodic checkpoint cycle that can be (see
-    /// [`CrSim::open_segment`]).
-    ///
-    /// A cycle settled in place is the queued one, run where its
-    /// `BbWriteDone` would pop: `settle` for that event (the drain, then
-    /// the checkpoint's start, or the other way round if the start is
-    /// earlier), the body of `on_bb_write_done`, and the next segment,
-    /// opened at the write's instant.
-    fn schedule_compute_events(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let mut now = ctx.now();
-        while let Some(done) = self.open_segment(ctx, now, true) {
-            self.settle(done, &Ev::BbWriteDone(self.epoch));
-            self.complete_bb_write(ctx, done);
-            self.reopen_computing(done);
-            now = done;
-        }
-    }
-
-    /// Opens a computing segment at `now` (the clock, or the end of a
-    /// cycle settled in place) and queues the one event that ends it, or,
-    /// if `in_place` allows and the segment's checkpoint cycle can be
-    /// settled in place, queues nothing and returns the instant that
-    /// checkpoint's BB write completes.
-    ///
-    /// A segment ends at the first work threshold it reaches: the next
-    /// periodic checkpoint or the end of the job (`WorkComplete`). Either
-    /// ends the segment, so the later threshold is never scheduled. The
-    /// checkpoint is chosen only when its rounded delay is strictly
-    /// shorter: at a tie `WorkComplete` wins, as it did when both were
-    /// scheduled and it held the lower seq. A checkpoint's start is not
-    /// an event: the segment records it in `ckpt_due_at`, for `handle` to
-    /// settle, and queues the checkpoint's `BbWriteDone` at the instant
-    /// the write completes. Rate changes and failures supersede both
-    /// through the epoch, and `leave_state`/`rate_changed` clear or
-    /// replace `ckpt_due_at`.
-    ///
-    /// The cycle is settled in place, in analytic mode, while:
-    /// - the application runs at full speed (no migration is in flight);
-    /// - no prediction is pending, so resuming after the write re-arms
-    ///   nothing;
-    /// - the segment adds work, so every cycle settled in place moves
-    ///   the job toward its end (a cycle that adds none is queued, and
-    ///   the event budget bounds a runaway);
-    /// - the BB write completes strictly before the next queued event.
-    ///
-    /// Then the queued `BbWriteDone`, which would take the highest seq,
-    /// would pop next, at `done`, and until then no event would dispatch
-    /// and nothing would be queued. So settling the cycle here leaves
-    /// the model and the queue exactly as that pop and its handler
-    /// would, except that the queue's clock stays and the event is
-    /// neither queued nor handled, provided nothing else runs in the
-    /// handler that opened the segment. That holds for every caller
-    /// (`resume_computing` re-arms only pending predictions) but one: a
-    /// failure that ends a migration restarts the segment only to end it
-    /// at its own instant, and passes `in_place = false`.
-    fn open_segment(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        now: SimTime,
-        in_place: bool,
-    ) -> Option<SimTime> {
+    /// Opens a computing segment at the clock and arms its end as the
+    /// step: the first work threshold it reaches, the next periodic
+    /// checkpoint or the end of the job. Either ends the segment, so the
+    /// later threshold is never armed. The checkpoint is chosen only when
+    /// its rounded delay is strictly shorter: at a tie the job's end
+    /// wins, as it did when both were queued events and it held the lower
+    /// seq. Rate changes re-open the segment, and failures, safeguards
+    /// and rounds end it, each replacing or clearing the step.
+    fn open_segment(&mut self, ctx: &Ctx<'_, Ev>) {
         debug_assert_eq!(self.state, AppState::Computing);
+        let now = ctx.now();
         self.seg_start = now;
         // Full speed unless a migration is in flight; x / 1.0 == x, so the
         // division is skipped there.
@@ -757,6 +715,7 @@ impl CrSim {
         self.seg_rate = rate;
         let span = |work: f64| SimDuration::from_secs(if full_speed { work } else { work / rate });
         let to_target = span((self.target - self.work_done).max(0.0));
+        let mark = ctx.mark();
         if self.next_ckpt_work < self.target {
             let work = (self.next_ckpt_work - self.work_done).max(0.0);
             let to_ckpt = if full_speed {
@@ -766,46 +725,31 @@ impl CrSim {
             };
             if to_ckpt < to_target {
                 let at = now + to_ckpt;
-                let done = at + self.bb_write_dur;
-                self.ckpt_due_at = Some(at);
-                self.ckpt_tick_mark = self.pfs_ticks;
-                if in_place
-                    && full_speed
-                    && self.fluid.is_none()
-                    && self.pending.is_empty()
-                    && self.work_done + self.segment_secs(to_ckpt) > self.work_done
-                    && done < ctx.peek_time()
-                {
-                    return Some(done);
-                }
-                ctx.schedule_uncancellable_at(done, Ev::BbWriteDone(self.epoch));
-                return None;
+                self.step = Some(Step::Checkpoint(Due { at, mark }));
+                return;
             }
         }
-        self.ckpt_due_at = None;
-        ctx.schedule_uncancellable_at(now + to_target, Ev::WorkComplete(self.epoch));
-        None
+        let at = now + to_target;
+        self.step = Some(Step::Complete(Due { at, mark }));
     }
 
     /// Rate changed while computing (LM started/stopped): close the
-    /// segment and re-schedule the work-threshold events.
+    /// segment and open the next at the new rate.
     fn rate_changed(&mut self, ctx: &mut Ctx<'_, Ev>) {
         if self.state == AppState::Computing {
             self.close_segment(ctx.now());
-            self.epoch += 1;
-            self.schedule_compute_events(ctx);
+            self.open_segment(ctx);
         }
     }
 
     /// Leaves the current state at `now`, attributing the elapsed time to
-    /// the right overhead bucket.
+    /// the right overhead bucket; whatever would have ended the state
+    /// (the step) is void.
     fn leave_state(&mut self, now: SimTime) {
         let dt = now.since(self.state_entered).as_secs();
+        self.step = None;
         match self.state {
-            AppState::Computing => {
-                self.ckpt_due_at = None;
-                self.close_segment(now);
-            }
+            AppState::Computing => self.close_segment(now),
             AppState::BbCkpt | AppState::Round | AppState::Safeguard => {
                 self.ledger.ckpt_secs += dt;
             }
@@ -823,22 +767,18 @@ impl CrSim {
         self.state_entered = at;
     }
 
-    /// Transitions into Computing, opens its segment and re-arms any
-    /// still-pending predicted failures that never got a proactive action.
+    /// Enters Computing at the clock, the next checkpoint one OCI of work
+    /// away, opens its segment and re-arms any still-pending predicted
+    /// failures that never got a proactive action.
     fn resume_computing(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        self.reopen_computing(ctx.now());
-        self.schedule_compute_events(ctx);
+        self.next_ckpt_work = self.work_done + self.oci_secs;
+        self.enter_state(ctx.now(), AppState::Computing);
+        self.open_segment(ctx);
         self.rearm_pending(ctx);
     }
 
-    /// Enters Computing at `at`, the next checkpoint one OCI of work away.
-    fn reopen_computing(&mut self, at: SimTime) {
-        self.next_ckpt_work = self.work_done + self.oci_secs;
-        self.enter_state(at, AppState::Computing);
-    }
-
     fn rearm_pending(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        if !self.p.model.uses_prediction() {
+        if !self.p.model.uses_prediction() || self.pending.is_empty() {
             return;
         }
         let now = ctx.now();
@@ -1164,7 +1104,7 @@ impl CrSim {
                         // the PFS here, where analytic mode completes it.
                         self.drain_done(ctx.now());
                     }
-                    self.drain_done_at = None;
+                    self.drain = None;
                     self.fluid_reschedule(ctx);
                 }
                 self.advance_round(ctx);
@@ -1316,40 +1256,96 @@ impl CrSim {
     // Periodic checkpointing.
     // ------------------------------------------------------------------
 
-    /// Starts the pending segment's periodic checkpoint at its due
-    /// instant `at`: closes the segment and enters BbCkpt there. The
-    /// segment's `BbWriteDone`, already queued under the same epoch,
-    /// completes it.
-    fn settle_checkpoint(&mut self, at: SimTime) {
-        self.ckpt_due_at = None;
+    /// Takes, in key order, every instant kept out of the queue (the
+    /// pending drain's completion and the step) that comes before the
+    /// next queued event, each at its own instant; runs at the end of
+    /// `init` and of every handled event. At an equal key the drain goes
+    /// first (see [`Due`]).
+    ///
+    /// A checkpoint whose BB write also comes first is taken whole, with
+    /// one claim at the write's instant. Its start would arm the write
+    /// with the mark of that moment, which is the mark now: the only
+    /// instant that can come before the start is the drain's, and
+    /// neither completing the drain nor starting the checkpoint
+    /// schedules anything. Every instant before the claimed write can be
+    /// claimed too, so the drain, if it comes first, and the start
+    /// settle at their own instants in key order; then the write
+    /// completes at the claimed clock.
+    fn run_ahead(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        loop {
+            if let Some(Step::Checkpoint(start)) = self.step {
+                let write = Due {
+                    at: start.at + self.bb_write_dur,
+                    mark: ctx.mark(),
+                };
+                if ctx.claim(write.at, write.mark) {
+                    self.settle_drain_by(start);
+                    self.start_checkpoint(start.at, write.mark);
+                    self.settle_drain_by(write);
+                    self.complete_bb_write(ctx);
+                    continue;
+                }
+            }
+            let step_due = self.step.map(Step::due);
+            if let Some(drain) = self.drain.filter(|&d| step_due.is_none_or(|s| d <= s)) {
+                if !ctx.claim(drain.at, drain.mark) {
+                    return;
+                }
+                self.settle_drain(drain.at);
+                continue;
+            }
+            let Some(step) = self.step else {
+                return;
+            };
+            let due = step.due();
+            if !ctx.claim(due.at, due.mark) {
+                return;
+            }
+            match step {
+                Step::Checkpoint(_) => self.start_checkpoint(due.at, ctx.mark()),
+                Step::Write(_) => self.complete_bb_write(ctx),
+                Step::Complete(_) => return self.on_work_complete(ctx),
+            }
+        }
+    }
+
+    /// Starts the segment's periodic checkpoint at its instant `at`:
+    /// closes the segment, enters BbCkpt there and arms the BB write's
+    /// completion, one write later, with `mark`.
+    fn start_checkpoint(&mut self, at: SimTime, mark: u64) {
+        let work_done = self.work_done;
         self.close_segment(at);
+        if self.work_done == work_done {
+            self.no_work_cycles += 1;
+            assert!(
+                self.no_work_cycles < NO_WORK_CYCLES,
+                "{NO_WORK_CYCLES} checkpoint cycles added no work: the run cannot progress"
+            );
+        }
         self.inflight_bb_level = self.work_done;
         self.enter_state(at, AppState::BbCkpt);
+        self.step = Some(Step::Write(Due {
+            at: at + self.bb_write_dur,
+            mark,
+        }));
     }
 
-    fn on_bb_write_done(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        self.complete_bb_write(ctx, ctx.now());
-        self.resume_computing(ctx);
-    }
-
-    /// Completes the settled checkpoint's BB write at `now`: the
-    /// checkpoint is on the burst buffers, its drain starts, the OCI is
-    /// refreshed and BbCkpt ends. `on_bb_write_done` runs it at the
-    /// clock; [`CrSim::schedule_compute_events`] at the instant of a
-    /// cycle it settles in place, which is never in fluid mode.
-    fn complete_bb_write(&mut self, ctx: &mut Ctx<'_, Ev>, now: SimTime) {
+    /// Completes the checkpoint's BB write at the clock: the checkpoint
+    /// is on the burst buffers, its drain starts, the OCI is refreshed,
+    /// BbCkpt ends and computing resumes.
+    fn complete_bb_write(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        let now = ctx.now();
         debug_assert_eq!(self.state, AppState::BbCkpt);
         debug_assert_eq!(now.since(self.state_entered), self.bb_write_dur);
         self.ledger.periodic_ckpts += 1;
         self.obs.lat_bb.record(self.bb_write_dur.as_nanos());
         self.rec.emit(now.as_nanos(), obskind::BB_CKPT, 0, 0);
-        // Kick off (or supersede) the asynchronous drain. `handle` has
-        // already settled a pending drain that was due.
+        // Kick off (or supersede) the asynchronous drain. A pending drain
+        // that came first has already completed.
         self.drain_level = self.inflight_bb_level;
         let at = match self.fluid.as_mut() {
             None => self.drain_dur.map(|d| now + d),
             Some(fluid) => {
-                debug_assert_eq!(now, ctx.now(), "fluid cycles are queued");
                 // Any previous drain (active, lone or suspended) is
                 // superseded by the fresher checkpoint.
                 fluid.void_drain(now);
@@ -1375,81 +1371,27 @@ impl CrSim {
         }
         // Leave BbCkpt: the state lasted exactly the write.
         self.ledger.ckpt_secs += self.bb_write_secs;
-        self.epoch += 1;
+        self.resume_computing(ctx);
     }
 
     /// Arms the drain just started (or resumed) to complete at `at`, for
-    /// `handle` to settle; `None` hands a fluid drain to the link's tick
-    /// (and leaves nothing pending in analytic mode, which always arms).
+    /// [`CrSim::run_ahead`] to take; `None` hands a fluid drain to the
+    /// link's tick (and leaves nothing pending in analytic mode, which
+    /// always arms).
     fn arm_drain(&mut self, ctx: &mut Ctx<'_, Ev>, at: Option<SimTime>) {
-        self.drain_done_at = at;
-        self.drain_lm_mark = self.lm_seq;
+        self.drain = at.map(|at| Due {
+            at,
+            mark: ctx.mark(),
+        });
         if at.is_none() {
             self.fluid_reschedule(ctx);
         }
     }
 
-    /// Whether `event`, popped at the pending drain's instant `at`, was
-    /// queued before the drain was armed, so that a completion event
-    /// queued at the arming would pop after it. In fluid mode that event
-    /// is the `PfsTick` a lone drain no longer queues: it was queued
-    /// where `arm_drain` now runs.
-    ///
-    /// In the queue's `(time, seq)` order such a completion event
-    /// precedes everything later than `at` and, at `at` itself,
-    /// everything queued after the arming (higher seq). Three kinds of
-    /// event can be queued before the arming and still be live at `at`:
-    /// a `Failure` or a `Prediction` (both from `init`), and an `LmDone`
-    /// of a migration that started before the arming (its seq is at most
-    /// `drain_lm_mark`; the seq, not the epoch, guards it, so it outlives
-    /// the `BbWriteDone`). They dispatch first and the drain settles
-    /// before the next event; a failure voids it instead. Every other
-    /// event queued before the arming is guarded by an epoch that was
-    /// retired since: the application's, by `on_bb_write_done` or by
-    /// `on_phase2_done` for a resumed drain, or the fluid link's, which
-    /// the lone drain's start moved. It dispatches as a no-op that
-    /// records nothing, so which side of the settle it falls on cannot
-    /// be observed.
-    fn drain_queued_before(&self, event: &Ev) -> bool {
-        match *event {
-            Ev::Failure(_) | Ev::Prediction(..) => true,
-            Ev::LmDone(_, seq) => seq <= self.drain_lm_mark,
-            _ => false,
-        }
-    }
-
-    /// Whether `event`, popped at the pending checkpoint's due instant
-    /// `at`, was queued before the checkpoint's segment began, so that a
-    /// start event queued with the segment would pop after it.
-    ///
-    /// In `(time, seq)` order such a start event precedes everything
-    /// later than `at` and, at `at` itself, everything queued after the
-    /// segment began. Four kinds of event can be queued before the
-    /// segment and still be live at `at`:
-    /// - a `Failure` or a `Prediction`, both queued by `init`;
-    /// - an `LmDone`: a migration starts only in `start_lm`, which
-    ///   restarts a computing segment (`rate_changed`), so every
-    ///   migration in flight during a segment started before it;
-    /// - in fluid mode, a `PfsTick` with a serial at most
-    ///   `ckpt_tick_mark`. Serials grow with each queued tick, so these
-    ///   are exactly the ticks queued before the segment began. The
-    ///   link's epoch cannot tell: the tick `on_pfs_tick` queues after a
-    ///   completion handler resumed computing carries the epoch the
-    ///   segment began under.
-    ///
-    /// They dispatch first, and the checkpoint starts before the next
-    /// event unless one of them ended the segment (a failure, a
-    /// safeguard, a round) or restarted it (a migration's start or
-    /// commit, which replaces `ckpt_due_at`). Every other event queued
-    /// before the segment is guarded by an epoch that the segment's own
-    /// retired, since each segment opens under a fresh epoch: it
-    /// dispatches as a no-op that records nothing, so which side of the
-    /// settle it falls on cannot be observed.
-    fn segment_queued_before(&self, event: &Ev) -> bool {
-        match *event {
-            Ev::Failure(_) | Ev::Prediction(..) | Ev::LmDone(..) => true,
-            Ev::PfsTick(_, serial) => serial <= self.ckpt_tick_mark,
-            _ => false,
+    /// Completes the pending drain if it comes at or before `limit`.
+    fn settle_drain_by(&mut self, limit: Due) {
+        if let Some(drain) = self.drain.filter(|&d| d <= limit) {
+            self.settle_drain(drain.at);
         }
     }
 
@@ -1457,7 +1399,7 @@ impl CrSim {
     /// checkpoint recoverable and records `DRAIN_DONE` there, after the
     /// fluid link's `FLOW_WAVE` for a lone drain, as its tick did.
     fn settle_drain(&mut self, at: SimTime) {
-        self.drain_done_at = None;
+        self.drain = None;
         if let Some(fluid) = self.fluid.as_mut() {
             fluid.settle_lone_drain(at);
         }
@@ -1469,35 +1411,6 @@ impl CrSim {
     fn drain_done(&mut self, at: SimTime) {
         self.rec.emit(at.as_nanos(), obskind::DRAIN_DONE, 0, 0);
         self.best_bb_pfs = self.best_bb_pfs.max(self.drain_level);
-    }
-
-    /// Settles, before `event` dispatches at `now`, each pending instant
-    /// that a queue event armed with it would have popped before `event`:
-    /// the drain's completion and the periodic checkpoint's start. When
-    /// both are due, the earlier instant settles first, and at a tie the
-    /// drain, which was armed before the segment began.
-    #[inline]
-    fn settle(&mut self, now: SimTime, event: &Ev) {
-        let drain = self
-            .drain_done_at
-            .filter(|&at| at < now || (at == now && !self.drain_queued_before(event)));
-        let ckpt = self
-            .ckpt_due_at
-            .filter(|&at| at < now || (at == now && !self.segment_queued_before(event)));
-        match (drain, ckpt) {
-            (Some(d), Some(c)) if c < d => {
-                self.settle_checkpoint(c);
-                self.settle_drain(d);
-            }
-            _ => {
-                if let Some(d) = drain {
-                    self.settle_drain(d);
-                }
-                if let Some(c) = ckpt {
-                    self.settle_checkpoint(c);
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1535,7 +1448,7 @@ impl CrSim {
         // Fig. 1(B): a BB→PFS drain interrupted by a failure is void — the
         // failed node's staged data never reaches the PFS, so that
         // checkpoint can never serve a replacement node.
-        self.drain_done_at = None;
+        self.drain = None;
         if let Some(fluid) = self.fluid.as_mut() {
             let now = ctx.now();
             fluid.void_drain(now);
@@ -1553,14 +1466,9 @@ impl CrSim {
         let covered = pend.and_then(|pp| pp.covered);
         // Under lead-time estimation error a migration can still be in
         // flight when the failure strikes (the estimate was too long):
-        // the migration loses and the later LmDone is stale. A computing
-        // segment restarts without it and ends below, at this instant,
-        // so no cycle of it is settled in place: its event is queued.
-        if self.active_lms.remove(&f.node).is_some() && self.state == AppState::Computing {
-            let now = ctx.now();
-            self.close_segment(now);
-            self.epoch += 1;
-            self.open_segment(ctx, now, false);
+        // the migration loses and the later LmDone is stale.
+        if self.active_lms.remove(&f.node).is_some() {
+            self.rate_changed(ctx);
         }
 
         match self.state {
@@ -1722,10 +1630,11 @@ impl CrSim {
         self.resume_computing(ctx);
     }
 
+    /// The job's work is done at the clock: the run ends.
     fn on_work_complete(&mut self, ctx: &mut Ctx<'_, Ev>) {
         debug_assert_eq!(self.state, AppState::Computing);
         self.close_segment(ctx.now());
-        self.epoch += 1;
+        self.step = None;
         self.enter_state(ctx.now(), AppState::Done);
         self.rec.emit(ctx.now().as_nanos(), obskind::COMPLETE, 0, 0);
         self.finished_at = Some(ctx.now());
@@ -1757,34 +1666,27 @@ impl Model for CrSim {
             }
         }
         self.enter_state(SimTime::ZERO, AppState::Computing);
-        self.schedule_compute_events(ctx);
+        self.open_segment(ctx);
+        self.run_ahead(ctx);
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, event: Ev) {
-        self.settle(ctx.now(), &event);
         match event {
-            // The epoch is the segment's, so only its settled checkpoint
-            // is in BbCkpt under it.
-            Ev::BbWriteDone(e) if e == self.epoch && self.state == AppState::BbCkpt => {
-                self.on_bb_write_done(ctx)
-            }
-            Ev::WorkComplete(e) if e == self.epoch => self.on_work_complete(ctx),
             Ev::SafeguardDone(e) if e == self.epoch => self.on_safeguard_done(ctx),
             Ev::Phase1WriterDone(e) if e == self.epoch => self.on_phase1_writer_done(ctx),
             Ev::Phase2Done(e) if e == self.epoch => self.on_phase2_done(ctx),
             Ev::RecoveryDone(e) if e == self.epoch => self.on_recovery_done(ctx),
-            Ev::PfsTick(epoch, _) => self.on_pfs_tick(ctx, epoch),
+            Ev::PfsTick(epoch) => self.on_pfs_tick(ctx, epoch),
             Ev::Prediction(fail_idx, fp_idx) => self.on_prediction(ctx, fail_idx, fp_idx),
             Ev::Failure(idx) => self.on_failure(ctx, idx),
             Ev::LmDone(node, seq) => self.on_lm_done(ctx, node, seq),
             // Epoch-guarded events from a superseded state: drop.
-            Ev::BbWriteDone(_)
-            | Ev::WorkComplete(_)
-            | Ev::SafeguardDone(_)
+            Ev::SafeguardDone(_)
             | Ev::Phase1WriterDone(_)
             | Ev::Phase2Done(_)
             | Ev::RecoveryDone(_) => {}
         }
+        self.run_ahead(ctx);
     }
 }
 
@@ -2787,24 +2689,20 @@ mod tests {
 
     #[test]
     fn failure_free_run_handles_no_stale_threshold_events() {
-        // In fluid mode each periodic checkpoint is one BbWriteDone (its
-        // start and its drain, which has the link to itself, are settled
-        // without an event); in analytic mode, with nothing queued, every
-        // cycle is settled in place. WorkComplete ends the run: nothing
-        // scheduled is left unhandled, in particular no superseded
-        // WorkComplete per segment.
-        for (mode, per_ckpt) in [
-            (crate::iosim::PfsMode::Analytic, 0),
-            (crate::iosim::PfsMode::Fluid, 1),
-        ] {
+        // Every checkpoint cycle, the job's end and, in fluid mode, every
+        // drain alone on the link are instants kept out of the queue, in
+        // both PFS modes: a failure-free run schedules nothing, handles
+        // nothing and ends inside `init`.
+        use crate::iosim::PfsMode;
+        for mode in [PfsMode::Analytic, PfsMode::Fluid] {
             let mut p = params(ModelKind::B, "POP");
             p.pfs_mode = mode;
             let mut sim = Simulation::new(CrSim::new(p, FailureTrace::default(), &leads()));
             assert_eq!(sim.run(), pckpt_desim::engine::StopReason::Requested);
             let ckpts = sim.model().result().ledger.periodic_ckpts;
             assert!(ckpts > 100, "{mode:?}: only {ckpts} periodic checkpoints");
-            assert_eq!(sim.events_handled(), per_ckpt * ckpts + 1, "{mode:?}");
-            assert_eq!(sim.queue().scheduled_total(), sim.events_handled(), "{mode:?}");
+            assert_eq!(sim.events_handled(), 0, "{mode:?}");
+            assert_eq!(sim.queue().scheduled_total(), 0, "{mode:?}");
         }
     }
 
@@ -2822,10 +2720,21 @@ mod tests {
         );
         let mut sim = Simulation::new(sim);
         sim.run();
-        assert_eq!(sim.events_handled(), 1);
+        assert_eq!(sim.events_handled(), 0);
         let r = sim.model().result();
         assert_eq!(r.ledger.periodic_ckpts, 0);
         assert_eq!(r.wall_secs, r.ideal_secs);
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint cycles added no work")]
+    fn checkpoint_cycles_adding_no_work_panic_instead_of_hanging() {
+        // With a zero OCI every segment ends where it opens: each cycle
+        // takes one BB write and adds no work, and nothing queued would
+        // ever stop them. The run stops at the cycle budget instead.
+        let mut sim = CrSim::new(params(ModelKind::B, "POP"), FailureTrace::default(), &leads());
+        (sim.oci_secs, sim.next_ckpt_work) = (0.0, 0.0);
+        sim.run();
     }
 
     // Protocol-stream digests (`protocol_digest`) of the crafted tie runs
@@ -3271,8 +3180,9 @@ mod tests {
     #[test]
     fn drain_tick_queued_in_a_segment_completes_before_its_bb_write() {
         // The same tick landing on the checkpoint's BB write completion:
-        // it was queued before the write's event used to be, so the
-        // drain completes first instead of being voided by the write.
+        // it was queued before the write was armed, at the checkpoint's
+        // start, so the drain completes first instead of being voided by
+        // the write.
         let p = params(ModelKind::M1, "CHIMERA");
         let write = SimDuration::from_secs(p.bb_write_secs()).as_nanos();
         let (records, at) = drain_tick_behind_a_resumed_segment(write);
@@ -3358,10 +3268,10 @@ mod tests {
     #[test]
     fn bb_write_at_a_lone_fluid_drain_instant_finds_it_done() {
         // An OCI one BB write shorter than the drain: the next
-        // checkpoint's BbWriteDone lands on the drain's instant. It was
-        // queued after the drain was armed, so the drain completes first
-        // and the checkpoint is PFS-durable before the next one
-        // supersedes its drain.
+        // checkpoint's BB write completes at the drain's instant. It was
+        // armed after the drain, so the drain completes first and the
+        // checkpoint is PFS-durable before the next one supersedes its
+        // drain.
         let p = fluid(params(ModelKind::B, "CHIMERA"));
         let (bb, drained) = first_lone_drain_ns(&p);
         let drain = drained - bb;
@@ -3545,11 +3455,10 @@ mod tests {
     // Protocol-stream digests of the crafted runs below, taken while
     // every periodic checkpoint's `BbWriteDone` was a queued event. Each
     // puts an event on an instant of the second checkpoint cycle of a
-    // failure-free run, where that cycle is settled in place, and 1 ns
-    // before it: rows are the checkpoint's start, its BB write's
-    // completion and its drain's, columns the instant and 1 ns before.
-    // The cycle the event meets must fall back to the queue and keep
-    // every record and its order.
+    // failure-free run, which is otherwise taken whole, and 1 ns before
+    // it: rows are the checkpoint's start, its BB write's completion and
+    // its drain's, columns the instant and 1 ns before. The cycle the
+    // event meets must keep every record and its order.
     const INLINE_FAILURE_STREAMS: [[&str; 2]; 3] = [
         ["0165579414157ebd", "4c5cd70f69094aa4"],
         ["05f9bf6a990d5e66", "dc66cd7bafc07514"],
@@ -3700,9 +3609,7 @@ mod tests {
         // A prediction delivered during a recovery, for a failure three
         // hours out (several POP checkpoint intervals): M1 safeguards as
         // computing resumes, at the recovery's end, before any of the
-        // cycles that the next queued event leaves room for. The recovery
-        // outlasts an interval, so the superseded `BbWriteDone` of the
-        // segment the first failure ended is no longer queued by then.
+        // cycles that the next queued event leaves room for.
         let mut p = params(ModelKind::M1, "POP");
         p.replacement_delay_secs = 3000.0;
         let t_a = 50.0;
@@ -3735,10 +3642,9 @@ mod tests {
         // second checkpoint's write would complete at full speed, so the
         // segment after the write runs slowed. An unpredicted failure of
         // node 5 strikes 10 s into that segment. The segment restarted
-        // without the migration ends at the failure's instant, so its
-        // cycle is never settled in place, although its write would
-        // complete before the next queued event (the slowed segment's
-        // superseded `BbWriteDone` and the stale `LmDone`).
+        // without the migration ends at the failure's instant, so no
+        // cycle of it is taken, although its write would complete before
+        // the next queued event (the stale `LmDone`).
         let mut p = params(ModelKind::M2, "XGC");
         let oci = CrSim::new(p.clone(), FailureTrace::default(), &leads()).oci_secs();
         p.lm_precopy_factor *= (oci + 2.0 * p.bb_write_secs() + 60.0) / p.theta_secs();
@@ -3767,11 +3673,11 @@ mod tests {
 
     #[test]
     fn horizon_guard_panics_if_application_cannot_finish() {
-        // An empty event queue with work remaining means the model is
-        // broken; ensure the failure mode is loud. We simulate it by
-        // crafting a run whose WorkComplete would be past any failure but
-        // the budget cuts it off — instead, verify normal completion sets
-        // finished_at.
+        // `result` panics unless the run completed. This checks the other
+        // side: the longest failure-free paper run completes and sets
+        // `finished_at`. A run that cannot progress is stopped by the
+        // no-work cycle budget (see
+        // `checkpoint_cycles_adding_no_work_panic_instead_of_hanging`).
         let p = params(ModelKind::B, "VULCAN");
         let r = run(p, FailureTrace::default());
         assert!(r.wall_secs >= 720.0 * 3600.0);

@@ -20,6 +20,12 @@
 //! pops once per event in one `(time, seq)` order whichever call
 //! scheduled it.
 //!
+//! A model may keep an instant out of the queue: it arms it with
+//! [`Ctx::mark`] and takes it with [`Ctx::claim`], which succeeds where
+//! an event scheduled at the arming would have popped next. A claim only
+//! moves the clock to an instant that precedes every queued event, so
+//! the causal order stays the loop's.
+//!
 //! ```
 //! use pckpt_desim::{Ctx, Model, SimDuration, Simulation};
 //!
@@ -103,12 +109,18 @@ impl<'a, E> Ctx<'a, E> {
         self.queue.cancel(id)
     }
 
-    /// The time of the next queued event, [`SimTime::MAX`] if none (see
-    /// [`EventQueue::peek_time`]). A model that knows nothing it would
-    /// schedule can happen before then may settle it without the queue.
+    /// The tie mark of an instant armed now, to [`claim`](Self::claim) it
+    /// by later (see [`EventQueue::mark`]).
     #[inline]
-    pub fn peek_time(&mut self) -> SimTime {
-        self.queue.peek_time()
+    pub fn mark(&self) -> u64 {
+        self.queue.mark()
+    }
+
+    /// Takes the instant `at` armed with `mark`, moving the clock there,
+    /// unless a queued event comes first (see [`EventQueue::claim`]).
+    #[inline]
+    pub fn claim(&mut self, at: SimTime, mark: u64) -> bool {
+        self.queue.claim(at, mark)
     }
 
     /// Requests the loop to stop after the current event is handled.

@@ -6,14 +6,13 @@
 //!
 //! - **The sorted run.** Everything [`schedule_at`](EventQueue::schedule_at)
 //!   puts on a fresh or [`reset`](EventQueue::reset) queue, before its
-//!   first [`pop`](EventQueue::pop) or
-//!   [`peek_time`](EventQueue::peek_time), is appended to a `Vec`. That
-//!   batch is what a model's `init` schedules: in the C/R simulation, the
-//!   whole failure trace, its predictions and false positives, most of
-//!   which lie past the job's end and never pop. The first pop or peek
-//!   seals the run: it sorts the `Vec` once, in place, by the
-//!   `(time, seq)` key, and from then on the run is consumed from its
-//!   earliest end.
+//!   first [`pop`](EventQueue::pop) or [`claim`](EventQueue::claim), is
+//!   appended to a `Vec`. That batch is what a model's `init` schedules:
+//!   in the C/R simulation, the whole failure trace, its predictions and
+//!   false positives, most of which lie past the job's end and never
+//!   pop. The first pop or claim seals the run: it sorts the `Vec` once,
+//!   in place, by the `(time, seq)` key, and from then on the run is
+//!   consumed from its earliest end.
 //! - **The heap.** Everything `schedule_at` puts on the queue after that
 //!   goes to a binary min-heap.
 //! - **The lane.** Everything
@@ -33,6 +32,14 @@
 //! pop order, the ids, `len`, `depth_hwm`, `scheduled_total` and every
 //! recorder call are exactly those of one heap holding everything.
 //!
+//! An instant a model keeps out of the queue is armed with
+//! [`mark`](EventQueue::mark), the seq the next event would take, and
+//! taken by [`claim`](EventQueue::claim) iff its `(time, mark)` is at or
+//! before the next pop's `(time, seq)`, where an event scheduled at the
+//! arming would have popped. The claim moves the clock to an instant
+//! that precedes every queued event, so the pop order stays as it was;
+//! the instant takes no seq and is not recorded.
+//!
 //! Cancellation is first-class because the C/R models revoke scheduled
 //! futures: a pending failure event is cancelled when live migration
 //! moves the process off the vulnerable node. It is *lazy* and works the
@@ -47,15 +54,15 @@
 //! already fired, so no lane entry can die. Its events set no liveness
 //! bit, and `pop` never tests one for them.
 //!
-//! `pop` and `peek_time` cache the key of the earliest live entry across
-//! the run and the heap, so a run of lane pops neither tests a liveness
-//! bit nor compares the run's head with the heap's. Three things can
-//! change that entry once the run is sealed, and each drops the cache: a
+//! `pop` and `claim` cache the key of the earliest live entry across the
+//! run and the heap, so a run of lane pops neither tests a liveness bit
+//! nor compares the run's head with the heap's. Three things can change
+//! that entry once the run is sealed, and each drops the cache: a
 //! `schedule_at`, a `cancel` that clears a live bit, and a pop from the
 //! run or the heap. The sealing itself needs no rule: it comes before
 //! the first lookup, and `new` and `reset` leave the cache empty. Lane
-//! schedules and lane pops leave it be. `pop`, `peek_time` and the
-//! lane's scheduling calls are `#[inline]`: left out of line, the calls
+//! schedules and lane pops leave it be. `pop`, `claim` and the lane's
+//! scheduling calls are `#[inline]`: left out of line, the calls
 //! themselves were a measurable part of a lane event's cost in the C/R
 //! simulation.
 
@@ -132,11 +139,11 @@ fn bit_is_set(live: &[u64], seq: u64) -> bool {
 /// [`schedule_uncancellable_at`](Self::schedule_uncancellable_at) cannot.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Cancellable events scheduled before the first pop or peek. In
+    /// Cancellable events scheduled before the first pop or claim. In
     /// scheduling order until `run_sorted` is set; then in descending
     /// `(time, seq)` order, so the earliest event leaves by `Vec::pop`.
     run: Vec<Entry<E>>,
-    /// Set by the first `pop` or `peek_time`, which sorts `run`; from
+    /// Set by the first `pop` or `claim`, which sorts `run`; from
     /// then on new cancellable events go to `heap`.
     run_sorted: bool,
     heap: BinaryHeap<Reverse<Entry<E>>>,
@@ -352,7 +359,7 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Sorts the run on the first pop or peek; a no-op afterwards.
+    /// Sorts the run on the first pop or claim; a no-op afterwards.
     #[inline]
     fn seal_run(&mut self) {
         if !self.run_sorted {
@@ -423,18 +430,34 @@ impl<E> EventQueue<E> {
         key
     }
 
-    /// The time of the event [`pop`](Self::pop) would return next, or
-    /// [`SimTime::MAX`] when the queue is exhausted; the clock stays.
-    /// Like a pop, it seals the sorted run, and it drops dead fronts of
-    /// the run and the heap on the way.
+    /// The tie mark of an instant armed now: the seq the next scheduled
+    /// event takes. See [`claim`](Self::claim).
     #[inline]
-    pub fn peek_time(&mut self) -> SimTime {
+    pub fn mark(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Claims the instant `at` armed with `mark`: `true`, and the clock
+    /// moved to `at`, iff `(at, mark)` is at or before the `(time, seq)`
+    /// of the event [`pop`](Self::pop) would return next; `false` leaves
+    /// the clock. Like a pop, it seals the sorted run, and it drops dead
+    /// fronts of the run and the heap on the way.
+    ///
+    /// Panics if `at` is in the past.
+    #[inline]
+    pub fn claim(&mut self, at: SimTime, mark: u64) -> bool {
+        assert!(
+            at >= self.now,
+            "cannot claim an instant in the past ({at} < now {})",
+            self.now
+        );
         self.seal_run();
-        let head = self.head_key().0;
-        match self.lane.last() {
-            Some(e) => e.time.min(head),
-            None => head,
+        let key = (at, mark);
+        let first = self.lane.last().is_none_or(|e| key <= e.key()) && key <= self.head_key();
+        if first {
+            self.now = at;
         }
+        first
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -687,25 +710,44 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_reads_the_next_pop_and_seals_the_run() {
+    fn claim_takes_an_instant_where_an_event_armed_with_it_would_pop() {
         let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), SimTime::MAX);
+        assert_eq!(q.mark(), 0);
         let a = q.schedule_at(secs(2.0), "a");
+        let mark = q.mark();
         q.schedule_at(secs(4.0), "b");
         q.schedule_uncancellable_at(secs(3.0), "l3");
-        assert_eq!(q.peek_time(), secs(2.0));
-        // Peeking sealed the run: this event goes to the heap and still
-        // pops in order.
+        // The tie is the mark's: `a` was scheduled before the arming, so
+        // it pops first at 2 s, and the claim is refused, clock unmoved.
+        assert!(!q.claim(secs(2.0), mark));
+        assert_eq!(q.now(), SimTime::ZERO, "a refused claim leaves the clock");
+        // The refusal sealed the run: this event goes to the heap and
+        // still pops in order, ahead of an instant armed before it.
         q.schedule_at(secs(1.0), "c");
-        assert_eq!(q.peek_time(), secs(1.0));
+        assert!(!q.claim(secs(1.0), q.mark()));
+        assert!(q.claim(secs(1.0), q.mark() - 1), "armed before `c`");
+        assert_eq!(q.now(), secs(1.0));
         assert_eq!(q.pop().unwrap().2, "c");
+        // Once `a` is cancelled the lane's head bounds the claim: an
+        // instant armed after it loses the tie at 3 s, one before wins.
         assert!(q.cancel(a));
-        // The dead front is skipped; the lane's head is next.
-        assert_eq!(q.peek_time(), secs(3.0));
-        assert_eq!(q.now(), secs(1.0), "peeking leaves the clock");
+        assert!(!q.claim(secs(3.0), q.mark()));
+        assert!(!q.claim(secs(3.5), 0));
+        assert!(q.claim(secs(3.0), mark));
+        assert_eq!(q.now(), secs(3.0));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
         assert_eq!(order, vec!["l3", "b"]);
-        assert_eq!(q.peek_time(), SimTime::MAX);
+        // An empty queue refuses nothing.
+        assert!(q.claim(SimTime::MAX, q.mark()));
+    }
+
+    #[test]
+    #[should_panic(expected = "in the past")]
+    fn claiming_a_past_instant_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_at(secs(2.0), ());
+        q.pop().unwrap();
+        q.claim(secs(1.0), q.mark());
     }
 
     #[test]

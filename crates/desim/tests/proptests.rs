@@ -1,7 +1,7 @@
 //! Property-based tests of the DES engine: event ordering under random
-//! schedules and cancellations, the queue's sorted run, heap and
-//! uncancellable lane against a reference model, and byte conservation
-//! in the fluid-flow link.
+//! schedules and cancellations, the queue's sorted run, heap,
+//! uncancellable lane and claims against a reference model, and byte
+//! conservation in the fluid-flow link.
 
 use proptest::prelude::*;
 
@@ -47,11 +47,14 @@ proptest! {
     /// `reset`; every pop (its id included), `len`, `depth_hwm` and
     /// `scheduled_total` agrees. A `schedule_at` or `cancel` after a pop
     /// moves the run/heap head under the queue's cached head key, so a
-    /// stale cache shows up here as a wrong pop.
+    /// stale cache shows up here as a wrong pop. Claims of an instant
+    /// armed at any mark issued so far are mixed in: each succeeds iff
+    /// its `(time, mark)` is at or before the reference's earliest live
+    /// `(time, seq)`, and moves the clock only then.
     #[test]
     fn sorted_run_is_observationally_a_heap(
         initial in proptest::collection::vec((0u64..40, any::<bool>()), 0..100),
-        ops in proptest::collection::vec((0u8..4, 0u64..40, any::<usize>()), 0..300),
+        ops in proptest::collection::vec((0u8..5, 0u64..40, any::<usize>()), 0..300),
     ) {
         let mut q = EventQueue::new();
         let mut rounds = Vec::new();
@@ -107,6 +110,22 @@ proptest! {
                         if let Some(id) = ids[seq] {
                             prop_assert_eq!(q.cancel(id), oracle.cancel(seq as u64));
                         }
+                    }
+                    4 => {
+                        // Half the claims meet the earliest live event's
+                        // own key or the mark after it, where the tie
+                        // decides; the rest pick any mark issued so far.
+                        prop_assert_eq!(q.mark(), oracle.issued);
+                        let head = oracle.live.iter().map(|&(t, s, _)| (t, s)).min();
+                        let (t, mark) = match head {
+                            Some((ht, hs)) if pick % 2 == 0 => (ht, hs + (pick / 2 % 2) as u64),
+                            _ => (t, pick as u64 % (oracle.issued + 1)),
+                        };
+                        let first = head.is_none_or(|head| (t, mark) <= head);
+                        let before = q.now();
+                        prop_assert_eq!(q.claim(SimTime::from_nanos(t), mark), first);
+                        let after = if first { SimTime::from_nanos(t) } else { before };
+                        prop_assert_eq!(q.now(), after);
                     }
                     _ => {
                         let got = q.pop().map(|(t, id, p)| (t.as_nanos(), id, p));

@@ -359,9 +359,14 @@ fn campaign_aggregates_carry_observability_metrics() {
                 obs.events_scheduled >= obs.events_handled,
                 "{mode:?} {m:?}: handled more events than were scheduled"
             );
+            // Each counted failure is a handled `Failure`, or a handled
+            // `LmDone` when a migration took the process off its node;
+            // checkpoint cycles cost no event.
             assert!(
-                obs.events_per_run() > 10.0,
-                "{mode:?} {m:?}: implausibly few events/run"
+                obs.events_handled as f64 >= agg.failures.sum(),
+                "{mode:?} {m:?}: {} events handled for {} failures counted",
+                obs.events_handled,
+                agg.failures.sum()
             );
             assert!(
                 obs.queue_depth_hwm > 1,

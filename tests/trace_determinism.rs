@@ -312,8 +312,8 @@ mod trace_on {
 
     /// Golden FNV digests of the structured event stream of run 0,
     /// seed 61, XGC/P2, per PFS mode.
-    const GOLDEN_STREAM_ANALYTIC: &str = "e5254ffc4235aa6c";
-    const GOLDEN_STREAM_FLUID: &str = "03156b04b0987508";
+    const GOLDEN_STREAM_ANALYTIC: &str = "6882288e7fbe581b";
+    const GOLDEN_STREAM_FLUID: &str = "15a68a83be3107af";
 
     fn record(mode: PfsMode, seed: u64) -> Recording {
         let leads = LeadTimeModel::desh_default();
