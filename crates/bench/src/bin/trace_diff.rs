@@ -6,7 +6,7 @@
 //! (defaults: `XGC P2 analytic 1 2`). A default build compares the
 //! protocol records (states, predictions, actions, failures, recoveries,
 //! flow waves), each with causal parent `NO_PARENT`. Build with
-//! `--features trace` to add the queue's SCHED/POP/CANCEL records and the
+//! `--features trace` to add the queue's SCHED/POP records and the
 //! causal parents they set; the bin says which stream it compared.
 //!
 //! Example (two different seeds diverge almost immediately):

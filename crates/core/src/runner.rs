@@ -309,8 +309,8 @@ fn execute_sim(
 /// run's RNG stream is `master.split(run)`, trace generation consumes it
 /// first, and the background-traffic stream is `rng.split(0xB6)`. The
 /// recording holds every record the model and the flow link emit; the
-/// queue's SCHED/POP/CANCEL records and the causal parents they set
-/// are added under the `trace` feature.
+/// queue's SCHED/POP records and the causal parents they set are added
+/// under the `trace` feature.
 pub fn record_run(
     params: &SimParams,
     leads: &LeadTimeModel,

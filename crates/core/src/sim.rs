@@ -15,7 +15,7 @@
 //!     ├────────────► Round (phase 1 ► phase 2) ───────────────┤
 //!     │  prediction (M1)                                      │
 //!     ├────────────► Safeguard ───────────────────────────────┤
-//!     │  failure                              RecoveryDone    │
+//!     │  failure                              recovery done   │
 //!     └────────────► Recovering ──────────────────────────────┘
 //! ```
 //!
@@ -25,21 +25,21 @@
 //!
 //! ### Instants kept out of the queue
 //!
-//! Three transitions of the periodic checkpoint cycle are not queue
-//! events: the computing segment's end (its checkpoint's start or the
-//! job's end), the BB write's completion and the BB→PFS drain's
-//! completion. Each is armed as a [`Due`]: its instant and the tie mark
-//! ([`Ctx::mark`]) of the moment it is armed, the seq an event scheduled
-//! then would have taken. At the end of `init` and of every handled
-//! event, [`CrSim::run_ahead`] claims them ([`Ctx::claim`]) in key order
-//! until the next queued event comes first. So each is taken exactly
-//! where a queued event armed at the same moment would have popped:
-//! after every event queued before the arming and due at the same
-//! nanosecond, before every one queued after it. One rule serves both
-//! PFS modes, slowed segments and pending predictions alike; a run
-//! handles queue events only for failures, predictions, the actions
-//! they start, and a fluid drain that shares the PFS link (its
-//! `PfsTick`).
+//! No transition that ends a state is a queue event: the computing
+//! segment's end (its checkpoint's start or the job's end), the BB
+//! write's completion, the end of a safeguard commit, a phase-1 writer,
+//! phase 2 or a recovery (each in analytic mode, and a fluid recovery's
+//! floor), and the BB→PFS drain's completion. Each is armed as a
+//! [`Due`]: its instant and the tie mark ([`Ctx::mark`]) of the moment
+//! it is armed, the seq an event scheduled then would have taken. At the
+//! end of `init` and of every handled event, [`CrSim::run_ahead`] claims
+//! them ([`Ctx::claim`]) in key order until the next queued event comes
+//! first. So each is taken exactly where a queued event armed at the
+//! same moment would have popped: after every event queued before the
+//! arming and due at the same nanosecond, before every one queued after
+//! it. Leaving a state clears its pending end, so nothing stale is left
+//! to drop. A run handles queue events only for failures, predictions,
+//! migration commits and the fluid link's ticks (`PfsTick`).
 //!
 //! ### Accounting invariant
 //!
@@ -48,7 +48,7 @@
 //! the residual is zero, and `metrics::RunResult::accounting_residual_secs`
 //! exposes it to tests.
 
-use pckpt_desim::{Ctx, EventId, Model, SimDuration, SimTime, Simulation, SmallMap};
+use pckpt_desim::{Ctx, Model, SimDuration, SimTime, Simulation, SmallMap};
 use pckpt_failure::{FailureTrace, LeadTimeModel, RateEstimator};
 use pckpt_simobs::{kind as obskind, Recorder, RunObs};
 
@@ -106,18 +106,10 @@ pub enum Ev {
     /// A prediction is delivered. `Some(idx)` = genuine failure index,
     /// `None` = false positive `fp` index in the second field.
     Prediction(Option<usize>, usize),
-    /// Genuine failure `idx` strikes.
+    /// Genuine failure `idx` strikes (dropped if a migration avoided it).
     Failure(usize),
-    /// The safeguard commit finished (epoch-guarded).
-    SafeguardDone(u32),
     /// A live migration finished (node, LM-sequence-guarded).
     LmDone(u32, u64),
-    /// The current p-ckpt phase-1 writer committed (epoch-guarded).
-    Phase1WriterDone(u32),
-    /// The p-ckpt phase-2 collective commit finished (epoch-guarded).
-    Phase2Done(u32),
-    /// Recovery finished (epoch-guarded).
-    RecoveryDone(u32),
     /// A fluid-mode PFS transfer may have completed: the fluid link's
     /// epoch (stale ticks are dropped).
     PfsTick(u64),
@@ -130,9 +122,10 @@ pub enum Ev {
 ///
 /// The drain and the step share a mark when nothing was scheduled
 /// between their armings, and then the drain was armed first: it is
-/// armed only where a BB write completes or a round ends, before the
-/// segment that follows opens, and every later step carries that mark
-/// or a later one. So at an equal key the drain goes first.
+/// armed only where a BB write completes or a round ends, after the step
+/// it follows is consumed and before the next one is armed, so every
+/// later step, an end included, carries its mark or a later one. At an
+/// equal key the drain goes first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Due {
     at: SimTime,
@@ -149,12 +142,15 @@ enum Step {
     Write(Due),
     /// The computing segment reaches the end of the job.
     Complete(Due),
+    /// The state's synchronous operation ends: the safeguard commit, the
+    /// round's phase-1 writer or phase 2, or the recovery.
+    End(Due),
 }
 
 impl Step {
     fn due(self) -> Due {
         match self {
-            Step::Checkpoint(due) | Step::Write(due) | Step::Complete(due) => due,
+            Step::Checkpoint(due) | Step::Write(due) | Step::Complete(due) | Step::End(due) => due,
         }
     }
 }
@@ -214,7 +210,6 @@ pub struct CrSim {
     // Application progress.
     state: AppState,
     state_entered: SimTime,
-    epoch: u32,
     work_done: f64,
     target: f64,
     seg_start: SimTime,
@@ -235,8 +230,9 @@ pub struct CrSim {
     /// seconds: its nanoseconds and its seconds.
     secs_memo: (u64, f64),
     /// The instant the application's current phase ends: in Computing,
-    /// its segment's end; in BbCkpt, the BB write's completion; `None` in
-    /// every other state. [`CrSim::run_ahead`] takes it.
+    /// its segment's end; in BbCkpt, the BB write's completion; in the
+    /// other states, their operation's end, or `None` while the fluid
+    /// link's tick decides it. [`CrSim::run_ahead`] takes it.
     step: Option<Step>,
     /// Checkpoint cycles this run whose segment added no work, bounded by
     /// [`NO_WORK_CYCLES`].
@@ -264,7 +260,9 @@ pub struct CrSim {
     active_lms: SmallMap<u32, ActiveLm>,
     lm_seq: u64,
     pending: SmallMap<usize, PendingPrediction>,
-    failure_events: Vec<Option<EventId>>,
+    /// Per genuine failure: a migration moved the process off its node
+    /// first, so its `Failure` event pops as a no-op.
+    avoided: Vec<bool>,
     recovery_level: f64,
     recovery_dur: f64,
 
@@ -365,7 +363,6 @@ impl CrSim {
             drain_dur,
             state: AppState::Computing,
             state_entered: SimTime::ZERO,
-            epoch: 0,
             work_done: 0.0,
             target: params.app.compute_hours * 3600.0,
             seg_start: SimTime::ZERO,
@@ -389,7 +386,7 @@ impl CrSim {
             active_lms: SmallMap::new(),
             lm_seq: 0,
             pending: SmallMap::new(),
-            failure_events: vec![None; failure_count],
+            avoided: vec![false; failure_count],
             recovery_level: 0.0,
             recovery_dur: 0.0,
             estimator: RateEstimator::new(params.rate_window_hours, prior_rate, RATE_MIN_EVENTS),
@@ -431,7 +428,6 @@ impl CrSim {
         self.trace.false_positives.clone_from(&trace.false_positives);
         self.state = AppState::Computing;
         self.state_entered = SimTime::ZERO;
-        self.epoch = 0;
         self.work_done = 0.0;
         self.seg_start = SimTime::ZERO;
         self.seg_rate = 1.0;
@@ -452,8 +448,8 @@ impl CrSim {
         self.active_lms.clear();
         self.lm_seq = 0;
         self.pending.clear();
-        self.failure_events.clear();
-        self.failure_events.resize(self.trace.failures.len(), None);
+        self.avoided.clear();
+        self.avoided.resize(self.trace.failures.len(), false);
         self.recovery_level = 0.0;
         self.recovery_dur = 0.0;
         self.estimator.reset();
@@ -509,7 +505,7 @@ impl CrSim {
             return;
         };
         if let Some(at) = fluid.next_completion(ctx.now()) {
-            ctx.schedule_uncancellable_at(at.max(ctx.now()), Ev::PfsTick(fluid.epoch()));
+            ctx.schedule_at(at.max(ctx.now()), Ev::PfsTick(fluid.epoch()));
         }
     }
 
@@ -555,10 +551,10 @@ impl CrSim {
                     if now < self.recovery_floor {
                         // The replacement node / BB restores are still in
                         // flight; finish at the floor.
-                        ctx.schedule_uncancellable_at(
-                            self.recovery_floor,
-                            Ev::RecoveryDone(self.epoch),
-                        );
+                        self.step = Some(Step::End(Due {
+                            at: self.recovery_floor,
+                            mark: ctx.mark(),
+                        }));
                     } else {
                         self.on_recovery_done(ctx);
                     }
@@ -756,7 +752,15 @@ impl CrSim {
             AppState::Recovering => self.ledger.recovery_secs += dt,
             AppState::Done => unreachable!("no transitions out of Done"),
         }
-        self.epoch += 1;
+    }
+
+    /// Arms the end of the operation the state just started, `secs` from
+    /// the clock, as the step.
+    fn arm_end(&mut self, ctx: &Ctx<'_, Ev>, secs: f64) {
+        self.step = Some(Step::End(Due {
+            at: ctx.now() + SimDuration::from_secs(secs),
+            mark: ctx.mark(),
+        }));
     }
 
     /// Enters `state` at `at` and records it there.
@@ -916,7 +920,7 @@ impl CrSim {
         }
         self.rec
             .emit(ctx.now().as_nanos(), obskind::LM_START, node.into(), 0);
-        ctx.schedule_uncancellable_in(SimDuration::from_secs(self.theta), Ev::LmDone(node, seq));
+        ctx.schedule_in(SimDuration::from_secs(self.theta), Ev::LmDone(node, seq));
         self.rate_changed(ctx);
     }
 
@@ -933,10 +937,8 @@ impl CrSim {
             .emit(ctx.now().as_nanos(), obskind::LM_COMMIT, node.into(), 0);
         if let Some(idx) = lm.fail_idx {
             // The process left the vulnerable node: the failure no longer
-            // hits the job.
-            if let Some(ev) = self.failure_events[idx].take() {
-                ctx.cancel(ev);
-            }
+            // hits the job, and its event pops as a no-op.
+            self.avoided[idx] = true;
             self.pending.remove(&idx);
             self.ledger.failures_total += 1;
             self.ledger.failures_predicted += 1;
@@ -1004,10 +1006,7 @@ impl CrSim {
                     self.fluid_start(ctx, crate::iosim::PfsOp::Safeguard, bytes, weight);
                 } else {
                     let dur = self.t_pfs_all_write * self.sync_pfs_slowdown() + self.t_barrier;
-                    ctx.schedule_uncancellable_in(
-                        SimDuration::from_secs(dur),
-                        Ev::SafeguardDone(self.epoch),
-                    );
+                    self.arm_end(ctx, dur);
                 }
             }
             // While recovering (or in a round, which M1 never has) the
@@ -1130,10 +1129,7 @@ impl CrSim {
                 self.fluid_start(ctx, crate::iosim::PfsOp::Phase1, bytes, 1.0);
             } else {
                 let dur = self.t_pfs_single * self.sync_pfs_slowdown() + self.t_barrier;
-                ctx.schedule_uncancellable_in(
-                    SimDuration::from_secs(dur),
-                    Ev::Phase1WriterDone(self.epoch),
-                );
+                self.arm_end(ctx, dur);
             }
         } else {
             round.begin_phase2();
@@ -1154,10 +1150,7 @@ impl CrSim {
                         * self.sync_pfs_slowdown()
                         + self.t_barrier
                 };
-                ctx.schedule_uncancellable_in(
-                    SimDuration::from_secs(dur),
-                    Ev::Phase2Done(self.epoch),
-                );
+                self.arm_end(ctx, dur);
             }
         }
     }
@@ -1236,10 +1229,7 @@ impl CrSim {
         } else {
             self.recovery_dur =
                 self.p.replacement_delay_secs + self.t_pfs_single * self.sync_pfs_slowdown();
-            ctx.schedule_uncancellable_in(
-                SimDuration::from_secs(self.recovery_dur),
-                Ev::RecoveryDone(self.epoch),
-            );
+            self.arm_end(ctx, self.recovery_dur);
         }
     }
 
@@ -1304,7 +1294,24 @@ impl CrSim {
             match step {
                 Step::Checkpoint(_) => self.start_checkpoint(due.at, ctx.mark()),
                 Step::Write(_) => self.complete_bb_write(ctx),
+                Step::End(_) => self.end_operation(ctx),
                 Step::Complete(_) => return self.on_work_complete(ctx),
+            }
+        }
+    }
+
+    /// Ends the state's operation at the clock: the safeguard commit, the
+    /// round's phase-1 writer or phase 2, or the recovery.
+    fn end_operation(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        match self.state {
+            AppState::Safeguard => self.on_safeguard_done(ctx),
+            AppState::Round => match self.round.as_ref().map(PckptRound::phase) {
+                Some(Phase::Phase1) => self.on_phase1_writer_done(ctx),
+                _ => self.on_phase2_done(ctx),
+            },
+            AppState::Recovering => self.on_recovery_done(ctx),
+            AppState::Computing | AppState::BbCkpt | AppState::Done => {
+                unreachable!("no operation ends in {:?}", self.state)
             }
         }
     }
@@ -1435,10 +1442,9 @@ impl CrSim {
     }
 
     fn on_failure(&mut self, ctx: &mut Ctx<'_, Ev>, idx: usize) {
-        if self.state == AppState::Done {
+        if self.avoided[idx] || self.state == AppState::Done {
             return;
         }
-        self.failure_events[idx] = None;
         let f = self.trace.failures[idx];
         self.ledger.failures_total += 1;
         if f.predicted {
@@ -1478,6 +1484,7 @@ impl CrSim {
                 // Round state implies an active round. simlint: allow(no-unwrap-in-lib)
                 let round = self.round.as_ref().expect("Round state without round");
                 let committed_here = round.is_committed(f.node);
+                let level = round.level_secs();
                 // Whatever happens, this round will not complete; phase-1
                 // commits without phase 2 are not a durable full-app
                 // checkpoint, so retract coverage they granted (the
@@ -1504,7 +1511,11 @@ impl CrSim {
                     // recomputed. This cheap path is exactly why p-ckpt
                     // beats safeguard checkpointing for large applications.
                     self.ledger.mitigated_by_pckpt += 1;
-                    debug_assert!((self.work_done - self.recovery_level).abs() >= 0.0);
+                    debug_assert_eq!(
+                        self.work_done.to_bits(),
+                        level.to_bits(),
+                        "a round's committed node recomputes nothing"
+                    );
                     self.begin_replacement_only_recovery(ctx);
                 } else {
                     self.emit_failure(ctx.now(), f.node, covered.is_some());
@@ -1544,10 +1555,7 @@ impl CrSim {
                     self.begin_recovery(ctx, level, all_pfs);
                 } else {
                     self.enter_state(ctx.now(), AppState::Recovering);
-                    ctx.schedule_uncancellable_in(
-                        SimDuration::from_secs(self.recovery_dur),
-                        Ev::RecoveryDone(self.epoch),
-                    );
+                    self.arm_end(ctx, self.recovery_dur);
                 }
             }
             AppState::Done => unreachable!("early-returned above"),
@@ -1615,10 +1623,7 @@ impl CrSim {
                     .max(self.t_pfs_single * self.sync_pfs_slowdown())
             };
             self.recovery_dur = self.p.replacement_delay_secs + read;
-            ctx.schedule_uncancellable_in(
-                SimDuration::from_secs(self.recovery_dur),
-                Ev::RecoveryDone(self.epoch),
-            );
+            self.arm_end(ctx, self.recovery_dur);
         }
     }
 
@@ -1646,15 +1651,13 @@ impl Model for CrSim {
     type Event = Ev;
 
     fn init(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        // Schedule the fate of the run. This batch stays cancellable
-        // (live migration cancels a failure event). Everything the
-        // handlers schedule is guarded instead, by the epoch, the fluid
-        // link's epoch or the migration seq, and goes through the
-        // queue's uncancellable lane.
+        // Schedule the fate of the run. After this batch the handlers
+        // schedule only migration commits and fluid ticks, each guarded
+        // by its migration seq or the link's epoch; a failure a migration
+        // avoided is dropped by its `avoided` flag.
         for (idx, f) in self.trace.failures.iter().enumerate() {
             let t_fail = SimTime::from_hours(f.time_hours);
-            let ev = ctx.schedule_at(t_fail, Ev::Failure(idx));
-            self.failure_events[idx] = Some(ev);
+            ctx.schedule_at(t_fail, Ev::Failure(idx));
             if f.predicted && self.p.model.uses_prediction() {
                 let t_pred = SimTime::from_hours(f.prediction_time_hours());
                 ctx.schedule_at(t_pred, Ev::Prediction(Some(idx), 0));
@@ -1672,19 +1675,10 @@ impl Model for CrSim {
 
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, event: Ev) {
         match event {
-            Ev::SafeguardDone(e) if e == self.epoch => self.on_safeguard_done(ctx),
-            Ev::Phase1WriterDone(e) if e == self.epoch => self.on_phase1_writer_done(ctx),
-            Ev::Phase2Done(e) if e == self.epoch => self.on_phase2_done(ctx),
-            Ev::RecoveryDone(e) if e == self.epoch => self.on_recovery_done(ctx),
             Ev::PfsTick(epoch) => self.on_pfs_tick(ctx, epoch),
             Ev::Prediction(fail_idx, fp_idx) => self.on_prediction(ctx, fail_idx, fp_idx),
             Ev::Failure(idx) => self.on_failure(ctx, idx),
             Ev::LmDone(node, seq) => self.on_lm_done(ctx, node, seq),
-            // Epoch-guarded events from a superseded state: drop.
-            Ev::SafeguardDone(_)
-            | Ev::Phase1WriterDone(_)
-            | Ev::Phase2Done(_)
-            | Ev::RecoveryDone(_) => {}
         }
         self.run_ahead(ctx);
     }
@@ -2748,7 +2742,7 @@ mod tests {
 
     /// Runs `trace` under `p` with a recorder installed: the result and
     /// the protocol records, every record except the queue's own
-    /// SCHED/POP/CANCEL (which only the `trace` feature adds).
+    /// SCHED/POP (which only the `trace` feature adds).
     fn run_recorded(p: SimParams, trace: FailureTrace) -> (RunResult, Vec<pckpt_simobs::Record>) {
         record_sim(CrSim::new(p, trace, &leads()))
     }
@@ -2760,11 +2754,10 @@ mod tests {
         let result = sim.run();
         let recording = rec.take();
         assert_eq!(recording.dropped, 0);
-        let queue = [obskind::SCHED, obskind::POP, obskind::CANCEL];
         let records = recording
             .records
             .into_iter()
-            .filter(|r| !queue.contains(&r.kind));
+            .filter(|r| !matches!(r.kind, obskind::SCHED | obskind::POP));
         (result, records.collect())
     }
 
@@ -3669,6 +3662,149 @@ mod tests {
             "records out of order"
         );
         assert_eq!(protocol_digest(&records), FAILURE_ENDS_MIGRATION_STREAM);
+    }
+
+    #[test]
+    fn an_action_and_its_recovery_handle_no_event_but_prediction_and_failure() {
+        // A safeguard's commit (M1), a round's phase-1 writer and phase 2
+        // (P1) and the recovery from the failure each end at the step: a
+        // run with one predicted failure handles its prediction and its
+        // failure, and schedules nothing after `init`.
+        for (model, app) in [(ModelKind::M1, "POP"), (ModelKind::P1, "CHIMERA")] {
+            let trace = FailureTrace {
+                failures: vec![failure(100.0, 3, 60.0, true)],
+                false_positives: vec![],
+            };
+            let mut sim = Simulation::new(CrSim::new(params(model, app), trace, &leads()));
+            sim.run();
+            assert_eq!(sim.model().result().ledger.mitigated(), 1, "{model:?}");
+            assert_eq!(sim.events_handled(), 2, "{model:?}");
+            assert_eq!(sim.queue().scheduled_total(), 2, "{model:?}");
+        }
+    }
+
+    // Protocol-stream digest of the run below, taken while a migration
+    // cancelled the failure it beat.
+    const AVOIDED_FAILURE_STREAM: &str = "efadc819d8a2e07c";
+
+    #[test]
+    fn failure_a_migration_avoided_pops_as_a_no_op() {
+        // The migration commits before the failure strikes and flags it
+        // avoided; the failure's event still pops, and records nothing.
+        let p = params(ModelKind::M2, "XGC");
+        let trace = FailureTrace {
+            failures: vec![failure(100.0, 3, p.theta_secs() + 5.0, true)],
+            false_positives: vec![],
+        };
+        let mut sim = Simulation::new(CrSim::new(p.clone(), trace.clone(), &leads()));
+        sim.run();
+        assert_eq!(sim.model().result().ledger.mitigated_by_lm, 1);
+        // The prediction, the migration's commit and the avoided failure.
+        assert_eq!(sim.events_handled(), 3);
+        let (_, records) = run_recorded(p, trace);
+        assert!(records.iter().all(|r| r.kind != obskind::FAILURE));
+        assert_eq!(protocol_digest(&records), AVOIDED_FAILURE_STREAM);
+    }
+
+    // Protocol-stream digests of the crafted runs below, taken while each
+    // operation's end was a queued event. Each puts a failure or a false
+    // positive, both queued by `init`, on the instant an operation ends
+    // and 1 ns before it: rows are a safeguard's commit, a phase-1
+    // writer's commit, phase 2's commit, a recovery's end and a fluid
+    // recovery's floor, columns the instant and 1 ns before.
+    const END_FAILURE_STREAMS: [[&str; 2]; 5] = [
+        ["262ed56f8307dda5", "3fc30f3d6b85f26d"],
+        ["53ee19fe29b90ef9", "1eebf35a39c3c268"],
+        ["0b038837315cad48", "a2cf9c29691adfd1"],
+        ["8c3987590101ea84", "c040912f10f0ee3c"],
+        ["5549344424e5a835", "3333158e2f5fd292"],
+    ];
+    const END_FALSE_POSITIVE_STREAMS: [[&str; 2]; 5] = [
+        ["60a01ea59545add1", "a736dfb6b43b8260"],
+        ["5bfbf5cd24131f7d", "6e2b0cb39a202a60"],
+        ["54eab04c3509303c", "809ba9a2c1f3b52d"],
+        ["85ce69b261d3fab5", "2bfeae2d5c3185fe"],
+        ["ec4853955abd27a1", "3f15d392e4bce2ce"],
+    ];
+
+    /// Runs whose operations end at the pinned instants, with the record
+    /// each ends on: a false positive of node 5 at hour 10 makes M1 on POP
+    /// safeguard and P1 on CHIMERA open a round, and an unpredicted
+    /// failure of node 5 there makes P1 on CHIMERA recover, in fluid mode
+    /// at the floor its replacement read finishes before.
+    fn operation_ends() -> [(SimParams, FailureTrace, u16); 5] {
+        let predicted = FailureTrace {
+            failures: vec![],
+            false_positives: vec![Prediction {
+                node: 5,
+                at_hours: 10.0,
+                lead_secs: 60.0,
+                sequence_id: 2,
+                genuine: false,
+            }],
+        };
+        let failed = FailureTrace {
+            failures: vec![failure(10.0, 5, 10.0, false)],
+            false_positives: vec![],
+        };
+        let m1 = params(ModelKind::M1, "POP");
+        let p1 = params(ModelKind::P1, "CHIMERA");
+        [
+            (m1, predicted.clone(), obskind::SAFEGUARD_DONE),
+            (p1.clone(), predicted.clone(), obskind::PHASE1_COMMIT),
+            (p1.clone(), predicted, obskind::ROUND_COMPLETE),
+            (p1.clone(), failed.clone(), obskind::RECOVERY_DONE),
+            (fluid(p1), failed, obskind::RECOVERY_DONE),
+        ]
+    }
+
+    /// Runs each of [`operation_ends`] with `probe(trace, t)` added for
+    /// `t` on the instant its operation ends and 1 ns before it; asserts
+    /// that the run records `kind` first at `t`, and returns each run's
+    /// protocol-stream digest, in the order of the pinned tables.
+    fn digests_at_operation_ends(
+        kind: u16,
+        probe: impl Fn(&mut FailureTrace, u64),
+    ) -> Vec<[String; 2]> {
+        operation_ends()
+            .into_iter()
+            .map(|(p, trace, end)| {
+                let (_, records) = run_recorded(p.clone(), trace.clone());
+                let at = first_at(&records, 0, end, None).expect("the operation ends");
+                [at, at - 1].map(|t| {
+                    let mut probed = trace.clone();
+                    probe(&mut probed, t);
+                    let (_, records) = run_recorded(p.clone(), probed);
+                    assert_eq!(kinds_at(&records, t).first(), Some(&kind), "at {t}");
+                    protocol_digest(&records)
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn failure_at_an_operations_end() {
+        // Node 5 fails: the safeguard is void; the round aborts, before
+        // node 5's phase-1 commit or, once it is committed, with only the
+        // replacement to restore; the recovery restarts.
+        let digests = digests_at_operation_ends(obskind::FAILURE, |trace, t| {
+            trace.failures.push(failure(hours_at(t), 5, 10.0, false));
+        });
+        assert_eq!(digests, END_FAILURE_STREAMS);
+    }
+
+    #[test]
+    fn false_positive_at_an_operations_end() {
+        let digests = digests_at_operation_ends(obskind::PREDICTION, |trace, t| {
+            trace.false_positives.push(Prediction {
+                node: 7,
+                at_hours: hours_at(t),
+                lead_secs: 60.0,
+                sequence_id: 3,
+                genuine: false,
+            });
+        });
+        assert_eq!(digests, END_FALSE_POSITIVE_STREAMS);
     }
 
     #[test]

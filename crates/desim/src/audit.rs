@@ -4,21 +4,15 @@
 //! *statically*; this module is its dynamic cross-check. Every audit is
 //! compiled away in release builds (`debug_assertions` off), so the hot
 //! loop's release-mode cost is zero — debug test runs pay an O(active)
-//! scan per completion wave and get three invariants checked
+//! scan per completion wave and get two invariants checked
 //! continuously:
 //!
 //! 1. **Pop monotonicity** ([`PopAudit`]): events leave the
 //!    [`EventQueue`](crate::queue::EventQueue) in strictly increasing
 //!    `(time, seq)` order. A violation means the heap ordering or the
-//!    tombstone bookkeeping is corrupt — the simulated world would
-//!    observe effects before causes.
-//! 2. **Pending/slot consistency after compaction**
-//!    ([`check_compaction`]): compaction retains exactly the live
-//!    entries, so immediately afterwards the heap and the sorted run
-//!    together hold as many entries as the pending set. An inequality
-//!    means either a live event was dropped (lost wakeup) or a dead one
-//!    survived (ghost event).
-//! 3. **Byte conservation** ([`ByteLedger`]): per completion wave of a
+//!    sorted run's seal is corrupt — the simulated world would observe
+//!    effects before causes.
+//! 2. **Byte conservation** ([`ByteLedger`]): per completion wave of a
 //!    [`FlowLink`](crate::flow::FlowLink), bytes injected by `start` =
 //!    bytes retired (completed + delivered-before-cancel) + bytes handed
 //!    back by `cancel` + total bytes of still-active flows, to within
@@ -74,21 +68,6 @@ impl PopAudit {
         #[cfg(not(debug_assertions))]
         let _ = (time, seq);
     }
-}
-
-/// Asserts the post-compaction invariant: the heap and the sorted run
-/// together hold exactly the live (pending) entries — no ghost survived,
-/// no live event was lost.
-#[inline]
-pub fn check_compaction(slots: usize, pending_len: usize) {
-    #[cfg(debug_assertions)]
-    assert_eq!(
-        slots, pending_len,
-        "audit: event-queue compaction left {slots} queue entries for \
-         {pending_len} pending ids"
-    );
-    #[cfg(not(debug_assertions))]
-    let _ = (slots, pending_len);
 }
 
 /// Audits byte conservation across a [`FlowLink`](crate::flow::FlowLink)'s
@@ -210,17 +189,5 @@ mod tests {
         let mut l = ByteLedger::default();
         l.inject(100.0);
         l.check_conserved(90.0, || 0.0); // 10 bytes vanished
-    }
-
-    #[test]
-    fn compaction_check_accepts_equal_sizes() {
-        check_compaction(7, 7);
-    }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "audit compiled out in release")]
-    #[should_panic(expected = "compaction left")]
-    fn compaction_check_rejects_mismatch() {
-        check_compaction(8, 7);
     }
 }

@@ -5,20 +5,16 @@
 //! model calls [`Ctx::stop`], or an event budget is spent. That is the
 //! one loop: [`Simulation`] owns a queue and calls it, and campaign
 //! workers call it on a queue they recycle between runs. The model
-//! receives a [`Ctx`] giving it scheduling, cancellation, and clock
+//! receives a [`Ctx`] giving it scheduling, instant claims and clock
 //! access — but not access to the loop itself, so models cannot corrupt
 //! the causal order.
 //!
-//! A model schedules an event it may cancel with [`Ctx::schedule_in`] or
-//! [`Ctx::schedule_at`], which return the [`EventId`] to cancel it by,
-//! and one it never will with [`Ctx::schedule_uncancellable_in`] or
-//! [`Ctx::schedule_uncancellable_at`]. The queue keeps them in three
-//! places (see [`EventQueue`]): cancellable events from `init` in its
-//! sorted run, later ones in its heap, and uncancellable ones in its
-//! lane, which skips the liveness bookkeeping. Every pop merges those
-//! three heads, caching the run/heap head across lane pops, so the loop
-//! pops once per event in one `(time, seq)` order whichever call
-//! scheduled it.
+//! A model schedules an event with [`Ctx::schedule_in`] or
+//! [`Ctx::schedule_at`]; nothing is cancelled, so a model drops an
+//! event it no longer wants when it pops. The queue keeps the events
+//! `init` schedules in its sorted run and later ones in its heap (see
+//! [`EventQueue`]), and every pop takes the earlier of the two heads, so
+//! the loop pops once per event in one `(time, seq)` order.
 //!
 //! A model may keep an instant out of the queue: it arms it with
 //! [`Ctx::mark`] and takes it with [`Ctx::claim`], which succeeds where
@@ -80,33 +76,15 @@ impl<'a, E> Ctx<'a, E> {
     }
 
     /// Schedules an event after `delay`.
+    #[inline]
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
         self.queue.schedule_in(delay, event)
     }
 
     /// Schedules an event at absolute time `at` (must not be in the past).
+    #[inline]
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
         self.queue.schedule_at(at, event)
-    }
-
-    /// Schedules an event after `delay` that nothing can cancel. It pops
-    /// exactly where [`schedule_in`](Self::schedule_in) would put it,
-    /// through a cheaper path (see [`EventQueue`]); use it for every
-    /// event the model will never cancel.
-    pub fn schedule_uncancellable_in(&mut self, delay: SimDuration, event: E) {
-        self.queue.schedule_uncancellable_in(delay, event);
-    }
-
-    /// Schedules an event at absolute time `at` (must not be in the past)
-    /// that nothing can cancel; see
-    /// [`schedule_uncancellable_in`](Self::schedule_uncancellable_in).
-    pub fn schedule_uncancellable_at(&mut self, at: SimTime, event: E) {
-        self.queue.schedule_uncancellable_at(at, event);
-    }
-
-    /// Cancels a pending event; `true` if it was still live.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
     }
 
     /// The tie mark of an instant armed now, to [`claim`](Self::claim) it
@@ -355,35 +333,6 @@ mod tests {
         .with_event_budget(50);
         assert_eq!(sim.run(), StopReason::EventBudget);
         assert_eq!(sim.events_handled(), 50);
-    }
-
-    struct CancelModel {
-        victim: Option<crate::queue::EventId>,
-        handled: Vec<&'static str>,
-    }
-    impl Model for CancelModel {
-        type Event = &'static str;
-        fn init(&mut self, ctx: &mut Ctx<'_, &'static str>) {
-            ctx.schedule_in(SimDuration::from_secs(1.0), "canceller");
-            self.victim = Some(ctx.schedule_in(SimDuration::from_secs(2.0), "victim"));
-            ctx.schedule_in(SimDuration::from_secs(3.0), "survivor");
-        }
-        fn handle(&mut self, ctx: &mut Ctx<'_, &'static str>, ev: &'static str) {
-            self.handled.push(ev);
-            if ev == "canceller" {
-                assert!(ctx.cancel(self.victim.take().unwrap()));
-            }
-        }
-    }
-
-    #[test]
-    fn events_cancelled_from_handlers_never_fire() {
-        let mut sim = Simulation::new(CancelModel {
-            victim: None,
-            handled: Vec::new(),
-        });
-        sim.run();
-        assert_eq!(sim.model().handled, vec!["canceller", "survivor"]);
     }
 
     struct NowScheduler {

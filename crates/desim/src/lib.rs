@@ -5,12 +5,13 @@
 //! playing that role, reduced to what the models need:
 //!
 //! 1. **The event engine** ([`engine`], [`queue`]): a model implements
-//!    [`engine::Model`] and handles typed events popped from a cancellable
+//!    [`engine::Model`] and handles typed events popped from a
 //!    priority queue by one loop, [`run_with_queue`]. SimPy's timeouts
-//!    are scheduled events and its interrupts are cancellation: the
-//!    coordination protocols with aborts (live migration cancelled by a
-//!    higher-priority prediction) map onto explicit state machines plus
-//!    event cancellation.
+//!    are scheduled events or instants the model claims; its interrupts
+//!    are state changes: the coordination protocols with aborts (live
+//!    migration aborted by a higher-priority prediction) map onto
+//!    explicit state machines that drop an event whose state is gone
+//!    when it pops.
 //! 2. **Shared links** ([`flow`]): a fluid-flow model of contended
 //!    bandwidth. Concurrent transfers progress simultaneously at a fair
 //!    share of a (possibly load-dependent) capacity, which is how the PFS

@@ -1,11 +1,10 @@
 //! Property-based tests of the DES engine: event ordering under random
-//! schedules and cancellations, the queue's sorted run, heap,
-//! uncancellable lane and claims against a reference model, and byte
-//! conservation in the fluid-flow link.
+//! schedules, the queue's sorted run, heap and claims against a
+//! reference model, and byte conservation in the fluid-flow link.
 
 use proptest::prelude::*;
 
-use pckpt_desim::{EventId, EventQueue, FlowLink, ReferenceFlowLink, SimTime};
+use pckpt_desim::{EventQueue, FlowLink, ReferenceFlowLink, SimTime};
 
 /// Reference pending-event set: every live `(time ns, seq, payload)` in
 /// a plain `Vec`; `pop` removes the minimum by `(time, seq)`.
@@ -23,12 +22,6 @@ impl RefQueue {
         self.hwm = self.hwm.max(self.live.len());
     }
 
-    fn cancel(&mut self, seq: u64) -> bool {
-        let before = self.live.len();
-        self.live.retain(|&(_, s, _)| s != seq);
-        self.live.len() < before
-    }
-
     fn pop(&mut self) -> Option<(u64, u64, u32)> {
         (0..self.live.len())
             .min_by_key(|&i| (self.live[i].0, self.live[i].1))
@@ -37,83 +30,45 @@ impl RefQueue {
 }
 
 proptest! {
-    /// The queue keeps cancellable events scheduled before its first pop
-    /// in a sorted run, later ones in a heap and uncancellable ones in a
-    /// lane of their own; together they behave exactly like the
-    /// one-`Vec` reference, which treats an uncancellable event as one
-    /// that nobody cancels. An initial batch (some of it cancelled before
-    /// the first pop) is followed by random schedules of both kinds,
-    /// cancels of any id the caller holds and pops, twice across a
-    /// `reset`; every pop (its id included), `len`, `depth_hwm` and
-    /// `scheduled_total` agrees. A `schedule_at` or `cancel` after a pop
-    /// moves the run/heap head under the queue's cached head key, so a
-    /// stale cache shows up here as a wrong pop. Claims of an instant
-    /// armed at any mark issued so far are mixed in: each succeeds iff
-    /// its `(time, mark)` is at or before the reference's earliest live
-    /// `(time, seq)`, and moves the clock only then.
+    /// The queue keeps events scheduled before its first pop in a sorted
+    /// run and later ones in a heap; together they behave exactly like
+    /// the one-`Vec` reference. An initial batch is followed by random
+    /// schedules and pops, twice across a `reset`; every pop (its id
+    /// included), `len`, `depth_hwm` and `scheduled_total` agrees.
+    /// Claims of an instant armed at any mark issued so far are mixed
+    /// in: each succeeds iff its `(time, mark)` is at or before the
+    /// reference's earliest `(time, seq)`, and moves the clock only then.
     #[test]
     fn sorted_run_is_observationally_a_heap(
-        initial in proptest::collection::vec((0u64..40, any::<bool>()), 0..100),
-        ops in proptest::collection::vec((0u8..5, 0u64..40, any::<usize>()), 0..300),
+        initial in proptest::collection::vec(0u64..40, 0..100),
+        ops in proptest::collection::vec((0u8..3, 0u64..40, any::<usize>()), 0..300),
     ) {
         let mut q = EventQueue::new();
         let mut rounds = Vec::new();
         for _ in 0..2 {
             q.reset();
             let mut oracle = RefQueue::default();
-            // The id of every event by seq, once the caller holds it: at
-            // schedule time for `schedule_at`, at pop time for the lane.
-            let mut ids: Vec<Option<EventId>> = Vec::new();
+            // The id of every event, by seq.
+            let mut ids = Vec::new();
             let mut popped = Vec::new();
             let mut next_payload = 0u32;
-            for &(t, _) in &initial {
-                ids.push(Some(q.schedule_at(SimTime::from_nanos(t), next_payload)));
+            for &t in &initial {
+                ids.push(q.schedule_at(SimTime::from_nanos(t), next_payload));
                 oracle.schedule(t, next_payload);
                 next_payload += 1;
-            }
-            for (seq, &(_, cancel)) in initial.iter().enumerate() {
-                if cancel {
-                    prop_assert!(q.cancel(ids[seq].unwrap()));
-                    prop_assert!(oracle.cancel(seq as u64));
-                }
             }
             prop_assert_eq!(q.len(), oracle.live.len());
             for &(op, dt, pick) in &ops {
                 let t = q.now().as_nanos() + dt;
                 match op {
                     0 => {
-                        ids.push(Some(q.schedule_at(SimTime::from_nanos(t), next_payload)));
+                        ids.push(q.schedule_at(SimTime::from_nanos(t), next_payload));
                         oracle.schedule(t, next_payload);
                         next_payload += 1;
                     }
-                    3 => {
-                        q.schedule_uncancellable_at(SimTime::from_nanos(t), next_payload);
-                        ids.push(None);
-                        oracle.schedule(t, next_payload);
-                        next_payload += 1;
-                    }
-                    1 if !ids.is_empty() => {
-                        // Half the cancels hit the earliest pending
-                        // cancellable event, the one the queue's cached
-                        // head key names; the rest pick any seq.
-                        let head = oracle
-                            .live
-                            .iter()
-                            .filter(|&&(_, s, _)| ids[s as usize].is_some())
-                            .min_by_key(|&&(t, s, _)| (t, s))
-                            .map(|&(_, s, _)| s as usize);
-                        let seq = match head {
-                            Some(seq) if pick % 2 == 0 => seq,
-                            _ => pick / 2 % ids.len(),
-                        };
-                        // A pending lane event has no id to cancel it by.
-                        if let Some(id) = ids[seq] {
-                            prop_assert_eq!(q.cancel(id), oracle.cancel(seq as u64));
-                        }
-                    }
-                    4 => {
-                        // Half the claims meet the earliest live event's
-                        // own key or the mark after it, where the tie
+                    1 => {
+                        // Half the claims meet the earliest event's own
+                        // key or the mark after it, where the tie
                         // decides; the rest pick any mark issued so far.
                         prop_assert_eq!(q.mark(), oracle.issued);
                         let head = oracle.live.iter().map(|&(t, s, _)| (t, s)).min();
@@ -132,16 +87,7 @@ proptest! {
                         let want = oracle.pop();
                         prop_assert_eq!(got.map(|(t, _, p)| (t, p)), want.map(|(t, _, p)| (t, p)));
                         if let (Some((_, id, _)), Some((_, seq, _))) = (got, want) {
-                            let seq = seq as usize;
-                            match ids[seq] {
-                                Some(held) => prop_assert_eq!(id, held),
-                                None => {
-                                    // A lane event's id comes from the
-                                    // same counter as every other.
-                                    prop_assert_eq!(format!("{id:?}"), format!("EventId({seq})"));
-                                    ids[seq] = Some(id);
-                                }
-                            }
+                            prop_assert_eq!(id, ids[seq as usize]);
                         }
                         popped.push(got);
                     }
@@ -155,28 +101,18 @@ proptest! {
         prop_assert_eq!(&rounds[0], &rounds[1]);
     }
 
-    /// Whatever is scheduled (minus cancellations) pops in
-    /// (time, insertion) order, exactly once.
+    /// Whatever is scheduled pops in (time, insertion) order, exactly
+    /// once.
     #[test]
     fn queue_pops_sorted_and_complete(
         times in proptest::collection::vec(0u64..1_000_000, 1..200),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..200),
     ) {
         let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule_at(SimTime::from_nanos(t), i))
-            .collect();
-        let mut expected: Vec<(u64, usize)> = Vec::new();
-        for (i, (&t, id)) in times.iter().zip(&ids).enumerate() {
-            let cancelled = cancel_mask.get(i).copied().unwrap_or(false);
-            if cancelled {
-                prop_assert!(q.cancel(*id));
-            } else {
-                expected.push((t, i));
-            }
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule_at(SimTime::from_nanos(t), i);
         }
+        let mut expected: Vec<(u64, usize)> =
+            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         expected.sort();
         let mut popped = Vec::new();
         let mut last = SimTime::ZERO;

@@ -7,7 +7,7 @@
 //!    recoveries with sim-time, in every build, whenever a ring is
 //!    installed; the campaign path installs none and pays one inlined
 //!    check per hook. The `trace` cargo feature adds the queue's event
-//!    pops, schedules and cancels and the *causal parent id* they give
+//!    pops and schedules and the *causal parent id* they give
 //!    every record; without it each record's parent is [`NO_PARENT`].
 //! 2. **Per-run metrics** ([`RunObs`], [`ObsAggregate`]): always-on,
 //!    fixed-size counters and power-of-two-bucket histograms (queue
@@ -37,14 +37,13 @@ use json::{Arr, Fixed, Obj, Seq, Writer};
 pub const NO_PARENT: u64 = u64::MAX;
 
 /// Record kind codes. Stable across runs and feature settings — they are
-/// folded into trace digests, so renumbering invalidates goldens.
+/// folded into trace digests, so renumbering invalidates goldens. Code 3
+/// named a cancelled event while the queue could cancel; it stays unused.
 pub mod kind {
     /// An event was popped from the queue and dispatched.
     pub const POP: u16 = 1;
     /// An event was scheduled (`a` = event id).
     pub const SCHED: u16 = 2;
-    /// A pending event was cancelled (`a` = event id).
-    pub const CANCEL: u16 = 3;
     /// A fluid-flow transfer completed (`a` = transfer id, `b` = bytes
     /// as `f64::to_bits`).
     pub const FLOW_WAVE: u16 = 4;
@@ -99,7 +98,6 @@ pub mod kind {
         match k {
             POP => "pop",
             SCHED => "sched",
-            CANCEL => "cancel",
             FLOW_WAVE => "flow_wave",
             STATE => "state",
             PREDICTION => "prediction",
@@ -384,11 +382,10 @@ impl Ring {
 /// uncontended — one sim thread per ring.
 ///
 /// Domain records ([`emit`](Self::emit)) are kept whenever a ring is
-/// installed. The queue's own records — [`on_pop`](Self::on_pop),
-/// [`on_sched`](Self::on_sched), [`on_cancel`](Self::on_cancel) — and
-/// the causal parents they set are compiled in only under the `trace`
-/// feature; without it those hooks are empty and every record carries
-/// parent [`NO_PARENT`].
+/// installed. The queue's own records — [`on_pop`](Self::on_pop) and
+/// [`on_sched`](Self::on_sched) — and the causal parents they set are
+/// compiled in only under the `trace` feature; without it those hooks
+/// are empty and every record carries parent [`NO_PARENT`].
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Mutex<Ring>>>,
@@ -450,18 +447,6 @@ impl Recorder {
                     g.sched_parent.resize(idx + 1, NO_PARENT);
                 }
                 g.sched_parent[idx] = seq;
-            });
-        }
-    }
-
-    /// A pending event was cancelled. Recorded only under the `trace`
-    /// feature.
-    #[inline(always)]
-    pub fn on_cancel(&self, t: u64, id: u64) {
-        if cfg!(feature = "trace") {
-            self.with(|g| {
-                let parent = g.current;
-                g.record(t, parent, kind::CANCEL, id, 0);
             });
         }
     }
@@ -662,7 +647,8 @@ impl FixedHist {
 pub struct RunObs {
     /// Events dispatched by the engine during the run.
     pub events_handled: u64,
-    /// Events scheduled during the run (≥ handled: cancels).
+    /// Events scheduled during the run (≥ handled: events due after the
+    /// run ends never pop).
     pub events_scheduled: u64,
     /// High-water mark of pending events in the queue.
     pub queue_depth_hwm: u64,
@@ -1071,12 +1057,11 @@ mod tests {
         let r = Recorder::enabled(16);
         r.on_sched(0, 0);
         r.on_pop(1, 0);
-        r.on_cancel(1, 1);
         r.emit(1, kind::BB_CKPT, 0, 0);
         let rec = r.take();
         let kinds: Vec<u16> = rec.records.iter().map(|x| x.kind).collect();
         if cfg!(feature = "trace") {
-            assert_eq!(kinds, [kind::SCHED, kind::POP, kind::CANCEL, kind::BB_CKPT]);
+            assert_eq!(kinds, [kind::SCHED, kind::POP, kind::BB_CKPT]);
         } else {
             assert_eq!(kinds, [kind::BB_CKPT]);
             assert_eq!(rec.records[0].parent, NO_PARENT);

@@ -2,8 +2,10 @@
 # The benchmark pipeline: builds once, runs five steps and writes one
 # snapshot (BENCH_pr<N>.json; the earlier ones are the perf trajectory):
 #
-#   pbench       `pbench run`, stored verbatim: medians, quartiles,
-#                counts, digests and host regime of all five workloads
+#   pbench       one `pbench measure` per BENCHMARK.json workload, as
+#                `pbench run` makes them, stored as the document it
+#                writes: medians, quartiles, counts, digests and host
+#                regime of all five workloads
 #   paper_bins   wall seconds and exit status of each paper bin at the
 #                paper's 1000 runs, run from target/release, with nproc
 #                and /proc/loadavg before and after the loop
@@ -15,9 +17,11 @@
 #   compare      `pbench compare` of a baseline run against this one,
 #                under BENCHMARK.json's bounds. The baseline is the
 #                newest earlier BENCH_pr<N>.json that holds a "pbench"
-#                run or, with --parent DIR, a `pbench run` of DIR made in
-#                step 1 of this invocation, so that both runs meet the
-#                same host. The step reads its rows: a
+#                run or, with --parent DIR, DIR's pbench run in step 1 of
+#                this invocation, each workload right before or after the
+#                tree's (the parent first on every other workload), so
+#                that both runs meet the same host. The step reads its
+#                rows: a
 #                `worse` or `missing` row fails it, and so does a count
 #                that `differs` unless it is named on the command line as
 #                an expected move (WORKLOAD/COUNT, e.g.
@@ -84,13 +88,61 @@ PARENT_RUN=$PWD/target/pbench/bench-parent-run.json
 step() { echo "$1 $2" >> "$LOG/steps"; }
 
 echo
-echo "== [1/5] pbench run =="
+echo "== [1/5] pbench measure, workload by workload =="
 rm -f "$RUN" "$PARENT_RUN"
-"$PBENCH" run --out "$RUN"
+mapfile -t WORKLOADS < <(python3 -c 'import json
+for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])')
+# measure SIDE DIR EXE W: EXE (relative to DIR) measures workload W in
+# DIR; its stdout and exit status are kept for collect.
+measure() {
+    echo "-- $1: $4 --"
+    (cd "$2" && "$3" measure --workload "$4" --trace 0) > "$LOG/$1.$4.out"
+    echo $? > "$LOG/$1.$4.status"
+}
+for i in "${!WORKLOADS[@]}"; do
+    w=${WORKLOADS[$i]}
+    [ -n "$PARENT" ] && [ $((i % 2)) -eq 1 ] &&
+        measure parent "$PARENT" crates/bench/pbench/target/release/pbench "$w"
+    measure tree . "$PBENCH" "$w"
+    [ -n "$PARENT" ] && [ $((i % 2)) -eq 0 ] &&
+        measure parent "$PARENT" crates/bench/pbench/target/release/pbench "$w"
+done
+# collect SIDE OUT: writes SIDE's DETAIL lines to OUT as the document
+# `pbench run` writes; fails if a run exited non-zero, printed no DETAIL
+# line or was not correct.
+collect() {
+    python3 - "$LOG" "$1" "$2" "${WORKLOADS[@]}" <<'PYEOF'
+import json
+import os
+import sys
+
+log, side, out = sys.argv[1:4]
+details, ok = [], True
+for w in sys.argv[4:]:
+    path = os.path.join(log, f"{side}.{w}")
+    with open(path + ".status") as f:
+        status = int(f.read())
+    with open(path + ".out") as f:
+        detail = next((l[len("DETAIL "):] for l in f.read().splitlines()
+                       if l.startswith("DETAIL ")), None)
+    correct = detail is not None and json.loads(detail).get("correct") is True
+    if status != 0 or not correct:
+        print(f"bench.sh: {side} {w}: exit {status}, "
+              + ("not correct" if detail else "no DETAIL line"))
+        ok = False
+    if detail is not None:
+        details.append(detail)
+seed = json.loads(details[0])["seed"] if details else None
+os.makedirs(os.path.dirname(out), exist_ok=True)
+with open(out, "w") as f:
+    f.write(f'{{"seed":{json.dumps(seed)},"quick":false,"workloads":[{",".join(details)}]}}\n')
+sys.exit(0 if ok else 1)
+PYEOF
+}
+collect tree "$RUN"
 step pbench $?
 if [ -n "$PARENT" ]; then
-    echo "== [1/5] pbench run of the parent checkout ($PARENT_DESC) =="
-    (cd "$PARENT" && crates/bench/pbench/target/release/pbench run --out "$PARENT_RUN")
+    collect parent "$PARENT_RUN"
     step parent_pbench $?
 fi
 

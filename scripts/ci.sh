@@ -17,11 +17,11 @@
 #                             root suite again with the queue's records
 #                             compiled in: raw-stream golden digests +
 #                             on/off equivalence; then desim's own tests
-#                             with them, so the queue's hooks on all
-#                             three of its paths (sorted run, heap and
-#                             uncancellable lane) are built and
-#                             exercised; then simobs' own tests, for
-#                             the causal parents those hooks set
+#                             with them, so the queue's hooks on both
+#                             of its paths (sorted run and heap) are
+#                             built and exercised; then simobs' own
+#                             tests, for the causal parents those
+#                             hooks set
 #   5. analytic tier          the closed-form equations and crossover
 #                             verdict (analysis crate tests), the
 #                             byte-for-byte pin of exp_analytical's

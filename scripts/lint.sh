@@ -32,8 +32,8 @@ echo "== bench smoke (1-run Fig. 4 bin) =="
 # paying for a full benchmark session. 15 cells x [B, M1, M2] = 45
 # lanes, one run each. A checkpoint cycle (start, BB write and drain) is
 # made of instants CrSim keeps out of the queue, so events handled per BB
-# checkpoint stay under 0.25 (about 0.037 here: the failures, the
-# predictions and the actions they start); a cycle back on the queue,
+# checkpoint stay under 0.25 (about 0.024 here: the failures, the
+# predictions and the migrations they start); a cycle back on the queue,
 # one event each, would read about 1.05.
 PCKPT_RUNS=1 cargo run --release -q -p pckpt-bench --bin exp_fig4 \
     | python3 -c '
@@ -58,7 +58,7 @@ echo "== bench smoke (1-run fluid campaign) =="
 # The same gate in fluid PFS mode: CHIMERA, XGC and POP under all five
 # models, one run each. Fluid cycles are kept out of the queue like the
 # analytic ones, a drain that has the link to itself included, so the
-# limit is the same 0.25 (about 0.062 here; only a drain sharing the link
+# limit is the same 0.25 (about 0.054 here; only a drain sharing the link
 # costs a PfsTick); a cycle back on the queue would read about 1.05.
 PCKPT_RUNS=1 cargo run --release -q -p pckpt-bench --bin exp_fluid \
     | python3 -c '

@@ -363,7 +363,7 @@ fn campaign_aggregates_carry_observability_metrics() {
             // `LmDone` when a migration took the process off its node;
             // checkpoint cycles cost no event.
             assert!(
-                obs.events_handled as f64 >= agg.failures.sum(),
+                obs.events_handled as f64 >= agg.failures.sum().round(),
                 "{mode:?} {m:?}: {} events handled for {} failures counted",
                 obs.events_handled,
                 agg.failures.sum()

@@ -198,7 +198,7 @@ proptest! {
         let records: Vec<_> = recording
             .records
             .iter()
-            .filter(|r| !matches!(r.kind, kind::SCHED | kind::POP | kind::CANCEL))
+            .filter(|r| !matches!(r.kind, kind::SCHED | kind::POP))
             .collect();
         for pair in records.windows(2) {
             prop_assert!(pair[0].t <= pair[1].t, "time runs backwards: {:?}", pair);
@@ -266,7 +266,7 @@ proptest! {
         let records: Vec<_> = recording
             .records
             .iter()
-            .filter(|r| !matches!(r.kind, kind::SCHED | kind::POP | kind::CANCEL))
+            .filter(|r| !matches!(r.kind, kind::SCHED | kind::POP))
             .collect();
         for pair in records.windows(2) {
             prop_assert!(pair[0].t <= pair[1].t, "time runs backwards: {:?}", pair);

@@ -114,7 +114,7 @@ fn metrics_json_lines_keep_their_bytes() {
     let grid = run_grid_filtered(&cells, &leads, &config, Some(&Prefilter::default()));
     assert_eq!(
         grid.obs_merged().to_json("pin"),
-        r#"{"name":"pin","runs":4,"events_handled":6,"events_scheduled":115,"events_per_run":1.5,"queue_depth_hwm":46,"lat_bb_ns":{"count":454,"mean":47029702970.0,"buckets":[[36,454]]},"lat_phase1_ns":{"count":0,"mean":0.0,"buckets":[]},"lat_pfs_full_ns":{"count":0,"mean":0.0,"buckets":[]},"recomp_ns":{"count":1,"mean":1187479116857.0,"buckets":[[41,1]]}}"#
+        r#"{"name":"pin","runs":4,"events_handled":6,"events_scheduled":114,"events_per_run":1.5,"queue_depth_hwm":46,"lat_bb_ns":{"count":454,"mean":47029702970.0,"buckets":[[36,454]]},"lat_phase1_ns":{"count":0,"mean":0.0,"buckets":[]},"lat_pfs_full_ns":{"count":0,"mean":0.0,"buckets":[]},"recomp_ns":{"count":1,"mean":1187479116857.0,"buckets":[[41,1]]}}"#
     );
     assert_eq!(
         grid.meta_json("pin_grid"),

@@ -11,7 +11,7 @@
 //!    in perturbs no RNG draw, event order or float operation. A change
 //!    that moves one of them changes a simulated number.
 //! 2. **The protocol stream** — `GOLDEN_PROTOCOL_STREAM` hashes every
-//!    record of a fixed-seed run except the queue's own SCHED/POP/CANCEL
+//!    record of a fixed-seed run except the queue's own SCHED/POP
 //!    records, over `(t, kind, a, b)`: what the handlers did and when, in
 //!    all five models and both PFS modes. A default build records exactly
 //!    this stream (the queue records need `trace`), so it is checked
@@ -23,7 +23,7 @@
 //!    stream of one run, queue records and their seq ids included. They
 //!    move whenever the set of events scheduled changes, even if no
 //!    handler sees a difference (say, an event that could only pop as
-//!    an epoch-stale no-op), and catch any re-ordering of dispatch,
+//!    a no-op), and catch any re-ordering of dispatch,
 //!    flow-wave completion or protocol phases first.
 //!
 //! Regenerate goldens after an *intentional* change with:
@@ -246,7 +246,7 @@ fn fixed_run_grid_digests_match_golden_at_any_thread_count() {
 
 /// Golden FNV digest of the protocol stream of run 0, seed 61, XGC
 /// under all five models in both PFS modes: every record except the
-/// queue's own SCHED/POP/CANCEL, over `(t, kind, a, b)` only (`seq` and
+/// queue's own SCHED/POP, over `(t, kind, a, b)` only (`seq` and
 /// `parent` number queue records too). It pins what the handlers did
 /// and when, independently of how the queue got there.
 const GOLDEN_PROTOCOL_STREAM: &str = "b66f51ad3267f623";
@@ -276,7 +276,7 @@ fn protocol_stream_digest() -> (String, usize) {
             let (queue, protocol): (Vec<&Record>, Vec<&Record>) = rec
                 .records
                 .iter()
-                .partition(|r| matches!(r.kind, kind::SCHED | kind::POP | kind::CANCEL));
+                .partition(|r| matches!(r.kind, kind::SCHED | kind::POP));
             queue_records += queue.len();
             for r in &protocol {
                 fold(r.t);
@@ -299,7 +299,7 @@ fn protocol_stream_digest_matches_golden() {
     assert_eq!(
         queue_records > 0,
         cfg!(feature = "trace"),
-        "{queue_records} SCHED/POP/CANCEL records (trace feature {}abled)",
+        "{queue_records} SCHED/POP records (trace feature {}abled)",
         if cfg!(feature = "trace") { "en" } else { "dis" }
     );
 }
@@ -312,8 +312,8 @@ mod trace_on {
 
     /// Golden FNV digests of the structured event stream of run 0,
     /// seed 61, XGC/P2, per PFS mode.
-    const GOLDEN_STREAM_ANALYTIC: &str = "6882288e7fbe581b";
-    const GOLDEN_STREAM_FLUID: &str = "15a68a83be3107af";
+    const GOLDEN_STREAM_ANALYTIC: &str = "ec17dd6f9f12bc5e";
+    const GOLDEN_STREAM_FLUID: &str = "f7c5578b3eeb1acb";
 
     fn record(mode: PfsMode, seed: u64) -> Recording {
         let leads = LeadTimeModel::desh_default();
